@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDensity, WrongDensitySign
+from .pauli import components
 
 # Minkowski metrics, diagonal entries only.
 METRIC3 = np.array([-1.0, 1.0, 1.0])
@@ -102,15 +103,17 @@ def coframe_map(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is performed here; callers enforce positivity.
     """
     v = np.asarray(xi, dtype=complex)
-    rho = np.abs(v[..., 0]) ** 2 - np.abs(v[..., 1]) ** 2
+    v0, v1 = v[..., 0], v[..., 1]
+    c0, c1 = np.conj(v0), np.conj(v1)
+    rho = np.abs(v0) ** 2 - np.abs(v1) ** 2
     theta = np.empty(v.shape[:-1] + (3, 3))
     for alpha in range(3):
-        sv = v @ SIGMA_LOWER[alpha].T  # (sigma_alpha xi)_a
-        theta[..., 0, alpha] = (np.conj(v) * sv).sum(-1).real / rho
+        sv0, sv1 = components(SIGMA_LOWER[alpha], v)  # (sigma_alpha xi)_a
+        theta[..., 0, alpha] = (c0 * sv0 + c1 * sv1).real / rho
         # epsilon^{cb} sigma3_{ba} xi^a sigma_{alpha cd} xi^d
-        w = v[..., 1] * sv[..., 0] + v[..., 0] * sv[..., 1]
-        theta[..., 1, alpha] = (w / rho).real
-        theta[..., 2, alpha] = (w / rho).imag
+        w = (v1 * sv0 + v0 * sv1) / rho
+        theta[..., 1, alpha] = w.real
+        theta[..., 2, alpha] = w.imag
     return theta, rho
 
 

@@ -25,6 +25,7 @@ from .grids import (
     spectral_derivative,
 )
 from .lagrangians import dirac_lagrangian, lagrangian_4d, lagrangian_reduced
+from .pauli import apply, components
 from .torsion import (
     _sigma_contract,
     axial_torsion_spinor,
@@ -36,16 +37,19 @@ from .torsion import (
 def _first_order_op(eta: SpinorBundle, a, r: int) -> np.ndarray:
     """sigma^alpha (i d + r A)_alpha eta, pointwise, shape (*n, 2)."""
     out = np.zeros_like(eta.values)
+    out0, out1 = out[..., 0], out[..., 1]
     for alpha in range(3):
         op = 1j * eta.derivs[..., alpha, :] + (r * np.asarray(a)[..., alpha])[..., None] * eta.values
-        out += op @ SIGMA_UPPER[alpha].T
+        op0, op1 = components(SIGMA_UPPER[alpha], op)
+        out0 += op0
+        out1 += op1
     return out
 
 
 def dirac_apply(eta: SpinorBundle, params: ModelParams, r: int, s: int) -> np.ndarray:
     """(D_rs eta)_a = sigma^alpha (i d + r A)_alpha eta + s m sigma^3 eta."""
     a = params.a_on(eta.spec)
-    return _first_order_op(eta, a, r) + s * params.m * (eta.values @ SIGMA3.T)
+    return _first_order_op(eta, a, r) + s * params.m * apply(SIGMA3, eta.values)
 
 
 def _scalar_derivs(t: np.ndarray, spec: LatticeSpec, backend: str, order: int,
@@ -79,9 +83,9 @@ def field_equation_residual_reduced(eta: SpinorBundle, params: ModelParams, r: i
     p_eta = _first_order_op(eta, a, r)
     grad_term = np.zeros_like(eta.values)
     for alpha in range(3):
-        grad_term += 1j * dt[..., alpha, None] * (eta.values @ SIGMA_UPPER[alpha].T)
+        grad_term += 1j * dt[..., alpha, None] * apply(SIGMA_UPPER[alpha], eta.values)
     lr = lagrangian_reduced(eta, params, r)
-    mass = eta.values @ SIGMA3.T
+    mass = apply(SIGMA3, eta.values)
     return (4.0 / 3.0) * (2.0 * t[..., None] * p_eta + grad_term) \
         + (32.0 * params.m ** 2 / 9.0) * mass - (lr / rho)[..., None] * mass
 
@@ -125,17 +129,17 @@ def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
         a_al = a[..., alpha] if a.ndim > 1 else a[alpha]
         d_al = xi.derivs[..., alpha, :] \
             + np.asarray(a_al / params.m)[..., None] * xi.derivs[..., 3, :]
-        p_xi += d_al @ SIGMA_UPPER[alpha].T
+        p_xi += apply(SIGMA_UPPER[alpha], d_al)
         dta = dt[..., alpha] + a_al / params.m * dt[..., 3]
-        grad_t += dta[..., None] * (xi.values @ SIGMA_UPPER[alpha].T)
+        grad_t += dta[..., None] * apply(SIGMA_UPPER[alpha], xi.values)
     d3_xi = xi.derivs[..., 3, :]
     u_term = np.zeros_like(xi.values)
     du_term = np.zeros_like(xi.values)
     for alpha in range(3):
-        u_term += u[..., alpha, None] * (d3_xi @ SIGMA_UPPER[alpha].T)
-        du_term += du[..., alpha, None] * (xi.values @ SIGMA_UPPER[alpha].T)
+        u_term += u[..., alpha, None] * apply(SIGMA_UPPER[alpha], d3_xi)
+        du_term += du[..., alpha, None] * apply(SIGMA_UPPER[alpha], xi.values)
     lagr = lagrangian_4d(xi, params)
-    mass = xi.values @ SIGMA3.T
+    mass = apply(SIGMA3, xi.values)
     return (4.0j / 3.0) * (2.0 * t[..., None] * p_xi + grad_t
                            - 2.0 * u_term - du_term) \
         - (lagr / rho)[..., None] * mass

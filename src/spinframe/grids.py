@@ -10,6 +10,7 @@ so that d(dx^0) ^ dx^1 etc. have unit components and
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -65,8 +66,19 @@ class LatticeSpec:
     def axis_coords(self, axis: int) -> np.ndarray:
         return np.arange(self.extents[axis]) * self.spacing[axis]
 
-    def meshgrid(self) -> list[np.ndarray]:
-        return np.meshgrid(*(self.axis_coords(a) for a in range(self.dims)), indexing="ij")
+    def meshgrid(self) -> tuple[np.ndarray, ...]:
+        """Coordinate arrays of the grid, one per axis, "ij" indexing.
+
+        The arrays are read-only broadcast views of ``axis_coords`` (stride 0
+        along every other axis), not copies; ``TrigPoly.__call__`` evaluates
+        on them through per-axis phase tables.  Copy one before writing to
+        it.
+        """
+        coords = np.meshgrid(*(self.axis_coords(a) for a in range(self.dims)),
+                             indexing="ij", copy=False)
+        for c in coords:
+            c.flags.writeable = False
+        return coords
 
 
 def periodic_spec(n, h, dims: int = 3) -> LatticeSpec:
@@ -166,9 +178,7 @@ def partial_derivative(f: LatticeField, axis: int, order: int = 2) -> LatticeFie
     if f.spec.extents[axis] < need:
         raise GridTooSmall(f"axis {axis} has {f.spec.extents[axis]} < {need} points")
     vals = _axis_derivative(f.values, f.spec, axis, order)
-    margin = f.boundary_margin if f.spec.periodic[axis] else max(
-        f.boundary_margin + (order // 2), f.boundary_margin
-    )
+    margin = f.boundary_margin if f.spec.periodic[axis] else f.boundary_margin + order // 2
     return replace(f, values=vals, boundary_margin=margin)
 
 
@@ -292,8 +302,6 @@ class ModelParams:
 
     def a_on(self, spec: LatticeSpec) -> np.ndarray:
         """A as an array broadcastable to (*extents3, 3)."""
-        if self.A.ndim == 1:
-            return self.A
         return self.A
 
 
@@ -379,22 +387,51 @@ def save_field(f: LatticeField, path) -> None:
 
 
 def load_field(path) -> LatticeField:
+    """Read a snapshot written by save_field.
+
+    Anything save_field cannot have written (bad magic or version, a
+    truncated header, a flag byte other than 0/1, an unknown kind, a grid
+    LatticeSpec rejects, non-finite spacing, or a payload whose length does
+    not match the extents) raises IoError.
+    """
     try:
         with open(path, "rb") as fh:
-            if fh.read(4) != _MAGIC:
-                raise IoError("bad magic")
-            _, dims, kcode = struct.unpack("<BBB", fh.read(3))
-            extents = struct.unpack(f"<{dims}q", fh.read(8 * dims))
-            spacing = struct.unpack(f"<{dims}d", fh.read(8 * dims))
-            periodic = tuple(bool(b) for b in struct.unpack(f"<{dims}B", fh.read(dims)))
-            (is_complex,) = struct.unpack("<B", fh.read(1))
-            data = np.frombuffer(fh.read(), dtype="<f8")
+            buf = fh.read()
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    spec = LatticeSpec(extents, spacing, periodic)
+
+    def take(fmt: str) -> tuple:
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if pos + size > len(buf):
+            raise IoError(f"truncated header: {len(buf)} bytes")
+        out = struct.unpack_from(fmt, buf, pos)
+        pos += size
+        return out
+
+    if buf[:4] != _MAGIC:
+        raise IoError("bad magic")
+    pos = len(_MAGIC)
+    version, dims, kcode = take("<BBB")
+    if version != 1:
+        raise IoError(f"unsupported snapshot version {version}")
+    if not 1 <= dims <= 4:
+        raise IoError(f"unsupported grid dimension {dims}")
+    if kcode >= len(KINDS):
+        raise IoError(f"unknown kind code {kcode}")
+    extents = take(f"<{dims}q")
+    spacing = take(f"<{dims}d")
+    flags = take(f"<{dims + 1}B")
+    if any(b > 1 for b in flags):
+        raise IoError("periodic and complex flags must be 0 or 1")
+    if not all(np.isfinite(spacing)):
+        raise IoError("non-finite grid spacing")
+    try:
+        spec = LatticeSpec(extents, spacing, tuple(bool(b) for b in flags[:-1]))
+    except ValueError as exc:
+        raise IoError(f"invalid grid: {exc}") from exc
     kind = KINDS[kcode]
-    if is_complex:
-        data = data.view(np.complex128)
+    is_complex = flags[-1]
     tail = {
         "scalar": (),
         "spinor": (2,),
@@ -403,4 +440,10 @@ def load_field(path) -> LatticeField:
         "3-form": (len(form_components(dims, 3)),),
         "coframe": (3, 3),
     }[kind]
+    count = math.prod(extents + tail) * (2 if is_complex else 1)
+    if len(buf) - pos != 8 * count:
+        raise IoError(f"payload has {len(buf) - pos} bytes, the header implies {8 * count}")
+    data = np.frombuffer(buf, dtype="<f8", offset=pos).copy()  # aligned, writable
+    if is_complex:
+        data = data.view(np.complex128)
     return LatticeField(spec, kind, data.reshape(extents + tail))

@@ -47,7 +47,52 @@ class TrigPoly:
         return float(np.sum(np.abs(self.coeffs)))
 
     def __call__(self, coords) -> np.ndarray:
-        """Evaluate on broadcastable coordinate arrays (one per axis)."""
+        """Evaluate on broadcastable coordinate arrays (one per axis).
+
+        Fast path: when each ``coords[a]`` is an array with one axis per
+        dimension that varies along axis ``a`` only (length 1 or stride 0
+        on every other axis, as for the views of ``LatticeSpec.meshgrid``
+        or numpy's sparse meshgrid; any 1-D array qualifies), the sum goes
+        through one phase table ``exp(i k_a w_a x_a)`` of shape
+        (modes, n_a) per axis.  The coefficients are contracted with the
+        tables one axis at a time and the last table enters through a
+        single matmul, so no (modes, points) array is formed.  Any other
+        coordinates (full copies, user arrays) take the per-mode loop of
+        ``_mode_sum``.  The two paths agree to roundoff.
+        """
+        axes = self._axis_vectors(coords)
+        if axes is None:
+            return self._mode_sum(coords)
+        kw = self.freqs * self.base
+        acc = self.coeffs[:, None]
+        for a, x in enumerate(axes[:-1]):
+            table = np.exp(1j * np.multiply.outer(kw[:, a], x))
+            acc = (acc[:, :, None] * table[:, None, :]).reshape(len(acc), acc.shape[1] * len(x))
+        last = np.exp(1j * np.multiply.outer(kw[:, -1], axes[-1]))
+        return (acc.T @ last).reshape(tuple(len(x) for x in axes))
+
+    def _axis_vectors(self, coords) -> list[np.ndarray] | None:
+        """The 1-D coordinate vector of each axis if coords qualify for the
+        table path of __call__, else None."""
+        dims = self.dims
+        if len(coords) != dims:
+            return None
+        for c in coords:
+            if not isinstance(c, np.ndarray) or c.ndim != dims or c.size == 0:
+                return None
+        extents = [coords[a].shape[a] for a in range(dims)]
+        axes = []
+        for a, c in enumerate(coords):
+            for b in range(dims):
+                if b == a or c.shape[b] == 1:
+                    continue
+                if c.strides[b] != 0 or c.shape[b] != extents[b]:
+                    return None
+            axes.append(c[(0,) * a + (slice(None),) + (0,) * (dims - 1 - a)])
+        return axes
+
+    def _mode_sum(self, coords) -> np.ndarray:
+        """Per-mode evaluation: one full-grid exp per mode."""
         out = 0.0
         for k, c in zip(self.freqs, self.coeffs):
             phase = 0.0

@@ -8,6 +8,7 @@ so identical configuration and seed reproduce every drawn field exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -79,6 +80,8 @@ class SuiteConfig:
             raise ConfigInvalid("stencil order must be 2 or 4")
         if self.mode not in ("analytic", "stencil"):
             raise ConfigInvalid(f"unknown mode {self.mode!r}")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ConfigInvalid(f"tolerance must be finite and non-negative, got {self.tol!r}")
 
     def grid_n(self) -> int:
         return self.grid if isinstance(self.grid, int) else self.grid[0]
@@ -90,6 +93,17 @@ def _params(cfg: SuiteConfig, **extra) -> dict:
          "order": cfg.order, "seed": cfg.seed}
     p.update(extra)
     return p
+
+
+def _tol(cfg: SuiteConfig, default: float) -> float:
+    """The --tol override if given (0 included), else the suite default."""
+    return default if cfg.tol is None else cfg.tol
+
+
+def _worst(worst: float, x: float) -> float:
+    """max(worst, x) that keeps a NaN: the builtin max(0.0, nan) is 0.0,
+    which would let a NaN residual from a later seed pass."""
+    return x if x > worst or math.isnan(x) else worst
 
 
 def _timed(fn):
@@ -105,7 +119,7 @@ def _timed(fn):
 
 def _suite_coframe(cfg: SuiteConfig):
     n = cfg.seeds or 10_000
-    tol = cfg.tol or 1e-12
+    tol = _tol(cfg, 1e-12)
 
     def run():
         rng = np.random.default_rng(cfg.seed)
@@ -114,7 +128,7 @@ def _suite_coframe(cfg: SuiteConfig):
         a[:, 0] += np.sign(a[:, 0].real + 1e-300) * (np.abs(a[:, 1]) + 0.1)
         theta, rho = coframe_map(a)
         rep = verify_coframe(CoframeDensity(theta, rho), tol=tol)
-        return max(rep.max_orthonormality_deviation, rep.det_deviation)
+        return _worst(rep.max_orthonormality_deviation, rep.det_deviation)
 
     dev, ms = _timed(run)
     return [make_report("coframe-correspondence", _params(cfg), dev, dev, tol, ms)]
@@ -123,7 +137,7 @@ def _suite_coframe(cfg: SuiteConfig):
 def _suite_torsion_routes(cfg: SuiteConfig):
     reports = []
     m = cfg.m
-    tol_analytic = cfg.tol or 1e-10
+    tol_analytic = _tol(cfg, 1e-10)
 
     # analytic-mode agreement on plane waves (exact x-dependence)
     def run_analytic():
@@ -134,7 +148,7 @@ def _suite_torsion_routes(cfg: SuiteConfig):
                 spec = periodic_spec(16, 2.0 * np.pi / 16, 3)
                 b = plane_wave_spinor(lab, spec)
                 cb = coframe_bundle_from_spinor(b, backend="spectral")
-                worst = max(worst, spinor_vs_coframe_residual(b, cb))
+                worst = _worst(worst, spinor_vs_coframe_residual(b, cb))
         return worst
 
     dev, ms = _timed(run_analytic)
@@ -163,7 +177,7 @@ def _suite_torsion_routes(cfg: SuiteConfig):
 
 def _suite_kk(cfg: SuiteConfig):
     n_seeds = cfg.seeds or 100
-    tol = cfg.tol or 1e-10
+    tol = _tol(cfg, 1e-10)
 
     def run():
         worst = 0.0
@@ -174,7 +188,7 @@ def _suite_kk(cfg: SuiteConfig):
             b = sp.bundle(spec)
             p = ModelParams(m=cfg.m)
             rep = kk_decomposition_check(b, p, tol=tol, coframe_derivs="chain")
-            worst = max(worst, rep.max_residual)
+            worst = _worst(worst, rep.max_residual)
         return worst
 
     dev, ms = _timed(run)
@@ -183,7 +197,7 @@ def _suite_kk(cfg: SuiteConfig):
 
 def _suite_factorization(cfg: SuiteConfig):
     n_seeds = cfg.seeds or 1000
-    tol = cfg.tol or 1e-10
+    tol = _tol(cfg, 1e-10)
 
     def run():
         worst = 0.0
@@ -198,7 +212,7 @@ def _suite_factorization(cfg: SuiteConfig):
             scale = float(np.max(np.abs(lagrangian_reduced(b, p, 1)))) + cfg.m ** 2
             for r in (1, -1):
                 res = factorization_residual(b, p, r)
-                worst = max(worst, float(np.max(np.abs(res))) / scale)
+                worst = _worst(worst, float(np.max(np.abs(res))) / scale)
         return worst
 
     dev, ms = _timed(run)
@@ -207,7 +221,7 @@ def _suite_factorization(cfg: SuiteConfig):
 
 def _suite_separation(cfg: SuiteConfig):
     n_seeds = cfg.seeds or 100
-    tol = cfg.tol or 1e-9
+    tol = _tol(cfg, 1e-9)
 
     def run():
         worst = 0.0
@@ -244,7 +258,7 @@ def _suite_separation(cfg: SuiteConfig):
             ph = phase(spec4.meshgrid())
             lifted3 = np.broadcast_to(res3[..., None, :], res4.shape[:-1] + (2,))
             dev = np.max(np.abs(res4 - ph[..., None] * lifted3))
-            worst = max(worst, float(dev))
+            worst = _worst(worst, float(dev))
         return worst
 
     dev, ms = _timed(run)
@@ -261,7 +275,7 @@ def _mul_poly(p: TrigPoly, q: TrigPoly) -> TrigPoly:
 def _suite_theorem1(cfg: SuiteConfig):
     reports = []
     m = cfg.m
-    tol_fe = cfg.tol or 1e-9
+    tol_fe = _tol(cfg, 1e-9)
     tol_grad = 1e-6
 
     def run():
@@ -283,13 +297,13 @@ def _suite_theorem1(cfg: SuiteConfig):
         for b, r, s in waves:
             fe = np.max(np.abs(field_equation_residual_reduced(b, p, r, dt=dt0)))
             scale = m ** 2 * float(np.sqrt(np.max(b.rho)))
-            worst_fe = max(worst_fe, float(fe) / scale)
+            worst_fe = _worst(worst_fe, float(fe) / scale)
             probes = [tuple(rng.integers(0, n, size=3)) for _ in range(2)]
             g = discrete_variational_derivative("reduced", b.values, spec, p,
                                                 probes, r=r, s=s)
             vol = spec.cell_volume * float(np.prod(spec.extents))
             gscale = max(vol * m ** 2 * float(np.max(b.rho)), 1.0)
-            worst_grad = max(worst_grad, float(np.max(np.abs(g))) / gscale)
+            worst_grad = _worst(worst_grad, float(np.max(np.abs(g))) / gscale)
             res = theorem1_check(b, p, r, dt=dt0)
             if res.verdict is Verdict.INCONSISTENT:
                 inconsistent += 1
@@ -306,7 +320,7 @@ def _suite_theorem1(cfg: SuiteConfig):
 
 
 def _suite_plane_waves(cfg: SuiteConfig):
-    tol = cfg.tol or 1e-12
+    tol = _tol(cfg, 1e-12)
     a0 = cfg.a0
 
     def run():
@@ -317,7 +331,7 @@ def _suite_plane_waves(cfg: SuiteConfig):
                 lab = PlaneWaveLabel(r, s, cfg.m, a0)
                 b = plane_wave_spinor(lab, spec)
                 p = plane_wave_params(lab)
-                worst = max(worst, float(np.max(np.abs(dirac_apply(b, p, r, s)))))
+                worst = _worst(worst, float(np.max(np.abs(dirac_apply(b, p, r, s)))))
         return worst
 
     dev, ms = _timed(run)
@@ -335,7 +349,7 @@ _EXPECTED_TABLE = [
 def _suite_table1(cfg: SuiteConfig):
     if not 0.0 < cfg.a0 < cfg.m:
         raise ConfigInvalid("table1 needs 0 < A0 < m")
-    tol = cfg.tol or 1e-8
+    tol = _tol(cfg, 1e-8)
 
     def run():
         rows = table_of_states(cfg.m, cfg.a0)
@@ -346,7 +360,7 @@ def _suite_table1(cfg: SuiteConfig):
                 label_errors += 1
             lab = PlaneWaveLabel(r, s, cfg.m, cfg.a0)
             rate = measured_rotation_rate(lab)
-            worst = max(worst, abs(abs(rate) - energy))
+            worst = _worst(worst, abs(abs(rate) - energy))
         return worst + label_errors
 
     dev, ms = _timed(run)
@@ -355,7 +369,7 @@ def _suite_table1(cfg: SuiteConfig):
 
 def _suite_appendix_b(cfg: SuiteConfig):
     reports = []
-    tol_analytic = cfg.tol or 1e-12
+    tol_analytic = _tol(cfg, 1e-12)
 
     def run_analytic():
         n = 64
@@ -364,7 +378,7 @@ def _suite_appendix_b(cfg: SuiteConfig):
         worst = 0.0
         for sgn in (1, -1):
             u = np.exp(sgn * 1j * x)
-            worst = max(worst, float(np.max(np.abs(
+            worst = _worst(worst, float(np.max(np.abs(
                 example_ode_residual(u, sgn * 1j * u, -u)))))
         return worst
 
@@ -382,7 +396,7 @@ def _suite_appendix_b(cfg: SuiteConfig):
             u = np.exp(sgn * 1j * x)
             du = _axis_derivative(u, spec, 0, 4)
             ddu = _axis_derivative(du, spec, 0, 4)
-            worst = max(worst, float(np.max(np.abs(example_ode_residual(u, du, ddu)))))
+            worst = _worst(worst, float(np.max(np.abs(example_ode_residual(u, du, ddu)))))
         return worst
 
     dev, ms = _timed(run_stencil)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .algebra import O3, O4, SIGMA_LOWER, SIGMA_UPPER, coframe_map
 from .errors import InvalidCoframe, NonPositiveDensity, VanishingDensity
+from .pauli import components, contract
 from .grids import (
     CoframeBundle,
     LatticeField,
@@ -41,7 +42,7 @@ def _check_density(rho: np.ndarray, positive: bool) -> None:
 
 def _sigma_contract(sig, xi, other) -> np.ndarray:
     """xi^dagger sigma other, pointwise; sig has shape (2,2)."""
-    return np.einsum("...a,ab,...b->...", np.conj(xi), sig, other)
+    return contract(sig, xi, other)
 
 
 def axial_torsion_spinor(b: SpinorBundle, params: ModelParams | None = None,
@@ -297,23 +298,28 @@ def _coframe_chain_derivs(b: SpinorBundle) -> np.ndarray:
     """
     xi = b.values
     rho = b.rho
+    rho2 = rho ** 2
     d = b.spec.dims
+    x0, x1 = xi[..., 0], xi[..., 1]
+    c0, c1 = np.conj(x0), np.conj(x1)
+    # sigma_alpha xi, the numerator of theta^0_alpha and w do not depend on
+    # the axis
+    svs = [components(SIGMA_LOWER[alpha], xi) for alpha in range(3)]
+    num0s = [(c0 * sv0 + c1 * sv1).real for sv0, sv1 in svs]
+    ws = [x1 * sv0 + x0 * sv1 for sv0, sv1 in svs]
     out = np.empty(b.spec.extents + (d, 3, 3))
     for axis in range(d):
         dxi = b.derivs[..., axis, :]
-        drho = 2.0 * (np.conj(xi[..., 0]) * dxi[..., 0]).real \
-            - 2.0 * (np.conj(xi[..., 1]) * dxi[..., 1]).real
+        dx0, dx1 = dxi[..., 0], dxi[..., 1]
+        dc0, dc1 = np.conj(dx0), np.conj(dx1)
+        drho = 2.0 * (c0 * dx0).real - 2.0 * (c1 * dx1).real
         for alpha in range(3):
-            sig = SIGMA_LOWER[alpha]
-            sv = xi @ sig.T
-            dsv = dxi @ sig.T
-            num0 = (np.conj(xi) * sv).sum(-1)
-            dnum0 = (np.conj(dxi) * sv).sum(-1) + (np.conj(xi) * dsv).sum(-1)
-            out[..., axis, 0, alpha] = ((dnum0 * rho - num0 * drho) / rho ** 2).real
-            w = xi[..., 1] * sv[..., 0] + xi[..., 0] * sv[..., 1]
-            dw = dxi[..., 1] * sv[..., 0] + xi[..., 1] * dsv[..., 0] \
-                + dxi[..., 0] * sv[..., 1] + xi[..., 0] * dsv[..., 1]
-            dval = (dw * rho - w * drho) / rho ** 2
+            sv0, sv1 = svs[alpha]
+            dsv0, dsv1 = components(SIGMA_LOWER[alpha], dxi)
+            dnum0 = (dc0 * sv0 + dc1 * sv1) + (c0 * dsv0 + c1 * dsv1)
+            out[..., axis, 0, alpha] = (dnum0.real * rho - num0s[alpha] * drho) / rho2
+            dw = dx1 * sv0 + x1 * dsv0 + dx0 * sv1 + x0 * dsv1
+            dval = (dw * rho - ws[alpha] * drho) / rho2
             out[..., axis, 1, alpha] = dval.real
             out[..., axis, 2, alpha] = dval.imag
     return out

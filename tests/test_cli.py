@@ -66,3 +66,23 @@ def test_csv_header_and_emit(tmp_path):
     assert lines[0] == ("check_name,m,r,s,A,grid,order,seed,"
                        "max_abs_residual,rms_residual,tolerance,pass")
     assert len(lines) == 1 + len(reports)
+
+
+def test_tol_zero_is_honoured(capsys):
+    # --tol 0 is a real tolerance, not "use the default"
+    assert main(["run", "coframe", "--tol", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL coframe-correspondence" in err
+    assert "tol=0.000e+00" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_invalid_tol_exit_two(capsys, tol):
+    assert main(["run", "plane-waves", "--tol", tol]) == 2
+
+
+def test_config_rejects_bad_tolerance():
+    for tol in (-1e-12, float("nan"), float("inf")):
+        with pytest.raises(ConfigInvalid):
+            SuiteConfig(tol=tol)
+    assert SuiteConfig(tol=0.0).tol == 0.0

@@ -1,7 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from spinframe.errors import AxisOutOfRange, RankMismatch, RankOverflow, UnsupportedRank
+from spinframe.errors import (
+    AxisOutOfRange,
+    IoError,
+    RankMismatch,
+    RankOverflow,
+    UnsupportedRank,
+)
 from spinframe.grids import (
     LatticeField,
     LatticeSpec,
@@ -150,3 +160,73 @@ def test_snapshot_round_trip_complex(tmp_path, spec3):
     save_field(f, path)
     g = load_field(path)
     assert np.array_equal(g.values, vals)
+    g.values *= 2.0  # a loaded field is as writable as any other
+
+
+def _saved_bytes(tmp_path) -> bytes:
+    spec = LatticeSpec((3, 2, 2), (0.5, 0.25, 1.0), (True, False, True))
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=spec.extents + (2,)) + 1j * rng.normal(size=spec.extents + (2,))
+    path = tmp_path / "field.spfr"
+    save_field(LatticeField(spec, "spinor", vals), path)
+    return path.read_bytes()
+
+
+def _header(version=1, dims=3, kind=1, extents=(3, 2, 2), flags=(1, 0, 1, 1)):
+    return (b"SPFR" + struct.pack("<BBB", version, dims, kind)
+            + struct.pack(f"<{dims}q", *extents)
+            + struct.pack(f"<{dims}d", *(0.5,) * dims)
+            + struct.pack(f"<{dims + 1}B", *flags))
+
+
+_MALFORMED = {
+    "truncated-magic": b"SPF",
+    "truncated-fixed-header": b"SPFR\x01",
+    "truncated-extents": _header()[:20],
+    "version-9": _header(version=9) + bytes(8 * 24),
+    "no-axes": _header(dims=0, extents=(), flags=(1,)),
+    "kind-code-6": _header(kind=6) + bytes(8 * 24),
+    "periodic-flag-2": _header(flags=(2, 0, 1, 1)) + bytes(8 * 24),
+    "empty-axis": _header(extents=(3, 0, 2)),
+    "short-payload": _header() + bytes(8 * 23),
+    "long-payload": _header() + bytes(8 * 25),
+}
+
+
+@pytest.mark.parametrize("blob", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_load_rejects_malformed_snapshots(tmp_path, blob):
+    path = tmp_path / "bad.spfr"
+    path.write_bytes(blob)
+    with pytest.raises(IoError):
+        load_field(path)
+
+
+def test_load_missing_file_raises_io_error(tmp_path):
+    with pytest.raises(IoError):
+        load_field(tmp_path / "missing.spfr")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_fuzz_truncation_and_byte_flips(tmp_path, data):
+    """A damaged snapshot either raises IoError or is a canonical file:
+    saving what was loaded reproduces the damaged bytes exactly."""
+    good = _saved_bytes(tmp_path)
+    if data.draw(st.booleans(), label="truncate"):
+        blob = good[:data.draw(st.integers(0, len(good) - 1), label="length")]
+    else:
+        blob = bytearray(good)
+        for _ in range(data.draw(st.integers(1, 3), label="flips")):
+            i = data.draw(st.integers(0, len(good) - 1), label="index")
+            blob[i] ^= data.draw(st.integers(1, 255), label="xor")
+        blob = bytes(blob)
+    path = tmp_path / "fuzz.spfr"
+    path.write_bytes(blob)
+    try:
+        f = load_field(path)
+    except IoError:
+        return
+    again = tmp_path / "again.spfr"
+    save_field(f, again)
+    assert again.read_bytes() == blob

@@ -1,0 +1,45 @@
+"""Suite verdicts fail closed on non-finite residuals."""
+
+import math
+
+import numpy as np
+import pytest
+
+from spinframe import suites
+from spinframe.suites import SuiteConfig, run_suite
+from spinframe.torsion import KKReport
+
+
+def _nan_on_call(monkeypatch, name, nan_call, make_nan):
+    """Replace suites.<name> so that its nan_call-th call returns NaN."""
+    original = getattr(suites, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(None)
+        return make_nan(out) if len(calls) == nan_call else out
+
+    monkeypatch.setattr(suites, name, patched)
+    return calls
+
+
+@pytest.mark.parametrize("suite,name,nan_call,make_nan", [
+    # two factorization_residual calls per seed: call 3 is the second seed
+    ("factorization", "factorization_residual", 3, lambda res: np.full_like(res, np.nan)),
+    ("kk-decomposition", "kk_decomposition_check", 2,
+     lambda rep: KKReport(rep.lhs_norm_sq, rep.rhs_norm_sq, math.nan, False)),
+])
+def test_nan_from_a_later_seed_fails_the_report(monkeypatch, suite, name, nan_call, make_nan):
+    calls = _nan_on_call(monkeypatch, name, nan_call, make_nan)
+    rep, = run_suite(suite, SuiteConfig(seeds=3))
+    assert len(calls) >= nan_call
+    assert not math.isfinite(rep.max_abs_residual)
+    assert not rep.passed
+
+
+def test_worst_keeps_nan_and_matches_max_on_finite_values():
+    assert math.isnan(suites._worst(0.0, math.nan))
+    assert math.isnan(suites._worst(math.nan, 1.0))
+    for a, b in ((0.0, 1e-16), (2.0, 1.0), (1.0, 1.0), (0.0, -0.0)):
+        assert repr(suites._worst(a, b)) == repr(max(a, b))
