@@ -71,3 +71,17 @@ class ConfigInvalid(SpinframeError):
 
 class IoError(SpinframeError):
     """Snapshot or report file could not be read or written."""
+
+
+class UnknownOption(SpinframeError, ValueError):
+    """An option string names none of the supported choices."""
+
+
+def require_choice(what: str, value, choices) -> None:
+    """Raise UnknownOption unless value is one of choices.
+
+    Options are checked where they enter, so a misspelt value fails instead
+    of falling back to a default.
+    """
+    if value not in choices:
+        raise UnknownOption(f"unknown {what} {value!r}; choose from {tuple(choices)}")

@@ -15,9 +15,10 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import SIGMA3, SIGMA_UPPER
-from .errors import NonPositiveDensity, ProbeOutsideInterior, VanishingDensity
+from .algebra import METRIC3, SIGMA3, SIGMA_LOWER, SIGMA_UPPER
+from .errors import NonPositiveDensity, ProbeOutsideInterior, require_choice
 from .grids import (
+    BACKENDS,
     LatticeSpec,
     ModelParams,
     SpinorBundle,
@@ -25,13 +26,8 @@ from .grids import (
     spectral_derivative,
 )
 from .lagrangians import dirac_lagrangian, lagrangian_4d, lagrangian_reduced
-from .pauli import apply, components
-from .torsion import (
-    _sigma_contract,
-    axial_torsion_spinor,
-    d3_rotation_spinor,
-    reduced_axial_torsion,
-)
+from .pauli import apply, component_major, components
+from .torsion import reduced_axial_torsion, spinor_contractions
 
 
 def _first_order_op(eta: SpinorBundle, a, r: int) -> np.ndarray:
@@ -52,8 +48,11 @@ def dirac_apply(eta: SpinorBundle, params: ModelParams, r: int, s: int) -> np.nd
     return _first_order_op(eta, a, r) + s * params.m * apply(SIGMA3, eta.values)
 
 
-def _scalar_derivs(t: np.ndarray, spec: LatticeSpec, backend: str, order: int,
-                   axes) -> np.ndarray:
+def scalar_derivs(t: np.ndarray, spec: LatticeSpec, backend: str, order: int,
+                  axes) -> np.ndarray:
+    """Derivatives of a grid array along the given axes, stacked last; the
+    backend is "stencil" (of the given order) or "spectral"."""
+    require_choice("backend", backend, BACKENDS)
     if backend == "spectral":
         ds = [spectral_derivative(t, spec, ax) for ax in axes]
     else:
@@ -73,13 +72,14 @@ def field_equation_residual_reduced(eta: SpinorBundle, params: ModelParams, r: i
     gradient dt of the torsion scalar is needed; pass it for analytic mode
     (zeros for plane waves), otherwise it is computed by the chosen backend.
     """
+    require_choice("backend", backend, BACKENDS)
     rho = eta.rho
     if np.any(rho <= 0.0):
         raise NonPositiveDensity(f"min density {rho.min():.3g} <= 0")
     a = params.a_on(eta.spec)
     t = reduced_axial_torsion(eta, params, r)
     if dt is None:
-        dt = _scalar_derivs(t, eta.spec, backend, order, range(3))
+        dt = scalar_derivs(t, eta.spec, backend, order, range(3))
     p_eta = _first_order_op(eta, a, r)
     grad_term = np.zeros_like(eta.values)
     for alpha in range(3):
@@ -104,45 +104,49 @@ def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
     If the bundle is flagged x3_independent_bilinears, the x3 derivatives of
     t and u are exactly zero (separated fields); otherwise they come from the
     backend.
+
+    rho, t, u, sigma^alpha D_alpha xi and the contractions z, y behind t, u
+    and L are computed once, by ``torsion.spinor_contractions``; L reuses
+    them through ``lagrangian_4d``, whose spelled/compact cross-assert runs
+    on every call.  The residual itself is assembled here on the two spinor
+    components.
     """
-    rho = xi.rho
-    if np.any(rho == 0.0):
-        raise VanishingDensity("density vanishes on the grid")
-    a = np.asarray(params.a_on(xi.spec))
-    t = axial_torsion_spinor(xi, params, with_A=True)
-    u = d3_rotation_spinor(xi)
+    require_choice("backend", backend, BACKENDS)
+    c = spinor_contractions(xi, params, with_A=True, rotation=True, operator=True)
+    t, u = c.t, c.u
     x3_flat = xi.x3_independent_bilinears
     if dt is None:
-        dt3 = _scalar_derivs(t, xi.spec, backend, order, range(3))
+        dt3 = scalar_derivs(t, xi.spec, backend, order, range(3))
         dt_x3 = np.zeros_like(t) if x3_flat else \
-            _scalar_derivs(t, xi.spec, backend, order, [3])[..., 0]
+            scalar_derivs(t, xi.spec, backend, order, [3])[..., 0]
         dt = np.concatenate([dt3, dt_x3[..., None]], axis=-1)
-    if du is None:
-        if x3_flat:
-            du = np.zeros(u.shape)
-        else:
-            du = _scalar_derivs(u, xi.spec, backend, order, [3])[..., 0]
-    # first-order operator on xi with mixed derivatives D_alpha
-    p_xi = np.zeros_like(xi.values)
-    grad_t = np.zeros_like(xi.values)
+    if du is None and not x3_flat:
+        du = scalar_derivs(u, xi.spec, backend, order, [3])[..., 0]
+    a = np.asarray(params.a_on(xi.spec))
+    x = component_major(xi.values)
+    # 2 t p + sum_alpha (D_alpha t - d_3 u_alpha) sigma^alpha xi
+    #       - 2 sum_alpha u_alpha sigma^alpha d_3 xi, component by component;
+    # sigma^alpha = METRIC3[alpha] sigma_alpha, the sign rides on the reals
+    two_t = 2.0 * t
+    out0, out1 = two_t * c.p[0], two_t * c.p[1]
     for alpha in range(3):
-        a_al = a[..., alpha] if a.ndim > 1 else a[alpha]
-        d_al = xi.derivs[..., alpha, :] \
-            + np.asarray(a_al / params.m)[..., None] * xi.derivs[..., 3, :]
-        p_xi += apply(SIGMA_UPPER[alpha], d_al)
-        dta = dt[..., alpha] + a_al / params.m * dt[..., 3]
-        grad_t += dta[..., None] * apply(SIGMA_UPPER[alpha], xi.values)
-    d3_xi = xi.derivs[..., 3, :]
-    u_term = np.zeros_like(xi.values)
-    du_term = np.zeros_like(xi.values)
-    for alpha in range(3):
-        u_term += u[..., alpha, None] * apply(SIGMA_UPPER[alpha], d3_xi)
-        du_term += du[..., alpha, None] * apply(SIGMA_UPPER[alpha], xi.values)
-    lagr = lagrangian_4d(xi, params)
-    mass = apply(SIGMA3, xi.values)
-    return (4.0j / 3.0) * (2.0 * t[..., None] * p_xi + grad_t
-                           - 2.0 * u_term - du_term) \
-        - (lagr / rho)[..., None] * mass
+        g = dt[..., alpha]
+        if np.any(a[..., alpha]):
+            g = g + a[..., alpha] / params.m * dt[..., 3]
+        if du is not None:
+            g = g - du[..., alpha]
+        g = METRIC3[alpha] * g
+        w = (-2.0 * METRIC3[alpha]) * u[..., alpha]
+        s0, s1 = components(SIGMA_LOWER[alpha], x)
+        e0, e1 = c.s3[alpha]
+        out0 += g * s0 + w * e0
+        out1 += g * s1 + w * e1
+    k = lagrangian_4d(xi, params, contractions=c) / c.rho
+    res = np.empty(out0.shape + (2,), dtype=complex)
+    # minus (L / rho) sigma_3 xi, with sigma_3 xi = (x0, -x1)
+    res[..., 0] = (4.0j / 3.0) * out0 - k * x[..., 0]
+    res[..., 1] = (4.0j / 3.0) * out1 + k * x[..., 1]
+    return res
 
 
 class Verdict(Enum):

@@ -25,9 +25,13 @@ from .errors import (
     RankMismatch,
     RankOverflow,
     UnsupportedRank,
+    require_choice,
 )
 
 KINDS = ("scalar", "spinor", "covector", "2-form", "3-form", "coframe")
+
+# Derivative backends: central-difference stencils or the periodic FFT.
+BACKENDS = ("stencil", "spectral")
 
 
 @dataclass(frozen=True)
@@ -328,6 +332,7 @@ class SpinorBundle:
     @classmethod
     def from_grid(cls, spec: LatticeSpec, values: np.ndarray, order: int = 2,
                   backend: str = "stencil") -> "SpinorBundle":
+        require_choice("backend", backend, BACKENDS)
         if backend == "spectral":
             derivs = np.stack(
                 [spectral_derivative(values, spec, a) for a in range(spec.dims)], axis=-2

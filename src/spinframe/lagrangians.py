@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import SIGMA3, SIGMA_LOWER, SIGMA_UPPER
-from .errors import DegenerateDenominator, NonPositiveDensity, VanishingDensity
+from .algebra import SIGMA_UPPER
+from .errors import DegenerateDenominator, NonPositiveDensity
 from .grids import ModelParams, SpinorBundle, form_field, lorentz_dot, hodge_dual
 from .torsion import (
-    axial_torsion_spinor,
-    d3_rotation_spinor,
+    SpinorContractions,
     reduced_axial_torsion,
+    spinor_contractions,
     _sigma_contract,
 )
 
@@ -30,7 +30,8 @@ def _cross_assert(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise AssertionError(f"{what}: spelled-out and compact forms differ by {dev:.3g}")
 
 
-def lagrangian_4d(xi: SpinorBundle, params: ModelParams) -> np.ndarray:
+def lagrangian_4d(xi: SpinorBundle, params: ModelParams,
+                  contractions: SpinorContractions | None = None) -> np.ndarray:
     """Rotational-deformation density for the 4D spinor field.
 
     Spelled-out form: -(4 / 9 rho) ([i(z - conj z)]^2 + ||i(y - conj y)||^2)
@@ -38,32 +39,31 @@ def lagrangian_4d(xi: SpinorBundle, params: ModelParams) -> np.ndarray:
     the sigma_alpha contraction of the x3 derivative.  Cross-checked against
     the norm form (||T_A^ax||^2 + ||D_3 theta||^2) rho computed through the
     lattice form machinery.
+
+    z, y and the torsion scalars t, u are computed once, by
+    ``torsion.spinor_contractions`` (with A mixed in, torsion and rotation
+    parts); a caller that already holds them, such as
+    ``field_equation_residual_4d``, passes them as ``contractions``, which
+    must then include both parts.
     """
-    rho = xi.rho
-    if np.any(rho == 0.0):
-        raise VanishingDensity("density vanishes on the grid")
-    a = params.a_on(xi.spec)
-    z = np.zeros(rho.shape, dtype=complex)
-    for alpha in range(3):
-        d = xi.derivs[..., alpha, :] + (np.asarray(a)[..., alpha] / params.m)[..., None] \
-            * xi.derivs[..., 3, :]
-        z += _sigma_contract(SIGMA_UPPER[alpha], xi.values, d)
-    y = np.stack(
-        [_sigma_contract(SIGMA_LOWER[al], xi.values, xi.derivs[..., 3, :]) for al in range(3)],
-        axis=-1,
-    )
-    sq = (-2.0 * z.imag) ** 2
-    ynorm = np.einsum("...a,a,...a->...", -2.0 * y.imag, np.array([-1.0, 1.0, 1.0]),
-                      -2.0 * y.imag)
+    if contractions is None:
+        contractions = spinor_contractions(xi, params, with_A=True, rotation=True)
+    return _lagrangian_4d(contractions, xi.spec)
+
+
+def _lagrangian_4d(c: SpinorContractions, spec) -> np.ndarray:
+    """Both forms of the 4D density from precomputed z, y, t, u and rho,
+    cross-asserted pointwise on every call."""
+    rho = c.rho
+    sq = (-2.0 * c.z.imag) ** 2
+    ynorm = sum(g * (-2.0 * y.imag) ** 2 for g, y in zip((-1.0, 1.0, 1.0), c.y))
     spelled = -(4.0 / (9.0 * rho)) * (sq + ynorm)
 
     # norm form through the 3-form/2-form machinery (the form component axis
     # is the trailing one, so 4D grids just act as extra batch axes)
-    t = axial_torsion_spinor(xi, params, with_A=True)
-    u = d3_rotation_spinor(xi)
-    spec3 = _spatial3(xi.spec)
-    tform = unhodge_scalar(spec3, t)
-    uform = unhodge_covector(spec3, u)
+    spec3 = _spatial3(spec)
+    tform = unhodge_scalar(spec3, c.t)
+    uform = unhodge_covector(spec3, c.u)
     compact = (lorentz_dot(tform, tform).values + lorentz_dot(uform, uform).values) * rho
     _cross_assert(spelled, compact, "lagrangian_4d")
     return spelled

@@ -47,6 +47,19 @@ def components(sig: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s00 * v0 + s01 * v1, s10 * v0 + s11 * v1
 
 
+def component_major(v: np.ndarray) -> np.ndarray:
+    """A copy of the spinor array v (..., 2), same shape, whose two
+    component slices ``v[..., 0]`` and ``v[..., 1]`` are each contiguous.
+
+    A bundle stores the two components of a point next to each other, so a
+    component strides through memory and a product on it costs several
+    times one on a contiguous array.  A kernel that reads each component
+    more than once copies it into this layout once; values and results do
+    not change.
+    """
+    return np.moveaxis(np.moveaxis(v, -1, 0).copy(), 0, -1)
+
+
 def apply(sig: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sigma v pointwise, shape (..., 2): v @ sigma.T."""
     return np.stack(components(sig, v), axis=-1)

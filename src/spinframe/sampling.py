@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LatticeSpec, SpinorBundle, CoframeBundle, spectral_derivative
+from .errors import require_choice
+from .grids import BACKENDS, LatticeSpec, SpinorBundle, CoframeBundle, spectral_derivative
 
 
 @dataclass(frozen=True)
@@ -210,6 +211,7 @@ def coframe_bundle_from_spinor(b: SpinorBundle, order: int = 2,
     """
     from .algebra import coframe_map
 
+    require_choice("backend", backend, BACKENDS)
     theta, rho = coframe_map(b.values)
     if backend == "spectral":
         dtheta = np.stack(

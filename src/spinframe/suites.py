@@ -22,6 +22,7 @@ from .field_equations import (
     discrete_variational_derivative,
     field_equation_residual_4d,
     field_equation_residual_reduced,
+    scalar_derivs,
     theorem1_check,
 )
 from .grids import ModelParams, periodic_spec
@@ -50,7 +51,11 @@ from .sampling import (
     random_positive_spinor_4d,
     random_trig_poly,
 )
-from .torsion import kk_decomposition_check, spinor_vs_coframe_residual
+from .torsion import (
+    kk_decomposition_check,
+    reduced_axial_torsion,
+    spinor_vs_coframe_residual,
+)
 from .variational import (
     LemmaVerdict,
     example_operators,
@@ -237,10 +242,8 @@ def _suite_separation(cfg: SuiteConfig):
             b3 = sp3.bundle(spec3)
             # one shared in-plane gradient of the torsion scalar for both
             # routes; the x3 direction is handled in closed form
-            from .field_equations import _scalar_derivs
-            from .torsion import reduced_axial_torsion
             t3 = reduced_axial_torsion(b3, p, 1)
-            dt3 = _scalar_derivs(t3, spec3, "spectral", 2, range(3))
+            dt3 = scalar_derivs(t3, spec3, "spectral", 2, range(3))
             res3 = field_equation_residual_reduced(b3, p, 1, dt=dt3)
             # lift to 4D with the e^{-i m x3} phase (r = +1 branch)
             k3 = cfg.m / base4[3]

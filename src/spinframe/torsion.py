@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import O3, O4, SIGMA_LOWER, SIGMA_UPPER, coframe_map
-from .errors import InvalidCoframe, NonPositiveDensity, VanishingDensity
-from .pauli import components, contract
+from .algebra import METRIC3, O3, O4, SIGMA_LOWER, SIGMA_UPPER, coframe_map
+from .errors import InvalidCoframe, NonPositiveDensity, VanishingDensity, require_choice
+from .pauli import component_major, components, contract
 from .grids import (
     CoframeBundle,
     LatticeField,
@@ -22,6 +22,7 @@ from .grids import (
     ModelParams,
     SpinorBundle,
     _axis_derivative,
+    form_components,
     form_field,
     hodge_dual,
     lorentz_dot,
@@ -45,38 +46,109 @@ def _sigma_contract(sig, xi, other) -> np.ndarray:
     return contract(sig, xi, other)
 
 
+@dataclass
+class SpinorContractions:
+    """The spinor-route contractions of one bundle, each computed once.
+
+    With D_alpha = d_alpha + (A_alpha / m) d_3 (or d_alpha without A):
+
+    * z = xi^dag sigma^alpha D_alpha xi and t = *T^ax = 4 Im z / (3 rho);
+    * p = sigma^alpha D_alpha xi, as its two spinor components;
+    * s3[alpha] = sigma_alpha d_3 xi, as its two spinor components;
+    * y_alpha = xi^dag sigma_alpha d_3 xi and
+      u_alpha = (*D_3 theta)_alpha = -4 Im y_alpha / (3 rho).
+
+    Fields that were not requested from ``spinor_contractions`` are None.
+    """
+
+    rho: np.ndarray
+    z: np.ndarray | None = None
+    t: np.ndarray | None = None
+    p: tuple[np.ndarray, np.ndarray] | None = None
+    s3: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
+    y: tuple[np.ndarray, ...] | None = None
+    u: np.ndarray | None = None
+
+
+def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None,
+                        with_A: bool = False, torsion: bool = True,
+                        rotation: bool = False,
+                        operator: bool = False) -> SpinorContractions:
+    """Every spinor-route contraction of the 4D field equation, in one pass.
+
+    ``torsion`` gives z and t, ``rotation`` (4D bundles only) gives y and
+    u, ``operator`` gives p and, with ``rotation``, s3; with_A mixes in A
+    (4D bundles only).  ``axial_torsion_spinor``, ``d3_rotation_spinor``,
+    ``lagrangian_4d`` and ``field_equation_residual_4d`` all read from here.
+
+    The density is read once and each D_alpha xi is formed once for z and p
+    together.  With ``operator`` every derivative component is read several
+    times, so it is first copied into the component-major layout
+    (``pauli.component_major``).  z is the sum of one ``_sigma_contract``
+    per alpha, taken in order, and each y_alpha is one ``_sigma_contract``,
+    so t and u are bit-identical to the one-contraction-at-a-time formulas
+    that tests/test_contractions.py keeps as its reference.
+    """
+    if (with_A or rotation) and b.spec.dims != 4:
+        raise ValueError("A mixing and the d3 rotation need a 4D bundle")
+    rho = b.rho
+    _check_density(rho, positive=False)
+    out = SpinorContractions(rho)
+    d3 = b.derivs[..., 3, :] if b.spec.dims == 4 else None
+    if operator and d3 is not None:
+        d3 = component_major(d3)
+    if torsion or operator:
+        a = np.asarray(params.a_on(b.spec)) if with_A else None
+        z, p0, p1 = 0.0, 0.0, 0.0
+        for alpha in range(3):
+            d = b.derivs[..., alpha, :]
+            if operator:
+                d = component_major(d)
+            if with_A and np.any(a[..., alpha]):
+                d = d + (a[..., alpha] / params.m)[..., None] * d3
+            if torsion:
+                z += _sigma_contract(SIGMA_UPPER[alpha], b.values, d)
+            if operator:
+                # sigma^alpha = METRIC3[alpha] sigma_alpha; a complex
+                # negation costs more than a product, so subtract instead
+                s0, s1 = components(SIGMA_LOWER[alpha], d)
+                if METRIC3[alpha] > 0:
+                    p0 += s0
+                    p1 += s1
+                else:
+                    p0 -= s0
+                    p1 -= s1
+        if torsion:
+            out.z = z
+            out.t = 4.0 * z.imag / (3.0 * rho)
+        if operator:
+            out.p = (p0, p1)
+    if rotation:
+        if operator:
+            out.s3 = tuple(components(SIGMA_LOWER[alpha], d3) for alpha in range(3))
+        out.y = tuple(_sigma_contract(SIGMA_LOWER[alpha], b.values, d3) for alpha in range(3))
+        out.u = np.stack([-4.0 * y.imag / (3.0 * rho) for y in out.y], axis=-1)
+    return out
+
+
 def axial_torsion_spinor(b: SpinorBundle, params: ModelParams | None = None,
                          with_A: bool = False) -> np.ndarray:
     """Hodge-dualized axial torsion from the spinor field (xi form).
 
     Without A this is *T^ax = 4 Im(xi^dag sigma^alpha d_alpha xi) / (3 rho);
     with_A mixes d_alpha -> d_alpha + A_alpha/m * d_3 (4D bundles only).
+    The contraction is computed in ``spinor_contractions``.
     """
-    rho = b.rho
-    _check_density(rho, positive=False)
-    z = np.zeros(rho.shape, dtype=complex)
-    for alpha in range(3):
-        d = b.derivs[..., alpha, :]
-        if with_A:
-            a = params.a_on(b.spec)
-            d = d + (a[..., alpha] / params.m)[..., None] * b.derivs[..., 3, :]
-        z += _sigma_contract(SIGMA_UPPER[alpha], b.values, d)
-    return 4.0 * z.imag / (3.0 * rho)
+    return spinor_contractions(b, params, with_A=with_A).t
 
 
 def d3_rotation_spinor(b: SpinorBundle) -> np.ndarray:
-    """(*D_3 theta)_alpha = -4 Im(xi^dag sigma_alpha d_3 xi) / (3 rho)."""
-    if b.spec.dims != 4:
-        raise ValueError("d3 rotation needs a 4D bundle")
-    rho = b.rho
-    _check_density(rho, positive=False)
-    d3 = b.derivs[..., 3, :]
-    out = np.stack(
-        [-4.0 * _sigma_contract(SIGMA_LOWER[a], b.values, d3).imag / (3.0 * rho)
-         for a in range(3)],
-        axis=-1,
-    )
-    return out
+    """(*D_3 theta)_alpha = -4 Im(xi^dag sigma_alpha d_3 xi) / (3 rho).
+
+    The contraction is computed in ``spinor_contractions``; a 3D bundle
+    raises ValueError.
+    """
+    return spinor_contractions(b, torsion=False, rotation=True).u
 
 
 def reduced_axial_torsion(b: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
@@ -113,20 +185,21 @@ def reduced_quantities(b: SpinorBundle, params: ModelParams, r: int) -> ReducedQ
     return ReducedQuantities(t, u, rho)
 
 
+def _dtheta_form(cb: CoframeBundle, j: int) -> LatticeField:
+    """The 2-form d theta^j, (d theta^j)_{ab} = d_a theta^j_b - d_b theta^j_a,
+    from the stored derivatives."""
+    spec = cb.spec
+    comps = form_components(spec.dims, 2)
+    vals = np.empty(spec.extents + (len(comps),))
+    for i, (a, b_) in enumerate(comps):
+        vals[..., i] = cb.dtheta[..., a, j, b_] - cb.dtheta[..., b_, j, a]
+    return form_field(spec, 2, vals)
+
+
 def _coframe_forms(cb: CoframeBundle):
     """theta^j as 1-forms plus d theta^j from stored derivatives."""
-    spec = cb.spec
-    d = spec.dims
-    from .grids import form_components
-    comps = form_components(d, 2)
-    thetas, dthetas = [], []
-    for j in range(3):
-        thetas.append(form_field(spec, 1, cb.theta[..., j, :].astype(float)))
-        vals = np.empty(spec.extents + (len(comps),))
-        for i, (a, bta) in enumerate(comps):
-            vals[..., i] = cb.dtheta[..., a, j, bta] - cb.dtheta[..., bta, j, a]
-        dthetas.append(form_field(spec, 2, vals))
-    return thetas, dthetas
+    thetas = [form_field(cb.spec, 1, cb.theta[..., j, :].astype(float)) for j in range(3)]
+    return thetas, [_dtheta_form(cb, j) for j in range(3)]
 
 
 def axial_torsion_coframe(cb: CoframeBundle, check_tol: float | None = 1e-8) -> LatticeField:
@@ -189,7 +262,7 @@ def alt3(T: np.ndarray) -> np.ndarray:
     Returns components in the order of form_components(d, 3).
     """
     from itertools import permutations
-    from .grids import _perm_sign, form_components
+    from .grids import _perm_sign
 
     d = T.shape[-1]
     comps = form_components(d, 3)
@@ -207,6 +280,7 @@ def spinor_vs_coframe_residual(b: SpinorBundle, cb: CoframeBundle,
                                norm: str = "max") -> float:
     """Mismatch between the two torsion routes (scalar *T^ax); norm is
     "max" or "rms" over the grid."""
+    require_choice("norm", norm, ("max", "rms"))
     t_spinor = axial_torsion_spinor(b)
     t_coframe = hodge_dual(axial_torsion_coframe(cb, check_tol=None)).values
     diff = t_spinor - t_coframe
@@ -244,15 +318,10 @@ def extend_coframe(cb: CoframeBundle) -> CoframeBundle:
 def extended_axial_torsion(cb4: CoframeBundle) -> LatticeField:
     """T_ext^ax = (1/3) o_jk theta^j wedge d theta^k over all four axes."""
     spec = cb4.spec
-    from .grids import form_components
-    comps = form_components(4, 2)
     total = np.zeros(spec.extents + (4,))
     for j in range(4):
         th = form_field(spec, 1, cb4.theta[..., j, :])
-        vals = np.empty(spec.extents + (len(comps),))
-        for i, (a, b_) in enumerate(comps):
-            vals[..., i] = cb4.dtheta[..., a, j, b_] - cb4.dtheta[..., b_, j, a]
-        term = wedge(th, form_field(spec, 2, vals))
+        term = wedge(th, _dtheta_form(cb4, j))
         total += O4[j] / 3.0 * term.values
     return form_field(spec, 3, total)
 
@@ -270,6 +339,7 @@ def kk_decomposition_check(b: SpinorBundle, params: ModelParams,
     the sampled coframe by stencils, making the routes fully independent at
     the cost of an O(h^2) chain-rule mismatch.
     """
+    require_choice("coframe_derivs", coframe_derivs, ("chain", "grid"))
     if b.spec.dims != 4:
         raise ValueError("kk check needs a 4D bundle")
     theta, rho = coframe_map(b.values)

@@ -19,8 +19,9 @@ from .errors import (
     DimensionMismatch,
     ProbeOutsideInterior,
     VanishingU,
+    require_choice,
 )
-from .grids import LatticeSpec, _axis_derivative, spectral_derivative
+from .grids import BACKENDS, LatticeSpec, _axis_derivative, spectral_derivative
 
 _HERM_TOL = 1e-12
 _CROSS_TOL = 1e-12
@@ -88,6 +89,7 @@ def _derivs_of(u: np.ndarray, spec: LatticeSpec, backend: str, order: int) -> np
 def op_apply(op: FirstOrderOperator, u: np.ndarray, du: np.ndarray | None = None,
              backend: str = "stencil", order: int = 4) -> np.ndarray:
     """A u on the grid; u is (*grid, m), du optionally (*grid, n, m)."""
+    require_choice("backend", backend, BACKENDS)
     u = np.asarray(u, dtype=complex)
     if u.shape[-1] != op.mdim:
         raise DimensionMismatch(f"u has {u.shape[-1]} components, operator wants {op.mdim}")
@@ -107,6 +109,7 @@ def first_order_lagrangian(op: FirstOrderOperator, u: np.ndarray,
                            backend: str = "stencil", order: int = 4) -> np.ndarray:
     """L(u) = Re(u* A u), cross-asserted against its expanded form
     (i/2)[u* B du - (du*) B u] + u* C u."""
+    require_choice("backend", backend, BACKENDS)
     u = np.asarray(u, dtype=complex)
     if du is None:
         du = _derivs_of(u, op.spec, backend, order)
@@ -138,6 +141,7 @@ def combined_lagrangian(op_p: FirstOrderOperator, op_m: FirstOrderOperator,
                         u: np.ndarray, du: np.ndarray | None = None,
                         backend: str = "stencil", order: int = 4,
                         denom_tol: float = 1e-12) -> np.ndarray:
+    require_choice("backend", backend, BACKENDS)
     if du is None:
         du = _derivs_of(np.asarray(u, dtype=complex), op_p.spec, backend, order)
     lp = first_order_lagrangian(op_p, u, du)

@@ -1,0 +1,236 @@
+"""The fused 4D spinor contractions against the formulas they replace.
+
+The reference functions below are the one-at-a-time formulas that
+``field_equation_residual_4d``, ``lagrangian_4d``, ``axial_torsion_spinor``
+and ``d3_rotation_spinor`` used before ``torsion.spinor_contractions``
+computed their shared contractions once.  They are kept here only as the
+tests' reference, the way ``TrigPoly._mode_sum`` serves the table path.
+"""
+
+import numpy as np
+import pytest
+
+from spinframe import lagrangians
+from spinframe.algebra import SIGMA3, SIGMA_LOWER, SIGMA_UPPER
+from spinframe.field_equations import field_equation_residual_4d, scalar_derivs
+from spinframe.grids import ModelParams, SpinorBundle, lorentz_dot, periodic_spec
+from spinframe.lagrangians import lagrangian_4d, unhodge_covector, unhodge_scalar
+from spinframe.pauli import apply, contract
+from spinframe.sampling import base_for, random_positive_spinor, random_positive_spinor_4d
+from spinframe.torsion import axial_torsion_spinor, d3_rotation_spinor
+
+REL = 1e-13
+SPEC4 = periodic_spec((6, 5, 4, 6), (0.9, 1.1, 1.4, 0.7), 4)
+
+
+# ---------------------------------------------------------------------------
+# reference: the one-at-a-time formulas
+# ---------------------------------------------------------------------------
+
+
+def ref_axial_torsion_spinor(b, params=None, with_A=False):
+    rho = b.rho
+    z = np.zeros(rho.shape, dtype=complex)
+    for alpha in range(3):
+        d = b.derivs[..., alpha, :]
+        if with_A:
+            a = params.a_on(b.spec)
+            d = d + (a[..., alpha] / params.m)[..., None] * b.derivs[..., 3, :]
+        z += contract(SIGMA_UPPER[alpha], b.values, d)
+    return 4.0 * z.imag / (3.0 * rho)
+
+
+def ref_d3_rotation_spinor(b):
+    rho = b.rho
+    d3 = b.derivs[..., 3, :]
+    return np.stack(
+        [-4.0 * contract(SIGMA_LOWER[a], b.values, d3).imag / (3.0 * rho)
+         for a in range(3)],
+        axis=-1,
+    )
+
+
+def ref_lagrangian_4d(xi, params):
+    rho = xi.rho
+    a = params.a_on(xi.spec)
+    z = np.zeros(rho.shape, dtype=complex)
+    for alpha in range(3):
+        d = xi.derivs[..., alpha, :] + (np.asarray(a)[..., alpha] / params.m)[..., None] \
+            * xi.derivs[..., 3, :]
+        z += contract(SIGMA_UPPER[alpha], xi.values, d)
+    y = np.stack(
+        [contract(SIGMA_LOWER[al], xi.values, xi.derivs[..., 3, :]) for al in range(3)],
+        axis=-1,
+    )
+    sq = (-2.0 * z.imag) ** 2
+    ynorm = np.einsum("...a,a,...a->...", -2.0 * y.imag, np.array([-1.0, 1.0, 1.0]),
+                      -2.0 * y.imag)
+    spelled = -(4.0 / (9.0 * rho)) * (sq + ynorm)
+    t = ref_axial_torsion_spinor(xi, params, with_A=True)
+    u = ref_d3_rotation_spinor(xi)
+    spec3 = periodic_spec(xi.spec.extents[:3], xi.spec.spacing[:3], 3)
+    tform = unhodge_scalar(spec3, t)
+    uform = unhodge_covector(spec3, u)
+    compact = (lorentz_dot(tform, tform).values + lorentz_dot(uform, uform).values) * rho
+    assert np.max(np.abs(spelled - compact)) <= 1e-12 * max(1.0, np.max(np.abs(spelled)))
+    return spelled
+
+
+def ref_field_equation_residual_4d(xi, params, dt=None, du=None,
+                                   backend="stencil", order=2):
+    rho = xi.rho
+    a = np.asarray(params.a_on(xi.spec))
+    t = ref_axial_torsion_spinor(xi, params, with_A=True)
+    u = ref_d3_rotation_spinor(xi)
+    x3_flat = xi.x3_independent_bilinears
+    if dt is None:
+        dt3 = scalar_derivs(t, xi.spec, backend, order, range(3))
+        dt_x3 = np.zeros_like(t) if x3_flat else \
+            scalar_derivs(t, xi.spec, backend, order, [3])[..., 0]
+        dt = np.concatenate([dt3, dt_x3[..., None]], axis=-1)
+    if du is None:
+        if x3_flat:
+            du = np.zeros(u.shape)
+        else:
+            du = scalar_derivs(u, xi.spec, backend, order, [3])[..., 0]
+    p_xi = np.zeros_like(xi.values)
+    grad_t = np.zeros_like(xi.values)
+    for alpha in range(3):
+        a_al = a[..., alpha] if a.ndim > 1 else a[alpha]
+        d_al = xi.derivs[..., alpha, :] \
+            + np.asarray(a_al / params.m)[..., None] * xi.derivs[..., 3, :]
+        p_xi += apply(SIGMA_UPPER[alpha], d_al)
+        dta = dt[..., alpha] + a_al / params.m * dt[..., 3]
+        grad_t += dta[..., None] * apply(SIGMA_UPPER[alpha], xi.values)
+    d3_xi = xi.derivs[..., 3, :]
+    u_term = np.zeros_like(xi.values)
+    du_term = np.zeros_like(xi.values)
+    for alpha in range(3):
+        u_term += u[..., alpha, None] * apply(SIGMA_UPPER[alpha], d3_xi)
+        du_term += du[..., alpha, None] * apply(SIGMA_UPPER[alpha], xi.values)
+    lagr = ref_lagrangian_4d(xi, params)
+    mass = apply(SIGMA3, xi.values)
+    return (4.0j / 3.0) * (2.0 * t[..., None] * p_xi + grad_t
+                           - 2.0 * u_term - du_term) \
+        - (lagr / rho)[..., None] * mass
+
+
+# ---------------------------------------------------------------------------
+# fields
+# ---------------------------------------------------------------------------
+
+
+def _bundle4(seed: int, sampled: str = "analytic") -> SpinorBundle:
+    """A random positive-class 4D field that is not x3-separated."""
+    rng = np.random.default_rng(seed)
+    b = random_positive_spinor_4d(rng, SPEC4, max_mode=2).bundle(SPEC4)
+    if sampled == "analytic":
+        return b
+    return SpinorBundle.from_grid(SPEC4, b.values, order=4, backend=sampled)
+
+
+def _params(kind: str, seed: int) -> ModelParams:
+    rng = np.random.default_rng(1000 + seed)
+    if kind == "zero":
+        return ModelParams(m=1.3)
+    if kind == "constant":
+        return ModelParams(m=1.3, A=rng.normal(size=3))
+    return ModelParams(m=1.3, A=0.4 * rng.normal(size=SPEC4.extents + (3,)))
+
+
+def _close(new, ref) -> None:
+    assert new.shape == ref.shape
+    assert np.max(np.abs(new - ref)) <= REL * np.max(np.abs(ref))
+
+
+A_KINDS = ("zero", "constant", "field")
+
+
+@pytest.mark.parametrize("a_kind", A_KINDS)
+@pytest.mark.parametrize("backend", ("stencil", "spectral"))
+@pytest.mark.parametrize("x3_flat", (False, True))
+def test_residual_4d_matches_reference(a_kind, backend, x3_flat):
+    for seed in range(2):
+        b = _bundle4(seed)
+        b.x3_independent_bilinears = x3_flat
+        p = _params(a_kind, seed)
+        new = field_equation_residual_4d(b, p, backend=backend, order=4)
+        ref = ref_field_equation_residual_4d(b, p, backend=backend, order=4)
+        _close(new, ref)
+
+
+@pytest.mark.parametrize("a_kind", A_KINDS)
+def test_residual_4d_with_given_derivatives_matches_reference(a_kind):
+    rng = np.random.default_rng(7)
+    b = _bundle4(3, sampled="spectral")
+    p = _params(a_kind, 3)
+    dt = rng.normal(size=SPEC4.extents + (4,))
+    du = rng.normal(size=SPEC4.extents + (3,))
+    _close(field_equation_residual_4d(b, p, dt=dt, du=du),
+           ref_field_equation_residual_4d(b, p, dt=dt, du=du))
+
+
+@pytest.mark.parametrize("a_kind", A_KINDS)
+def test_lagrangian_4d_matches_reference(a_kind):
+    for seed in range(3):
+        b = _bundle4(seed, sampled="stencil" if seed else "analytic")
+        p = _params(a_kind, seed)
+        _close(lagrangian_4d(b, p), ref_lagrangian_4d(b, p))
+
+
+@pytest.mark.parametrize("a_kind", A_KINDS)
+def test_axial_torsion_4d_matches_reference(a_kind):
+    for seed in range(3):
+        b = _bundle4(seed)
+        p = _params(a_kind, seed)
+        _close(axial_torsion_spinor(b, p, with_A=True),
+               ref_axial_torsion_spinor(b, p, with_A=True))
+
+
+def test_unmixed_torsion_and_rotation_are_bit_identical():
+    # the kk and torsion-route checks read these; they keep the reference's
+    # summation order exactly
+    for seed in range(3):
+        b = _bundle4(seed)
+        assert np.array_equal(axial_torsion_spinor(b), ref_axial_torsion_spinor(b))
+        assert np.array_equal(d3_rotation_spinor(b), ref_d3_rotation_spinor(b))
+
+
+@pytest.mark.parametrize("backend", ("analytic", "stencil", "spectral"))
+def test_axial_torsion_3d_matches_reference(backend):
+    spec = periodic_spec((8, 7, 6), (0.8, 0.9, 1.05), 3)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        b = random_positive_spinor(rng, base_for(spec), max_mode=2).bundle(spec)
+        if backend != "analytic":
+            b = SpinorBundle.from_grid(spec, b.values, order=2, backend=backend)
+        new = axial_torsion_spinor(b)
+        _close(new, ref_axial_torsion_spinor(b))
+        assert np.array_equal(new, ref_axial_torsion_spinor(b))
+
+
+def test_d3_rotation_rejects_3d_bundle():
+    spec = periodic_spec(6, 1.0, 3)
+    b = random_positive_spinor(np.random.default_rng(0), base_for(spec), max_mode=2).bundle(spec)
+    with pytest.raises(ValueError):
+        d3_rotation_spinor(b)
+
+
+def test_cross_assert_guards_the_fused_residual(monkeypatch):
+    """A broken compact route must still fail the 4D residual.
+
+    Flipping the sign of the un-Hodged covector would not do: the norm form
+    is quadratic in it.  Doubling it breaks the identity wherever u != 0.
+    """
+    b = _bundle4(0)
+    p = _params("constant", 0)
+    field_equation_residual_4d(b, p)  # passes unbroken
+
+    def doubled(spec3, u):
+        form = unhodge_covector(spec3, u)
+        form.values = 2.0 * form.values
+        return form
+
+    monkeypatch.setattr(lagrangians, "unhodge_covector", doubled)
+    with pytest.raises(AssertionError, match="lagrangian_4d"):
+        field_equation_residual_4d(b, p)

@@ -119,3 +119,15 @@ def test_pauli_apply_matches_matmul(name, sig):
     assert np.max(np.abs(got - want)) <= 8 * EPS * np.max(np.abs(want))
     c0, c1 = pauli.components(sig, v)
     np.testing.assert_array_equal(np.stack([c0, c1], axis=-1), got)
+
+
+def test_component_major_keeps_values_and_makes_components_contiguous():
+    rng = np.random.default_rng(9)
+    derivs = rng.normal(size=(5, 4, 3, 4, 2)) + 1j * rng.normal(size=(5, 4, 3, 4, 2))
+    v = derivs[..., 3, :]
+    assert not v[..., 0].flags.c_contiguous
+    got = pauli.component_major(v)
+    assert got.shape == v.shape
+    np.testing.assert_array_equal(got, v)
+    assert got[..., 0].flags.c_contiguous and got[..., 1].flags.c_contiguous
+    assert not np.shares_memory(got, derivs)

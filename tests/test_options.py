@@ -1,0 +1,99 @@
+"""Option strings are checked where they enter: a misspelt backend, norm or
+derivative route raises instead of falling back to a default."""
+
+import numpy as np
+import pytest
+
+from spinframe import variational
+from spinframe.errors import SpinframeError, UnknownOption
+from spinframe.field_equations import (
+    field_equation_residual_4d,
+    field_equation_residual_reduced,
+    scalar_derivs,
+)
+from spinframe.grids import ModelParams, SpinorBundle, periodic_spec
+from spinframe.sampling import (
+    base_for,
+    coframe_bundle_from_spinor,
+    random_positive_spinor,
+    random_positive_spinor_4d,
+)
+from spinframe.torsion import kk_decomposition_check, spinor_vs_coframe_residual
+
+SPEC3 = periodic_spec(6, 2.0 * np.pi / 6, 3)
+SPEC4 = periodic_spec(6, 2.0 * np.pi / 6, 4)
+
+
+def _bundle3():
+    rng = np.random.default_rng(0)
+    return random_positive_spinor(rng, base_for(SPEC3), max_mode=2).bundle(SPEC3)
+
+
+def _bundle4():
+    rng = np.random.default_rng(0)
+    return random_positive_spinor_4d(rng, SPEC4, max_mode=2).bundle(SPEC4)
+
+
+def test_unknown_option_is_a_value_error_and_a_package_error():
+    assert issubclass(UnknownOption, ValueError)
+    assert issubclass(UnknownOption, SpinframeError)
+
+
+def test_from_grid_rejects_unknown_backend():
+    values = _bundle3().values
+    with pytest.raises(ValueError, match="'Spectral'"):
+        SpinorBundle.from_grid(SPEC3, values, backend="Spectral")
+
+
+def test_coframe_bundle_rejects_unknown_backend():
+    with pytest.raises(ValueError, match="'fft'"):
+        coframe_bundle_from_spinor(_bundle3(), backend="fft")
+
+
+def test_reduced_residual_rejects_unknown_backend():
+    # also when dt is given and the backend would not be used
+    b = _bundle3()
+    with pytest.raises(ValueError, match="'fft'"):
+        field_equation_residual_reduced(b, ModelParams(m=1.0), 1, backend="fft")
+    with pytest.raises(ValueError, match="'fft'"):
+        field_equation_residual_reduced(b, ModelParams(m=1.0), 1,
+                                        dt=np.zeros(SPEC3.extents + (3,)), backend="fft")
+
+
+def test_4d_residual_rejects_unknown_backend():
+    with pytest.raises(ValueError, match="'fft'"):
+        field_equation_residual_4d(_bundle4(), ModelParams(m=1.0), backend="fft")
+
+
+def test_scalar_derivs_rejects_unknown_backend():
+    with pytest.raises(ValueError, match="'fft'"):
+        scalar_derivs(np.zeros(SPEC3.extents), SPEC3, "fft", 2, range(3))
+
+
+def test_torsion_residual_rejects_unknown_norm():
+    b = _bundle3()
+    cb = coframe_bundle_from_spinor(b)
+    with pytest.raises(ValueError, match="'l2'"):
+        spinor_vs_coframe_residual(b, cb, norm="l2")
+
+
+def test_kk_check_rejects_unknown_coframe_route():
+    with pytest.raises(ValueError, match="'stencil'"):
+        kk_decomposition_check(_bundle4(), ModelParams(m=1.0), coframe_derivs="stencil")
+
+
+def test_op_apply_rejects_unknown_backend():
+    spec = periodic_spec(16, 2.0 * np.pi / 16, 1)
+    op_p, _ = variational.example_operators(spec)
+    u = np.exp(1j * spec.axis_coords(0))[:, None]
+    with pytest.raises(ValueError, match="'fft'"):
+        variational.op_apply(op_p, u, backend="fft")
+    with pytest.raises(ValueError, match="'fft'"):
+        variational.first_order_lagrangian(op_p, u, backend="fft")
+
+
+@pytest.mark.parametrize("backend", ("stencil", "spectral"))
+def test_known_backends_still_accepted(backend):
+    b = _bundle3()
+    SpinorBundle.from_grid(SPEC3, b.values, backend=backend)
+    coframe_bundle_from_spinor(b, backend=backend)
