@@ -47,15 +47,10 @@ EPSILON = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 @dataclass(frozen=True)
 class Spinor2:
-    """A 2-component complex spinor value.
-
-    The role tag records whether the value is meant as an undotted or a
-    dotted spinor; it has no runtime effect.
-    """
+    """A 2-component complex spinor value."""
 
     c1: complex
     c2: complex
-    role: str = "undotted"
 
     def as_array(self) -> np.ndarray:
         return np.array([self.c1, self.c2], dtype=complex)
@@ -152,5 +147,5 @@ def bijection_to_positive(xi_tilde) -> Spinor2 | np.ndarray:
         raise WrongDensitySign("input spinor must have strictly negative density")
     out = np.stack([np.conj(v[..., 1]), np.conj(v[..., 0])], axis=-1)
     if isinstance(xi_tilde, Spinor2):
-        return Spinor2(complex(out[0]), complex(out[1]), role=xi_tilde.role)
+        return Spinor2(complex(out[0]), complex(out[1]))
     return out

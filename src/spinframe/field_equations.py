@@ -9,7 +9,6 @@ numerically and knows nothing about the explicit equations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,14 +16,7 @@ import numpy as np
 
 from .algebra import METRIC3, SIGMA3, SIGMA_LOWER, SIGMA_UPPER
 from .errors import NonPositiveDensity, ProbeOutsideInterior, require_choice
-from .grids import (
-    BACKENDS,
-    LatticeSpec,
-    ModelParams,
-    SpinorBundle,
-    _axis_derivative,
-    spectral_derivative,
-)
+from .grids import BACKENDS, LatticeSpec, ModelParams, SpinorBundle, derivatives
 from .lagrangians import dirac_lagrangian, lagrangian_4d, lagrangian_reduced
 from .pauli import apply, component_major, components
 from .torsion import reduced_axial_torsion, spinor_contractions
@@ -44,20 +36,7 @@ def _first_order_op(eta: SpinorBundle, a, r: int) -> np.ndarray:
 
 def dirac_apply(eta: SpinorBundle, params: ModelParams, r: int, s: int) -> np.ndarray:
     """(D_rs eta)_a = sigma^alpha (i d + r A)_alpha eta + s m sigma^3 eta."""
-    a = params.a_on(eta.spec)
-    return _first_order_op(eta, a, r) + s * params.m * apply(SIGMA3, eta.values)
-
-
-def scalar_derivs(t: np.ndarray, spec: LatticeSpec, backend: str, order: int,
-                  axes) -> np.ndarray:
-    """Derivatives of a grid array along the given axes, stacked last; the
-    backend is "stencil" (of the given order) or "spectral"."""
-    require_choice("backend", backend, BACKENDS)
-    if backend == "spectral":
-        ds = [spectral_derivative(t, spec, ax) for ax in axes]
-    else:
-        ds = [_axis_derivative(t, spec, ax, order) for ax in axes]
-    return np.stack(ds, axis=-1)
+    return _first_order_op(eta, params.A, r) + s * params.m * apply(SIGMA3, eta.values)
 
 
 def field_equation_residual_reduced(eta: SpinorBundle, params: ModelParams, r: int,
@@ -76,11 +55,10 @@ def field_equation_residual_reduced(eta: SpinorBundle, params: ModelParams, r: i
     rho = eta.rho
     if np.any(rho <= 0.0):
         raise NonPositiveDensity(f"min density {rho.min():.3g} <= 0")
-    a = params.a_on(eta.spec)
     t = reduced_axial_torsion(eta, params, r)
     if dt is None:
-        dt = scalar_derivs(t, eta.spec, backend, order, range(3))
-    p_eta = _first_order_op(eta, a, r)
+        dt = derivatives(t, eta.spec, backend, order, range(3))
+    p_eta = _first_order_op(eta, params.A, r)
     grad_term = np.zeros_like(eta.values)
     for alpha in range(3):
         grad_term += 1j * dt[..., alpha, None] * apply(SIGMA_UPPER[alpha], eta.values)
@@ -116,13 +94,13 @@ def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
     t, u = c.t, c.u
     x3_flat = xi.x3_independent_bilinears
     if dt is None:
-        dt3 = scalar_derivs(t, xi.spec, backend, order, range(3))
+        dt3 = derivatives(t, xi.spec, backend, order, range(3))
         dt_x3 = np.zeros_like(t) if x3_flat else \
-            scalar_derivs(t, xi.spec, backend, order, [3])[..., 0]
+            derivatives(t, xi.spec, backend, order, [3])[..., 0]
         dt = np.concatenate([dt3, dt_x3[..., None]], axis=-1)
     if du is None and not x3_flat:
-        du = scalar_derivs(u, xi.spec, backend, order, [3])[..., 0]
-    a = np.asarray(params.a_on(xi.spec))
+        du = derivatives(u, xi.spec, backend, order, [3])[..., 0, :]
+    a = params.A
     x = component_major(xi.values)
     # 2 t p + sum_alpha (D_alpha t - d_3 u_alpha) sigma^alpha xi
     #       - 2 sum_alpha u_alpha sigma^alpha d_3 xi, component by component;
@@ -208,11 +186,9 @@ def _action_from_values(values: np.ndarray, spec: LatticeSpec, params: ModelPara
     b = SpinorBundle.from_grid(spec, values, order=order, backend=backend)
     if density_kind == "dirac":
         L = dirac_lagrangian(b, params, r, s)
-    elif density_kind == "reduced":
-        L = lagrangian_reduced(b, params, r)
     else:
-        raise ValueError(f"unknown density kind {density_kind!r}")
-    return math.fsum(L.ravel().tolist()) * spec.cell_volume
+        L = lagrangian_reduced(b, params, r)
+    return spec.integrate(L)
 
 
 def discrete_variational_derivative(density_kind: str, eta_values: np.ndarray,
@@ -227,6 +203,7 @@ def discrete_variational_derivative(density_kind: str, eta_values: np.ndarray,
     Returns an array (len(probes), 2, 2): probe x component x (re, im).
     Probes on non-periodic boundaries are rejected.
     """
+    require_choice("density kind", density_kind, DENSITY_KINDS)
     out = np.empty((len(probes), 2, 2))
     margin = 2
     for i, p in enumerate(probes):

@@ -67,6 +67,11 @@ class LatticeSpec:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
+    def integrate(self, density: np.ndarray) -> float:
+        """Discrete action: the fsum of the density over the grid times the
+        cell volume."""
+        return math.fsum(np.ravel(density).tolist()) * self.cell_volume
+
     def axis_coords(self, axis: int) -> np.ndarray:
         return np.arange(self.extents[axis]) * self.spacing[axis]
 
@@ -97,7 +102,7 @@ def form_components(dims: int, rank: int) -> list[tuple[int, ...]]:
     return list(combinations(range(dims), rank))
 
 
-def _perm_sign(perm) -> int:
+def perm_sign(perm) -> int:
     sign, seen = 1, list(perm)
     for i in range(len(seen)):
         while seen[i] != i:
@@ -198,6 +203,21 @@ def spectral_derivative(values: np.ndarray, spec: LatticeSpec, axis: int) -> np.
     return out if np.iscomplexobj(values) else out.real
 
 
+def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil",
+                order: int = 2, axes=None) -> np.ndarray:
+    """First derivatives of a grid array along ``axes`` (default: every
+    axis), by the "stencil" backend of the given order or the periodic
+    "spectral" one, stacked on a new axis right after the grid axes."""
+    require_choice("backend", backend, BACKENDS)
+    if axes is None:
+        axes = range(spec.dims)
+    if backend == "spectral":
+        ds = [spectral_derivative(values, spec, a) for a in axes]
+    else:
+        ds = [_axis_derivative(values, spec, a, order) for a in axes]
+    return np.stack(ds, axis=spec.dims)
+
+
 def _raise_indices(field: LatticeField) -> np.ndarray:
     g = field.spec.metric
     factors = np.array([np.prod(g[list(c)]) for c in field.components])
@@ -232,7 +252,7 @@ def hodge_dual(R: LatticeField) -> LatticeField:
     for i, ci in enumerate(comps_in):
         rest = tuple(a for a in range(3) if a not in ci)
         j = comps_out.index(rest)
-        out[..., j] += _perm_sign(ci + rest) * up[..., i]
+        out[..., j] += perm_sign(ci + rest) * up[..., i]
     if 3 - r == 0:
         return LatticeField(R.spec, "scalar", out[..., 0])
     return form_field(R.spec, 3 - r, out)
@@ -255,7 +275,7 @@ def wedge(P: LatticeField, Q: LatticeField) -> LatticeField:
             rest = tuple(a for a in c if a not in sub)
             # sign of the shuffle (sub, rest) relative to sorted c
             order = [c.index(a) for a in sub + rest]
-            out[..., j] += _perm_sign(order) * pv[..., comps_p.get(sub, 0)] * qv[..., comps_q.get(rest, 0)]
+            out[..., j] += perm_sign(order) * pv[..., comps_p.get(sub, 0)] * qv[..., comps_q.get(rest, 0)]
     if p + q == 0:
         return LatticeField(P.spec, "scalar", out[..., 0])
     return form_field(P.spec, p + q, out)
@@ -286,27 +306,21 @@ def exterior_derivative(P: LatticeField, order: int = 2) -> LatticeField:
 
 @dataclass
 class ModelParams:
-    """Mass, sign pair and electromagnetic covector.
+    """Mass and electromagnetic covector.
 
     A may be a constant length-3 covector or a grid field of shape (*n, 3);
-    it is stored broadcastable against the grid.
+    it is stored as a float array broadcastable against the grid.  The sign
+    pair (r, s) is not a model parameter: every function that needs it
+    takes r and s as arguments.
     """
 
     m: float
-    r: int = 1
-    s: int = 1
     A: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError("mass must be positive")
-        if self.r not in (-1, 1) or self.s not in (-1, 1):
-            raise ValueError("r and s must be +-1")
+        if not (math.isfinite(self.m) and self.m > 0):
+            raise ValueError(f"mass must be finite and positive, got {self.m!r}")
         self.A = np.asarray(self.A, dtype=float)
-
-    def a_on(self, spec: LatticeSpec) -> np.ndarray:
-        """A as an array broadcastable to (*extents3, 3)."""
-        return self.A
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +346,7 @@ class SpinorBundle:
     @classmethod
     def from_grid(cls, spec: LatticeSpec, values: np.ndarray, order: int = 2,
                   backend: str = "stencil") -> "SpinorBundle":
-        require_choice("backend", backend, BACKENDS)
-        if backend == "spectral":
-            derivs = np.stack(
-                [spectral_derivative(values, spec, a) for a in range(spec.dims)], axis=-2
-            )
-        else:
-            derivs = np.stack(
-                [_axis_derivative(values, spec, a, order) for a in range(spec.dims)], axis=-2
-            )
-        return cls(spec, values, derivs)
+        return cls(spec, values, derivatives(values, spec, backend, order))
 
 
 @dataclass
@@ -355,11 +360,8 @@ class CoframeBundle:
 
     @classmethod
     def from_grid(cls, spec: LatticeSpec, theta: np.ndarray, order: int = 2,
-                  rho=None) -> "CoframeBundle":
-        dtheta = np.stack(
-            [_axis_derivative(theta, spec, a, order) for a in range(spec.dims)], axis=-3
-        )
-        return cls(spec, theta, dtheta, rho)
+                  rho=None, backend: str = "stencil") -> "CoframeBundle":
+        return cls(spec, theta, derivatives(theta, spec, backend, order), rho)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from .grids import ModelParams, SpinorBundle, form_field, lorentz_dot, hodge_dua
 from .torsion import (
     SpinorContractions,
     reduced_axial_torsion,
+    sigma_contract,
     spinor_contractions,
-    _sigma_contract,
 )
 
 _CROSS_TOL = 1e-12
@@ -92,16 +92,21 @@ def unhodge_covector(spec3, u: np.ndarray):
     return dual
 
 
+def _dirac_contraction(eta: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
+    """w = eta^dag sigma^alpha (i d + r A)_alpha eta, pointwise (complex)."""
+    w = np.zeros(eta.values.shape[:-1], dtype=complex)
+    for alpha in range(3):
+        op = 1j * eta.derivs[..., alpha, :] + (r * params.A[..., alpha])[..., None] * eta.values
+        w += sigma_contract(SIGMA_UPPER[alpha], eta.values, op)
+    return w
+
+
 def lagrangian_reduced(eta: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
     """L_r for the x3-separated field; compact form -((T*)^2 - 16 m^2/9) rho."""
     rho = eta.rho
     if np.any(rho <= 0.0):
         raise NonPositiveDensity(f"min density {rho.min():.3g} <= 0")
-    a = params.a_on(eta.spec)
-    w = np.zeros(rho.shape, dtype=complex)
-    for alpha in range(3):
-        op = 1j * eta.derivs[..., alpha, :] + (r * np.asarray(a)[..., alpha])[..., None] * eta.values
-        w += _sigma_contract(SIGMA_UPPER[alpha], eta.values, op)
+    w = _dirac_contraction(eta, params, r)
     spelled = -(16.0 / (9.0 * rho)) * (w.real ** 2 - (params.m * rho) ** 2)
     t = reduced_axial_torsion(eta, params, r)
     compact = -(t ** 2 - (16.0 / 9.0) * params.m ** 2) * rho
@@ -115,13 +120,8 @@ def dirac_lagrangian(eta: SpinorBundle, params: ModelParams, r: int, s: int) -> 
     The compact form (-(3/4) *T_{Ar}^ax + s m) rho is asserted equal where
     rho > 0; L_rs itself is defined for any eta.
     """
-    a = params.a_on(eta.spec)
     rho = eta.rho
-    w = np.zeros(rho.shape, dtype=complex)
-    for alpha in range(3):
-        op = 1j * eta.derivs[..., alpha, :] + (r * np.asarray(a)[..., alpha])[..., None] * eta.values
-        w += _sigma_contract(SIGMA_UPPER[alpha], eta.values, op)
-    spelled = w.real + s * params.m * rho
+    spelled = _dirac_contraction(eta, params, r).real + s * params.m * rho
     if np.all(rho > 0.0):
         t = reduced_axial_torsion(eta, params, r)
         compact = (-0.75 * t + s * params.m) * rho
@@ -147,9 +147,3 @@ def factorization_residual(eta: SpinorBundle, params: ModelParams, r: int,
         raise DegenerateDenominator("L_+ - L_- vanishes somewhere on the grid")
     lr = lagrangian_reduced(eta, params, r)
     return lr + (32.0 * params.m / 9.0) * lp * lm / denom
-
-
-def discrete_action(L: np.ndarray, spec) -> float:
-    """Sum of the density over the grid times the cell volume, fsum-accumulated."""
-    import math
-    return math.fsum(L.ravel().tolist()) * spec.cell_volume

@@ -63,8 +63,7 @@ def plane_wave_spinor(label: PlaneWaveLabel, spec: LatticeSpec) -> SpinorBundle:
 
 
 def plane_wave_params(label: PlaneWaveLabel) -> ModelParams:
-    return ModelParams(m=label.m, r=label.r, s=label.s,
-                       A=np.array([label.a0, 0.0, 0.0]))
+    return ModelParams(m=label.m, A=np.array([label.a0, 0.0, 0.0]))
 
 
 def coframe_rotation_angle(label: PlaneWaveLabel, x0, x3=0.0):

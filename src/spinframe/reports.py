@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import IoError
 
 SCHEMA_VERSION = 1
 
-_PARAM_ORDER = ("m", "r", "s", "A", "grid", "order", "seed")
+_PARAM_ORDER = ("m", "r", "s", "A", "order", "seed")
 _FIELD_ORDER = ("check_name", "max_abs_residual", "rms_residual", "tolerance", "pass")
 
 

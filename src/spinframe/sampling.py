@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_choice
-from .grids import BACKENDS, LatticeSpec, SpinorBundle, CoframeBundle, spectral_derivative
+from .grids import LatticeSpec, SpinorBundle, CoframeBundle
 
 
 @dataclass(frozen=True)
@@ -211,11 +210,5 @@ def coframe_bundle_from_spinor(b: SpinorBundle, order: int = 2,
     """
     from .algebra import coframe_map
 
-    require_choice("backend", backend, BACKENDS)
     theta, rho = coframe_map(b.values)
-    if backend == "spectral":
-        dtheta = np.stack(
-            [spectral_derivative(theta, b.spec, a) for a in range(b.spec.dims)], axis=-3
-        )
-        return CoframeBundle(b.spec, theta, dtheta, rho)
-    return CoframeBundle.from_grid(b.spec, theta, order=order, rho=rho)
+    return CoframeBundle.from_grid(b.spec, theta, order=order, rho=rho, backend=backend)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +22,13 @@ from .field_equations import (
     discrete_variational_derivative,
     field_equation_residual_4d,
     field_equation_residual_reduced,
-    scalar_derivs,
     theorem1_check,
 )
-from .grids import ModelParams, periodic_spec
-from .lagrangians import dirac_lagrangian, factorization_residual, lagrangian_reduced
+from .grids import ModelParams, derivatives, periodic_spec
+from .lagrangians import factorization_residual, lagrangian_reduced
 from .plane_waves import (
     PlaneWaveLabel,
     boosted_wave,
-    classify,
     grid_mode_momenta,
     measured_rotation_rate,
     plane_wave_params,
@@ -39,17 +37,14 @@ from .plane_waves import (
 )
 from .reports import CheckReport, make_report
 from .sampling import (
-    ScaledSpinor,
     SpinorPoly,
     TrigPoly,
     base_for,
     coframe_bundle_from_spinor,
-    constant_poly,
     covector_on,
     random_covector_polys,
     random_positive_spinor,
     random_positive_spinor_4d,
-    random_trig_poly,
 )
 from .torsion import (
     kk_decomposition_check,
@@ -70,31 +65,29 @@ SUITES = ("coframe", "torsion-routes", "kk-decomposition", "factorization",
 @dataclass(frozen=True)
 class SuiteConfig:
     m: float = 1.0
-    grid: tuple[int, ...] | int = 32
     order: int = 2
     seed: int = 0
     a0: float = 0.25
     tol: float | None = None
-    mode: str = "analytic"
     seeds: int | None = None   # sample count for property suites
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ConfigInvalid("mass must be positive")
+        if not (math.isfinite(self.m) and self.m > 0):
+            raise ConfigInvalid(f"mass must be finite and positive, got {self.m!r}")
+        if not math.isfinite(self.a0):
+            raise ConfigInvalid(f"A0 must be finite, got {self.a0!r}")
         if self.order not in (2, 4):
             raise ConfigInvalid("stencil order must be 2 or 4")
-        if self.mode not in ("analytic", "stencil"):
-            raise ConfigInvalid(f"unknown mode {self.mode!r}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be non-negative, got {self.seed}")
+        if self.seeds is not None and self.seeds < 1:
+            raise ConfigInvalid(f"seed count must be at least 1, got {self.seeds}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ConfigInvalid(f"tolerance must be finite and non-negative, got {self.tol!r}")
-
-    def grid_n(self) -> int:
-        return self.grid if isinstance(self.grid, int) else self.grid[0]
 
 
 def _params(cfg: SuiteConfig, **extra) -> dict:
     p = {"m": cfg.m, "r": None, "s": None, "A": None,
-         "grid": cfg.grid if isinstance(cfg.grid, int) else list(cfg.grid),
          "order": cfg.order, "seed": cfg.seed}
     p.update(extra)
     return p
@@ -243,7 +236,7 @@ def _suite_separation(cfg: SuiteConfig):
             # one shared in-plane gradient of the torsion scalar for both
             # routes; the x3 direction is handled in closed form
             t3 = reduced_axial_torsion(b3, p, 1)
-            dt3 = scalar_derivs(t3, spec3, "spectral", 2, range(3))
+            dt3 = derivatives(t3, spec3, "spectral")
             res3 = field_equation_residual_reduced(b3, p, 1, dt=dt3)
             # lift to 4D with the e^{-i m x3} phase (r = +1 branch)
             k3 = cfg.m / base4[3]
@@ -323,6 +316,8 @@ def _suite_theorem1(cfg: SuiteConfig):
 
 
 def _suite_plane_waves(cfg: SuiteConfig):
+    if not 0.0 <= cfg.a0 < cfg.m:
+        raise ConfigInvalid("plane-waves needs 0 <= A0 < m")
     tol = _tol(cfg, 1e-12)
     a0 = cfg.a0
 
@@ -390,15 +385,14 @@ def _suite_appendix_b(cfg: SuiteConfig):
                                tol_analytic, ms))
 
     def run_stencil():
-        from .grids import _axis_derivative
         n = 512
         spec = periodic_spec(n, 2.0 * np.pi / n, 1)
         x = spec.axis_coords(0)
         worst = 0.0
         for sgn in (1, -1):
             u = np.exp(sgn * 1j * x)
-            du = _axis_derivative(u, spec, 0, 4)
-            ddu = _axis_derivative(du, spec, 0, 4)
+            du = derivatives(u, spec, order=4)[:, 0]
+            ddu = derivatives(du, spec, order=4)[:, 0]
             worst = _worst(worst, float(np.max(np.abs(example_ode_residual(u, du, ddu)))))
         return worst
 

@@ -18,15 +18,14 @@ from .pauli import component_major, components, contract
 from .grids import (
     CoframeBundle,
     LatticeField,
-    LatticeSpec,
     ModelParams,
     SpinorBundle,
-    _axis_derivative,
+    derivatives,
     form_components,
     form_field,
     hodge_dual,
-    lorentz_dot,
     norm_squared,
+    perm_sign,
     wedge,
 )
 
@@ -41,7 +40,7 @@ def _check_density(rho: np.ndarray, positive: bool) -> None:
         raise VanishingDensity("density vanishes on the grid")
 
 
-def _sigma_contract(sig, xi, other) -> np.ndarray:
+def sigma_contract(sig, xi, other) -> np.ndarray:
     """xi^dagger sigma other, pointwise; sig has shape (2,2)."""
     return contract(sig, xi, other)
 
@@ -84,8 +83,8 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None,
     The density is read once and each D_alpha xi is formed once for z and p
     together.  With ``operator`` every derivative component is read several
     times, so it is first copied into the component-major layout
-    (``pauli.component_major``).  z is the sum of one ``_sigma_contract``
-    per alpha, taken in order, and each y_alpha is one ``_sigma_contract``,
+    (``pauli.component_major``).  z is the sum of one ``sigma_contract``
+    per alpha, taken in order, and each y_alpha is one ``sigma_contract``,
     so t and u are bit-identical to the one-contraction-at-a-time formulas
     that tests/test_contractions.py keeps as its reference.
     """
@@ -98,7 +97,7 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None,
     if operator and d3 is not None:
         d3 = component_major(d3)
     if torsion or operator:
-        a = np.asarray(params.a_on(b.spec)) if with_A else None
+        a = params.A if with_A else None
         z, p0, p1 = 0.0, 0.0, 0.0
         for alpha in range(3):
             d = b.derivs[..., alpha, :]
@@ -107,7 +106,7 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None,
             if with_A and np.any(a[..., alpha]):
                 d = d + (a[..., alpha] / params.m)[..., None] * d3
             if torsion:
-                z += _sigma_contract(SIGMA_UPPER[alpha], b.values, d)
+                z += sigma_contract(SIGMA_UPPER[alpha], b.values, d)
             if operator:
                 # sigma^alpha = METRIC3[alpha] sigma_alpha; a complex
                 # negation costs more than a product, so subtract instead
@@ -126,7 +125,7 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None,
     if rotation:
         if operator:
             out.s3 = tuple(components(SIGMA_LOWER[alpha], d3) for alpha in range(3))
-        out.y = tuple(_sigma_contract(SIGMA_LOWER[alpha], b.values, d3) for alpha in range(3))
+        out.y = tuple(sigma_contract(SIGMA_LOWER[alpha], b.values, d3) for alpha in range(3))
         out.u = np.stack([-4.0 * y.imag / (3.0 * rho) for y in out.y], axis=-1)
     return out
 
@@ -155,11 +154,10 @@ def reduced_axial_torsion(b: SpinorBundle, params: ModelParams, r: int) -> np.nd
     """*T_{Ar}^ax = -(4 / 3 rho) Re(eta^dag sigma^alpha (i d + r A)_alpha eta)."""
     rho = b.rho
     _check_density(rho, positive=True)
-    a = params.a_on(b.spec)
     w = np.zeros(rho.shape, dtype=complex)
     for alpha in range(3):
-        op = 1j * b.derivs[..., alpha, :] + (r * np.asarray(a)[..., alpha])[..., None] * b.values
-        w += _sigma_contract(SIGMA_UPPER[alpha], b.values, op)
+        op = 1j * b.derivs[..., alpha, :] + (r * params.A[..., alpha])[..., None] * b.values
+        w += sigma_contract(SIGMA_UPPER[alpha], b.values, op)
     return -4.0 * w.real / (3.0 * rho)
 
 
@@ -178,7 +176,7 @@ def reduced_quantities(b: SpinorBundle, params: ModelParams, r: int) -> ReducedQ
     _check_density(rho, positive=True)
     t = reduced_axial_torsion(b, params, r)
     u = np.stack(
-        [r * 4.0 * params.m * _sigma_contract(SIGMA_LOWER[a], b.values, b.values).real
+        [r * 4.0 * params.m * sigma_contract(SIGMA_LOWER[a], b.values, b.values).real
          / (3.0 * rho) for a in range(3)],
         axis=-1,
     )
@@ -222,24 +220,6 @@ def axial_torsion_coframe(cb: CoframeBundle, check_tol: float | None = 1e-8) -> 
     return total
 
 
-def d3_rotation_coframe(spec3: LatticeSpec, theta: np.ndarray,
-                        d3theta: np.ndarray) -> LatticeField:
-    """D_3 theta = (1/3) o_jk theta^j wedge d_3 theta^k as a 3D 2-form.
-
-    theta and d3theta have shape (*n, 3, 3); the x3 derivative is supplied
-    by the caller (analytic or stencil).
-    """
-    total = None
-    for j in range(3):
-        term = wedge(
-            form_field(spec3, 1, theta[..., j, :]),
-            form_field(spec3, 1, d3theta[..., j, :]),
-        )
-        term.values *= O3[j] / 3.0
-        total = term if total is None else form_field(spec3, 2, total.values + term.values)
-    return total
-
-
 def torsion_tensor(cb: CoframeBundle) -> np.ndarray:
     """Full torsion tensor o_jk theta^j (x) d theta^k, shape (*n, d, d, d).
 
@@ -262,7 +242,6 @@ def alt3(T: np.ndarray) -> np.ndarray:
     Returns components in the order of form_components(d, 3).
     """
     from itertools import permutations
-    from .grids import _perm_sign
 
     d = T.shape[-1]
     comps = form_components(d, 3)
@@ -271,7 +250,7 @@ def alt3(T: np.ndarray) -> np.ndarray:
         acc = 0.0
         for p in permutations(range(3)):
             idx = tuple(c[k] for k in p)
-            acc = acc + _perm_sign(p) * T[..., idx[0], idx[1], idx[2]]
+            acc = acc + perm_sign(p) * T[..., idx[0], idx[1], idx[2]]
         out[..., i] = acc / 6.0
     return out
 
@@ -346,9 +325,7 @@ def kk_decomposition_check(b: SpinorBundle, params: ModelParams,
     if coframe_derivs == "chain":
         dtheta = _coframe_chain_derivs(b)
     else:
-        dtheta = np.stack(
-            [_axis_derivative(theta, b.spec, a, order) for a in range(4)], axis=-3
-        )
+        dtheta = derivatives(theta, b.spec, order=order)
     cb4 = extend_coframe(CoframeBundle(b.spec, theta, dtheta, rho))
     lhs = norm_squared(extended_axial_torsion(cb4))
     t = axial_torsion_spinor(b)

@@ -8,8 +8,7 @@ C^m-valued columns on a lattice.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import (
     VanishingU,
     require_choice,
 )
-from .grids import BACKENDS, LatticeSpec, _axis_derivative, spectral_derivative
+from .grids import BACKENDS, LatticeSpec, derivatives
 
 _HERM_TOL = 1e-12
 _CROSS_TOL = 1e-12
@@ -78,14 +77,6 @@ class FirstOrderOperator:
         return self.spec.dims
 
 
-def _derivs_of(u: np.ndarray, spec: LatticeSpec, backend: str, order: int) -> np.ndarray:
-    if backend == "spectral":
-        ds = [spectral_derivative(u, spec, a) for a in range(spec.dims)]
-    else:
-        ds = [_axis_derivative(u, spec, a, order) for a in range(spec.dims)]
-    return np.stack(ds, axis=-2)
-
-
 def op_apply(op: FirstOrderOperator, u: np.ndarray, du: np.ndarray | None = None,
              backend: str = "stencil", order: int = 4) -> np.ndarray:
     """A u on the grid; u is (*grid, m), du optionally (*grid, n, m)."""
@@ -94,7 +85,7 @@ def op_apply(op: FirstOrderOperator, u: np.ndarray, du: np.ndarray | None = None
     if u.shape[-1] != op.mdim:
         raise DimensionMismatch(f"u has {u.shape[-1]} components, operator wants {op.mdim}")
     if du is None:
-        du = _derivs_of(u, op.spec, backend, order)
+        du = derivatives(u, op.spec, backend, order)
     out = np.einsum("...amk,...ak->...m", np.broadcast_to(
         op.b, u.shape[:-1] + op.b.shape[-3:]), du) * 1j
     out = out + 0.5j * np.einsum("...mk,...k->...m",
@@ -112,7 +103,7 @@ def first_order_lagrangian(op: FirstOrderOperator, u: np.ndarray,
     require_choice("backend", backend, BACKENDS)
     u = np.asarray(u, dtype=complex)
     if du is None:
-        du = _derivs_of(u, op.spec, backend, order)
+        du = derivatives(u, op.spec, backend, order)
     au = op_apply(op, u, du)
     spelled = np.einsum("...m,...m->...", np.conj(u), au).real
     bu_du = np.einsum("...m,...amk,...ak->...", np.conj(u),
@@ -143,7 +134,7 @@ def combined_lagrangian(op_p: FirstOrderOperator, op_m: FirstOrderOperator,
                         denom_tol: float = 1e-12) -> np.ndarray:
     require_choice("backend", backend, BACKENDS)
     if du is None:
-        du = _derivs_of(np.asarray(u, dtype=complex), op_p.spec, backend, order)
+        du = derivatives(np.asarray(u, dtype=complex), op_p.spec, backend, order)
     lp = first_order_lagrangian(op_p, u, du)
     lm = first_order_lagrangian(op_m, u, du)
     return combine_densities(lp, lm, denom_tol)
@@ -264,7 +255,7 @@ class LemmaResult:
 def _combined_action(op_p, op_m, u, backend, order, denom_tol) -> float:
     L = combined_lagrangian(op_p, op_m, u, backend=backend, order=order,
                             denom_tol=denom_tol)
-    return math.fsum(L.ravel().tolist()) * op_p.spec.cell_volume
+    return op_p.spec.integrate(L)
 
 
 def combined_action_gradient(op_p: FirstOrderOperator, op_m: FirstOrderOperator,

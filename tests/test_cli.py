@@ -4,6 +4,7 @@ import pytest
 
 from spinframe.cli import main
 from spinframe.errors import ConfigInvalid, UnknownSuite
+from spinframe.grids import ModelParams
 from spinframe.reports import parse_json, render
 from spinframe.suites import SuiteConfig, run_suite
 
@@ -30,8 +31,38 @@ def test_config_validation():
         SuiteConfig(m=-1.0)
     with pytest.raises(ConfigInvalid):
         SuiteConfig(order=3)
-    with pytest.raises(ConfigInvalid):
-        SuiteConfig(mode="magic")
+
+
+@pytest.mark.parametrize("argv", [
+    ["factorization", "--seeds", "-1"],
+    ["separation", "--seeds", "-2"],
+    ["kk-decomposition", "--seeds", "0"],
+    ["coframe", "--seeds", "-3"],
+    ["coframe", "--seed", "-1"],
+    ["coframe", "--m", "inf"],
+    ["plane-waves", "--m", "nan"],
+    ["plane-waves", "--A0", "5"],
+    ["plane-waves", "--A0", "-0.25"],
+    ["table1", "--A0", "nan"],
+], ids=" ".join)
+def test_unhonourable_config_exit_two(capsys, argv):
+    # each of these used to pass having checked nothing, run another
+    # configuration, or end in a raw traceback
+    assert main(["run", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("m", [float("nan"), float("inf"), 0.0])
+def test_model_params_reject_non_finite_or_non_positive_mass(m):
+    with pytest.raises(ValueError):
+        ModelParams(m=m)
+
+
+@pytest.mark.parametrize("flag", [["--grid", "8"], ["--mode", "stencil"]], ids=" ".join)
+def test_removed_flags_are_rejected(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "plane-waves", *flag])
+    assert exc.value.code == 2
 
 
 def test_json_determinism(tmp_path):
@@ -63,7 +94,7 @@ def test_csv_header_and_emit(tmp_path):
     path = tmp_path / "report.csv"
     assert main(["run", "plane-waves", "--format", "csv", "--out", str(path)]) == 0
     lines = path.read_text().splitlines()
-    assert lines[0] == ("check_name,m,r,s,A,grid,order,seed,"
+    assert lines[0] == ("check_name,m,r,s,A,order,seed,"
                        "max_abs_residual,rms_residual,tolerance,pass")
     assert len(lines) == 1 + len(reports)
 

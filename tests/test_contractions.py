@@ -12,8 +12,8 @@ import pytest
 
 from spinframe import lagrangians
 from spinframe.algebra import SIGMA3, SIGMA_LOWER, SIGMA_UPPER
-from spinframe.field_equations import field_equation_residual_4d, scalar_derivs
-from spinframe.grids import ModelParams, SpinorBundle, lorentz_dot, periodic_spec
+from spinframe.field_equations import field_equation_residual_4d
+from spinframe.grids import ModelParams, SpinorBundle, derivatives, lorentz_dot, periodic_spec
 from spinframe.lagrangians import lagrangian_4d, unhodge_covector, unhodge_scalar
 from spinframe.pauli import apply, contract
 from spinframe.sampling import base_for, random_positive_spinor, random_positive_spinor_4d
@@ -34,7 +34,7 @@ def ref_axial_torsion_spinor(b, params=None, with_A=False):
     for alpha in range(3):
         d = b.derivs[..., alpha, :]
         if with_A:
-            a = params.a_on(b.spec)
+            a = params.A
             d = d + (a[..., alpha] / params.m)[..., None] * b.derivs[..., 3, :]
         z += contract(SIGMA_UPPER[alpha], b.values, d)
     return 4.0 * z.imag / (3.0 * rho)
@@ -52,7 +52,7 @@ def ref_d3_rotation_spinor(b):
 
 def ref_lagrangian_4d(xi, params):
     rho = xi.rho
-    a = params.a_on(xi.spec)
+    a = params.A
     z = np.zeros(rho.shape, dtype=complex)
     for alpha in range(3):
         d = xi.derivs[..., alpha, :] + (np.asarray(a)[..., alpha] / params.m)[..., None] \
@@ -79,20 +79,20 @@ def ref_lagrangian_4d(xi, params):
 def ref_field_equation_residual_4d(xi, params, dt=None, du=None,
                                    backend="stencil", order=2):
     rho = xi.rho
-    a = np.asarray(params.a_on(xi.spec))
+    a = np.asarray(params.A)
     t = ref_axial_torsion_spinor(xi, params, with_A=True)
     u = ref_d3_rotation_spinor(xi)
     x3_flat = xi.x3_independent_bilinears
     if dt is None:
-        dt3 = scalar_derivs(t, xi.spec, backend, order, range(3))
+        dt3 = derivatives(t, xi.spec, backend, order, range(3))
         dt_x3 = np.zeros_like(t) if x3_flat else \
-            scalar_derivs(t, xi.spec, backend, order, [3])[..., 0]
+            derivatives(t, xi.spec, backend, order, [3])[..., 0]
         dt = np.concatenate([dt3, dt_x3[..., None]], axis=-1)
     if du is None:
         if x3_flat:
             du = np.zeros(u.shape)
         else:
-            du = scalar_derivs(u, xi.spec, backend, order, [3])[..., 0]
+            du = derivatives(u, xi.spec, backend, order, [3])[..., 0, :]
     p_xi = np.zeros_like(xi.values)
     grad_t = np.zeros_like(xi.values)
     for alpha in range(3):

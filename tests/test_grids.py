@@ -15,6 +15,8 @@ from spinframe.errors import (
 from spinframe.grids import (
     LatticeField,
     LatticeSpec,
+    _axis_derivative,
+    derivatives,
     exterior_derivative,
     form_components,
     form_field,
@@ -61,6 +63,60 @@ def test_spectral_derivative_exact_on_modes(spec3):
     f = np.exp(1j * (2 * x[0] - 3 * x[2]))
     d = spectral_derivative(f, spec3, 2)
     assert np.max(np.abs(d - (-3j) * f)) < 1e-12
+
+
+_SPEC1 = periodic_spec(12, 0.5, 1)
+_SPEC3 = periodic_spec((6, 5, 4), (0.9, 1.1, 1.4), 3)
+_SPEC4 = periodic_spec((6, 5, 4, 6), (0.9, 1.1, 1.4, 0.7), 4)
+
+
+def _grid_array(spec, tail, complex_=True):
+    rng = np.random.default_rng(len(tail) + spec.dims)
+    shape = spec.extents + tail
+    a = rng.normal(size=shape)
+    return a + 1j * rng.normal(size=shape) if complex_ else a
+
+
+# (spec, trailing value shape, axes, the axis the per-axis results used to be
+# stacked on): scalars and covectors stacked last, spinors on -2 and
+# coframes on -3
+_DERIVATIVE_CASES = [
+    (_SPEC3, (), [0, 2], -1),
+    (_SPEC3, (), None, -1),
+    (_SPEC4, (), [1, 3], -1),
+    (_SPEC4, (), None, -1),
+    (_SPEC4, (3,), [3], -1),
+    (_SPEC3, (2,), None, -2),
+    (_SPEC4, (2,), None, -2),
+    (_SPEC3, (3, 3), None, -3),
+    (_SPEC1, (), None, -1),
+]
+
+
+@pytest.mark.parametrize("backend,order", [("stencil", 2), ("stencil", 4), ("spectral", 2)])
+@pytest.mark.parametrize("spec,tail,axes,old_axis", _DERIVATIVE_CASES)
+def test_derivatives_match_per_axis_stack(spec, tail, axes, old_axis, backend, order):
+    values = _grid_array(spec, tail, complex_=tail != (3, 3))
+    per_axis = range(spec.dims) if axes is None else axes
+    if backend == "spectral":
+        ds = [spectral_derivative(values, spec, a) for a in per_axis]
+    else:
+        ds = [_axis_derivative(values, spec, a, order) for a in per_axis]
+    old = np.stack(ds, axis=old_axis)
+    got = derivatives(values, spec, backend, order, axes)
+    assert got.shape[spec.dims] == len(ds)
+    if tail and old_axis == -1:
+        # one axis of a covector: callers read the single derivative
+        np.testing.assert_array_equal(got[..., 0, :], old[..., 0])
+    else:
+        np.testing.assert_array_equal(got, old)
+
+
+def test_integrate_is_fsum_times_cell_volume():
+    spec = periodic_spec((2, 2), (0.5, 0.25), 2)
+    density = np.array([[1e16, 1.0], [-1e16, 1.0]])
+    # a float64 running sum loses both 1.0s against 1e16; fsum keeps them
+    assert spec.integrate(density) == 2.0 * 0.125
 
 
 def test_partial_derivative_rejects_bad_axis(spec3):

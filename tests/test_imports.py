@@ -1,0 +1,25 @@
+"""No package module imports another module's private helpers."""
+
+import ast
+from pathlib import Path
+
+import spinframe
+
+PACKAGE = Path(spinframe.__file__).resolve().parent
+
+
+def private_imports(path: Path) -> list[str]:
+    """Every `from .x import _name` in one source file, as readable lines."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    module = "." * node.level + (node.module or "")
+                    found.append(f"{path.name}:{node.lineno} from {module} import {alias.name}")
+    return found
+
+
+def test_no_private_cross_module_imports():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in private_imports(path)]
+    assert found == []

@@ -12,7 +12,7 @@ from spinframe import pauli
 from spinframe.algebra import SIGMA_LOWER, SIGMA_UPPER
 from spinframe.grids import LatticeSpec, periodic_spec
 from spinframe.sampling import TrigPoly, base_for, random_trig_poly
-from spinframe.torsion import _sigma_contract
+from spinframe.torsion import sigma_contract
 
 EPS = np.finfo(float).eps
 
@@ -104,7 +104,7 @@ def test_sigma_contract_matches_einsum(name, sig):
     xi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     other = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     want = np.einsum("...a,ab,...b->...", np.conj(xi), sig, other)
-    got = _sigma_contract(sig, xi, other)
+    got = sigma_contract(sig, xi, other)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 8 * EPS * np.max(np.abs(want))
 

@@ -5,7 +5,6 @@ from spinframe.errors import DegenerateDenominator, NonPositiveDensity
 from spinframe.grids import ModelParams, periodic_spec
 from spinframe.lagrangians import (
     dirac_lagrangian,
-    discrete_action,
     factorization_residual,
     lagrangian_4d,
     lagrangian_reduced,
@@ -117,6 +116,6 @@ def test_scaling_covariance_reduced_and_dirac(spec):
 def test_discrete_action_of_constant(spec):
     b = _const_bundle(spec)
     L = lagrangian_reduced(b, ModelParams(m=1.0), 1)
-    a = discrete_action(L, spec)
+    a = spec.integrate(L)
     vol = spec.cell_volume * np.prod(spec.extents)
     assert a == pytest.approx(16.0 / 9.0 * vol, rel=1e-14)

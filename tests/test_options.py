@@ -7,11 +7,11 @@ import pytest
 from spinframe import variational
 from spinframe.errors import SpinframeError, UnknownOption
 from spinframe.field_equations import (
+    discrete_variational_derivative,
     field_equation_residual_4d,
     field_equation_residual_reduced,
-    scalar_derivs,
 )
-from spinframe.grids import ModelParams, SpinorBundle, periodic_spec
+from spinframe.grids import ModelParams, SpinorBundle, derivatives, periodic_spec
 from spinframe.sampling import (
     base_for,
     coframe_bundle_from_spinor,
@@ -65,9 +65,17 @@ def test_4d_residual_rejects_unknown_backend():
         field_equation_residual_4d(_bundle4(), ModelParams(m=1.0), backend="fft")
 
 
-def test_scalar_derivs_rejects_unknown_backend():
+def test_derivatives_rejects_unknown_backend():
     with pytest.raises(ValueError, match="'fft'"):
-        scalar_derivs(np.zeros(SPEC3.extents), SPEC3, "fft", 2, range(3))
+        derivatives(np.zeros(SPEC3.extents), SPEC3, "fft")
+
+
+@pytest.mark.parametrize("probes", ([], [(1, 2, 3)]))
+def test_variational_derivative_rejects_unknown_density_kind(probes):
+    # checked at entry: without probes it used to return an empty array
+    with pytest.raises(UnknownOption, match="'bogus'"):
+        discrete_variational_derivative("bogus", _bundle3().values, SPEC3,
+                                        ModelParams(m=1.0), probes)
 
 
 def test_torsion_residual_rejects_unknown_norm():
