@@ -41,6 +41,12 @@ class GridTooSmall(SpinframeError):
     """Grid has too few points for the requested stencil order."""
 
 
+class InvalidGrid(SpinframeError, ValueError):
+    """A grid or derivative request the lattice cannot honour: bad extents or
+    spacing, a spectral derivative on a non-periodic axis, or an unknown
+    stencil order."""
+
+
 class DegenerateDenominator(SpinframeError):
     """L_plus - L_minus too close to zero for the factorized Lagrangian."""
 

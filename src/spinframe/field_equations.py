@@ -18,16 +18,19 @@ from .algebra import METRIC3, SIGMA3, SIGMA_LOWER, SIGMA_UPPER
 from .errors import NonPositiveDensity, ProbeOutsideInterior, require_choice
 from .grids import BACKENDS, LatticeSpec, ModelParams, SpinorBundle, derivatives
 from .lagrangians import dirac_lagrangian, lagrangian_4d, lagrangian_reduced
-from .pauli import apply, component_major, components
+from .pauli import apply, components
 from .torsion import reduced_axial_torsion, spinor_contractions
 
 
 def _first_order_op(eta: SpinorBundle, a, r: int) -> np.ndarray:
     """sigma^alpha (i d + r A)_alpha eta, pointwise, shape (*n, 2)."""
+    a = np.asarray(a)
     out = np.zeros_like(eta.values)
     out0, out1 = out[..., 0], out[..., 1]
     for alpha in range(3):
-        op = 1j * eta.derivs[..., alpha, :] + (r * np.asarray(a)[..., alpha])[..., None] * eta.values
+        op = 1j * eta.derivs[..., alpha, :]
+        if np.any(a[..., alpha]):
+            op += (r * a[..., alpha])[..., None] * eta.values
         op0, op1 = components(SIGMA_UPPER[alpha], op)
         out0 += op0
         out1 += op1
@@ -87,7 +90,7 @@ def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
     and L are computed once, by ``torsion.spinor_contractions``; L reuses
     them through ``lagrangian_4d``, whose spelled/compact cross-assert runs
     on every call.  The residual itself is assembled here on the two spinor
-    components.
+    components, which are contiguous reads on a grid-minor bundle.
     """
     require_choice("backend", backend, BACKENDS)
     c = spinor_contractions(xi, params, with_A=True, rotation=True, operator=True)
@@ -101,7 +104,7 @@ def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
     if du is None and not x3_flat:
         du = derivatives(u, xi.spec, backend, order, [3])[..., 0, :]
     a = params.A
-    x = component_major(xi.values)
+    x = xi.values
     # 2 t p + sum_alpha (D_alpha t - d_3 u_alpha) sigma^alpha xi
     #       - 2 sum_alpha u_alpha sigma^alpha d_3 xi, component by component;
     # sigma^alpha = METRIC3[alpha] sigma_alpha, the sign rides on the reals
@@ -214,7 +217,7 @@ def discrete_variational_derivative(density_kind: str, eta_values: np.ndarray,
         for comp in range(2):
             for k, delta in enumerate((1.0, 1.0j)):
                 for sign in (1.0, -1.0):
-                    v = eta_values.copy()
+                    v = eta_values.copy(order="K")
                     v[p + (comp,)] += sign * step * delta
                     a = _action_from_values(v, spec, params, density_kind, r, s,
                                             backend, order)

@@ -21,12 +21,14 @@ from .algebra import METRIC3, METRIC4
 from .errors import (
     AxisOutOfRange,
     GridTooSmall,
+    InvalidGrid,
     IoError,
     RankMismatch,
     RankOverflow,
     UnsupportedRank,
     require_choice,
 )
+from .pauli import grid_minor
 
 KINDS = ("scalar", "spinor", "covector", "2-form", "3-form", "coframe")
 
@@ -44,11 +46,11 @@ class LatticeSpec:
 
     def __post_init__(self):
         if not 1 <= len(self.extents) <= 4:
-            raise ValueError("only 1D through 4D grids are supported")
+            raise InvalidGrid("only 1D through 4D grids are supported")
         if len(self.spacing) != self.dims or len(self.periodic) != self.dims:
-            raise ValueError("extents, spacing and periodic must have equal length")
+            raise InvalidGrid("extents, spacing and periodic must have equal length")
         if any(n <= 0 for n in self.extents) or any(h <= 0 for h in self.spacing):
-            raise ValueError("extents and spacing must be positive")
+            raise InvalidGrid("extents and spacing must be positive")
 
     @property
     def dims(self) -> int:
@@ -154,9 +156,19 @@ _STENCILS = {
 def _axis_derivative(values: np.ndarray, spec: LatticeSpec, axis: int, order: int) -> np.ndarray:
     offsets, weights = _STENCILS[order]
     h = spec.spacing[axis]
-    out = np.zeros_like(values, dtype=np.promote_types(values.dtype, float))
+    dtype = np.promote_types(values.dtype, float)
+    out = None
+    # each term is built in place in its own buffer; the second roll is the
+    # only other temporary
     for k, w in zip(offsets, weights):
-        out += w * (np.roll(values, -k, axis=axis) - np.roll(values, k, axis=axis)) / h
+        term = np.roll(values, -k, axis=axis).astype(dtype, copy=False)
+        term -= np.roll(values, k, axis=axis)
+        term *= w
+        term /= h
+        if out is None:
+            out = term
+        else:
+            out += term
     if not spec.periodic[axis]:
         # one-sided edges at matching order would change the truncation
         # analysis; interior-only contract, so edges get first-order values
@@ -182,7 +194,7 @@ def partial_derivative(f: LatticeField, axis: int, order: int = 2) -> LatticeFie
     if not 0 <= axis < f.spec.dims:
         raise AxisOutOfRange(f"axis {axis} outside 0..{f.spec.dims - 1}")
     if order not in _STENCILS:
-        raise ValueError("order must be 2 or 4")
+        raise InvalidGrid("order must be 2 or 4")
     need = 5 if order == 4 else 3
     if f.spec.extents[axis] < need:
         raise GridTooSmall(f"axis {axis} has {f.spec.extents[axis]} < {need} points")
@@ -194,7 +206,7 @@ def partial_derivative(f: LatticeField, axis: int, order: int = 2) -> LatticeFie
 def spectral_derivative(values: np.ndarray, spec: LatticeSpec, axis: int) -> np.ndarray:
     """FFT derivative along a periodic axis; exact on resolved Fourier modes."""
     if not spec.periodic[axis]:
-        raise ValueError("spectral derivative needs a periodic axis")
+        raise InvalidGrid("spectral derivative needs a periodic axis")
     n = spec.extents[axis]
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=spec.spacing[axis])
     shape = [1] * values.ndim
@@ -207,15 +219,27 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil",
                 order: int = 2, axes=None) -> np.ndarray:
     """First derivatives of a grid array along ``axes`` (default: every
     axis), by the "stencil" backend of the given order or the periodic
-    "spectral" one, stacked on a new axis right after the grid axes."""
+    "spectral" one, stacked on a new axis right after the grid axes.
+
+    The stack is grid-minor (``pauli.grid_minor``): each per-axis result is
+    written into its slot and dropped before the next one is computed.
+    """
     require_choice("backend", backend, BACKENDS)
-    if axes is None:
-        axes = range(spec.dims)
-    if backend == "spectral":
-        ds = [spectral_derivative(values, spec, a) for a in axes]
-    else:
-        ds = [_axis_derivative(values, spec, a, order) for a in axes]
-    return np.stack(ds, axis=spec.dims)
+    axes = range(spec.dims) if axes is None else list(axes)
+    if not axes:
+        raise InvalidGrid("no axis to differentiate along")
+    out = None
+    for i, a in enumerate(axes):
+        if backend == "spectral":
+            d = spectral_derivative(values, spec, a)
+        else:
+            d = _axis_derivative(values, spec, a, order)
+        if out is None:
+            shape = d.shape[:spec.dims] + (len(axes),) + d.shape[spec.dims:]
+            out = grid_minor(shape, spec.dims, d.dtype)
+        out[(slice(None),) * spec.dims + (i,)] = d
+        del d
+    return out
 
 
 def _raise_indices(field: LatticeField) -> np.ndarray:
@@ -332,7 +356,16 @@ class ModelParams:
 
 @dataclass
 class SpinorBundle:
-    """Spinor values (*n, 2) with derivatives (*n, dims, 2)."""
+    """Spinor values (*n, 2) with derivatives (*n, dims, 2).
+
+    Layout contract: the producers (``SpinorPoly.bundle``,
+    ``ScaledSpinor.bundle``, ``from_grid`` through ``derivatives``) build
+    both arrays grid-minor
+    (``pauli.grid_minor``), so each component slice ``values[..., k]`` and
+    ``derivs[..., a, k]`` is one contiguous block.  The kernels accept any
+    layout: a C-ordered bundle built by hand gives the same numbers, only
+    slower.
+    """
 
     spec: LatticeSpec
     values: np.ndarray

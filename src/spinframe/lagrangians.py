@@ -96,7 +96,9 @@ def _dirac_contraction(eta: SpinorBundle, params: ModelParams, r: int) -> np.nda
     """w = eta^dag sigma^alpha (i d + r A)_alpha eta, pointwise (complex)."""
     w = np.zeros(eta.values.shape[:-1], dtype=complex)
     for alpha in range(3):
-        op = 1j * eta.derivs[..., alpha, :] + (r * params.A[..., alpha])[..., None] * eta.values
+        op = 1j * eta.derivs[..., alpha, :]
+        if np.any(params.A[..., alpha]):
+            op += (r * params.A[..., alpha])[..., None] * eta.values
         w += sigma_contract(SIGMA_UPPER[alpha], eta.values, op)
     return w
 

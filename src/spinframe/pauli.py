@@ -1,4 +1,5 @@
-"""Pointwise 2x2 kernels for the Pauli matrices on spinor arrays (..., 2).
+"""Pointwise 2x2 kernels for the Pauli matrices on spinor arrays (..., 2),
+and the grid-minor allocator the bundle producers fill.
 
 Every Pauli matrix is diagonal or anti-diagonal, so ``sigma v`` and
 ``u^dagger sigma v`` need two products per point, written out on
@@ -8,6 +9,11 @@ kernels read the entries of the matrix they are given, so any complex 2x2
 matrix works; a matrix with no zero entry costs four products.  For entries
 0, +-1 and +-i, ``apply`` reproduces ``v @ sigma.T`` exactly, and
 ``contract`` agrees with the ``einsum`` to a unit or two in the last place.
+
+The kernels accept any memory layout.  They are fastest on the grid-minor
+layout of ``grid_minor``, where each component slice ``v[..., k]`` is one
+contiguous block; a spinor stored with its two components next to each
+other makes every component read stride through memory.
 
 The module imports nothing from the package, so the time spent here counts
 toward the calling module's own.
@@ -23,7 +29,8 @@ def _scaled(c: complex, z: np.ndarray) -> np.ndarray:
     if c == 1:
         return z
     if c == -1:
-        return -z
+        # numpy's complex negative is several times slower than a product
+        return -1.0 * z
     return c * z
 
 
@@ -47,17 +54,19 @@ def components(sig: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s00 * v0 + s01 * v1, s10 * v0 + s11 * v1
 
 
-def component_major(v: np.ndarray) -> np.ndarray:
-    """A copy of the spinor array v (..., 2), same shape, whose two
-    component slices ``v[..., 0]`` and ``v[..., 1]`` are each contiguous.
+def grid_minor(shape, dims: int, dtype=complex) -> np.ndarray:
+    """An uninitialised array of logical shape ``shape`` = (*grid, *tail),
+    with the ``dims`` grid axes innermost in memory.
 
-    A bundle stores the two components of a point next to each other, so a
-    component strides through memory and a product on it costs several
-    times one on a contiguous array.  A kernel that reads each component
-    more than once copies it into this layout once; values and results do
-    not change.
+    It is a ``np.moveaxis`` view of a C-ordered (*tail, *grid) buffer, so
+    every slice ``a[..., j, k]`` that fixes all tail indices is one
+    contiguous block.  Bundles, derivative stacks and sampled covectors are
+    built this way.
     """
-    return np.moveaxis(np.moveaxis(v, -1, 0).copy(), 0, -1)
+    shape = tuple(shape)
+    tail = shape[dims:]
+    buf = np.empty(tail + shape[:dims], dtype=dtype)
+    return np.moveaxis(buf, tuple(range(len(tail))), tuple(range(dims, len(shape))))
 
 
 def apply(sig: np.ndarray, v: np.ndarray) -> np.ndarray:

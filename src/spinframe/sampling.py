@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import LatticeSpec, SpinorBundle, CoframeBundle
+from .pauli import grid_minor
 
 
 @dataclass(frozen=True)
@@ -136,15 +137,15 @@ class SpinorPoly:
     c2: TrigPoly
 
     def bundle(self, spec: LatticeSpec) -> SpinorBundle:
+        """Values and analytic derivatives, filled slot by slot into
+        grid-minor arrays (the ``SpinorBundle`` layout contract)."""
         coords = spec.meshgrid()
-        vals = np.stack([self.c1(coords), self.c2(coords)], axis=-1)
-        derivs = np.stack(
-            [
-                np.stack([self.c1.derivative(a)(coords), self.c2.derivative(a)(coords)], axis=-1)
-                for a in range(spec.dims)
-            ],
-            axis=-2,
-        )
+        vals = grid_minor(spec.extents + (2,), spec.dims)
+        derivs = grid_minor(spec.extents + (spec.dims, 2), spec.dims)
+        for k, c in enumerate((self.c1, self.c2)):
+            vals[..., k] = c(coords)
+            for a in range(spec.dims):
+                derivs[..., a, k] = c.derivative(a)(coords)
         return SpinorBundle(spec, vals, derivs)
 
     def scale_exp(self, h: TrigPoly) -> "ScaledSpinor":
@@ -163,8 +164,11 @@ class ScaledSpinor:
         coords = spec.meshgrid()
         eh = np.exp(self.h(coords).real)
         dh = np.stack([self.h.derivative(a)(coords).real for a in range(spec.dims)], axis=-1)
-        vals = eh[..., None] * b.values
-        derivs = eh[..., None, None] * (b.derivs + dh[..., :, None] * b.values[..., None, :])
+        vals = np.multiply(eh[..., None], b.values,
+                           out=grid_minor(b.values.shape, spec.dims))
+        product_rule = b.derivs + dh[..., :, None] * b.values[..., None, :]
+        derivs = np.multiply(eh[..., None, None], product_rule,
+                             out=grid_minor(b.derivs.shape, spec.dims))
         return SpinorBundle(spec, vals, derivs)
 
 
@@ -189,8 +193,13 @@ def random_covector_polys(rng: np.random.Generator, base, max_mode: int = 2,
 
 
 def covector_on(polys, spec: LatticeSpec) -> np.ndarray:
+    """The real parts of the polys on the grid, as a grid-minor covector
+    field (*n, len(polys))."""
     coords = spec.meshgrid()
-    return np.stack([p(coords).real for p in polys], axis=-1)
+    out = grid_minor(spec.extents + (len(polys),), spec.dims, float)
+    for i, p in enumerate(polys):
+        out[..., i] = p(coords).real
+    return out
 
 
 def random_positive_spinor_4d(rng: np.random.Generator, spec: LatticeSpec,

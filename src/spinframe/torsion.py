@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import METRIC3, O3, O4, SIGMA_LOWER, SIGMA_UPPER, coframe_map
 from .errors import InvalidCoframe, NonPositiveDensity, VanishingDensity, require_choice
-from .pauli import component_major, components, contract
+from .pauli import components, contract
 from .grids import (
     CoframeBundle,
     LatticeField,
@@ -81,12 +81,13 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None,
     ``lagrangian_4d`` and ``field_equation_residual_4d`` all read from here.
 
     The density is read once and each D_alpha xi is formed once for z and p
-    together.  With ``operator`` every derivative component is read several
-    times, so it is first copied into the component-major layout
-    (``pauli.component_major``).  z is the sum of one ``sigma_contract``
-    per alpha, taken in order, and each y_alpha is one ``sigma_contract``,
-    so t and u are bit-identical to the one-contraction-at-a-time formulas
-    that tests/test_contractions.py keeps as its reference.
+    together.  Every derivative component is read several times; on a
+    grid-minor bundle (``SpinorBundle``) each read is contiguous, and any
+    other layout gives the same numbers, only slower.  z is the sum of one
+    ``sigma_contract`` per alpha, taken in order, and each y_alpha is one
+    ``sigma_contract``, so t and u are bit-identical to the
+    one-contraction-at-a-time formulas that tests/test_contractions.py keeps
+    as its reference.
     """
     if (with_A or rotation) and b.spec.dims != 4:
         raise ValueError("A mixing and the d3 rotation need a 4D bundle")
@@ -94,15 +95,11 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None,
     _check_density(rho, positive=False)
     out = SpinorContractions(rho)
     d3 = b.derivs[..., 3, :] if b.spec.dims == 4 else None
-    if operator and d3 is not None:
-        d3 = component_major(d3)
     if torsion or operator:
         a = params.A if with_A else None
         z, p0, p1 = 0.0, 0.0, 0.0
         for alpha in range(3):
             d = b.derivs[..., alpha, :]
-            if operator:
-                d = component_major(d)
             if with_A and np.any(a[..., alpha]):
                 d = d + (a[..., alpha] / params.m)[..., None] * d3
             if torsion:
@@ -156,7 +153,9 @@ def reduced_axial_torsion(b: SpinorBundle, params: ModelParams, r: int) -> np.nd
     _check_density(rho, positive=True)
     w = np.zeros(rho.shape, dtype=complex)
     for alpha in range(3):
-        op = 1j * b.derivs[..., alpha, :] + (r * params.A[..., alpha])[..., None] * b.values
+        op = 1j * b.derivs[..., alpha, :]
+        if np.any(params.A[..., alpha]):
+            op += (r * params.A[..., alpha])[..., None] * b.values
         w += sigma_contract(SIGMA_UPPER[alpha], b.values, op)
     return -4.0 * w.real / (3.0 * rho)
 

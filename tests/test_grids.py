@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 
 from spinframe.errors import (
     AxisOutOfRange,
+    InvalidGrid,
     IoError,
+    SpinframeError,
     RankMismatch,
     RankOverflow,
     UnsupportedRank,
 )
 from spinframe.grids import (
+    CoframeBundle,
     LatticeField,
     LatticeSpec,
     _axis_derivative,
@@ -105,11 +109,48 @@ def test_derivatives_match_per_axis_stack(spec, tail, axes, old_axis, backend, o
     old = np.stack(ds, axis=old_axis)
     got = derivatives(values, spec, backend, order, axes)
     assert got.shape[spec.dims] == len(ds)
+    # grid-minor: every slice that fixes the axis and tail indices is one block
+    for idx in np.ndindex(got.shape[spec.dims:]):
+        assert got[(Ellipsis,) + idx].flags.c_contiguous
     if tail and old_axis == -1:
         # one axis of a covector: callers read the single derivative
         np.testing.assert_array_equal(got[..., 0, :], old[..., 0])
     else:
         np.testing.assert_array_equal(got, old)
+
+
+def test_coframe_from_grid_holds_at_most_two_per_axis_results():
+    # the output plus the result being written and one stencil temporary;
+    # a stack of all per-axis results would hold three plus a copy
+    spec = periodic_spec(32, 2.0 * np.pi / 32, 3)
+    theta = np.random.default_rng(3).normal(size=spec.extents + (3, 3))
+    per_axis = theta.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cb = CoframeBundle.from_grid(spec, theta)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= cb.dtheta.nbytes + 2 * per_axis + 2 ** 20
+
+
+@pytest.mark.parametrize("misuse", [
+    lambda: LatticeSpec((4,) * 5, (1.0,) * 5, (True,) * 5),
+    lambda: LatticeSpec((4, 4), (1.0,), (True, True)),
+    lambda: LatticeSpec((4, 0), (1.0, 1.0), (True, True)),
+    lambda: spectral_derivative(np.zeros((6, 6)),
+                                LatticeSpec((6, 6), (1.0, 1.0), (True, False)), 1),
+    lambda: partial_derivative(form_field(periodic_spec(6, 1.0, 2), 0, np.zeros((6, 6))),
+                               0, order=3),
+    lambda: derivatives(np.zeros((6, 6)), periodic_spec(6, 1.0, 2), axes=[]),
+])
+def test_grid_misuse_raises_a_package_value_error(misuse):
+    with pytest.raises(InvalidGrid) as info:
+        misuse()
+    assert isinstance(info.value, SpinframeError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_integrate_is_fsum_times_cell_volume():

@@ -2,17 +2,36 @@
 
 TrigPoly's phase-table path is compared with its per-mode loop, the Pauli
 kernels with numpy's einsum and matmul, and LatticeSpec.meshgrid's views
-with numpy's copied meshgrid.
+with numpy's copied meshgrid.  The producers build grid-minor arrays
+(contiguous component slices), and the kernels give the same numbers on
+any layout and with the product by a zero A left out.
 """
 
 import numpy as np
 import pytest
 
-from spinframe import pauli
-from spinframe.algebra import SIGMA_LOWER, SIGMA_UPPER
-from spinframe.grids import LatticeSpec, periodic_spec
-from spinframe.sampling import TrigPoly, base_for, random_trig_poly
-from spinframe.torsion import sigma_contract
+from spinframe import field_equations, pauli
+from spinframe.algebra import SIGMA3, SIGMA_LOWER, SIGMA_UPPER
+from spinframe.field_equations import dirac_apply, field_equation_residual_4d
+from spinframe.grids import (
+    BACKENDS,
+    LatticeSpec,
+    ModelParams,
+    SpinorBundle,
+    periodic_spec,
+)
+from spinframe.lagrangians import dirac_lagrangian
+from spinframe.plane_waves import PlaneWaveLabel, boosted_wave, plane_wave_spinor
+from spinframe.sampling import (
+    TrigPoly,
+    base_for,
+    covector_on,
+    random_covector_polys,
+    random_positive_spinor,
+    random_positive_spinor_4d,
+    random_trig_poly,
+)
+from spinframe.torsion import reduced_axial_torsion, sigma_contract
 
 EPS = np.finfo(float).eps
 
@@ -121,13 +140,122 @@ def test_pauli_apply_matches_matmul(name, sig):
     np.testing.assert_array_equal(np.stack([c0, c1], axis=-1), got)
 
 
-def test_component_major_keeps_values_and_makes_components_contiguous():
-    rng = np.random.default_rng(9)
-    derivs = rng.normal(size=(5, 4, 3, 4, 2)) + 1j * rng.normal(size=(5, 4, 3, 4, 2))
-    v = derivs[..., 3, :]
-    assert not v[..., 0].flags.c_contiguous
-    got = pauli.component_major(v)
-    assert got.shape == v.shape
-    np.testing.assert_array_equal(got, v)
-    assert got[..., 0].flags.c_contiguous and got[..., 1].flags.c_contiguous
-    assert not np.shares_memory(got, derivs)
+def _grid_minor_slices(a: np.ndarray, dims: int) -> bool:
+    """Every slice of a that fixes all tail indices is C-contiguous."""
+    return all(a[(Ellipsis,) + idx].flags.c_contiguous
+               for idx in np.ndindex(a.shape[dims:]))
+
+
+@pytest.mark.parametrize("shape,dims", [((5, 4, 3, 2), 3), ((5, 4, 3, 6, 4, 2), 4),
+                                        ((7, 3), 1), ((4, 5), 2)])
+def test_grid_minor_has_requested_shape_and_contiguous_slices(shape, dims):
+    a = pauli.grid_minor(shape, dims, complex)
+    assert a.shape == shape and a.dtype == complex
+    assert _grid_minor_slices(a, dims)
+    b = pauli.grid_minor(shape, dims, float)
+    assert b.dtype == float and _grid_minor_slices(b, dims)
+
+
+def _layout_spinor(spec):
+    rng = np.random.default_rng(11)
+    return random_positive_spinor(rng, base_for(spec), max_mode=2)
+
+
+@pytest.mark.parametrize("dims", (3, 4))
+def test_spinor_poly_bundles_are_grid_minor(dims):
+    spec = GRIDS[dims]
+    sp = _layout_spinor(spec)
+    h = random_trig_poly(np.random.default_rng(15), base_for(spec), real=True)
+    for b in (sp.bundle(spec), sp.scale_exp(h).bundle(spec)):
+        assert b.values.shape == spec.extents + (2,)
+        assert b.derivs.shape == spec.extents + (dims, 2)
+        assert _grid_minor_slices(b.values, dims)
+        assert _grid_minor_slices(b.derivs, dims)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_from_grid_bundle_is_grid_minor(backend):
+    spec = periodic_spec((6, 5, 4), (0.5, 0.4, 0.9), 3)
+    values = _layout_spinor(spec).bundle(spec).values
+    b = SpinorBundle.from_grid(spec, values, backend=backend)
+    assert b.derivs.shape == spec.extents + (3, 2)
+    assert _grid_minor_slices(b.values, 3) and _grid_minor_slices(b.derivs, 3)
+
+
+def test_covector_on_is_grid_minor():
+    spec = GRIDS[3]
+    rng = np.random.default_rng(13)
+    polys = random_covector_polys(rng, base_for(spec))
+    A = covector_on(polys, spec)
+    assert A.shape == spec.extents + (3,) and A.dtype == float
+    assert _grid_minor_slices(A, 3)
+    for i, p in enumerate(polys):
+        np.testing.assert_array_equal(A[..., i], p(spec.meshgrid()).real)
+
+
+def test_plane_and_boosted_waves_are_grid_minor():
+    spec = periodic_spec(8, 2.0 * np.pi / 8, 3)
+    for b in (plane_wave_spinor(PlaneWaveLabel(1, -1), spec),
+              boosted_wave((3, 2, -2), 1, 1.0, spec)):
+        assert _grid_minor_slices(b.values, 3) and _grid_minor_slices(b.derivs, 3)
+
+
+def test_variational_probe_copy_keeps_the_grid_minor_layout(monkeypatch):
+    spec = periodic_spec(4, 2.0 * np.pi / 4, 3)
+    values = plane_wave_spinor(PlaneWaveLabel(1, 1), spec).values
+    seen = []
+    original = field_equations._action_from_values
+
+    def spy(v, *args):
+        seen.append(_grid_minor_slices(v, 3) and not np.shares_memory(v, values))
+        return original(v, *args)
+
+    monkeypatch.setattr(field_equations, "_action_from_values", spy)
+    field_equations.discrete_variational_derivative("reduced", values, spec,
+                                                    ModelParams(m=1.0), [(1, 2, 3)])
+    assert seen and all(seen)
+
+
+def _hand_built(b: SpinorBundle) -> SpinorBundle:
+    """The same bundle with C-ordered arrays: components next to each other."""
+    return SpinorBundle(b.spec, np.ascontiguousarray(b.values), np.ascontiguousarray(b.derivs))
+
+
+def _operator_terms(b: SpinorBundle, A, r: int):
+    """sigma^alpha (i d + r A)_alpha eta per alpha, with the A term always
+    added, as the kernels did before they skipped a zero component of A."""
+    A = np.asarray(A, dtype=float)
+    return [1j * b.derivs[..., alpha, :] + (r * A[..., alpha])[..., None] * b.values
+            for alpha in range(3)]
+
+
+def test_zero_A_kernels_are_bit_identical_to_the_full_products():
+    spec = periodic_spec((6, 5, 4), (0.5, 0.4, 0.9), 3)
+    b = _layout_spinor(spec).bundle(spec)
+    rho = b.rho
+    for A in (np.zeros(3), np.zeros(spec.extents + (3,))):
+        p = ModelParams(m=1.3, A=A)
+        for r, s in ((1, 1), (-1, 1), (1, -1)):
+            ops = _operator_terms(b, A, r)
+            w = 0.0
+            for alpha, op in enumerate(ops):
+                w = w + sigma_contract(SIGMA_UPPER[alpha], b.values, op)
+            first = sum(pauli.apply(SIGMA_UPPER[alpha], op) for alpha, op in enumerate(ops))
+            for bundle in (b, _hand_built(b)):
+                np.testing.assert_array_equal(
+                    reduced_axial_torsion(bundle, p, r), -4.0 * w.real / (3.0 * rho))
+                np.testing.assert_array_equal(
+                    dirac_lagrangian(bundle, p, r, s), w.real + s * p.m * rho)
+                np.testing.assert_array_equal(
+                    dirac_apply(bundle, p, r, s),
+                    first + s * p.m * pauli.apply(SIGMA3, b.values))
+
+
+def test_kernels_give_the_same_numbers_on_a_hand_built_bundle():
+    spec = GRIDS[4]
+    rng = np.random.default_rng(14)
+    b = random_positive_spinor_4d(rng, spec, max_mode=2).bundle(spec)
+    p = ModelParams(m=1.1, A=0.2 * rng.normal(size=spec.extents + (3,)))
+    c = _hand_built(b)
+    np.testing.assert_array_equal(field_equation_residual_4d(c, p, backend="spectral"),
+                                  field_equation_residual_4d(b, p, backend="spectral"))
