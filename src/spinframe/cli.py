@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Usage:
-    spinframe run <suite> [--m M] [--order 2|4] [--seed S] [--A0 V]
+    spinframe run <suite> [--m M] [--seed S] [--A0 V]
                   [--tol T] [--seeds K] [--format json|csv] [--out PATH]
                   [--include-runtime]
 
@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a verification suite")
     run.add_argument("suite", choices=SUITES)
     run.add_argument("--m", type=float, default=1.0, help="mass parameter")
-    run.add_argument("--order", type=int, choices=(2, 4), default=2,
-                     help="stencil order")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--A0", dest="a0", type=float, default=0.25,
                      help="constant electric potential")
@@ -54,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = SuiteConfig(m=args.m, order=args.order, seed=args.seed,
-                          a0=args.a0, tol=args.tol, seeds=args.seeds)
+        cfg = SuiteConfig(m=args.m, seed=args.seed, a0=args.a0, tol=args.tol,
+                          seeds=args.seeds)
         reports = run_suite(args.suite, cfg)
     except (UnknownSuite, ConfigInvalid) as e:
         print(f"error: {e}", file=sys.stderr)

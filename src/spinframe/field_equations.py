@@ -19,7 +19,7 @@ from .errors import NonPositiveDensity, ProbeOutsideInterior, require_choice
 from .grids import BACKENDS, LatticeSpec, ModelParams, SpinorBundle, derivatives
 from .lagrangians import dirac_lagrangian, lagrangian_4d, lagrangian_reduced
 from .pauli import apply, components
-from .torsion import reduced_axial_torsion, spinor_contractions
+from .torsion import mixed_derivative, reduced_axial_torsion, spinor_contractions
 
 
 def _first_order_op(eta: SpinorBundle, a, r: int) -> np.ndarray:
@@ -84,16 +84,17 @@ def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
 
     If the bundle is flagged x3_independent_bilinears, the x3 derivatives of
     t and u are exactly zero (separated fields); otherwise they come from the
-    backend.
+    backend.  The flag is read only where dt or du is not given.
 
-    rho, t, u, sigma^alpha D_alpha xi and the contractions z, y behind t, u
-    and L are computed once, by ``torsion.spinor_contractions``; L reuses
-    them through ``lagrangian_4d``, whose spelled/compact cross-assert runs
-    on every call.  The residual itself is assembled here on the two spinor
-    components, which are contiguous reads on a grid-minor bundle.
+    rho, t, u and the contractions z, y behind them come from one
+    ``torsion.spinor_contractions`` pass; L reuses them through
+    ``lagrangian_4d``, whose spelled/compact cross-assert runs on every call.
+    p = sigma^alpha D_alpha xi (D_alpha xi from ``torsion.mixed_derivative``)
+    and sigma_alpha d_3 xi are formed here, their only reader, on the two
+    spinor components, which are contiguous reads on a grid-minor bundle.
     """
     require_choice("backend", backend, BACKENDS)
-    c = spinor_contractions(xi, params, with_A=True, rotation=True, operator=True)
+    c = spinor_contractions(xi, params)
     t, u = c.t, c.u
     x3_flat = xi.x3_independent_bilinears
     if dt is None:
@@ -105,11 +106,23 @@ def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
         du = derivatives(u, xi.spec, backend, order, [3])[..., 0, :]
     a = params.A
     x = xi.values
+    d3 = xi.derivs[..., 3, :]
+    # p = sigma^alpha D_alpha xi with sigma^alpha = METRIC3[alpha] sigma_alpha;
+    # a complex negation costs more than a product, so subtract instead
+    p0, p1 = 0.0, 0.0
+    for alpha in range(3):
+        s0, s1 = components(SIGMA_LOWER[alpha], mixed_derivative(xi, params, alpha))
+        if METRIC3[alpha] > 0:
+            p0 += s0
+            p1 += s1
+        else:
+            p0 -= s0
+            p1 -= s1
     # 2 t p + sum_alpha (D_alpha t - d_3 u_alpha) sigma^alpha xi
     #       - 2 sum_alpha u_alpha sigma^alpha d_3 xi, component by component;
-    # sigma^alpha = METRIC3[alpha] sigma_alpha, the sign rides on the reals
+    # the sign of sigma^alpha rides on the reals
     two_t = 2.0 * t
-    out0, out1 = two_t * c.p[0], two_t * c.p[1]
+    out0, out1 = two_t * p0, two_t * p1
     for alpha in range(3):
         g = dt[..., alpha]
         if np.any(a[..., alpha]):
@@ -119,7 +132,7 @@ def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
         g = METRIC3[alpha] * g
         w = (-2.0 * METRIC3[alpha]) * u[..., alpha]
         s0, s1 = components(SIGMA_LOWER[alpha], x)
-        e0, e1 = c.s3[alpha]
+        e0, e1 = components(SIGMA_LOWER[alpha], d3)
         out0 += g * s0 + w * e0
         out1 += g * s1 + w * e1
     k = lagrangian_4d(xi, params, contractions=c) / c.rho
@@ -194,6 +207,34 @@ def _action_from_values(values: np.ndarray, spec: LatticeSpec, params: ModelPara
     return spec.integrate(L)
 
 
+def action_gradient(action, values: np.ndarray, spec: LatticeSpec, probes,
+                    step: float) -> np.ndarray:
+    """Two-sided difference of action(values) w.r.t. Re/Im of each component
+    of values at the probe points; shape (len(probes), components, 2).
+
+    ``action`` maps a perturbed copy of values (same shape and layout) to a
+    float; this loop knows nothing of the density behind it, which keeps the
+    variational routes independent of the formulas they check.  A probe
+    within 2 points of a non-periodic boundary raises ProbeOutsideInterior.
+    """
+    out = np.empty((len(probes), values.shape[-1], 2))
+    margin = 2
+    for i, p in enumerate(probes):
+        p = tuple(int(x) for x in np.atleast_1d(p))
+        for ax in range(spec.dims):
+            if not spec.periodic[ax] and not margin <= p[ax] < spec.extents[ax] - margin:
+                raise ProbeOutsideInterior(f"probe {p} within margin {margin} of a boundary")
+        for comp in range(values.shape[-1]):
+            for k, delta in enumerate((1.0, 1.0j)):
+                both = []
+                for sign in (1.0, -1.0):
+                    v = values.copy(order="K")
+                    v[p + (comp,)] += sign * step * delta
+                    both.append(action(v))
+                out[i, comp, k] = (both[0] - both[1]) / (2.0 * step)
+    return out
+
+
 def discrete_variational_derivative(density_kind: str, eta_values: np.ndarray,
                                     spec: LatticeSpec, params: ModelParams,
                                     probes, r: int = 1, s: int = 1,
@@ -202,28 +243,11 @@ def discrete_variational_derivative(density_kind: str, eta_values: np.ndarray,
                                     order: int = 2) -> np.ndarray:
     """Gradient of the discrete action w.r.t. Re/Im of each spinor component.
 
-    Central two-sided differencing of the action value at the probe points.
-    Returns an array (len(probes), 2, 2): probe x component x (re, im).
-    Probes on non-periodic boundaries are rejected.
+    Central two-sided differencing (``action_gradient``) of the action value
+    at the probe points.  Returns an array (len(probes), 2, 2): probe x
+    component x (re, im).  Probes on non-periodic boundaries are rejected.
     """
     require_choice("density kind", density_kind, DENSITY_KINDS)
-    out = np.empty((len(probes), 2, 2))
-    margin = 2
-    for i, p in enumerate(probes):
-        p = tuple(p)
-        for ax in range(spec.dims):
-            if not spec.periodic[ax] and not margin <= p[ax] < spec.extents[ax] - margin:
-                raise ProbeOutsideInterior(f"probe {p} within margin {margin} of a boundary")
-        for comp in range(2):
-            for k, delta in enumerate((1.0, 1.0j)):
-                for sign in (1.0, -1.0):
-                    v = eta_values.copy(order="K")
-                    v[p + (comp,)] += sign * step * delta
-                    a = _action_from_values(v, spec, params, density_kind, r, s,
-                                            backend, order)
-                    if sign > 0:
-                        plus = a
-                    else:
-                        minus = a
-                out[i, comp, k] = (plus - minus) / (2.0 * step)
-    return out
+    return action_gradient(
+        lambda v: _action_from_values(v, spec, params, density_kind, r, s, backend, order),
+        eta_values, spec, probes, step)

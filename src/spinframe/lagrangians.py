@@ -12,7 +12,7 @@ import numpy as np
 
 from .algebra import SIGMA_UPPER
 from .errors import DegenerateDenominator, NonPositiveDensity
-from .grids import ModelParams, SpinorBundle, form_field, lorentz_dot, hodge_dual
+from .grids import LatticeSpec, ModelParams, SpinorBundle, form_field, lorentz_dot, hodge_dual
 from .torsion import (
     SpinorContractions,
     reduced_axial_torsion,
@@ -41,13 +41,12 @@ def lagrangian_4d(xi: SpinorBundle, params: ModelParams,
     lattice form machinery.
 
     z, y and the torsion scalars t, u are computed once, by
-    ``torsion.spinor_contractions`` (with A mixed in, torsion and rotation
-    parts); a caller that already holds them, such as
-    ``field_equation_residual_4d``, passes them as ``contractions``, which
-    must then include both parts.
+    ``torsion.spinor_contractions`` with A mixed in; a caller that already
+    holds them for the same bundle and params, such as
+    ``field_equation_residual_4d``, passes them as ``contractions``.
     """
     if contractions is None:
-        contractions = spinor_contractions(xi, params, with_A=True, rotation=True)
+        contractions = spinor_contractions(xi, params)
     return _lagrangian_4d(contractions, xi.spec)
 
 
@@ -70,7 +69,6 @@ def _lagrangian_4d(c: SpinorContractions, spec) -> np.ndarray:
 
 
 def _spatial3(spec):
-    from .grids import LatticeSpec
     if spec.dims == 3:
         return spec
     return LatticeSpec(spec.extents[:3], spec.spacing[:3], spec.periodic[:3])

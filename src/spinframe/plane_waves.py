@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import coframe_map
 from .errors import InvalidProbeField, WrongDensitySign
 from .grids import LatticeSpec, ModelParams, SpinorBundle, periodic_spec
 from .sampling import SpinorPoly, TrigPoly, base_for, constant_poly
@@ -112,10 +113,12 @@ def table_of_states(m: float, a0: float):
 
 def measured_rotation_rate(label: PlaneWaveLabel, n: int = 64) -> float:
     """Slope of the unwrapped coframe rotation angle along x0, measured from
-    the sampled coframe itself (independent of the closed form)."""
-    from .algebra import coframe_map
+    the sampled coframe itself (independent of the closed form).
 
-    spec = periodic_spec(n, 2.0 * np.pi / n, 3)
+    The wave is sampled on the x0 line at x1 = x2 = 0 only, an (n, 1, 1)
+    grid: the slope reads nothing else.
+    """
+    spec = periodic_spec((n, 1, 1), 2.0 * np.pi / n, 3)
     b = plane_wave_spinor(label, spec)
     theta, rho = coframe_map(b.values)
     # theta^1_1 + i theta^2_1 = e^{-2 i phase(x0)} for this wave

@@ -18,7 +18,7 @@ from .errors import IoError
 
 SCHEMA_VERSION = 1
 
-_PARAM_ORDER = ("m", "r", "s", "A", "order", "seed")
+_PARAM_ORDER = ("m", "r", "s", "A", "seed")
 _FIELD_ORDER = ("check_name", "max_abs_residual", "rms_residual", "tolerance", "pass")
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import coframe_map
 from .grids import LatticeSpec, SpinorBundle, CoframeBundle
 from .pauli import grid_minor
 
@@ -30,9 +31,6 @@ class TrigPoly:
 
     def derivative(self, axis: int) -> "TrigPoly":
         return TrigPoly(self.freqs, self.coeffs * 1j * self.freqs[:, axis] * self.base[axis], self.base)
-
-    def conj(self) -> "TrigPoly":
-        return TrigPoly(-self.freqs, np.conj(self.coeffs), self.base)
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         return TrigPoly(
@@ -217,7 +215,5 @@ def coframe_bundle_from_spinor(b: SpinorBundle, order: int = 2,
     chain rule), which is what makes the coframe route independent of the
     spinor route.
     """
-    from .algebra import coframe_map
-
     theta, rho = coframe_map(b.values)
     return CoframeBundle.from_grid(b.spec, theta, order=order, rho=rho, backend=backend)

@@ -65,7 +65,6 @@ SUITES = ("coframe", "torsion-routes", "kk-decomposition", "factorization",
 @dataclass(frozen=True)
 class SuiteConfig:
     m: float = 1.0
-    order: int = 2
     seed: int = 0
     a0: float = 0.25
     tol: float | None = None
@@ -76,8 +75,6 @@ class SuiteConfig:
             raise ConfigInvalid(f"mass must be finite and positive, got {self.m!r}")
         if not math.isfinite(self.a0):
             raise ConfigInvalid(f"A0 must be finite, got {self.a0!r}")
-        if self.order not in (2, 4):
-            raise ConfigInvalid("stencil order must be 2 or 4")
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be non-negative, got {self.seed}")
         if self.seeds is not None and self.seeds < 1:
@@ -87,8 +84,7 @@ class SuiteConfig:
 
 
 def _params(cfg: SuiteConfig, **extra) -> dict:
-    p = {"m": cfg.m, "r": None, "s": None, "A": None,
-         "order": cfg.order, "seed": cfg.seed}
+    p = {"m": cfg.m, "r": None, "s": None, "A": None, "seed": cfg.seed}
     p.update(extra)
     return p
 
@@ -163,7 +159,7 @@ def _suite_torsion_routes(cfg: SuiteConfig):
             if sp is None:
                 sp = random_positive_spinor(rng, base_for(spec), max_mode=2)
             b = sp.bundle(spec)
-            cb = coframe_bundle_from_spinor(b, order=cfg.order)
+            cb = coframe_bundle_from_spinor(b)
             rms.append(spinor_vs_coframe_residual(b, cb, norm="rms"))
         return rms[0] / rms[1]
 
@@ -245,7 +241,6 @@ def _suite_separation(cfg: SuiteConfig):
                 np.hstack([q.freqs, np.zeros((len(q.freqs), 1), int)]), q.coeffs, base4)
             sp4 = SpinorPoly(*( _mul_poly(lift(c), phase) for c in (sp3.c1, sp3.c2)))
             b4 = sp4.bundle(spec4)
-            b4.x3_independent_bilinears = True
             dt4 = np.concatenate(
                 [np.broadcast_to(dt3[..., None, :], spec4.extents + (3,)),
                  np.zeros(spec4.extents + (1,))], axis=-1)
@@ -291,18 +286,16 @@ def _suite_theorem1(cfg: SuiteConfig):
         p = ModelParams(m=m)
         rng = np.random.default_rng(cfg.seed)
         for b, r, s in waves:
-            fe = np.max(np.abs(field_equation_residual_reduced(b, p, r, dt=dt0)))
-            scale = m ** 2 * float(np.sqrt(np.max(b.rho)))
-            worst_fe = _worst(worst_fe, float(fe) / scale)
+            res = theorem1_check(b, p, r, dt=dt0)
+            worst_fe = _worst(worst_fe, res.field_eq_residual / res.scale)
+            if res.verdict is Verdict.INCONSISTENT:
+                inconsistent += 1
             probes = [tuple(rng.integers(0, n, size=3)) for _ in range(2)]
             g = discrete_variational_derivative("reduced", b.values, spec, p,
                                                 probes, r=r, s=s)
             vol = spec.cell_volume * float(np.prod(spec.extents))
             gscale = max(vol * m ** 2 * float(np.max(b.rho)), 1.0)
             worst_grad = _worst(worst_grad, float(np.max(np.abs(g))) / gscale)
-            res = theorem1_check(b, p, r, dt=dt0)
-            if res.verdict is Verdict.INCONSISTENT:
-                inconsistent += 1
         return worst_fe, worst_grad, inconsistent
 
     (worst_fe, worst_grad, inconsistent), ms = _timed(run)

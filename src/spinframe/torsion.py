@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import METRIC3, O3, O4, SIGMA_LOWER, SIGMA_UPPER, coframe_map
+from .algebra import (
+    O3,
+    O4,
+    SIGMA_LOWER,
+    SIGMA_UPPER,
+    CoframeDensity,
+    coframe_map,
+    verify_coframe,
+)
 from .errors import InvalidCoframe, NonPositiveDensity, VanishingDensity, require_choice
 from .pauli import components, contract
 from .grids import (
@@ -49,93 +57,74 @@ def sigma_contract(sig, xi, other) -> np.ndarray:
 class SpinorContractions:
     """The spinor-route contractions of one bundle, each computed once.
 
-    With D_alpha = d_alpha + (A_alpha / m) d_3 (or d_alpha without A):
+    With D_alpha = d_alpha + (A_alpha / m) d_3 (plain d_alpha when no
+    params are given; see ``mixed_derivative``):
 
     * z = xi^dag sigma^alpha D_alpha xi and t = *T^ax = 4 Im z / (3 rho);
-    * p = sigma^alpha D_alpha xi, as its two spinor components;
-    * s3[alpha] = sigma_alpha d_3 xi, as its two spinor components;
-    * y_alpha = xi^dag sigma_alpha d_3 xi and
-      u_alpha = (*D_3 theta)_alpha = -4 Im y_alpha / (3 rho).
-
-    Fields that were not requested from ``spinor_contractions`` are None.
+    * on a 4D bundle, y_alpha = xi^dag sigma_alpha d_3 xi and
+      u_alpha = (*D_3 theta)_alpha = -4 Im y_alpha / (3 rho); both are None
+      on a 3D bundle.
     """
 
     rho: np.ndarray
-    z: np.ndarray | None = None
-    t: np.ndarray | None = None
-    p: tuple[np.ndarray, np.ndarray] | None = None
-    s3: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
+    z: np.ndarray
+    t: np.ndarray
     y: tuple[np.ndarray, ...] | None = None
     u: np.ndarray | None = None
 
 
-def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None,
-                        with_A: bool = False, torsion: bool = True,
-                        rotation: bool = False,
-                        operator: bool = False) -> SpinorContractions:
-    """Every spinor-route contraction of the 4D field equation, in one pass.
+def mixed_derivative(b: SpinorBundle, params: ModelParams | None, alpha: int) -> np.ndarray:
+    """D_alpha xi = d_alpha xi + (A_alpha / m) d_3 xi, shape (*n, 2).
 
-    ``torsion`` gives z and t, ``rotation`` (4D bundles only) gives y and
-    u, ``operator`` gives p and, with ``rotation``, s3; with_A mixes in A
-    (4D bundles only).  ``axial_torsion_spinor``, ``d3_rotation_spinor``,
-    ``lagrangian_4d`` and ``field_equation_residual_4d`` all read from here.
-
-    The density is read once and each D_alpha xi is formed once for z and p
-    together.  Every derivative component is read several times; on a
-    grid-minor bundle (``SpinorBundle``) each read is contiguous, and any
-    other layout gives the same numbers, only slower.  z is the sum of one
-    ``sigma_contract`` per alpha, taken in order, and each y_alpha is one
-    ``sigma_contract``, so t and u are bit-identical to the
-    one-contraction-at-a-time formulas that tests/test_contractions.py keeps
-    as its reference.
+    Without params, or where A_alpha is zero on the whole grid, this is the
+    stored d_alpha xi itself (a view, no product is formed).
     """
-    if (with_A or rotation) and b.spec.dims != 4:
-        raise ValueError("A mixing and the d3 rotation need a 4D bundle")
+    d = b.derivs[..., alpha, :]
+    if params is not None and np.any(params.A[..., alpha]):
+        d = d + (params.A[..., alpha] / params.m)[..., None] * b.derivs[..., 3, :]
+    return d
+
+
+def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None) -> SpinorContractions:
+    """Every spinor-route contraction of one bundle, in one pass.
+
+    Always gives rho, z and t; a 4D bundle also gives y and u.  Passing
+    params mixes A into D_alpha, which only a 4D bundle accepts (ValueError
+    otherwise).  ``axial_torsion_spinor``, ``d3_rotation_spinor``,
+    ``kk_decomposition_check``, ``lagrangian_4d`` and
+    ``field_equation_residual_4d`` all read from here.
+
+    The density is read once.  On a grid-minor bundle (``SpinorBundle``)
+    every derivative read is contiguous; any other layout gives the same
+    numbers, only slower.  z is the sum of one ``sigma_contract`` per alpha,
+    taken in order, and each y_alpha is one ``sigma_contract``, so t and u
+    are bit-identical to the one-contraction-at-a-time formulas that
+    tests/test_contractions.py keeps as its reference.
+    """
+    dims = b.spec.dims
+    if params is not None and dims != 4:
+        raise ValueError("A mixing needs a 4D bundle")
     rho = b.rho
     _check_density(rho, positive=False)
-    out = SpinorContractions(rho)
-    d3 = b.derivs[..., 3, :] if b.spec.dims == 4 else None
-    if torsion or operator:
-        a = params.A if with_A else None
-        z, p0, p1 = 0.0, 0.0, 0.0
-        for alpha in range(3):
-            d = b.derivs[..., alpha, :]
-            if with_A and np.any(a[..., alpha]):
-                d = d + (a[..., alpha] / params.m)[..., None] * d3
-            if torsion:
-                z += sigma_contract(SIGMA_UPPER[alpha], b.values, d)
-            if operator:
-                # sigma^alpha = METRIC3[alpha] sigma_alpha; a complex
-                # negation costs more than a product, so subtract instead
-                s0, s1 = components(SIGMA_LOWER[alpha], d)
-                if METRIC3[alpha] > 0:
-                    p0 += s0
-                    p1 += s1
-                else:
-                    p0 -= s0
-                    p1 -= s1
-        if torsion:
-            out.z = z
-            out.t = 4.0 * z.imag / (3.0 * rho)
-        if operator:
-            out.p = (p0, p1)
-    if rotation:
-        if operator:
-            out.s3 = tuple(components(SIGMA_LOWER[alpha], d3) for alpha in range(3))
+    z = 0.0
+    for alpha in range(3):
+        z += sigma_contract(SIGMA_UPPER[alpha], b.values, mixed_derivative(b, params, alpha))
+    out = SpinorContractions(rho, z, 4.0 * z.imag / (3.0 * rho))
+    if dims == 4:
+        d3 = b.derivs[..., 3, :]
         out.y = tuple(sigma_contract(SIGMA_LOWER[alpha], b.values, d3) for alpha in range(3))
         out.u = np.stack([-4.0 * y.imag / (3.0 * rho) for y in out.y], axis=-1)
     return out
 
 
-def axial_torsion_spinor(b: SpinorBundle, params: ModelParams | None = None,
-                         with_A: bool = False) -> np.ndarray:
+def axial_torsion_spinor(b: SpinorBundle, params: ModelParams | None = None) -> np.ndarray:
     """Hodge-dualized axial torsion from the spinor field (xi form).
 
-    Without A this is *T^ax = 4 Im(xi^dag sigma^alpha d_alpha xi) / (3 rho);
-    with_A mixes d_alpha -> d_alpha + A_alpha/m * d_3 (4D bundles only).
+    Without params this is *T^ax = 4 Im(xi^dag sigma^alpha d_alpha xi) / (3 rho);
+    params mix d_alpha -> d_alpha + A_alpha/m * d_3 (4D bundles only).
     The contraction is computed in ``spinor_contractions``.
     """
-    return spinor_contractions(b, params, with_A=with_A).t
+    return spinor_contractions(b, params).t
 
 
 def d3_rotation_spinor(b: SpinorBundle) -> np.ndarray:
@@ -144,7 +133,9 @@ def d3_rotation_spinor(b: SpinorBundle) -> np.ndarray:
     The contraction is computed in ``spinor_contractions``; a 3D bundle
     raises ValueError.
     """
-    return spinor_contractions(b, torsion=False, rotation=True).u
+    if b.spec.dims != 4:
+        raise ValueError("the d3 rotation needs a 4D bundle")
+    return spinor_contractions(b).u
 
 
 def reduced_axial_torsion(b: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
@@ -193,29 +184,33 @@ def _dtheta_form(cb: CoframeBundle, j: int) -> LatticeField:
     return form_field(spec, 2, vals)
 
 
-def _coframe_forms(cb: CoframeBundle):
-    """theta^j as 1-forms plus d theta^j from stored derivatives."""
-    thetas = [form_field(cb.spec, 1, cb.theta[..., j, :].astype(float)) for j in range(3)]
-    return thetas, [_dtheta_form(cb, j) for j in range(3)]
-
-
 def axial_torsion_coframe(cb: CoframeBundle, check_tol: float | None = 1e-8) -> LatticeField:
-    """T^ax = (1/3) o_jk theta^j wedge d theta^k, from coframe derivatives."""
+    """T^ax = (1/3) o_jj theta^j wedge d theta^j, from coframe derivatives.
+
+    The sum runs over every frame row of the bundle: the three rows of a
+    coframe, or the four of an extended one (``extend_coframe``), which
+    gives T_ext^ax.  o = diag(-1, 1, 1, 1) restricted to the rows.  Unless
+    check_tol is None, the spatial 3 x 3 block is first verified as a
+    coframe (InvalidCoframe if it is not one).
+    """
     if check_tol is not None:
-        from .algebra import CoframeDensity, verify_coframe
         rho = cb.rho if cb.rho is not None else 1.0
-        rep = verify_coframe(CoframeDensity(cb.theta, float(np.min(rho)) if np.ndim(rho) else rho), check_tol)
+        rep = verify_coframe(CoframeDensity(cb.theta[..., :3, :3],
+                                            float(np.min(rho)) if np.ndim(rho) else rho),
+                             check_tol)
         if not rep.passed:
             raise InvalidCoframe(
                 f"orthonormality deviation {rep.max_orthonormality_deviation:.3g}, "
                 f"det deviation {rep.det_deviation:.3g}, min theta00 {rep.theta00:.3g}"
             )
-    thetas, dthetas = _coframe_forms(cb)
     total = None
-    for j in range(3):
-        term = wedge(thetas[j], dthetas[j])
-        term.values *= O3[j] / 3.0
-        total = term if total is None else form_field(cb.spec, 3, total.values + term.values)
+    for j in range(cb.theta.shape[-2]):
+        term = wedge(form_field(cb.spec, 1, cb.theta[..., j, :]), _dtheta_form(cb, j))
+        term.values *= O4[j] / 3.0
+        if total is None:
+            total = term
+        else:
+            total.values += term.values
     return total
 
 
@@ -293,17 +288,6 @@ def extend_coframe(cb: CoframeBundle) -> CoframeBundle:
     return CoframeBundle(spec, theta4, dtheta4, cb.rho)
 
 
-def extended_axial_torsion(cb4: CoframeBundle) -> LatticeField:
-    """T_ext^ax = (1/3) o_jk theta^j wedge d theta^k over all four axes."""
-    spec = cb4.spec
-    total = np.zeros(spec.extents + (4,))
-    for j in range(4):
-        th = form_field(spec, 1, cb4.theta[..., j, :])
-        term = wedge(th, _dtheta_form(cb4, j))
-        total += O4[j] / 3.0 * term.values
-    return form_field(spec, 3, total)
-
-
 def kk_decomposition_check(b: SpinorBundle, params: ModelParams,
                            tol: float = 1e-10,
                            coframe_derivs: str = "chain",
@@ -326,9 +310,12 @@ def kk_decomposition_check(b: SpinorBundle, params: ModelParams,
     else:
         dtheta = derivatives(theta, b.spec, order=order)
     cb4 = extend_coframe(CoframeBundle(b.spec, theta, dtheta, rho))
-    lhs = norm_squared(extended_axial_torsion(cb4))
-    t = axial_torsion_spinor(b)
-    u = d3_rotation_spinor(b)
+    lhs = norm_squared(axial_torsion_coframe(cb4, check_tol=None))
+    c = spinor_contractions(b)
+    t, u = c.t, c.u
+    # z, y and rho are not read below; release them before the norm
+    # arithmetic allocates
+    del c
     u_norm = np.einsum("...a,a,...a->...", u, np.array([-1.0, 1.0, 1.0]), u)
     rhs = -(t ** 2) - u_norm
     res = float(np.max(np.abs(lhs - rhs)))

@@ -13,13 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    DimensionMismatch,
-    ProbeOutsideInterior,
-    VanishingU,
-    require_choice,
-)
+from .errors import DegenerateDenominator, DimensionMismatch, VanishingU, require_choice
+from .field_equations import action_gradient
 from .grids import BACKENDS, LatticeSpec, derivatives
 
 _HERM_TOL = 1e-12
@@ -71,10 +66,6 @@ class FirstOrderOperator:
     @property
     def mdim(self) -> int:
         return self.b.shape[-1]
-
-    @property
-    def n(self) -> int:
-        return self.spec.dims
 
 
 def op_apply(op: FirstOrderOperator, u: np.ndarray, du: np.ndarray | None = None,
@@ -263,25 +254,16 @@ def combined_action_gradient(op_p: FirstOrderOperator, op_m: FirstOrderOperator,
                              backend: str = "spectral", order: int = 4,
                              denom_tol: float = 1e-12) -> np.ndarray:
     """Two-sided difference of the combined action w.r.t. Re/Im of each
-    component at the probe points; (len(probes), mdim, 2)."""
-    spec = op_p.spec
-    u = np.asarray(u, dtype=complex)
-    out = np.empty((len(probes), op_p.mdim, 2))
-    margin = 2
-    for i, p in enumerate(probes):
-        p = tuple(int(x) for x in np.atleast_1d(p))
-        for ax in range(spec.dims):
-            if not spec.periodic[ax] and not margin <= p[ax] < spec.extents[ax] - margin:
-                raise ProbeOutsideInterior(f"probe {p} within margin {margin} of a boundary")
-        for comp in range(op_p.mdim):
-            for k, delta in enumerate((1.0, 1.0j)):
-                vals = []
-                for sign in (1.0, -1.0):
-                    v = u.copy()
-                    v[p + (comp,)] += sign * step * delta
-                    vals.append(_combined_action(op_p, op_m, v, backend, order, denom_tol))
-                out[i, comp, k] = (vals[0] - vals[1]) / (2.0 * step)
-    return out
+    component at the probe points; (len(probes), mdim, 2).
+
+    The differencing loop, with its probe-margin check, is
+    ``field_equations.action_gradient``, the same one that differentiates
+    the spinor actions; the combined density enters only through the action
+    it is handed.
+    """
+    return action_gradient(
+        lambda v: _combined_action(op_p, op_m, v, backend, order, denom_tol),
+        np.asarray(u, dtype=complex), op_p.spec, probes, step)
 
 
 def lemma_check(op_p: FirstOrderOperator, op_m: FirstOrderOperator, u: np.ndarray,

@@ -3,7 +3,7 @@
 perfbench/selftest.py predicts, from reading the code, exactly how often a
 traced factorization run and one variational probe cross each layer
 boundary (TrigPoly evaluations per bundle, SpinorBundle.rho reads,
-_sigma_contract entries, ...), and requires byte-identical reports with
+sigma_contract entries, ...), and requires byte-identical reports with
 tracing on and off.  A change that moves a traced boundary fails here,
 before it reaches the benchmark.  This test only reads perfbench/.
 """

@@ -1,5 +1,5 @@
 """The benchmark's output check holds on the large-grid and exact-solutions
-workloads at seed 0.
+workloads and on the kk-decomposition suite at seed 0.
 
 perfbench/checks.py compares every residual with the value recorded in
 perfbench/reference.json and allows roundoff-level drift only (ten times
@@ -16,7 +16,7 @@ import importlib
 import sys
 from pathlib import Path
 
-from spinframe import SuiteConfig
+from spinframe import SuiteConfig, run_suite
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -42,4 +42,15 @@ def test_exact_solutions_outputs_match_reference(monkeypatch):
     workload = workloads.WORKLOADS["exact-solutions"]
     result = workloads.run_pass(workload, SuiteConfig(seed=0))
     assert checks.check_reports(result["reports"], workload.checks,
+                                checks.load_reference(), 0) == []
+
+
+def test_kk_decomposition_outputs_match_reference(monkeypatch):
+    # both routes of the Kaluza-Klein split (the coframe wedge over the
+    # extended frame, the spinor contractions) against the recorded residual
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    sys.modules.pop("checks", None)
+    checks = importlib.import_module("checks")
+    reports = run_suite("kk-decomposition", SuiteConfig(seed=0))
+    assert checks.check_reports(reports, ["kk-decomposition-analytic"],
                                 checks.load_reference(), 0) == []

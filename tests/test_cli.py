@@ -29,8 +29,6 @@ def test_unknown_suite_rejected():
 def test_config_validation():
     with pytest.raises(ConfigInvalid):
         SuiteConfig(m=-1.0)
-    with pytest.raises(ConfigInvalid):
-        SuiteConfig(order=3)
 
 
 @pytest.mark.parametrize("argv", [
@@ -58,7 +56,8 @@ def test_model_params_reject_non_finite_or_non_positive_mass(m):
         ModelParams(m=m)
 
 
-@pytest.mark.parametrize("flag", [["--grid", "8"], ["--mode", "stencil"]], ids=" ".join)
+@pytest.mark.parametrize("flag", [["--grid", "8"], ["--mode", "stencil"], ["--order", "4"]],
+                         ids=" ".join)
 def test_removed_flags_are_rejected(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["run", "plane-waves", *flag])
@@ -94,7 +93,7 @@ def test_csv_header_and_emit(tmp_path):
     path = tmp_path / "report.csv"
     assert main(["run", "plane-waves", "--format", "csv", "--out", str(path)]) == 0
     lines = path.read_text().splitlines()
-    assert lines[0] == ("check_name,m,r,s,A,order,seed,"
+    assert lines[0] == ("check_name,m,r,s,A,seed,"
                        "max_abs_residual,rms_residual,tolerance,pass")
     assert len(lines) == 1 + len(reports)
 

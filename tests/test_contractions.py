@@ -17,7 +17,12 @@ from spinframe.grids import ModelParams, SpinorBundle, derivatives, lorentz_dot,
 from spinframe.lagrangians import lagrangian_4d, unhodge_covector, unhodge_scalar
 from spinframe.pauli import apply, contract
 from spinframe.sampling import base_for, random_positive_spinor, random_positive_spinor_4d
-from spinframe.torsion import axial_torsion_spinor, d3_rotation_spinor
+from spinframe.torsion import (
+    axial_torsion_spinor,
+    d3_rotation_spinor,
+    mixed_derivative,
+    spinor_contractions,
+)
 
 REL = 1e-13
 SPEC4 = periodic_spec((6, 5, 4, 6), (0.9, 1.1, 1.4, 0.7), 4)
@@ -183,7 +188,7 @@ def test_axial_torsion_4d_matches_reference(a_kind):
     for seed in range(3):
         b = _bundle4(seed)
         p = _params(a_kind, seed)
-        _close(axial_torsion_spinor(b, p, with_A=True),
+        _close(axial_torsion_spinor(b, p),
                ref_axial_torsion_spinor(b, p, with_A=True))
 
 
@@ -214,6 +219,32 @@ def test_d3_rotation_rejects_3d_bundle():
     b = random_positive_spinor(np.random.default_rng(0), base_for(spec), max_mode=2).bundle(spec)
     with pytest.raises(ValueError):
         d3_rotation_spinor(b)
+
+
+def test_contractions_follow_the_bundle_dimension():
+    # no flags: t always, y and u on a 4D bundle only, A only on a 4D bundle
+    spec = periodic_spec(6, 1.0, 3)
+    b3 = random_positive_spinor(np.random.default_rng(0), base_for(spec),
+                                max_mode=2).bundle(spec)
+    c3 = spinor_contractions(b3)
+    assert c3.y is None and c3.u is None
+    assert np.array_equal(c3.t, ref_axial_torsion_spinor(b3))
+    with pytest.raises(ValueError):
+        spinor_contractions(b3, ModelParams(m=1.0))
+    b4 = _bundle4(0)
+    c4 = spinor_contractions(b4)
+    assert np.array_equal(c4.u, ref_d3_rotation_spinor(b4))
+    assert len(c4.y) == 3
+
+
+def test_mixed_derivative_forms_a_product_only_for_a_nonzero_A():
+    b = _bundle4(1)
+    for params in (None, _params("zero", 1)):
+        for alpha in range(3):
+            assert np.shares_memory(mixed_derivative(b, params, alpha), b.derivs)
+    p = _params("field", 1)
+    want = b.derivs[..., 1, :] + (p.A[..., 1] / p.m)[..., None] * b.derivs[..., 3, :]
+    assert np.array_equal(mixed_derivative(b, p, 1), want)
 
 
 def test_cross_assert_guards_the_fused_residual(monkeypatch):

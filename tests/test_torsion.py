@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from spinframe.errors import NonPositiveDensity
-from spinframe.grids import ModelParams, hodge_dual, periodic_spec
+from spinframe.algebra import coframe_map
+from spinframe.errors import InvalidCoframe, NonPositiveDensity
+from spinframe.grids import CoframeBundle, ModelParams, hodge_dual, periodic_spec
 from spinframe.plane_waves import PlaneWaveLabel, plane_wave_spinor
 from spinframe.sampling import (
     base_for,
@@ -16,6 +17,7 @@ from spinframe.torsion import (
     alt3,
     axial_torsion_coframe,
     axial_torsion_spinor,
+    extend_coframe,
     kk_decomposition_check,
     reduced_axial_torsion,
     reduced_quantities,
@@ -99,6 +101,19 @@ def test_kk_decomposition_analytic():
                                      coframe_derivs="chain")
         assert rep.passed
         assert rep.max_residual < 1e-10
+
+
+def test_coframe_torsion_of_an_extended_frame_checks_its_spatial_block():
+    spec = periodic_spec(6, 2.0 * np.pi / 6, 4)
+    b = random_positive_spinor_4d(np.random.default_rng(3), spec, max_mode=1).bundle(spec)
+    theta, rho = coframe_map(b.values)
+    cb4 = extend_coframe(CoframeBundle.from_grid(spec, theta, rho=rho))
+    checked = axial_torsion_coframe(cb4)
+    assert checked.values.shape == spec.extents + (4,)
+    assert np.array_equal(checked.values, axial_torsion_coframe(cb4, check_tol=None).values)
+    cb4.theta[..., 1, 1] *= 2.0
+    with pytest.raises(InvalidCoframe):
+        axial_torsion_coframe(cb4)
 
 
 def test_kk_decomposition_stencil_is_second_order():

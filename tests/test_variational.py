@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinframe.errors import DegenerateDenominator, DimensionMismatch, VanishingU
-from spinframe.grids import periodic_spec
+from spinframe.errors import (
+    DegenerateDenominator,
+    DimensionMismatch,
+    ProbeOutsideInterior,
+    VanishingU,
+)
+from spinframe.grids import LatticeSpec, periodic_spec
 from spinframe.sampling import base_for, random_trig_poly
 from spinframe.variational import (
     FirstOrderOperator,
@@ -200,3 +205,12 @@ def test_integration_rejects_singular_b(spec):
     op = FirstOrderOperator(spec, b, np.eye(2))
     with pytest.raises(DegenerateDenominator):
         integrate_solution(op, np.array([1.0, 0.0]))
+
+
+def test_combined_gradient_rejects_probe_near_open_boundary():
+    spec = LatticeSpec((32,), (0.1,), (False,))
+    op_p, op_m = example_operators(spec)
+    u = np.exp(1j * spec.axis_coords(0))[:, None]
+    for probe in ((0,), (1,), (30,), (31,)):
+        with pytest.raises(ProbeOutsideInterior):
+            combined_action_gradient(op_p, op_m, u, [probe], backend="stencil")
