@@ -214,24 +214,31 @@ def action_gradient(action, values: np.ndarray, spec: LatticeSpec, probes,
 
     ``action`` maps a perturbed copy of values (same shape and layout) to a
     float; this loop knows nothing of the density behind it, which keeps the
-    variational routes independent of the formulas they check.  A probe
-    within 2 points of a non-periodic boundary raises ProbeOutsideInterior.
+    variational routes independent of the formulas they check.  The copy is
+    one working array per call: each evaluation perturbs one entry of it and
+    the entry is restored exactly afterwards, so ``action`` must neither
+    modify the array it gets nor keep a reference to it.  ``values`` itself
+    is never written.  A probe within 2 points of a non-periodic boundary
+    raises ProbeOutsideInterior.
     """
     out = np.empty((len(probes), values.shape[-1], 2))
     margin = 2
+    work = values.copy(order="K")
     for i, p in enumerate(probes):
         p = tuple(int(x) for x in np.atleast_1d(p))
         for ax in range(spec.dims):
             if not spec.periodic[ax] and not margin <= p[ax] < spec.extents[ax] - margin:
                 raise ProbeOutsideInterior(f"probe {p} within margin {margin} of a boundary")
         for comp in range(values.shape[-1]):
+            entry = p + (comp,)
+            saved = work[entry]
             for k, delta in enumerate((1.0, 1.0j)):
                 both = []
                 for sign in (1.0, -1.0):
-                    v = values.copy(order="K")
-                    v[p + (comp,)] += sign * step * delta
-                    both.append(action(v))
+                    work[entry] = saved + sign * step * delta
+                    both.append(action(work))
                 out[i, comp, k] = (both[0] - both[1]) / (2.0 * step)
+            work[entry] = saved
     return out
 
 

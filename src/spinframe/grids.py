@@ -204,14 +204,21 @@ def partial_derivative(f: LatticeField, axis: int, order: int = 2) -> LatticeFie
 
 
 def spectral_derivative(values: np.ndarray, spec: LatticeSpec, axis: int) -> np.ndarray:
-    """FFT derivative along a periodic axis; exact on resolved Fourier modes."""
+    """FFT derivative along a periodic axis; exact on resolved Fourier modes.
+
+    The transform, the product by i k and the inverse transform share one
+    complex buffer of the input's shape, the only array a call allocates; a
+    real input gets the real part of it, a view.
+    """
     if not spec.periodic[axis]:
         raise InvalidGrid("spectral derivative needs a periodic axis")
     n = spec.extents[axis]
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=spec.spacing[axis])
     shape = [1] * values.ndim
     shape[axis] = n
-    out = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
+    out = np.fft.fft(values, axis=axis)
+    out *= 1j * k.reshape(shape)
+    np.fft.ifft(out, axis=axis, out=out)
     return out if np.iscomplexobj(values) else out.real
 
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import SIGMA_UPPER
 from .errors import DegenerateDenominator, NonPositiveDensity
 from .grids import LatticeSpec, ModelParams, SpinorBundle, form_field, lorentz_dot, hodge_dual
 from .torsion import (
     SpinorContractions,
+    dirac_term,
     reduced_axial_torsion,
-    sigma_contract,
     spinor_contractions,
 )
 
@@ -92,12 +91,9 @@ def unhodge_covector(spec3, u: np.ndarray):
 
 def _dirac_contraction(eta: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
     """w = eta^dag sigma^alpha (i d + r A)_alpha eta, pointwise (complex)."""
-    w = np.zeros(eta.values.shape[:-1], dtype=complex)
-    for alpha in range(3):
-        op = 1j * eta.derivs[..., alpha, :]
-        if np.any(params.A[..., alpha]):
-            op += (r * params.A[..., alpha])[..., None] * eta.values
-        w += sigma_contract(SIGMA_UPPER[alpha], eta.values, op)
+    w = dirac_term(eta, params, r, 0)
+    for alpha in (1, 2):
+        w += dirac_term(eta, params, r, alpha)
     return w
 
 
@@ -106,8 +102,10 @@ def lagrangian_reduced(eta: SpinorBundle, params: ModelParams, r: int) -> np.nda
     rho = eta.rho
     if np.any(rho <= 0.0):
         raise NonPositiveDensity(f"min density {rho.min():.3g} <= 0")
-    w = _dirac_contraction(eta, params, r)
-    spelled = -(16.0 / (9.0 * rho)) * (w.real ** 2 - (params.m * rho) ** 2)
+    # only (Re w)^2 is kept, so the complex w is freed before the torsion
+    # pass below builds its own
+    re_w_sq = _dirac_contraction(eta, params, r).real ** 2
+    spelled = -(16.0 / (9.0 * rho)) * (re_w_sq - (params.m * rho) ** 2)
     t = reduced_axial_torsion(eta, params, r)
     compact = -(t ** 2 - (16.0 / 9.0) * params.m ** 2) * rho
     _cross_assert(spelled, compact, "lagrangian_reduced")

@@ -9,6 +9,9 @@ kernels read the entries of the matrix they are given, so any complex 2x2
 matrix works; a matrix with no zero entry costs four products.  For entries
 0, +-1 and +-i, ``apply`` reproduces ``v @ sigma.T`` exactly, and
 ``contract`` agrees with the ``einsum`` to a unit or two in the last place.
+``contract`` allocates two arrays of one component's size for such a matrix:
+each product ``conj(u_a) v_b`` is built in place, and the sum and the
+scaling by the matrix entry happen in the first of them.
 
 The kernels accept any memory layout.  They are fastest on the grid-minor
 layout of ``grid_minor``, where each component slice ``v[..., k]`` is one
@@ -34,13 +37,20 @@ def _scaled(c: complex, z: np.ndarray) -> np.ndarray:
     return c * z
 
 
-def _pair(a: complex, x: np.ndarray, b: complex, y: np.ndarray) -> np.ndarray:
-    """a x + b y, with a single scaling pass when b = +-a."""
-    if b == a:
-        return _scaled(a, x + y)
-    if b == -a:
-        return _scaled(a, x - y)
-    return a * x + b * y
+def _scale_into(c: complex, z: np.ndarray) -> None:
+    """z *= c, without a pass for c = 1."""
+    if c == -1:
+        # numpy's complex negative is several times slower than a product
+        z *= -1.0
+    elif c != 1:
+        z *= c
+
+
+def _conj_times(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """conj(u) v, in the one new buffer that holds conj(u)."""
+    out = np.conjugate(u, dtype=np.result_type(u, v))
+    out *= v
+    return out
 
 
 def components(sig: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,10 +87,24 @@ def apply(sig: np.ndarray, v: np.ndarray) -> np.ndarray:
 def contract(sig: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u^dagger sigma v pointwise: einsum("...a,ab,...b->...", conj(u), sigma, v)."""
     s00, s01, s10, s11 = np.ravel(sig).tolist()
-    c0, c1 = np.conj(u[..., 0]), np.conj(u[..., 1])
+    u0, u1 = u[..., 0], u[..., 1]
     v0, v1 = v[..., 0], v[..., 1]
     if s01 == 0 and s10 == 0:
-        return _pair(s00, c0 * v0, s11, c1 * v1)
-    if s00 == 0 and s11 == 0:
-        return _pair(s01, c0 * v1, s10, c1 * v0)
-    return c0 * (s00 * v0 + s01 * v1) + c1 * (s10 * v0 + s11 * v1)
+        a, x, b, y = s00, _conj_times(u0, v0), s11, _conj_times(u1, v1)
+    elif s00 == 0 and s11 == 0:
+        a, x, b, y = s01, _conj_times(u0, v1), s10, _conj_times(u1, v0)
+    else:
+        c0, c1 = np.conj(u0), np.conj(u1)
+        return c0 * (s00 * v0 + s01 * v1) + c1 * (s10 * v0 + s11 * v1)
+    # a x + b y, with a single scaling pass when b = +-a
+    if b == a:
+        x += y
+    elif b == -a:
+        x -= y
+    else:
+        x *= a
+        y *= b
+        x += y
+        return x
+    _scale_into(a, x)
+    return x

@@ -179,9 +179,7 @@ def _suite_kk(cfg: SuiteConfig):
         for k in range(n_seeds):
             rng = np.random.default_rng(cfg.seed * 100_003 + k)
             sp = random_positive_spinor_4d(rng, spec, max_mode=2)
-            b = sp.bundle(spec)
-            p = ModelParams(m=cfg.m)
-            rep = kk_decomposition_check(b, p, tol=tol, coframe_derivs="chain")
+            rep = kk_decomposition_check(sp.bundle(spec), tol=tol, coframe_derivs="chain")
             worst = _worst(worst, rep.max_residual)
         return worst
 

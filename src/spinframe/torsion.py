@@ -90,9 +90,8 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None) -> S
 
     Always gives rho, z and t; a 4D bundle also gives y and u.  Passing
     params mixes A into D_alpha, which only a 4D bundle accepts (ValueError
-    otherwise).  ``axial_torsion_spinor``, ``d3_rotation_spinor``,
-    ``kk_decomposition_check``, ``lagrangian_4d`` and
-    ``field_equation_residual_4d`` all read from here.
+    otherwise).  ``axial_torsion_spinor``, ``kk_decomposition_check``,
+    ``lagrangian_4d`` and ``field_equation_residual_4d`` all read from here.
 
     The density is read once.  On a grid-minor bundle (``SpinorBundle``)
     every derivative read is contiguous; any other layout gives the same
@@ -127,27 +126,31 @@ def axial_torsion_spinor(b: SpinorBundle, params: ModelParams | None = None) -> 
     return spinor_contractions(b, params).t
 
 
-def d3_rotation_spinor(b: SpinorBundle) -> np.ndarray:
-    """(*D_3 theta)_alpha = -4 Im(xi^dag sigma_alpha d_3 xi) / (3 rho).
+def dirac_term(b: SpinorBundle, params: ModelParams, r: int, alpha: int) -> np.ndarray:
+    """eta^dag sigma^alpha (i d + r A)_alpha eta for one alpha (complex); the
+    sum over alpha is the w of the Dirac Lagrangian and the reduced torsion.
 
-    The contraction is computed in ``spinor_contractions``; a 3D bundle
-    raises ValueError.
+    Where A_alpha is zero on the whole grid, the contraction of d_alpha eta
+    is multiplied by i in place; a product by i only swaps and negates
+    parts, so this is bit-identical to contracting a copy i d_alpha eta.
     """
-    if b.spec.dims != 4:
-        raise ValueError("the d3 rotation needs a 4D bundle")
-    return spinor_contractions(b).u
+    d = b.derivs[..., alpha, :]
+    if np.any(params.A[..., alpha]):
+        op = 1j * d
+        op += (r * params.A[..., alpha])[..., None] * b.values
+        return sigma_contract(SIGMA_UPPER[alpha], b.values, op)
+    w = sigma_contract(SIGMA_UPPER[alpha], b.values, d)
+    w *= 1j
+    return w
 
 
 def reduced_axial_torsion(b: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
     """*T_{Ar}^ax = -(4 / 3 rho) Re(eta^dag sigma^alpha (i d + r A)_alpha eta)."""
     rho = b.rho
     _check_density(rho, positive=True)
-    w = np.zeros(rho.shape, dtype=complex)
-    for alpha in range(3):
-        op = 1j * b.derivs[..., alpha, :]
-        if np.any(params.A[..., alpha]):
-            op += (r * params.A[..., alpha])[..., None] * b.values
-        w += sigma_contract(SIGMA_UPPER[alpha], b.values, op)
+    w = dirac_term(b, params, r, 0)
+    for alpha in (1, 2):
+        w += dirac_term(b, params, r, alpha)
     return -4.0 * w.real / (3.0 * rho)
 
 
@@ -288,8 +291,7 @@ def extend_coframe(cb: CoframeBundle) -> CoframeBundle:
     return CoframeBundle(spec, theta4, dtheta4, cb.rho)
 
 
-def kk_decomposition_check(b: SpinorBundle, params: ModelParams,
-                           tol: float = 1e-10,
+def kk_decomposition_check(b: SpinorBundle, tol: float = 1e-10,
                            coframe_derivs: str = "chain",
                            order: int = 2) -> KKReport:
     """||T_ext^ax||^2 (4D coframe route) vs ||T^ax||^2 + ||D_3 theta||^2.

@@ -61,8 +61,7 @@ def test_criterion_03_kk_decomposition(capsys):
         spec = periodic_spec(n, 2.0 * np.pi / n, 4)
         if sp is None:
             sp = random_positive_spinor_4d(rng, spec, max_mode=1)
-        r = kk_decomposition_check(sp.bundle(spec), ModelParams(m=1.0),
-                                   coframe_derivs="grid")
+        r = kk_decomposition_check(sp.bundle(spec), coframe_derivs="grid")
         res.append(r.max_residual)
     ratio = res[0] / res[1]
     ok = rep.max_abs_residual < 1e-10 and 2.5 <= ratio <= 5.5

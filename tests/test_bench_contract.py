@@ -2,10 +2,11 @@
 
 perfbench/selftest.py predicts, from reading the code, exactly how often a
 traced factorization run and one variational probe cross each layer
-boundary (TrigPoly evaluations per bundle, SpinorBundle.rho reads,
-sigma_contract entries, ...), and requires byte-identical reports with
-tracing on and off.  A change that moves a traced boundary fails here,
-before it reaches the benchmark.  This test only reads perfbench/.
+boundary (TrigPoly evaluations per bundle, SpinorBundle.rho reads, torsion
+entries such as one torsion.dirac_term per alpha, ...), and requires
+byte-identical reports with tracing on and off.  A change that moves a
+traced boundary fails here, before it reaches the benchmark.  This test only
+reads perfbench/.
 """
 
 import importlib

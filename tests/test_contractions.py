@@ -2,7 +2,7 @@
 
 The reference functions below are the one-at-a-time formulas that
 ``field_equation_residual_4d``, ``lagrangian_4d``, ``axial_torsion_spinor``
-and ``d3_rotation_spinor`` used before ``torsion.spinor_contractions``
+and the x3-rotation covector used before ``torsion.spinor_contractions``
 computed their shared contractions once.  They are kept here only as the
 tests' reference, the way ``TrigPoly._mode_sum`` serves the table path.
 """
@@ -19,7 +19,6 @@ from spinframe.pauli import apply, contract
 from spinframe.sampling import base_for, random_positive_spinor, random_positive_spinor_4d
 from spinframe.torsion import (
     axial_torsion_spinor,
-    d3_rotation_spinor,
     mixed_derivative,
     spinor_contractions,
 )
@@ -198,7 +197,7 @@ def test_unmixed_torsion_and_rotation_are_bit_identical():
     for seed in range(3):
         b = _bundle4(seed)
         assert np.array_equal(axial_torsion_spinor(b), ref_axial_torsion_spinor(b))
-        assert np.array_equal(d3_rotation_spinor(b), ref_d3_rotation_spinor(b))
+        assert np.array_equal(spinor_contractions(b).u, ref_d3_rotation_spinor(b))
 
 
 @pytest.mark.parametrize("backend", ("analytic", "stencil", "spectral"))
@@ -212,13 +211,6 @@ def test_axial_torsion_3d_matches_reference(backend):
         new = axial_torsion_spinor(b)
         _close(new, ref_axial_torsion_spinor(b))
         assert np.array_equal(new, ref_axial_torsion_spinor(b))
-
-
-def test_d3_rotation_rejects_3d_bundle():
-    spec = periodic_spec(6, 1.0, 3)
-    b = random_positive_spinor(np.random.default_rng(0), base_for(spec), max_mode=2).bundle(spec)
-    with pytest.raises(ValueError):
-        d3_rotation_spinor(b)
 
 
 def test_contractions_follow_the_bundle_dimension():

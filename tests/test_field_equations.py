@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spinframe import field_equations
 from spinframe.errors import NonPositiveDensity, ProbeOutsideInterior
 from spinframe.field_equations import (
     Verdict,
@@ -18,7 +21,14 @@ from spinframe.plane_waves import (
     plane_wave_params,
     plane_wave_spinor,
 )
-from spinframe.sampling import SpinorPoly, base_for, constant_poly, random_positive_spinor
+from spinframe.sampling import (
+    SpinorPoly,
+    base_for,
+    constant_poly,
+    covector_on,
+    random_covector_polys,
+    random_positive_spinor,
+)
 
 
 @pytest.fixture
@@ -141,3 +151,93 @@ def test_probe_rejected_near_open_boundary():
     with pytest.raises(ProbeOutsideInterior):
         discrete_variational_derivative("dirac", vals, spec, ModelParams(m=1.0),
                                         [(0, 4, 4)], backend="stencil")
+
+
+@pytest.mark.parametrize("kind", field_equations.DENSITY_KINDS)
+def test_one_action_evaluation_peaks_below_two_derivative_stacks(kind):
+    # theorem1's configuration: a plane wave on 20^3, spectral derivatives.
+    # Temporaries of more than about twice the largest block freed make
+    # glibc hand the heap top back to the kernel after every evaluation and
+    # fault it back in on the next; this peak is the deterministic stand-in
+    # for that fault count.
+    spec = periodic_spec(20, 2.0 * np.pi / 20, 3)
+    values = plane_wave_spinor(PlaneWaveLabel(1, 1, 1.0, 0.0), spec).values.copy(order="K")
+    p = ModelParams(m=1.0)
+    stack_nbytes = 3 * values.nbytes
+
+    def evaluate():
+        return field_equations._action_from_values(values, spec, p, kind, 1, 1,
+                                                   "spectral", 2)
+
+    evaluate()
+    tracemalloc.start()
+    try:
+        evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * stack_nbytes
+
+
+def _copy_per_evaluation_gradient(kind, values, spec, p, probes, r, s, step=1e-6):
+    """The perturbation loop with a fresh copy per action evaluation."""
+    out = np.empty((len(probes), values.shape[-1], 2))
+    for i, probe in enumerate(probes):
+        for comp in range(values.shape[-1]):
+            for k, delta in enumerate((1.0, 1.0j)):
+                both = []
+                for sign in (1.0, -1.0):
+                    v = values.copy(order="K")
+                    v[tuple(probe) + (comp,)] += sign * step * delta
+                    both.append(field_equations._action_from_values(
+                        v, spec, p, kind, r, s, "spectral", 2))
+                out[i, comp, k] = (both[0] - both[1]) / (2.0 * step)
+    return out
+
+
+@pytest.mark.parametrize("kind", field_equations.DENSITY_KINDS)
+def test_perturbation_loop_restores_its_copy_and_matches_fresh_copies(kind):
+    spec = periodic_spec(8, 2.0 * np.pi / 8, 3)
+    base = base_for(spec)
+    rng = np.random.default_rng(21)
+    values = random_positive_spinor(rng, base, max_mode=2).bundle(spec).values
+    p = ModelParams(m=1.3, A=covector_on(random_covector_polys(rng, base), spec))
+    assert np.all(np.any(p.A != 0.0, axis=(0, 1, 2)))
+    # two neighbouring probes and one far away
+    probes = [(1, 2, 3), (1, 2, 4), (6, 0, 5)]
+    before = values.copy()
+    for r, s in ((1, 1), (-1, -1)):
+        g = discrete_variational_derivative(kind, values, spec, p, probes, r=r, s=s)
+        assert values.tobytes() == before.tobytes()
+        want = _copy_per_evaluation_gradient(kind, values, spec, p, probes, r, s)
+        np.testing.assert_array_equal(g, want)
+        assert np.max(np.abs(g)) > 1e-4
+
+
+def test_each_action_evaluation_sees_exactly_one_perturbed_entry():
+    spec = periodic_spec(6, 1.0, 3)
+    rng = np.random.default_rng(22)
+    values = rng.normal(size=spec.extents + (2,)) + 1j * rng.normal(size=spec.extents + (2,))
+    # an entry below the step: undoing a perturbation by subtracting it
+    # again would leave it a few units in the last place off
+    values[(1, 2, 3, 1)] = 1.2345678e-7 + 3.3e-8j
+    probes = [(1, 2, 3), (1, 2, 4), (5, 0, 1)]
+    step = 1e-6
+    seen = []
+
+    def action(v):
+        seen.append(v.copy())
+        return float(np.sum(np.abs(v) ** 2))
+
+    field_equations.action_gradient(action, values, spec, probes, step)
+    want = []
+    for probe in probes:
+        for comp in range(2):
+            for delta in (1.0, 1.0j):
+                for sign in (1.0, -1.0):
+                    v = values.copy()
+                    v[probe + (comp,)] += sign * step * delta
+                    want.append(v)
+    assert len(seen) == len(want)
+    for got, expected in zip(seen, want):
+        assert got.tobytes() == expected.tobytes()

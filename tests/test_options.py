@@ -87,7 +87,7 @@ def test_torsion_residual_rejects_unknown_norm():
 
 def test_kk_check_rejects_unknown_coframe_route():
     with pytest.raises(ValueError, match="'stencil'"):
-        kk_decomposition_check(_bundle4(), ModelParams(m=1.0), coframe_derivs="stencil")
+        kk_decomposition_check(_bundle4(), coframe_derivs="stencil")
 
 
 def test_op_apply_rejects_unknown_backend():

@@ -97,8 +97,7 @@ def test_kk_decomposition_analytic():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         b = random_positive_spinor_4d(rng, spec, max_mode=2).bundle(spec)
-        rep = kk_decomposition_check(b, ModelParams(m=1.0), tol=1e-10,
-                                     coframe_derivs="chain")
+        rep = kk_decomposition_check(b, tol=1e-10, coframe_derivs="chain")
         assert rep.passed
         assert rep.max_residual < 1e-10
 
@@ -125,7 +124,7 @@ def test_kk_decomposition_stencil_is_second_order():
         if sp is None:
             sp = random_positive_spinor_4d(rng, spec, max_mode=1)
         b = sp.bundle(spec)
-        rep = kk_decomposition_check(b, ModelParams(m=1.0), coframe_derivs="grid")
+        rep = kk_decomposition_check(b, coframe_derivs="grid")
         residuals.append(rep.max_residual)
     ratio = residuals[0] / residuals[1]
     assert 2.5 <= ratio <= 5.5
