@@ -41,7 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="constant electric potential")
     run.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
     run.add_argument("--seeds", type=int, default=None,
-                     help="sample count for property suites")
+                     help="sample count of coframe, kk-decomposition, "
+                     "factorization and separation (also under all); other "
+                     "suites reject it")
     run.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     run.add_argument("--out", default=None, help="write the report to a file")
     run.add_argument("--include-runtime", action="store_true",

@@ -38,13 +38,14 @@ class AxisOutOfRange(SpinframeError):
 
 
 class GridTooSmall(SpinframeError):
-    """Grid has too few points for the requested stencil order."""
+    """A non-periodic axis has too few points for the stencil's one-sided
+    edges."""
 
 
 class InvalidGrid(SpinframeError, ValueError):
     """A grid or derivative request the lattice cannot honour: bad extents or
-    spacing, a spectral derivative on a non-periodic axis, or an unknown
-    stencil order."""
+    spacing, a spectral derivative on a non-periodic axis, or no axis to
+    differentiate along."""
 
 
 class DegenerateDenominator(SpinframeError):

@@ -1,10 +1,12 @@
 """Dirac operators, the explicit nonlinear field equations, discrete
 variational derivatives, and the equivalence verdict harness.
 
-The explicit residuals are pure pointwise algebra once the derivative
-values (of the field and of the derived torsion scalar) are fixed.  The
-variational route is an independent oracle: it differentiates the action
-numerically and knows nothing about the explicit equations.
+The explicit residuals are pure pointwise algebra in the bundle and the
+derivatives of the torsion scalars they are handed; they take no
+derivative rule.  ``theorem1_check`` and the variational route
+differentiate, and only through ``grids.derivatives``.  The variational
+route is an independent oracle: it differentiates the action numerically
+and knows nothing about the explicit equations.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .algebra import METRIC3, SIGMA3, SIGMA_LOWER, SIGMA_UPPER
 from .errors import NonPositiveDensity, ProbeOutsideInterior, require_choice
-from .grids import BACKENDS, LatticeSpec, ModelParams, SpinorBundle, derivatives
+from .grids import LatticeSpec, ModelParams, SpinorBundle, derivatives
 from .lagrangians import dirac_lagrangian, lagrangian_4d, lagrangian_reduced
 from .pauli import apply, components
 from .torsion import mixed_derivative, reduced_axial_torsion, spinor_contractions
@@ -43,24 +45,19 @@ def dirac_apply(eta: SpinorBundle, params: ModelParams, r: int, s: int) -> np.nd
 
 
 def field_equation_residual_reduced(eta: SpinorBundle, params: ModelParams, r: int,
-                                    dt: np.ndarray | None = None,
-                                    backend: str = "stencil",
-                                    order: int = 2) -> np.ndarray:
+                                    dt: np.ndarray) -> np.ndarray:
     """Explicit residual of the reduced nonlinear field equation.
 
     (4/3)[t P eta + P(t eta)] + (32 m^2/9) sigma^3 eta - (L_r / rho) sigma_3 eta
     with P = sigma^alpha (i d + r A)_alpha and t the reduced axial torsion.
     P(t eta) expands to i sigma^alpha (d_alpha t) eta + t P eta, so only the
-    gradient dt of the torsion scalar is needed; pass it for analytic mode
-    (zeros for plane waves), otherwise it is computed by the chosen backend.
+    gradient dt of the torsion scalar, shape (*n, 3), is needed: zeros for
+    plane waves, or ``derivatives`` of ``reduced_axial_torsion``.
     """
-    require_choice("backend", backend, BACKENDS)
     rho = eta.rho
     if np.any(rho <= 0.0):
         raise NonPositiveDensity(f"min density {rho.min():.3g} <= 0")
     t = reduced_axial_torsion(eta, params, r)
-    if dt is None:
-        dt = derivatives(t, eta.spec, backend, order, range(3))
     p_eta = _first_order_op(eta, params.A, r)
     grad_term = np.zeros_like(eta.values)
     for alpha in range(3):
@@ -72,19 +69,15 @@ def field_equation_residual_reduced(eta: SpinorBundle, params: ModelParams, r: i
 
 
 def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
-                               dt: np.ndarray | None = None,
-                               du: np.ndarray | None = None,
-                               backend: str = "stencil",
-                               order: int = 2) -> np.ndarray:
+                               dt: np.ndarray, du: np.ndarray) -> np.ndarray:
     """Explicit residual of the 4D field equation.
 
     (4i/3)[2 t sigma^alpha D_alpha xi + sigma^alpha (D_alpha t) xi
            - 2 u_alpha sigma^alpha d_3 xi - sigma^alpha (d_3 u_alpha) xi]
     - (L / rho) sigma_3 xi,  D_alpha = d_alpha + A_alpha/m d_3.
 
-    If the bundle is flagged x3_independent_bilinears, the x3 derivatives of
-    t and u are exactly zero (separated fields); otherwise they come from the
-    backend.  The flag is read only where dt or du is not given.
+    dt (*n, 4) is the gradient of t over all four axes and du (*n, 3) the
+    x3 derivative of u; for a separated field both x3 derivatives are zero.
 
     rho, t, u and the contractions z, y behind them come from one
     ``torsion.spinor_contractions`` pass; L reuses them through
@@ -93,17 +86,8 @@ def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
     and sigma_alpha d_3 xi are formed here, their only reader, on the two
     spinor components, which are contiguous reads on a grid-minor bundle.
     """
-    require_choice("backend", backend, BACKENDS)
     c = spinor_contractions(xi, params)
     t, u = c.t, c.u
-    x3_flat = xi.x3_independent_bilinears
-    if dt is None:
-        dt3 = derivatives(t, xi.spec, backend, order, range(3))
-        dt_x3 = np.zeros_like(t) if x3_flat else \
-            derivatives(t, xi.spec, backend, order, [3])[..., 0]
-        dt = np.concatenate([dt3, dt_x3[..., None]], axis=-1)
-    if du is None and not x3_flat:
-        du = derivatives(u, xi.spec, backend, order, [3])[..., 0, :]
     a = params.A
     x = xi.values
     d3 = xi.derivs[..., 3, :]
@@ -127,8 +111,7 @@ def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
         g = dt[..., alpha]
         if np.any(a[..., alpha]):
             g = g + a[..., alpha] / params.m * dt[..., 3]
-        if du is not None:
-            g = g - du[..., alpha]
+        g = g - du[..., alpha]
         g = METRIC3[alpha] * g
         w = (-2.0 * METRIC3[alpha]) * u[..., alpha]
         s0, s1 = components(SIGMA_LOWER[alpha], x)
@@ -164,15 +147,18 @@ def theorem1_check(eta: SpinorBundle, params: ModelParams, r: int,
                    dt: np.ndarray | None = None) -> Theorem1Result:
     """Compare near-vanishing of the field-equation and Dirac residuals.
 
-    Inconsistent (one route vanishes, the other does not) must never occur;
-    it falsifies the build.
+    dt is the in-plane gradient of the reduced torsion scalar; without it,
+    the check differentiates ``reduced_axial_torsion`` by the ``backend``
+    rule of ``grids.derivatives``.  Inconsistent (one route vanishes, the
+    other does not) must never occur; it falsifies the build.
     """
     rho = eta.rho
     if np.any(rho <= 0.0):
         raise NonPositiveDensity(f"min density {rho.min():.3g} <= 0")
+    if dt is None:
+        dt = derivatives(reduced_axial_torsion(eta, params, r), eta.spec, backend, range(3))
     scale = params.m ** 2 * float(np.sqrt(np.max(rho)))
-    fe = float(np.max(np.abs(
-        field_equation_residual_reduced(eta, params, r, dt=dt, backend=backend))))
+    fe = float(np.max(np.abs(field_equation_residual_reduced(eta, params, r, dt))))
     dp = float(np.max(np.abs(dirac_apply(eta, params, r, +1))))
     dm = float(np.max(np.abs(dirac_apply(eta, params, r, -1))))
     fe_zero = fe <= tol * scale
@@ -197,9 +183,8 @@ DENSITY_KINDS = ("dirac", "reduced")
 
 
 def _action_from_values(values: np.ndarray, spec: LatticeSpec, params: ModelParams,
-                        density_kind: str, r: int, s: int, backend: str,
-                        order: int) -> float:
-    b = SpinorBundle.from_grid(spec, values, order=order, backend=backend)
+                        density_kind: str, r: int, s: int, backend: str) -> float:
+    b = SpinorBundle.from_grid(spec, values, backend=backend)
     if density_kind == "dirac":
         L = dirac_lagrangian(b, params, r, s)
     else:
@@ -246,8 +231,7 @@ def discrete_variational_derivative(density_kind: str, eta_values: np.ndarray,
                                     spec: LatticeSpec, params: ModelParams,
                                     probes, r: int = 1, s: int = 1,
                                     step: float = 1e-6,
-                                    backend: str = "spectral",
-                                    order: int = 2) -> np.ndarray:
+                                    backend: str = "spectral") -> np.ndarray:
     """Gradient of the discrete action w.r.t. Re/Im of each spinor component.
 
     Central two-sided differencing (``action_gradient``) of the action value
@@ -256,5 +240,5 @@ def discrete_variational_derivative(density_kind: str, eta_values: np.ndarray,
     """
     require_choice("density kind", density_kind, DENSITY_KINDS)
     return action_gradient(
-        lambda v: _action_from_values(v, spec, params, density_kind, r, s, backend, order),
+        lambda v: _action_from_values(v, spec, params, density_kind, r, s, backend),
         eta_values, spec, probes, step)

@@ -32,8 +32,9 @@ from .pauli import grid_minor
 
 KINDS = ("scalar", "spinor", "covector", "2-form", "3-form", "coframe")
 
-# Derivative backends: central-difference stencils or the periodic FFT.
-BACKENDS = ("stencil", "spectral")
+# Derivative rules, one name each: the order-2 and order-4 central-difference
+# stencils and the periodic FFT.
+BACKENDS = ("stencil", "stencil4", "spectral")
 
 
 @dataclass(frozen=True)
@@ -147,14 +148,15 @@ def form_field(spec: LatticeSpec, rank: int, values) -> LatticeField:
     return LatticeField(spec, kind, values)
 
 
+# Central-difference stencils by backend name: offsets and weights.
 _STENCILS = {
-    2: ([1], [0.5]),
-    4: ([1, 2], [2.0 / 3.0, -1.0 / 12.0]),
+    "stencil": ([1], [0.5]),
+    "stencil4": ([1, 2], [2.0 / 3.0, -1.0 / 12.0]),
 }
 
 
-def _axis_derivative(values: np.ndarray, spec: LatticeSpec, axis: int, order: int) -> np.ndarray:
-    offsets, weights = _STENCILS[order]
+def _axis_derivative(values: np.ndarray, spec: LatticeSpec, axis: int, backend: str) -> np.ndarray:
+    offsets, weights = _STENCILS[backend]
     h = spec.spacing[axis]
     dtype = np.promote_types(values.dtype, float)
     out = None
@@ -185,24 +187,6 @@ def _axis_derivative(values: np.ndarray, spec: LatticeSpec, axis: int, order: in
     return out
 
 
-def partial_derivative(f: LatticeField, axis: int, order: int = 2) -> LatticeField:
-    """Central-difference partial derivative along one axis.
-
-    Periodic axes wrap; non-periodic axes are accurate in the interior only
-    and the returned field carries the boundary margin.
-    """
-    if not 0 <= axis < f.spec.dims:
-        raise AxisOutOfRange(f"axis {axis} outside 0..{f.spec.dims - 1}")
-    if order not in _STENCILS:
-        raise InvalidGrid("order must be 2 or 4")
-    need = 5 if order == 4 else 3
-    if f.spec.extents[axis] < need:
-        raise GridTooSmall(f"axis {axis} has {f.spec.extents[axis]} < {need} points")
-    vals = _axis_derivative(f.values, f.spec, axis, order)
-    margin = f.boundary_margin if f.spec.periodic[axis] else f.boundary_margin + order // 2
-    return replace(f, values=vals, boundary_margin=margin)
-
-
 def spectral_derivative(values: np.ndarray, spec: LatticeSpec, axis: int) -> np.ndarray:
     """FFT derivative along a periodic axis; exact on resolved Fourier modes.
 
@@ -223,10 +207,17 @@ def spectral_derivative(values: np.ndarray, spec: LatticeSpec, axis: int) -> np.
 
 
 def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil",
-                order: int = 2, axes=None) -> np.ndarray:
+                axes=None) -> np.ndarray:
     """First derivatives of a grid array along ``axes`` (default: every
-    axis), by the "stencil" backend of the given order or the periodic
-    "spectral" one, stacked on a new axis right after the grid axes.
+    axis), stacked on a new axis right after the grid axes.
+
+    ``backend`` is the whole derivative rule, and this is the only function
+    that reads it: "stencil" is the order-2 central difference, "stencil4"
+    the order-4 one, "spectral" the periodic FFT.  A stencil reaches 1 or 2
+    points to each side; on a non-periodic axis that many edge points get
+    one-sided first-order values, and fewer than twice that many plus one
+    points raise GridTooSmall.  An axis outside 0..dims-1 raises
+    AxisOutOfRange.
 
     The stack is grid-minor (``pauli.grid_minor``): each per-axis result is
     written into its slot and dropped before the next one is computed.
@@ -235,18 +226,36 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil",
     axes = range(spec.dims) if axes is None else list(axes)
     if not axes:
         raise InvalidGrid("no axis to differentiate along")
+    for a in axes:
+        if not 0 <= a < spec.dims:
+            raise AxisOutOfRange(f"axis {a} outside 0..{spec.dims - 1}")
+        if backend != "spectral" and not spec.periodic[a]:
+            need = 2 * max(_STENCILS[backend][0]) + 1
+            if spec.extents[a] < need:
+                raise GridTooSmall(f"axis {a} has {spec.extents[a]} < {need} points")
     out = None
     for i, a in enumerate(axes):
         if backend == "spectral":
             d = spectral_derivative(values, spec, a)
         else:
-            d = _axis_derivative(values, spec, a, order)
+            d = _axis_derivative(values, spec, a, backend)
         if out is None:
             shape = d.shape[:spec.dims] + (len(axes),) + d.shape[spec.dims:]
             out = grid_minor(shape, spec.dims, d.dtype)
         out[(slice(None),) * spec.dims + (i,)] = d
         del d
     return out
+
+
+def partial_derivative(f: LatticeField, axis: int, backend: str = "stencil") -> LatticeField:
+    """Partial derivative along one axis, by ``derivatives``.
+
+    Periodic axes wrap; non-periodic axes are accurate in the interior only
+    and the returned field carries the boundary margin.
+    """
+    vals = derivatives(f.values, f.spec, backend, [axis])[(slice(None),) * f.spec.dims + (0,)]
+    reach = 0 if f.spec.periodic[axis] else max(_STENCILS[backend][0])
+    return replace(f, values=vals, boundary_margin=f.boundary_margin + reach)
 
 
 def _raise_indices(field: LatticeField) -> np.ndarray:
@@ -312,8 +321,8 @@ def wedge(P: LatticeField, Q: LatticeField) -> LatticeField:
     return form_field(P.spec, p + q, out)
 
 
-def exterior_derivative(P: LatticeField, order: int = 2) -> LatticeField:
-    """Discrete d on an antisymmetric field, via partial_derivative."""
+def exterior_derivative(P: LatticeField, backend: str = "stencil") -> LatticeField:
+    """Discrete d on an antisymmetric field, by ``derivatives``."""
     d = P.spec.dims
     r = P.rank
     if r + 1 > d:
@@ -321,17 +330,15 @@ def exterior_derivative(P: LatticeField, order: int = 2) -> LatticeField:
     comps_in = {c: i for i, c in enumerate(P.components)} if r > 0 else {(): 0}
     comps_out = form_components(d, r + 1)
     pv = P.values if r > 0 else P.values[..., None]
-    derivs = [
-        _axis_derivative(pv, P.spec, a, order) for a in range(d)
-    ]
+    derivs = derivatives(pv, P.spec, backend)
     out = np.zeros(pv.shape[:-1] + (len(comps_out),), dtype=np.promote_types(pv.dtype, float))
     for j, c in enumerate(comps_out):
         for pos, a in enumerate(c):
             rest = tuple(b for b in c if b != a)
-            out[..., j] += (-1) ** pos * derivs[a][..., comps_in[rest]]
-    margin = P.boundary_margin + (0 if all(P.spec.periodic) else order // 2)
+            out[..., j] += (-1) ** pos * derivs[..., a, comps_in[rest]]
     f = form_field(P.spec, r + 1, out)
-    f.boundary_margin = margin
+    reach = 0 if all(P.spec.periodic) else max(_STENCILS[backend][0])
+    f.boundary_margin = P.boundary_margin + reach
     return f
 
 
@@ -363,7 +370,9 @@ class ModelParams:
 
 @dataclass
 class SpinorBundle:
-    """Spinor values (*n, 2) with derivatives (*n, dims, 2).
+    """Spinor values (*n, 2) with derivatives (*n, dims, 2), and nothing
+    more: a caller that knows a bilinear is constant along an axis hands
+    the residual that zero derivative itself.
 
     Layout contract: the producers (``SpinorPoly.bundle``,
     ``ScaledSpinor.bundle``, ``from_grid`` through ``derivatives``) build
@@ -377,16 +386,15 @@ class SpinorBundle:
     spec: LatticeSpec
     values: np.ndarray
     derivs: np.ndarray
-    x3_independent_bilinears: bool = False
 
     @property
     def rho(self) -> np.ndarray:
         return np.abs(self.values[..., 0]) ** 2 - np.abs(self.values[..., 1]) ** 2
 
     @classmethod
-    def from_grid(cls, spec: LatticeSpec, values: np.ndarray, order: int = 2,
+    def from_grid(cls, spec: LatticeSpec, values: np.ndarray,
                   backend: str = "stencil") -> "SpinorBundle":
-        return cls(spec, values, derivatives(values, spec, backend, order))
+        return cls(spec, values, derivatives(values, spec, backend))
 
 
 @dataclass
@@ -399,9 +407,9 @@ class CoframeBundle:
     rho: np.ndarray | None = None
 
     @classmethod
-    def from_grid(cls, spec: LatticeSpec, theta: np.ndarray, order: int = 2,
-                  rho=None, backend: str = "stencil") -> "CoframeBundle":
-        return cls(spec, theta, derivatives(theta, spec, backend, order), rho)
+    def from_grid(cls, spec: LatticeSpec, theta: np.ndarray, rho=None,
+                  backend: str = "stencil") -> "CoframeBundle":
+        return cls(spec, theta, derivatives(theta, spec, backend), rho)
 
 
 # ---------------------------------------------------------------------------

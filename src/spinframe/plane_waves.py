@@ -57,10 +57,7 @@ def plane_wave_spinor(label: PlaneWaveLabel, spec: LatticeSpec) -> SpinorBundle:
         raise ValueError("plane waves live on 3D or 4D grids")
     sp = SpinorPoly(TrigPoly(freq, np.array([1.0 + 0j]), base),
                     constant_poly(0.0, base))
-    b = sp.bundle(spec)
-    if spec.dims == 4:
-        b.x3_independent_bilinears = True
-    return b
+    return sp.bundle(spec)
 
 
 def plane_wave_params(label: PlaneWaveLabel) -> ModelParams:

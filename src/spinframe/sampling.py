@@ -146,9 +146,6 @@ class SpinorPoly:
                 derivs[..., a, k] = c.derivative(a)(coords)
         return SpinorBundle(spec, vals, derivs)
 
-    def scale_exp(self, h: TrigPoly) -> "ScaledSpinor":
-        return ScaledSpinor(self, h)
-
 
 @dataclass(frozen=True)
 class ScaledSpinor:
@@ -207,8 +204,7 @@ def random_positive_spinor_4d(rng: np.random.Generator, spec: LatticeSpec,
     return random_positive_spinor(rng, base, max_mode, slack)
 
 
-def coframe_bundle_from_spinor(b: SpinorBundle, order: int = 2,
-                               backend: str = "stencil") -> CoframeBundle:
+def coframe_bundle_from_spinor(b: SpinorBundle, backend: str = "stencil") -> CoframeBundle:
     """Coframe route: theta from the pointwise map, dtheta by grid derivative.
 
     The derivative deliberately goes through the sampled theta grid (not the
@@ -216,4 +212,4 @@ def coframe_bundle_from_spinor(b: SpinorBundle, order: int = 2,
     spinor route.
     """
     theta, rho = coframe_map(b.values)
-    return CoframeBundle.from_grid(b.spec, theta, order=order, rho=rho, backend=backend)
+    return CoframeBundle.from_grid(b.spec, theta, rho=rho, backend=backend)

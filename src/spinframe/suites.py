@@ -231,7 +231,7 @@ def _suite_separation(cfg: SuiteConfig):
             # routes; the x3 direction is handled in closed form
             t3 = reduced_axial_torsion(b3, p, 1)
             dt3 = derivatives(t3, spec3, "spectral")
-            res3 = field_equation_residual_reduced(b3, p, 1, dt=dt3)
+            res3 = field_equation_residual_reduced(b3, p, 1, dt3)
             # lift to 4D with the e^{-i m x3} phase (r = +1 branch)
             k3 = cfg.m / base4[3]
             phase = TrigPoly(np.array([[0, 0, 0, -k3]]), np.array([1.0 + 0j]), base4)
@@ -242,8 +242,7 @@ def _suite_separation(cfg: SuiteConfig):
             dt4 = np.concatenate(
                 [np.broadcast_to(dt3[..., None, :], spec4.extents + (3,)),
                  np.zeros(spec4.extents + (1,))], axis=-1)
-            res4 = field_equation_residual_4d(b4, p, dt=dt4,
-                                              du=np.zeros(spec4.extents + (3,)))
+            res4 = field_equation_residual_4d(b4, p, dt4, np.zeros(spec4.extents + (3,)))
             ph = phase(spec4.meshgrid())
             lifted3 = np.broadcast_to(res3[..., None, :], res4.shape[:-1] + (2,))
             dev = np.max(np.abs(res4 - ph[..., None] * lifted3))
@@ -382,8 +381,8 @@ def _suite_appendix_b(cfg: SuiteConfig):
         worst = 0.0
         for sgn in (1, -1):
             u = np.exp(sgn * 1j * x)
-            du = derivatives(u, spec, order=4)[:, 0]
-            ddu = derivatives(du, spec, order=4)[:, 0]
+            du = derivatives(u, spec, "stencil4")[:, 0]
+            ddu = derivatives(du, spec, "stencil4")[:, 0]
             worst = _worst(worst, float(np.max(np.abs(example_ode_residual(u, du, ddu)))))
         return worst
 
@@ -421,7 +420,16 @@ _SUITE_FNS = {
 }
 
 
+# The property suites, the only ones that read a seed count.
+_SEEDED_SUITES = ("coframe", "kk-decomposition", "factorization", "separation")
+
+
 def run_suite(suite_name: str, config: SuiteConfig | None = None) -> list[CheckReport]:
+    """Run one suite, or every suite for "all".
+
+    A seed count given to a single suite that reads none raises
+    ConfigInvalid; "all" hands it to the property suites.
+    """
     config = config or SuiteConfig()
     if suite_name == "all":
         out = []
@@ -430,4 +438,7 @@ def run_suite(suite_name: str, config: SuiteConfig | None = None) -> list[CheckR
         return out
     if suite_name not in _SUITE_FNS:
         raise UnknownSuite(f"unknown suite {suite_name!r}; choose from {SUITES}")
+    if config.seeds is not None and suite_name not in _SEEDED_SUITES:
+        raise ConfigInvalid(f"{suite_name} reads no seed count; --seeds applies to "
+                            f"{', '.join(_SEEDED_SUITES)} and all")
     return _SUITE_FNS[suite_name](config)

@@ -48,11 +48,6 @@ def _check_density(rho: np.ndarray, positive: bool) -> None:
         raise VanishingDensity("density vanishes on the grid")
 
 
-def sigma_contract(sig, xi, other) -> np.ndarray:
-    """xi^dagger sigma other, pointwise; sig has shape (2,2)."""
-    return contract(sig, xi, other)
-
-
 @dataclass
 class SpinorContractions:
     """The spinor-route contractions of one bundle, each computed once.
@@ -95,8 +90,8 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None) -> S
 
     The density is read once.  On a grid-minor bundle (``SpinorBundle``)
     every derivative read is contiguous; any other layout gives the same
-    numbers, only slower.  z is the sum of one ``sigma_contract`` per alpha,
-    taken in order, and each y_alpha is one ``sigma_contract``, so t and u
+    numbers, only slower.  z is the sum of one ``pauli.contract`` per alpha,
+    taken in order, and each y_alpha is one ``pauli.contract``, so t and u
     are bit-identical to the one-contraction-at-a-time formulas that
     tests/test_contractions.py keeps as its reference.
     """
@@ -107,11 +102,11 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None) -> S
     _check_density(rho, positive=False)
     z = 0.0
     for alpha in range(3):
-        z += sigma_contract(SIGMA_UPPER[alpha], b.values, mixed_derivative(b, params, alpha))
+        z += contract(SIGMA_UPPER[alpha], b.values, mixed_derivative(b, params, alpha))
     out = SpinorContractions(rho, z, 4.0 * z.imag / (3.0 * rho))
     if dims == 4:
         d3 = b.derivs[..., 3, :]
-        out.y = tuple(sigma_contract(SIGMA_LOWER[alpha], b.values, d3) for alpha in range(3))
+        out.y = tuple(contract(SIGMA_LOWER[alpha], b.values, d3) for alpha in range(3))
         out.u = np.stack([-4.0 * y.imag / (3.0 * rho) for y in out.y], axis=-1)
     return out
 
@@ -138,8 +133,8 @@ def dirac_term(b: SpinorBundle, params: ModelParams, r: int, alpha: int) -> np.n
     if np.any(params.A[..., alpha]):
         op = 1j * d
         op += (r * params.A[..., alpha])[..., None] * b.values
-        return sigma_contract(SIGMA_UPPER[alpha], b.values, op)
-    w = sigma_contract(SIGMA_UPPER[alpha], b.values, d)
+        return contract(SIGMA_UPPER[alpha], b.values, op)
+    w = contract(SIGMA_UPPER[alpha], b.values, d)
     w *= 1j
     return w
 
@@ -169,7 +164,7 @@ def reduced_quantities(b: SpinorBundle, params: ModelParams, r: int) -> ReducedQ
     _check_density(rho, positive=True)
     t = reduced_axial_torsion(b, params, r)
     u = np.stack(
-        [r * 4.0 * params.m * sigma_contract(SIGMA_LOWER[a], b.values, b.values).real
+        [r * 4.0 * params.m * contract(SIGMA_LOWER[a], b.values, b.values).real
          / (3.0 * rho) for a in range(3)],
         axis=-1,
     )
@@ -292,16 +287,15 @@ def extend_coframe(cb: CoframeBundle) -> CoframeBundle:
 
 
 def kk_decomposition_check(b: SpinorBundle, tol: float = 1e-10,
-                           coframe_derivs: str = "chain",
-                           order: int = 2) -> KKReport:
+                           coframe_derivs: str = "chain") -> KKReport:
     """||T_ext^ax||^2 (4D coframe route) vs ||T^ax||^2 + ||D_3 theta||^2.
 
     The right-hand side uses the spinor-route scalars; since ||*R||^2 =
     -||R||^2 in signature -++, it reads -(*T)^2 - ||*D_3 theta||^2.  With
     coframe_derivs="chain" the left-hand side differentiates the spinor ->
     coframe map exactly (analytic agreement); with "grid" it differentiates
-    the sampled coframe by stencils, making the routes fully independent at
-    the cost of an O(h^2) chain-rule mismatch.
+    the sampled coframe by the order-2 stencil, making the routes fully
+    independent at the cost of an O(h^2) chain-rule mismatch.
     """
     require_choice("coframe_derivs", coframe_derivs, ("chain", "grid"))
     if b.spec.dims != 4:
@@ -310,7 +304,7 @@ def kk_decomposition_check(b: SpinorBundle, tol: float = 1e-10,
     if coframe_derivs == "chain":
         dtheta = _coframe_chain_derivs(b)
     else:
-        dtheta = derivatives(theta, b.spec, order=order)
+        dtheta = derivatives(theta, b.spec, "stencil")
     cb4 = extend_coframe(CoframeBundle(b.spec, theta, dtheta, rho))
     lhs = norm_squared(axial_torsion_coframe(cb4, check_tol=None))
     c = spinor_contractions(b)

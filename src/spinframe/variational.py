@@ -13,9 +13,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateDenominator, DimensionMismatch, VanishingU, require_choice
+from .errors import DegenerateDenominator, DimensionMismatch, VanishingU
 from .field_equations import action_gradient
-from .grids import BACKENDS, LatticeSpec, derivatives
+from .grids import LatticeSpec, derivatives
 
 _HERM_TOL = 1e-12
 _CROSS_TOL = 1e-12
@@ -68,15 +68,11 @@ class FirstOrderOperator:
         return self.b.shape[-1]
 
 
-def op_apply(op: FirstOrderOperator, u: np.ndarray, du: np.ndarray | None = None,
-             backend: str = "stencil", order: int = 4) -> np.ndarray:
-    """A u on the grid; u is (*grid, m), du optionally (*grid, n, m)."""
-    require_choice("backend", backend, BACKENDS)
+def op_apply(op: FirstOrderOperator, u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """A u on the grid; u is (*grid, m), du (*grid, n, m)."""
     u = np.asarray(u, dtype=complex)
     if u.shape[-1] != op.mdim:
         raise DimensionMismatch(f"u has {u.shape[-1]} components, operator wants {op.mdim}")
-    if du is None:
-        du = derivatives(u, op.spec, backend, order)
     out = np.einsum("...amk,...ak->...m", np.broadcast_to(
         op.b, u.shape[:-1] + op.b.shape[-3:]), du) * 1j
     out = out + 0.5j * np.einsum("...mk,...k->...m",
@@ -87,14 +83,10 @@ def op_apply(op: FirstOrderOperator, u: np.ndarray, du: np.ndarray | None = None
 
 
 def first_order_lagrangian(op: FirstOrderOperator, u: np.ndarray,
-                           du: np.ndarray | None = None,
-                           backend: str = "stencil", order: int = 4) -> np.ndarray:
+                           du: np.ndarray) -> np.ndarray:
     """L(u) = Re(u* A u), cross-asserted against its expanded form
     (i/2)[u* B du - (du*) B u] + u* C u."""
-    require_choice("backend", backend, BACKENDS)
     u = np.asarray(u, dtype=complex)
-    if du is None:
-        du = derivatives(u, op.spec, backend, order)
     au = op_apply(op, u, du)
     spelled = np.einsum("...m,...m->...", np.conj(u), au).real
     bu_du = np.einsum("...m,...amk,...ak->...", np.conj(u),
@@ -120,12 +112,8 @@ def combine_densities(lp: np.ndarray, lm: np.ndarray,
 
 
 def combined_lagrangian(op_p: FirstOrderOperator, op_m: FirstOrderOperator,
-                        u: np.ndarray, du: np.ndarray | None = None,
-                        backend: str = "stencil", order: int = 4,
+                        u: np.ndarray, du: np.ndarray,
                         denom_tol: float = 1e-12) -> np.ndarray:
-    require_choice("backend", backend, BACKENDS)
-    if du is None:
-        du = derivatives(np.asarray(u, dtype=complex), op_p.spec, backend, order)
     lp = first_order_lagrangian(op_p, u, du)
     lm = first_order_lagrangian(op_m, u, du)
     return combine_densities(lp, lm, denom_tol)
@@ -243,15 +231,14 @@ class LemmaResult:
     scale: float
 
 
-def _combined_action(op_p, op_m, u, backend, order, denom_tol) -> float:
-    L = combined_lagrangian(op_p, op_m, u, backend=backend, order=order,
-                            denom_tol=denom_tol)
-    return op_p.spec.integrate(L)
+def _combined_action(op_p, op_m, u, backend, denom_tol) -> float:
+    du = derivatives(u, op_p.spec, backend)
+    return op_p.spec.integrate(combined_lagrangian(op_p, op_m, u, du, denom_tol))
 
 
 def combined_action_gradient(op_p: FirstOrderOperator, op_m: FirstOrderOperator,
                              u: np.ndarray, probes, step: float = 1e-6,
-                             backend: str = "spectral", order: int = 4,
+                             backend: str = "spectral",
                              denom_tol: float = 1e-12) -> np.ndarray:
     """Two-sided difference of the combined action w.r.t. Re/Im of each
     component at the probe points; (len(probes), mdim, 2).
@@ -262,15 +249,18 @@ def combined_action_gradient(op_p: FirstOrderOperator, op_m: FirstOrderOperator,
     it is handed.
     """
     return action_gradient(
-        lambda v: _combined_action(op_p, op_m, v, backend, order, denom_tol),
+        lambda v: _combined_action(op_p, op_m, v, backend, denom_tol),
         np.asarray(u, dtype=complex), op_p.spec, probes, step)
 
 
 def lemma_check(op_p: FirstOrderOperator, op_m: FirstOrderOperator, u: np.ndarray,
                 du: np.ndarray | None = None, tol: float = 1e-6,
-                probes=None, backend: str = "spectral", order: int = 4) -> LemmaResult:
+                probes=None, backend: str = "spectral") -> LemmaResult:
     """Compare near-vanishing of the combined-action variational derivative
-    with the two linear residuals.  Inconsistent must never occur."""
+    with the two linear residuals.  Inconsistent must never occur.
+
+    Both residuals read du; without it, u is differentiated once by the
+    ``backend`` rule, the one the variational derivative uses."""
     spec = op_p.spec
     u = np.asarray(u, dtype=complex)
     if probes is None:
@@ -279,10 +269,12 @@ def lemma_check(op_p: FirstOrderOperator, op_m: FirstOrderOperator, u: np.ndarra
         probes = [tuple(row) for row in idx]
     umax = float(np.max(np.abs(u)))
     scale = max(umax, umax ** 2, 1.0)
-    grad = combined_action_gradient(op_p, op_m, u, probes, backend=backend, order=order)
+    grad = combined_action_gradient(op_p, op_m, u, probes, backend=backend)
     gnorm = float(np.max(np.abs(grad)))
-    ap = float(np.max(np.abs(op_apply(op_p, u, du, backend=backend, order=order))))
-    am = float(np.max(np.abs(op_apply(op_m, u, du, backend=backend, order=order))))
+    if du is None:
+        du = derivatives(u, spec, backend)
+    ap = float(np.max(np.abs(op_apply(op_p, u, du))))
+    am = float(np.max(np.abs(op_apply(op_m, u, du))))
     g_zero = gnorm <= tol * scale
     op_scale = scale * (1.0 + float(np.max(np.abs(op_p.c))) + float(np.max(np.abs(op_m.c))))
     ap_zero = ap <= tol * op_scale

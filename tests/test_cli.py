@@ -50,6 +50,15 @@ def test_unhonourable_config_exit_two(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("suite", ["theorem1", "plane-waves", "table1", "appendix-b",
+                                   "torsion-routes"])
+def test_seed_count_rejected_by_suites_that_read_none(capsys, suite):
+    assert main(["run", suite, "--seeds", "5"]) == 2
+    assert "reads no seed count" in capsys.readouterr().err
+    with pytest.raises(ConfigInvalid):
+        run_suite(suite, SuiteConfig(seeds=5))
+
+
 @pytest.mark.parametrize("m", [float("nan"), float("inf"), 0.0])
 def test_model_params_reject_non_finite_or_non_positive_mass(m):
     with pytest.raises(ValueError):

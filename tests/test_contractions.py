@@ -80,23 +80,11 @@ def ref_lagrangian_4d(xi, params):
     return spelled
 
 
-def ref_field_equation_residual_4d(xi, params, dt=None, du=None,
-                                   backend="stencil", order=2):
+def ref_field_equation_residual_4d(xi, params, dt, du):
     rho = xi.rho
     a = np.asarray(params.A)
     t = ref_axial_torsion_spinor(xi, params, with_A=True)
     u = ref_d3_rotation_spinor(xi)
-    x3_flat = xi.x3_independent_bilinears
-    if dt is None:
-        dt3 = derivatives(t, xi.spec, backend, order, range(3))
-        dt_x3 = np.zeros_like(t) if x3_flat else \
-            derivatives(t, xi.spec, backend, order, [3])[..., 0]
-        dt = np.concatenate([dt3, dt_x3[..., None]], axis=-1)
-    if du is None:
-        if x3_flat:
-            du = np.zeros(u.shape)
-        else:
-            du = derivatives(u, xi.spec, backend, order, [3])[..., 0, :]
     p_xi = np.zeros_like(xi.values)
     grad_t = np.zeros_like(xi.values)
     for alpha in range(3):
@@ -130,7 +118,18 @@ def _bundle4(seed: int, sampled: str = "analytic") -> SpinorBundle:
     b = random_positive_spinor_4d(rng, SPEC4, max_mode=2).bundle(SPEC4)
     if sampled == "analytic":
         return b
-    return SpinorBundle.from_grid(SPEC4, b.values, order=4, backend=sampled)
+    return SpinorBundle.from_grid(SPEC4, b.values, backend=sampled)
+
+
+def _torsion_derivatives(b, params, backend, x3_flat):
+    """dt over all four axes and du along x3 by one backend; with x3_flat
+    both x3 derivatives are zero, as for a separated field."""
+    c = spinor_contractions(b, params)
+    dt = derivatives(c.t, b.spec, backend)
+    if x3_flat:
+        dt[..., 3] = 0.0
+        return dt, np.zeros(c.u.shape)
+    return dt, derivatives(c.u, b.spec, backend, [3])[..., 0, :]
 
 
 def _params(kind: str, seed: int) -> ModelParams:
@@ -156,11 +155,10 @@ A_KINDS = ("zero", "constant", "field")
 def test_residual_4d_matches_reference(a_kind, backend, x3_flat):
     for seed in range(2):
         b = _bundle4(seed)
-        b.x3_independent_bilinears = x3_flat
         p = _params(a_kind, seed)
-        new = field_equation_residual_4d(b, p, backend=backend, order=4)
-        ref = ref_field_equation_residual_4d(b, p, backend=backend, order=4)
-        _close(new, ref)
+        dt, du = _torsion_derivatives(b, p, backend, x3_flat)
+        _close(field_equation_residual_4d(b, p, dt, du),
+               ref_field_equation_residual_4d(b, p, dt, du))
 
 
 @pytest.mark.parametrize("a_kind", A_KINDS)
@@ -177,7 +175,7 @@ def test_residual_4d_with_given_derivatives_matches_reference(a_kind):
 @pytest.mark.parametrize("a_kind", A_KINDS)
 def test_lagrangian_4d_matches_reference(a_kind):
     for seed in range(3):
-        b = _bundle4(seed, sampled="stencil" if seed else "analytic")
+        b = _bundle4(seed, sampled="stencil4" if seed else "analytic")
         p = _params(a_kind, seed)
         _close(lagrangian_4d(b, p), ref_lagrangian_4d(b, p))
 
@@ -207,7 +205,7 @@ def test_axial_torsion_3d_matches_reference(backend):
         rng = np.random.default_rng(seed)
         b = random_positive_spinor(rng, base_for(spec), max_mode=2).bundle(spec)
         if backend != "analytic":
-            b = SpinorBundle.from_grid(spec, b.values, order=2, backend=backend)
+            b = SpinorBundle.from_grid(spec, b.values, backend=backend)
         new = axial_torsion_spinor(b)
         _close(new, ref_axial_torsion_spinor(b))
         assert np.array_equal(new, ref_axial_torsion_spinor(b))
@@ -247,7 +245,8 @@ def test_cross_assert_guards_the_fused_residual(monkeypatch):
     """
     b = _bundle4(0)
     p = _params("constant", 0)
-    field_equation_residual_4d(b, p)  # passes unbroken
+    dt, du = _torsion_derivatives(b, p, "spectral", x3_flat=False)
+    field_equation_residual_4d(b, p, dt, du)  # passes unbroken
 
     def doubled(spec3, u):
         form = unhodge_covector(spec3, u)
@@ -256,4 +255,4 @@ def test_cross_assert_guards_the_fused_residual(monkeypatch):
 
     monkeypatch.setattr(lagrangians, "unhodge_covector", doubled)
     with pytest.raises(AssertionError, match="lagrangian_4d"):
-        field_equation_residual_4d(b, p)
+        field_equation_residual_4d(b, p, dt, du)

@@ -166,8 +166,7 @@ def test_one_action_evaluation_peaks_below_two_derivative_stacks(kind):
     stack_nbytes = 3 * values.nbytes
 
     def evaluate():
-        return field_equations._action_from_values(values, spec, p, kind, 1, 1,
-                                                   "spectral", 2)
+        return field_equations._action_from_values(values, spec, p, kind, 1, 1, "spectral")
 
     evaluate()
     tracemalloc.start()
@@ -190,7 +189,7 @@ def _copy_per_evaluation_gradient(kind, values, spec, p, probes, r, s, step=1e-6
                     v = values.copy(order="K")
                     v[tuple(probe) + (comp,)] += sign * step * delta
                     both.append(field_equations._action_from_values(
-                        v, spec, p, kind, r, s, "spectral", 2))
+                        v, spec, p, kind, r, s, "spectral"))
                 out[i, comp, k] = (both[0] - both[1]) / (2.0 * step)
     return out
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spinframe.errors import (
     AxisOutOfRange,
+    GridTooSmall,
     InvalidGrid,
     IoError,
     SpinframeError,
@@ -54,8 +55,8 @@ def test_stencil_derivative_orders(spec3):
     x = _coords(spec3)
     f = form_field(spec3, 0, np.sin(2.0 * x[1]))
     exact = 2.0 * np.cos(2.0 * x[1])
-    e2 = np.max(np.abs(partial_derivative(f, 1, order=2).values - exact))
-    e4 = np.max(np.abs(partial_derivative(f, 1, order=4).values - exact))
+    e2 = np.max(np.abs(partial_derivative(f, 1, "stencil").values - exact))
+    e4 = np.max(np.abs(partial_derivative(f, 1, "stencil4").values - exact))
     # second-order truncation bound k^3 h^2 / 6
     h = spec3.spacing[1]
     assert e2 <= 8.0 * h ** 2 / 6.0 * 1.0001
@@ -97,17 +98,21 @@ _DERIVATIVE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("backend,order", [("stencil", 2), ("stencil", 4), ("spectral", 2)])
+# the ids keep the (backend, order) labels these cases had before the
+# stencil order became part of the backend name
+@pytest.mark.parametrize("backend", [pytest.param("stencil", id="stencil-2"),
+                                     pytest.param("stencil4", id="stencil-4"),
+                                     pytest.param("spectral", id="spectral-2")])
 @pytest.mark.parametrize("spec,tail,axes,old_axis", _DERIVATIVE_CASES)
-def test_derivatives_match_per_axis_stack(spec, tail, axes, old_axis, backend, order):
+def test_derivatives_match_per_axis_stack(spec, tail, axes, old_axis, backend):
     values = _grid_array(spec, tail, complex_=tail != (3, 3))
     per_axis = range(spec.dims) if axes is None else axes
     if backend == "spectral":
         ds = [spectral_derivative(values, spec, a) for a in per_axis]
     else:
-        ds = [_axis_derivative(values, spec, a, order) for a in per_axis]
+        ds = [_axis_derivative(values, spec, a, backend) for a in per_axis]
     old = np.stack(ds, axis=old_axis)
-    got = derivatives(values, spec, backend, order, axes)
+    got = derivatives(values, spec, backend, axes)
     assert got.shape[spec.dims] == len(ds)
     # grid-minor: every slice that fixes the axis and tail indices is one block
     for idx in np.ndindex(got.shape[spec.dims:]):
@@ -142,8 +147,8 @@ def test_coframe_from_grid_holds_at_most_two_per_axis_results():
     lambda: LatticeSpec((4, 0), (1.0, 1.0), (True, True)),
     lambda: spectral_derivative(np.zeros((6, 6)),
                                 LatticeSpec((6, 6), (1.0, 1.0), (True, False)), 1),
-    lambda: partial_derivative(form_field(periodic_spec(6, 1.0, 2), 0, np.zeros((6, 6))),
-                               0, order=3),
+    lambda: partial_derivative(form_field(LatticeSpec((6, 6), (1.0, 1.0), (False, True)),
+                                          0, np.zeros((6, 6))), 0, "spectral"),
     lambda: derivatives(np.zeros((6, 6)), periodic_spec(6, 1.0, 2), axes=[]),
 ])
 def test_grid_misuse_raises_a_package_value_error(misuse):
@@ -164,6 +169,33 @@ def test_partial_derivative_rejects_bad_axis(spec3):
     f = form_field(spec3, 0, np.zeros(spec3.extents))
     with pytest.raises(AxisOutOfRange):
         partial_derivative(f, 3)
+
+
+@pytest.mark.parametrize("axes", [[5], [3], [-1], [0, -1]])
+def test_derivatives_rejects_axis_outside_the_grid(spec3, axes):
+    for backend in ("stencil", "stencil4", "spectral"):
+        with pytest.raises(AxisOutOfRange):
+            derivatives(np.zeros(spec3.extents), spec3, backend, axes=axes)
+
+
+def test_stencil_needs_room_for_its_edges_on_open_axes_only():
+    open_axis = LatticeSpec((4, 6), (1.0, 1.0), (False, True))
+    values = np.zeros((4, 6))
+    derivatives(values, open_axis, "stencil", [0])
+    derivatives(values, open_axis, "stencil4", [1])  # a periodic axis wraps
+    with pytest.raises(GridTooSmall):
+        derivatives(values, open_axis, "stencil4", [0])
+
+
+@pytest.mark.parametrize("backend,reach", [("stencil", 1), ("stencil4", 2)])
+def test_margin_is_the_stencil_reach_on_open_axes(backend, reach):
+    spec = LatticeSpec((8, 7, 6), (0.5, 0.5, 0.5), (True, False, True))
+    f = form_field(spec, 0, np.zeros(spec.extents))
+    assert partial_derivative(f, 0, backend).boundary_margin == 0
+    assert partial_derivative(f, 1, backend).boundary_margin == reach
+    assert exterior_derivative(f, backend).boundary_margin == reach
+    assert exterior_derivative(form_field(periodic_spec(6, 1.0, 3), 0, np.zeros((6,) * 3)),
+                               backend).boundary_margin == 0
 
 
 def test_lorentz_dot_signature(spec3):

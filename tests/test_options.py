@@ -6,12 +6,16 @@ import pytest
 
 from spinframe import variational
 from spinframe.errors import SpinframeError, UnknownOption
-from spinframe.field_equations import (
-    discrete_variational_derivative,
-    field_equation_residual_4d,
-    field_equation_residual_reduced,
+from spinframe.field_equations import discrete_variational_derivative, theorem1_check
+from spinframe.grids import (
+    ModelParams,
+    SpinorBundle,
+    derivatives,
+    exterior_derivative,
+    form_field,
+    partial_derivative,
+    periodic_spec,
 )
-from spinframe.grids import ModelParams, SpinorBundle, derivatives, periodic_spec
 from spinframe.sampling import (
     base_for,
     coframe_bundle_from_spinor,
@@ -50,24 +54,28 @@ def test_coframe_bundle_rejects_unknown_backend():
         coframe_bundle_from_spinor(_bundle3(), backend="fft")
 
 
-def test_reduced_residual_rejects_unknown_backend():
-    # also when dt is given and the backend would not be used
-    b = _bundle3()
-    with pytest.raises(ValueError, match="'fft'"):
-        field_equation_residual_reduced(b, ModelParams(m=1.0), 1, backend="fft")
-    with pytest.raises(ValueError, match="'fft'"):
-        field_equation_residual_reduced(b, ModelParams(m=1.0), 1,
-                                        dt=np.zeros(SPEC3.extents + (3,)), backend="fft")
-
-
-def test_4d_residual_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="'fft'"):
-        field_equation_residual_4d(_bundle4(), ModelParams(m=1.0), backend="fft")
-
-
 def test_derivatives_rejects_unknown_backend():
     with pytest.raises(ValueError, match="'fft'"):
         derivatives(np.zeros(SPEC3.extents), SPEC3, "fft")
+    f = form_field(SPEC3, 0, np.zeros(SPEC3.extents))
+    with pytest.raises(UnknownOption, match="'stencil3'"):
+        partial_derivative(f, 0, "stencil3")
+    with pytest.raises(UnknownOption, match="'stencil3'"):
+        exterior_derivative(f, "stencil3")
+
+
+def test_oracles_reject_unknown_backend():
+    b = _bundle3()
+    with pytest.raises(UnknownOption, match="'fft'"):
+        theorem1_check(b, ModelParams(m=1.0), 1, backend="fft")
+    with pytest.raises(UnknownOption, match="'fft'"):
+        discrete_variational_derivative("dirac", b.values, SPEC3, ModelParams(m=1.0),
+                                        [(1, 2, 3)], backend="fft")
+    spec = periodic_spec(16, 2.0 * np.pi / 16, 1)
+    op_p, op_m = variational.example_operators(spec)
+    u = np.exp(1j * spec.axis_coords(0))[:, None]
+    with pytest.raises(UnknownOption, match="'fft'"):
+        variational.lemma_check(op_p, op_m, u, backend="fft")
 
 
 @pytest.mark.parametrize("probes", ([], [(1, 2, 3)]))
@@ -90,17 +98,7 @@ def test_kk_check_rejects_unknown_coframe_route():
         kk_decomposition_check(_bundle4(), coframe_derivs="stencil")
 
 
-def test_op_apply_rejects_unknown_backend():
-    spec = periodic_spec(16, 2.0 * np.pi / 16, 1)
-    op_p, _ = variational.example_operators(spec)
-    u = np.exp(1j * spec.axis_coords(0))[:, None]
-    with pytest.raises(ValueError, match="'fft'"):
-        variational.op_apply(op_p, u, backend="fft")
-    with pytest.raises(ValueError, match="'fft'"):
-        variational.first_order_lagrangian(op_p, u, backend="fft")
-
-
-@pytest.mark.parametrize("backend", ("stencil", "spectral"))
+@pytest.mark.parametrize("backend", ("stencil", "stencil4", "spectral"))
 def test_known_backends_still_accepted(backend):
     b = _bundle3()
     SpinorBundle.from_grid(SPEC3, b.values, backend=backend)
