@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import METRIC3, SIGMA3, SIGMA_LOWER, SIGMA_UPPER
 from .errors import NonPositiveDensity, ProbeOutsideInterior, require_choice
-from .grids import LatticeSpec, ModelParams, SpinorBundle, derivatives
+from .grids import BACKENDS, LatticeSpec, ModelParams, SpinorBundle, derivatives
 from .lagrangians import dirac_lagrangian, lagrangian_4d, lagrangian_reduced
 from .pauli import apply, components
 from .torsion import mixed_derivative, reduced_axial_torsion, spinor_contractions
@@ -150,8 +150,10 @@ def theorem1_check(eta: SpinorBundle, params: ModelParams, r: int,
     dt is the in-plane gradient of the reduced torsion scalar; without it,
     the check differentiates ``reduced_axial_torsion`` by the ``backend``
     rule of ``grids.derivatives``.  Inconsistent (one route vanishes, the
-    other does not) must never occur; it falsifies the build.
+    other does not) must never occur; it falsifies the build.  The backend
+    name is checked whether or not dt is given.
     """
+    require_choice("backend", backend, BACKENDS)
     rho = eta.rho
     if np.any(rho <= 0.0):
         raise NonPositiveDensity(f"min density {rho.min():.3g} <= 0")
@@ -239,6 +241,7 @@ def discrete_variational_derivative(density_kind: str, eta_values: np.ndarray,
     component x (re, im).  Probes on non-periodic boundaries are rejected.
     """
     require_choice("density kind", density_kind, DENSITY_KINDS)
+    require_choice("backend", backend, BACKENDS)
     return action_gradient(
         lambda v: _action_from_values(v, spec, params, density_kind, r, s, backend),
         eta_values, spec, probes, step)

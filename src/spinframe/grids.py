@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -144,8 +145,14 @@ class LatticeField:
 
 
 def form_field(spec: LatticeSpec, rank: int, values) -> LatticeField:
+    """An antisymmetric rank-r field; a trailing length other than the
+    number of independent components raises RankMismatch."""
     kind = {0: "scalar", 1: "covector", 2: "2-form", 3: "3-form"}[rank]
-    return LatticeField(spec, kind, values)
+    f = LatticeField(spec, kind, values)
+    if rank > 0 and f.values.shape[-1:] != (len(f.components),):
+        raise RankMismatch(f"a {kind} on a {spec.dims}D grid has {len(f.components)} "
+                           f"components, got trailing shape {f.values.shape[-1:]}")
+    return f
 
 
 # Central-difference stencils by backend name: offsets and weights.
@@ -302,6 +309,8 @@ def wedge(P: LatticeField, Q: LatticeField) -> LatticeField:
     """Wedge product under the determinant convention."""
     d = P.spec.dims
     p, q = P.rank, Q.rank
+    if Q.spec.dims != d:
+        raise RankMismatch("operands must share dimension")
     if p + q > d:
         raise RankOverflow(f"rank {p}+{q} exceeds dimension {d}")
     comps_p = {c: i for i, c in enumerate(P.components)}
@@ -315,7 +324,7 @@ def wedge(P: LatticeField, Q: LatticeField) -> LatticeField:
             rest = tuple(a for a in c if a not in sub)
             # sign of the shuffle (sub, rest) relative to sorted c
             order = [c.index(a) for a in sub + rest]
-            out[..., j] += perm_sign(order) * pv[..., comps_p.get(sub, 0)] * qv[..., comps_q.get(rest, 0)]
+            out[..., j] += perm_sign(order) * pv[..., comps_p[sub]] * qv[..., comps_q[rest]]
     if p + q == 0:
         return LatticeField(P.spec, "scalar", out[..., 0])
     return form_field(P.spec, p + q, out)
@@ -399,17 +408,33 @@ class SpinorBundle:
 
 @dataclass
 class CoframeBundle:
-    """Coframe values (*n, 3, 3) with derivatives (*n, dims, 3, 3)."""
+    """Coframe rows theta (*n, 3, 3), the density, and the rule that gives
+    each row's first derivatives.
+
+    ``row_derivatives(j)`` returns d_a theta^j_b, shape (*n, dims, 3).  It is
+    the only way a consumer reads derivatives, so no whole (*n, dims, 3, 3)
+    stack need exist: ``from_grid`` differentiates row j by ``derivatives``
+    on each call, and a caller with closed-form derivatives hands a rule
+    that slices them.  On a 4D grid the rows are the spatial coframe, with
+    theta^j_3 = 0.
+    """
 
     spec: LatticeSpec
     theta: np.ndarray
-    dtheta: np.ndarray
+    row_derivatives: Callable[[int], np.ndarray]
     rho: np.ndarray | None = None
 
     @classmethod
     def from_grid(cls, spec: LatticeSpec, theta: np.ndarray, rho=None,
                   backend: str = "stencil") -> "CoframeBundle":
-        return cls(spec, theta, derivatives(theta, spec, backend), rho)
+        require_choice("backend", backend, BACKENDS)
+
+        def row_derivatives(j: int) -> np.ndarray:
+            # a row is a strided view of theta; the stencil's rolls read a
+            # contiguous copy of it faster than the view itself
+            return derivatives(np.ascontiguousarray(theta[..., j, :]), spec, backend)
+
+        return cls(spec, theta, row_derivatives, rho)
 
 
 # ---------------------------------------------------------------------------

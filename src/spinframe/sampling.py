@@ -205,11 +205,13 @@ def random_positive_spinor_4d(rng: np.random.Generator, spec: LatticeSpec,
 
 
 def coframe_bundle_from_spinor(b: SpinorBundle, backend: str = "stencil") -> CoframeBundle:
-    """Coframe route: theta from the pointwise map, dtheta by grid derivative.
+    """Coframe route: theta from the pointwise map, each row's derivatives
+    by grid derivative of that row when ``axial_torsion_coframe`` reads it.
 
     The derivative deliberately goes through the sampled theta grid (not the
     chain rule), which is what makes the coframe route independent of the
-    spinor route.
+    spinor route.  The bundle holds no derivative stack; the backend name is
+    checked here.
     """
     theta, rho = coframe_map(b.values)
     return CoframeBundle.from_grid(b.spec, theta, rho=rho, backend=backend)

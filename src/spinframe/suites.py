@@ -161,6 +161,8 @@ def _suite_torsion_routes(cfg: SuiteConfig):
             b = sp.bundle(spec)
             cb = coframe_bundle_from_spinor(b)
             rms.append(spinor_vs_coframe_residual(b, cb, norm="rms"))
+            # the 32^3 fields must not be alive while the 64^3 ones are built
+            del b, cb
         return rms[0] / rms[1]
 
     ratio, ms = _timed(run_refine)

@@ -2,7 +2,11 @@
 
 The spinor-route formulas are the primary ones; the coframe route (wedge of
 the coframe with its exterior derivative) exists as an independent oracle.
-All starred quantities are real; the imaginary parts are dropped after a
+It sums over the frame rows one at a time, each from that row's own
+derivatives.  On a 4D grid the same three rows give the extended torsion
+T_ext^ax of the Kaluza-Klein step: the appended row theta^3 = dx^3 is
+constant, so its term vanishes and no extended coframe is built.  All
+starred quantities are real; the imaginary parts are dropped after a
 reality check.
 """
 
@@ -14,7 +18,6 @@ import numpy as np
 
 from .algebra import (
     O3,
-    O4,
     SIGMA_LOWER,
     SIGMA_UPPER,
     CoframeDensity,
@@ -28,7 +31,6 @@ from .grids import (
     LatticeField,
     ModelParams,
     SpinorBundle,
-    derivatives,
     form_components,
     form_field,
     hodge_dual,
@@ -171,29 +173,44 @@ def reduced_quantities(b: SpinorBundle, params: ModelParams, r: int) -> ReducedQ
     return ReducedQuantities(t, u, rho)
 
 
-def _dtheta_form(cb: CoframeBundle, j: int) -> LatticeField:
-    """The 2-form d theta^j, (d theta^j)_{ab} = d_a theta^j_b - d_b theta^j_a,
-    from the stored derivatives."""
+def _row_forms(cb: CoframeBundle, j: int) -> tuple[LatticeField, LatticeField]:
+    """The 1-form theta^j and the 2-form d theta^j of frame row j.
+
+    (d theta^j)_{ab} = d_a theta^j_b - d_b theta^j_a from the bundle's row
+    derivatives.  On a 4D grid theta^j_3 = 0, so the row is padded with that
+    zero and (d theta^j)_{a3} = -d_3 theta^j_a.
+    """
     spec = cb.spec
+    row = cb.theta[..., j, :]
+    drow = cb.row_derivatives(j)
+    k = row.shape[-1]
+    if k < spec.dims:
+        padded = np.zeros(spec.extents + (spec.dims,))
+        padded[..., :k] = row
+        row = padded
     comps = form_components(spec.dims, 2)
     vals = np.empty(spec.extents + (len(comps),))
     for i, (a, b_) in enumerate(comps):
-        vals[..., i] = cb.dtheta[..., a, j, b_] - cb.dtheta[..., b_, j, a]
-    return form_field(spec, 2, vals)
+        if b_ < k:
+            np.subtract(drow[..., a, b_], drow[..., b_, a], out=vals[..., i])
+        else:
+            np.negative(drow[..., b_, a], out=vals[..., i])
+    return form_field(spec, 1, row), form_field(spec, 2, vals)
 
 
 def axial_torsion_coframe(cb: CoframeBundle, check_tol: float | None = 1e-8) -> LatticeField:
     """T^ax = (1/3) o_jj theta^j wedge d theta^j, from coframe derivatives.
 
-    The sum runs over every frame row of the bundle: the three rows of a
-    coframe, or the four of an extended one (``extend_coframe``), which
-    gives T_ext^ax.  o = diag(-1, 1, 1, 1) restricted to the rows.  Unless
-    check_tol is None, the spatial 3 x 3 block is first verified as a
-    coframe (InvalidCoframe if it is not one).
+    The sum runs over the three frame rows, one row at a time: each row's
+    derivatives are read (``CoframeBundle.row_derivatives``), wedged and
+    added in, and dropped before the next row.  o = diag(-1, 1, 1).  On a 4D
+    grid this is T_ext^ax: the appended row theta^3 = dx^3 is constant, so
+    its term is exactly zero and is not computed.  Unless check_tol is None,
+    the coframe is first verified (InvalidCoframe if it is not one).
     """
     if check_tol is not None:
         rho = cb.rho if cb.rho is not None else 1.0
-        rep = verify_coframe(CoframeDensity(cb.theta[..., :3, :3],
+        rep = verify_coframe(CoframeDensity(cb.theta,
                                             float(np.min(rho)) if np.ndim(rho) else rho),
                              check_tol)
         if not rep.passed:
@@ -202,13 +219,14 @@ def axial_torsion_coframe(cb: CoframeBundle, check_tol: float | None = 1e-8) -> 
                 f"det deviation {rep.det_deviation:.3g}, min theta00 {rep.theta00:.3g}"
             )
     total = None
-    for j in range(cb.theta.shape[-2]):
-        term = wedge(form_field(cb.spec, 1, cb.theta[..., j, :]), _dtheta_form(cb, j))
-        term.values *= O4[j] / 3.0
+    for j in range(3):
+        term = wedge(*_row_forms(cb, j))
+        term.values *= O3[j] / 3.0
         if total is None:
             total = term
         else:
             total.values += term.values
+        del term
     return total
 
 
@@ -216,16 +234,18 @@ def torsion_tensor(cb: CoframeBundle) -> np.ndarray:
     """Full torsion tensor o_jk theta^j (x) d theta^k, shape (*n, d, d, d).
 
     Index order (a, b, c) = theta^j_a (d theta^k)_{bc}; not antisymmetric in
-    the first pair.
+    the first pair.  Built one frame row at a time from the same row forms
+    as ``axial_torsion_coframe``.
     """
-    spec = cb.spec
-    d = spec.dims
-    dth = np.empty(spec.extents + (3, d, d))
+    d = cb.spec.dims
+    out = np.zeros(cb.spec.extents + (d, d, d))
     for j in range(3):
-        for b_ in range(d):
-            for c in range(d):
-                dth[..., j, b_, c] = cb.dtheta[..., b_, j, c] - cb.dtheta[..., c, j, b_]
-    return np.einsum("j,...ja,...jbc->...abc", O3, cb.theta, dth)
+        theta_j, dtheta_j = _row_forms(cb, j)
+        for i, (b_, c) in enumerate(dtheta_j.components):
+            outer = O3[j] * theta_j.values * dtheta_j.values[..., i, None]
+            out[..., :, b_, c] += outer
+            out[..., :, c, b_] -= outer
+    return out
 
 
 def alt3(T: np.ndarray) -> np.ndarray:
@@ -273,29 +293,19 @@ class KKReport:
     passed: bool
 
 
-def extend_coframe(cb: CoframeBundle) -> CoframeBundle:
-    """Append the prescribed conormal theta^3 = (0,0,0,1) on a 4D grid."""
-    spec = cb.spec
-    if spec.dims != 4:
-        raise ValueError("extension needs a 4D grid")
-    theta4 = np.zeros(spec.extents + (4, 4))
-    theta4[..., :3, :3] = cb.theta
-    theta4[..., 3, 3] = 1.0
-    dtheta4 = np.zeros(spec.extents + (4, 4, 4))
-    dtheta4[..., :, :3, :3] = cb.dtheta
-    return CoframeBundle(spec, theta4, dtheta4, cb.rho)
-
-
 def kk_decomposition_check(b: SpinorBundle, tol: float = 1e-10,
                            coframe_derivs: str = "chain") -> KKReport:
     """||T_ext^ax||^2 (4D coframe route) vs ||T^ax||^2 + ||D_3 theta||^2.
 
     The right-hand side uses the spinor-route scalars; since ||*R||^2 =
-    -||R||^2 in signature -++, it reads -(*T)^2 - ||*D_3 theta||^2.  With
-    coframe_derivs="chain" the left-hand side differentiates the spinor ->
-    coframe map exactly (analytic agreement); with "grid" it differentiates
-    the sampled coframe by the order-2 stencil, making the routes fully
-    independent at the cost of an O(h^2) chain-rule mismatch.
+    -||R||^2 in signature -++, it reads -(*T)^2 - ||*D_3 theta||^2.  The
+    left-hand side is ``axial_torsion_coframe`` of the three coframe rows on
+    the 4D grid, which is T_ext^ax (the appended row theta^3 = dx^3 adds
+    nothing).  With coframe_derivs="chain" the rows' derivatives are those
+    of the spinor -> coframe map in closed form (analytic agreement); with
+    "grid" each row of the sampled coframe is differentiated by the order-2
+    stencil when it is read, making the routes fully independent at the
+    cost of an O(h^2) chain-rule mismatch.
     """
     require_choice("coframe_derivs", coframe_derivs, ("chain", "grid"))
     if b.spec.dims != 4:
@@ -303,10 +313,10 @@ def kk_decomposition_check(b: SpinorBundle, tol: float = 1e-10,
     theta, rho = coframe_map(b.values)
     if coframe_derivs == "chain":
         dtheta = _coframe_chain_derivs(b)
+        cb = CoframeBundle(b.spec, theta, lambda j: dtheta[..., j, :], rho)
     else:
-        dtheta = derivatives(theta, b.spec, "stencil")
-    cb4 = extend_coframe(CoframeBundle(b.spec, theta, dtheta, rho))
-    lhs = norm_squared(axial_torsion_coframe(cb4, check_tol=None))
+        cb = CoframeBundle.from_grid(b.spec, theta, rho, "stencil")
+    lhs = norm_squared(axial_torsion_coframe(cb, check_tol=None))
     c = spinor_contractions(b)
     t, u = c.t, c.u
     # z, y and rho are not read below; release them before the norm

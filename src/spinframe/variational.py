@@ -13,9 +13,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateDenominator, DimensionMismatch, VanishingU
+from .errors import DegenerateDenominator, DimensionMismatch, VanishingU, require_choice
 from .field_equations import action_gradient
-from .grids import LatticeSpec, derivatives
+from .grids import BACKENDS, LatticeSpec, derivatives
 
 _HERM_TOL = 1e-12
 _CROSS_TOL = 1e-12
@@ -246,8 +246,9 @@ def combined_action_gradient(op_p: FirstOrderOperator, op_m: FirstOrderOperator,
     The differencing loop, with its probe-margin check, is
     ``field_equations.action_gradient``, the same one that differentiates
     the spinor actions; the combined density enters only through the action
-    it is handed.
+    it is handed.  The backend name is checked even when there is no probe.
     """
+    require_choice("backend", backend, BACKENDS)
     return action_gradient(
         lambda v: _combined_action(op_p, op_m, v, backend, denom_tol),
         np.asarray(u, dtype=complex), op_p.spec, probes, step)

@@ -35,6 +35,7 @@ from spinframe.grids import (
     spectral_derivative,
     wedge,
 )
+from spinframe.torsion import axial_torsion_coframe
 
 
 @pytest.fixture
@@ -124,21 +125,25 @@ def test_derivatives_match_per_axis_stack(spec, tail, axes, old_axis, backend):
         np.testing.assert_array_equal(got, old)
 
 
-def test_coframe_from_grid_holds_at_most_two_per_axis_results():
-    # the output plus the result being written and one stencil temporary;
-    # a stack of all per-axis results would hold three plus a copy
+def test_coframe_torsion_holds_one_row_of_derivatives_at_a_time():
+    # building a grid bundle differentiates nothing; the torsion reads one
+    # row's derivative stack at a time, plus the row's contiguous copy, the
+    # per-axis result being written and one stencil temporary.  A whole
+    # (*n, 3, 3, 3) stack of every row would not fit.
     spec = periodic_spec(32, 2.0 * np.pi / 32, 3)
     theta = np.random.default_rng(3).normal(size=spec.extents + (3, 3))
-    per_axis = theta.nbytes
+    row_stack = theta.nbytes
+    per_axis = theta.nbytes // 3
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         cb = CoframeBundle.from_grid(spec, theta)
+        axial_torsion_coframe(cb, check_tol=None)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= cb.dtheta.nbytes + 2 * per_axis + 2 ** 20
+    assert peak <= row_stack + 3 * per_axis + 2 ** 20
 
 
 @pytest.mark.parametrize("misuse", [
@@ -254,6 +259,21 @@ def test_wedge_basis_and_overflow(spec3):
     assert np.allclose(vol.values[..., 0], 1.0)
     with pytest.raises(RankOverflow):
         wedge(vol, e[0])
+
+
+def test_malformed_forms_raise_instead_of_reading_component_zero(spec3):
+    spec4 = periodic_spec(4, 1.0, 4)
+    # a 3-column coframe row on a 4D grid must be padded explicitly
+    with pytest.raises(RankMismatch):
+        form_field(spec4, 1, np.ones(spec4.extents + (3,)))
+    with pytest.raises(RankMismatch):
+        form_field(spec3, 2, np.ones(spec3.extents + (1,)))
+    # a 4D 1-form wedged with a 3D one: a rest index tuple of the 4D result
+    # is no component of the 3D form
+    u4 = form_field(spec4, 1, np.ones(spec4.extents + (4,)))
+    u3 = form_field(spec3, 1, np.ones(spec3.extents + (3,)))
+    with pytest.raises(RankMismatch):
+        wedge(u4, u3)
 
 
 def test_wedge_antisymmetry(spec3):

@@ -8,6 +8,7 @@ from spinframe import variational
 from spinframe.errors import SpinframeError, UnknownOption
 from spinframe.field_equations import discrete_variational_derivative, theorem1_check
 from spinframe.grids import (
+    CoframeBundle,
     ModelParams,
     SpinorBundle,
     derivatives,
@@ -76,6 +77,26 @@ def test_oracles_reject_unknown_backend():
     u = np.exp(1j * spec.axis_coords(0))[:, None]
     with pytest.raises(UnknownOption, match="'fft'"):
         variational.lemma_check(op_p, op_m, u, backend="fft")
+
+
+def test_backend_is_checked_even_where_no_derivative_is_taken():
+    # a given dt, an empty probe list or an unread bundle never reach
+    # grids.derivatives, so the name is checked at entry
+    b = _bundle3()
+    with pytest.raises(UnknownOption, match="'fft'"):
+        theorem1_check(b, ModelParams(m=1.0), 1, backend="fft",
+                       dt=np.zeros(SPEC3.extents + (3,)))
+    with pytest.raises(UnknownOption, match="'fft'"):
+        discrete_variational_derivative("dirac", b.values, SPEC3, ModelParams(m=1.0),
+                                        [], backend="fft")
+    spec = periodic_spec(16, 2.0 * np.pi / 16, 1)
+    op_p, op_m = variational.example_operators(spec)
+    u = np.exp(1j * spec.axis_coords(0))[:, None]
+    with pytest.raises(UnknownOption, match="'fft'"):
+        variational.combined_action_gradient(op_p, op_m, u, [], backend="fft")
+    theta = np.zeros(SPEC3.extents + (3, 3))
+    with pytest.raises(UnknownOption, match="'fft'"):
+        CoframeBundle.from_grid(SPEC3, theta, backend="fft")
 
 
 @pytest.mark.parametrize("probes", ([], [(1, 2, 3)]))
