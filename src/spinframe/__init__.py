@@ -9,7 +9,6 @@ from .algebra import (
     Spinor2,
     bijection_to_positive,
     coframe_map,
-    coframe_of_spinor,
     density_of_spinor,
     verify_coframe,
 )

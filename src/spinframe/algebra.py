@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDensity, WrongDensitySign
+from .errors import WrongDensitySign
 from .pauli import components
 
 # Minkowski metrics, diagonal entries only.
@@ -110,18 +110,6 @@ def coframe_map(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta[..., 1, alpha] = w.real
         theta[..., 2, alpha] = w.imag
     return theta, rho
-
-
-def coframe_of_spinor(xi) -> CoframeDensity:
-    """Pointwise spinor -> CoframeDensity, positive class only."""
-    v = _values(xi)
-    rho = density_of_spinor(v)
-    if rho <= 0.0:
-        raise NonPositiveDensity(
-            f"density {rho:.6g} is not positive; apply bijection_to_positive first"
-        )
-    theta, _ = coframe_map(v)
-    return CoframeDensity(theta=theta, rho=float(rho))
 
 
 def verify_coframe(cd: CoframeDensity, tol: float = 1e-12) -> CoframeReport:

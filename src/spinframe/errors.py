@@ -1,4 +1,13 @@
-"""Exception hierarchy shared by all spinframe modules."""
+"""Exception hierarchy shared by all spinframe modules, and the guards that
+raise them.
+
+Each guard is written so that a NaN fails it: an option outside its
+choices (``require_choice``), a density that is not strictly positive or
+vanishes somewhere (``require_density``), and a spelled-out density that
+differs from its compact form (``require_agreement``).
+"""
+
+import numpy as np
 
 
 class SpinframeError(Exception):
@@ -77,7 +86,7 @@ class ConfigInvalid(SpinframeError):
 
 
 class IoError(SpinframeError):
-    """Snapshot or report file could not be read or written."""
+    """A report file could not be written."""
 
 
 class UnknownOption(SpinframeError, ValueError):
@@ -92,3 +101,27 @@ def require_choice(what: str, value, choices) -> None:
     """
     if value not in choices:
         raise UnknownOption(f"unknown {what} {value!r}; choose from {tuple(choices)}")
+
+
+def require_density(rho: np.ndarray, positive: bool = True) -> None:
+    """Raise NonPositiveDensity unless rho > 0 everywhere, or, with positive
+    False, VanishingDensity unless rho != 0 everywhere.  A NaN raises."""
+    if positive:
+        if not np.all(rho > 0.0):
+            raise NonPositiveDensity(f"min density {np.min(rho):.3g} <= 0")
+    elif np.any(rho == 0.0) or np.any(np.isnan(rho)):
+        raise VanishingDensity("density vanishes on the grid")
+
+
+# Relative bound on the spelled-out/compact mismatch of a density; both
+# forms are exact algebra, so any larger deviation is a bug, not roundoff.
+_CROSS_TOL = 1e-12
+
+
+def require_agreement(spelled: np.ndarray, compact: np.ndarray, what: str) -> None:
+    """Raise AssertionError unless the two forms of a density agree pointwise
+    to _CROSS_TOL times max(1, max |spelled|).  A NaN in either raises."""
+    scale = max(1.0, float(np.max(np.abs(spelled))))
+    dev = float(np.max(np.abs(spelled - compact)))
+    if not dev <= _CROSS_TOL * scale:
+        raise AssertionError(f"{what}: spelled-out and compact forms differ by {dev:.3g}")

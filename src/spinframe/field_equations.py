@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .algebra import METRIC3, SIGMA3, SIGMA_LOWER, SIGMA_UPPER
-from .errors import NonPositiveDensity, ProbeOutsideInterior, require_choice
+from .errors import ProbeOutsideInterior, require_choice, require_density
 from .grids import BACKENDS, LatticeSpec, ModelParams, SpinorBundle, derivatives
 from .lagrangians import dirac_lagrangian, lagrangian_4d, lagrangian_reduced
 from .pauli import apply, components
@@ -55,8 +55,7 @@ def field_equation_residual_reduced(eta: SpinorBundle, params: ModelParams, r: i
     plane waves, or ``derivatives`` of ``reduced_axial_torsion``.
     """
     rho = eta.rho
-    if np.any(rho <= 0.0):
-        raise NonPositiveDensity(f"min density {rho.min():.3g} <= 0")
+    require_density(rho)
     t = reduced_axial_torsion(eta, params, r)
     p_eta = _first_order_op(eta, params.A, r)
     grad_term = np.zeros_like(eta.values)
@@ -155,8 +154,7 @@ def theorem1_check(eta: SpinorBundle, params: ModelParams, r: int,
     """
     require_choice("backend", backend, BACKENDS)
     rho = eta.rho
-    if np.any(rho <= 0.0):
-        raise NonPositiveDensity(f"min density {rho.min():.3g} <= 0")
+    require_density(rho)
     if dt is None:
         dt = derivatives(reduced_axial_torsion(eta, params, r), eta.spec, backend, range(3))
     scale = params.m ** 2 * float(np.sqrt(np.max(rho)))

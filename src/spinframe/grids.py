@@ -11,9 +11,8 @@ so that d(dx^0) ^ dx^1 etc. have unit components and
 from __future__ import annotations
 
 import math
-import struct
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +22,6 @@ from .errors import (
     AxisOutOfRange,
     GridTooSmall,
     InvalidGrid,
-    IoError,
     RankMismatch,
     RankOverflow,
     UnsupportedRank,
@@ -31,7 +29,8 @@ from .errors import (
 )
 from .pauli import grid_minor
 
-KINDS = ("scalar", "spinor", "covector", "2-form", "3-form", "coframe")
+# Field kinds, indexed by antisymmetric rank.
+KINDS = ("scalar", "covector", "2-form", "3-form")
 
 # Derivative rules, one name each: the order-2 and order-4 central-difference
 # stencils and the periodic FFT.
@@ -118,26 +117,23 @@ def perm_sign(perm) -> int:
 
 @dataclass
 class LatticeField:
-    """Dense per-point values of one field on a lattice.
+    """Dense per-point values of one antisymmetric field on a lattice.
 
-    Shapes by kind: scalar (*n,), spinor (*n, 2) complex, covector (*n, d),
-    2-form / 3-form (*n, ncomp) with component order from form_components,
-    coframe (*n, 3, 3).
+    Shapes by kind: scalar (*n,), covector (*n, d), 2-form / 3-form
+    (*n, ncomp) with component order from form_components.
     """
 
     spec: LatticeSpec
     kind: str
     values: np.ndarray
-    boundary_margin: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
+        require_choice("kind", self.kind, KINDS)
         self.values = np.asarray(self.values)
 
     @property
     def rank(self) -> int:
-        return {"scalar": 0, "covector": 1, "2-form": 2, "3-form": 3}[self.kind]
+        return KINDS.index(self.kind)
 
     @property
     def components(self) -> list[tuple[int, ...]]:
@@ -147,7 +143,7 @@ class LatticeField:
 def form_field(spec: LatticeSpec, rank: int, values) -> LatticeField:
     """An antisymmetric rank-r field; a trailing length other than the
     number of independent components raises RankMismatch."""
-    kind = {0: "scalar", 1: "covector", 2: "2-form", 3: "3-form"}[rank]
+    kind = KINDS[rank]
     f = LatticeField(spec, kind, values)
     if rank > 0 and f.values.shape[-1:] != (len(f.components),):
         raise RankMismatch(f"a {kind} on a {spec.dims}D grid has {len(f.components)} "
@@ -254,17 +250,6 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil",
     return out
 
 
-def partial_derivative(f: LatticeField, axis: int, backend: str = "stencil") -> LatticeField:
-    """Partial derivative along one axis, by ``derivatives``.
-
-    Periodic axes wrap; non-periodic axes are accurate in the interior only
-    and the returned field carries the boundary margin.
-    """
-    vals = derivatives(f.values, f.spec, backend, [axis])[(slice(None),) * f.spec.dims + (0,)]
-    reach = 0 if f.spec.periodic[axis] else max(_STENCILS[backend][0])
-    return replace(f, values=vals, boundary_margin=f.boundary_margin + reach)
-
-
 def _raise_indices(field: LatticeField) -> np.ndarray:
     g = field.spec.metric
     factors = np.array([np.prod(g[list(c)]) for c in field.components])
@@ -345,10 +330,7 @@ def exterior_derivative(P: LatticeField, backend: str = "stencil") -> LatticeFie
         for pos, a in enumerate(c):
             rest = tuple(b for b in c if b != a)
             out[..., j] += (-1) ** pos * derivs[..., a, comps_in[rest]]
-    f = form_field(P.spec, r + 1, out)
-    reach = 0 if all(P.spec.periodic) else max(_STENCILS[backend][0])
-    f.boundary_margin = P.boundary_margin + reach
-    return f
+    return form_field(P.spec, r + 1, out)
 
 
 @dataclass
@@ -435,95 +417,3 @@ class CoframeBundle:
             return derivatives(np.ascontiguousarray(theta[..., j, :]), spec, backend)
 
         return cls(spec, theta, row_derivatives, rho)
-
-
-# ---------------------------------------------------------------------------
-# Snapshot file format: magic, version, dims, kind code, extents, spacing,
-# periodic flags, then row-major little-endian float64 payload (complex as
-# re,im pairs).
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"SPFR"
-_KIND_CODES = {k: i for i, k in enumerate(KINDS)}
-
-
-def save_field(f: LatticeField, path) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<BBB", 1, f.spec.dims, _KIND_CODES[f.kind]))
-            fh.write(struct.pack(f"<{f.spec.dims}q", *f.spec.extents))
-            fh.write(struct.pack(f"<{f.spec.dims}d", *f.spec.spacing))
-            fh.write(struct.pack(f"<{f.spec.dims}B", *(int(p) for p in f.spec.periodic)))
-            fh.write(struct.pack("<B", int(np.iscomplexobj(f.values))))
-            payload = np.ascontiguousarray(f.values)
-            if np.iscomplexobj(payload):
-                payload = payload.astype(np.complex128).view(np.float64)
-            else:
-                payload = payload.astype(np.float64)
-            fh.write(payload.astype("<f8").tobytes())
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-
-
-def load_field(path) -> LatticeField:
-    """Read a snapshot written by save_field.
-
-    Anything save_field cannot have written (bad magic or version, a
-    truncated header, a flag byte other than 0/1, an unknown kind, a grid
-    LatticeSpec rejects, non-finite spacing, or a payload whose length does
-    not match the extents) raises IoError.
-    """
-    try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-
-    def take(fmt: str) -> tuple:
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(buf):
-            raise IoError(f"truncated header: {len(buf)} bytes")
-        out = struct.unpack_from(fmt, buf, pos)
-        pos += size
-        return out
-
-    if buf[:4] != _MAGIC:
-        raise IoError("bad magic")
-    pos = len(_MAGIC)
-    version, dims, kcode = take("<BBB")
-    if version != 1:
-        raise IoError(f"unsupported snapshot version {version}")
-    if not 1 <= dims <= 4:
-        raise IoError(f"unsupported grid dimension {dims}")
-    if kcode >= len(KINDS):
-        raise IoError(f"unknown kind code {kcode}")
-    extents = take(f"<{dims}q")
-    spacing = take(f"<{dims}d")
-    flags = take(f"<{dims + 1}B")
-    if any(b > 1 for b in flags):
-        raise IoError("periodic and complex flags must be 0 or 1")
-    if not all(np.isfinite(spacing)):
-        raise IoError("non-finite grid spacing")
-    try:
-        spec = LatticeSpec(extents, spacing, tuple(bool(b) for b in flags[:-1]))
-    except ValueError as exc:
-        raise IoError(f"invalid grid: {exc}") from exc
-    kind = KINDS[kcode]
-    is_complex = flags[-1]
-    tail = {
-        "scalar": (),
-        "spinor": (2,),
-        "covector": (dims,),
-        "2-form": (len(form_components(dims, 2)),),
-        "3-form": (len(form_components(dims, 3)),),
-        "coframe": (3, 3),
-    }[kind]
-    count = math.prod(extents + tail) * (2 if is_complex else 1)
-    if len(buf) - pos != 8 * count:
-        raise IoError(f"payload has {len(buf) - pos} bytes, the header implies {8 * count}")
-    data = np.frombuffer(buf, dtype="<f8", offset=pos).copy()  # aligned, writable
-    if is_complex:
-        data = data.view(np.complex128)
-    return LatticeField(spec, kind, data.reshape(extents + tail))

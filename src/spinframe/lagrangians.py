@@ -2,15 +2,16 @@
 factorization identity connecting them.
 
 Every density is computed in both its spelled-out and compact forms and the
-two are cross-asserted pointwise; a disagreement is a build-breaking bug,
-not a tolerance issue.
+two are cross-asserted pointwise (``errors.require_agreement``); a
+disagreement, or a NaN in either form, is a build-breaking bug, not a
+tolerance issue.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDenominator, NonPositiveDensity
+from .errors import DegenerateDenominator, require_agreement, require_density
 from .grids import LatticeSpec, ModelParams, SpinorBundle, form_field, lorentz_dot, hodge_dual
 from .torsion import (
     SpinorContractions,
@@ -18,16 +19,6 @@ from .torsion import (
     reduced_axial_torsion,
     spinor_contractions,
 )
-
-_CROSS_TOL = 1e-12
-
-
-def _cross_assert(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    scale = max(1.0, float(np.max(np.abs(a))))
-    dev = float(np.max(np.abs(a - b)))
-    if dev > _CROSS_TOL * scale:
-        raise AssertionError(f"{what}: spelled-out and compact forms differ by {dev:.3g}")
-
 
 def lagrangian_4d(xi: SpinorBundle, params: ModelParams,
                   contractions: SpinorContractions | None = None) -> np.ndarray:
@@ -63,7 +54,7 @@ def _lagrangian_4d(c: SpinorContractions, spec) -> np.ndarray:
     tform = unhodge_scalar(spec3, c.t)
     uform = unhodge_covector(spec3, c.u)
     compact = (lorentz_dot(tform, tform).values + lorentz_dot(uform, uform).values) * rho
-    _cross_assert(spelled, compact, "lagrangian_4d")
+    require_agreement(spelled, compact, "lagrangian_4d")
     return spelled
 
 
@@ -100,15 +91,14 @@ def _dirac_contraction(eta: SpinorBundle, params: ModelParams, r: int) -> np.nda
 def lagrangian_reduced(eta: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
     """L_r for the x3-separated field; compact form -((T*)^2 - 16 m^2/9) rho."""
     rho = eta.rho
-    if np.any(rho <= 0.0):
-        raise NonPositiveDensity(f"min density {rho.min():.3g} <= 0")
+    require_density(rho)
     # only (Re w)^2 is kept, so the complex w is freed before the torsion
     # pass below builds its own
     re_w_sq = _dirac_contraction(eta, params, r).real ** 2
     spelled = -(16.0 / (9.0 * rho)) * (re_w_sq - (params.m * rho) ** 2)
     t = reduced_axial_torsion(eta, params, r)
     compact = -(t ** 2 - (16.0 / 9.0) * params.m ** 2) * rho
-    _cross_assert(spelled, compact, "lagrangian_reduced")
+    require_agreement(spelled, compact, "lagrangian_reduced")
     return spelled
 
 
@@ -123,7 +113,7 @@ def dirac_lagrangian(eta: SpinorBundle, params: ModelParams, r: int, s: int) -> 
     if np.all(rho > 0.0):
         t = reduced_axial_torsion(eta, params, r)
         compact = (-0.75 * t + s * params.m) * rho
-        _cross_assert(spelled, compact, "dirac_lagrangian")
+        require_agreement(spelled, compact, "dirac_lagrangian")
     return spelled
 
 
@@ -135,8 +125,7 @@ def factorization_residual(eta: SpinorBundle, params: ModelParams, r: int,
     the residual is roundoff-level on any positive-class field.
     """
     rho = eta.rho
-    if np.any(rho <= 0.0):
-        raise NonPositiveDensity(f"min density {rho.min():.3g} <= 0")
+    require_density(rho)
     lp = dirac_lagrangian(eta, params, r, +1)
     lm = dirac_lagrangian(eta, params, r, -1)
     denom = lp - lm

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import coframe_map
-from .errors import InvalidProbeField, WrongDensitySign
+from .errors import InvalidGrid, InvalidProbeField, WrongDensitySign
 from .grids import LatticeSpec, ModelParams, SpinorBundle, periodic_spec
 from .sampling import SpinorPoly, TrigPoly, base_for, constant_poly
 
@@ -54,7 +54,7 @@ def plane_wave_spinor(label: PlaneWaveLabel, spec: LatticeSpec) -> SpinorBundle:
         k3 = label.r * label.m / base[3]
         freq = np.array([[-k0, 0, 0, -k3]])
     else:
-        raise ValueError("plane waves live on 3D or 4D grids")
+        raise InvalidGrid("plane waves live on 3D or 4D grids")
     sp = SpinorPoly(TrigPoly(freq, np.array([1.0 + 0j]), base),
                     constant_poly(0.0, base))
     return sp.bundle(spec)
@@ -62,18 +62,6 @@ def plane_wave_spinor(label: PlaneWaveLabel, spec: LatticeSpec) -> SpinorBundle:
 
 def plane_wave_params(label: PlaneWaveLabel) -> ModelParams:
     return ModelParams(m=label.m, A=np.array([label.a0, 0.0, 0.0]))
-
-
-def coframe_rotation_angle(label: PlaneWaveLabel, x0, x3=0.0):
-    """The plane-wave coframe rotates about the third axis by
-    2[(s m - r A0) x0 + r m x3]; the spinor phase doubles in the coframe."""
-    return 2.0 * (label.temporal_frequency * np.asarray(x0) + label.r * label.m * np.asarray(x3))
-
-
-def dispersion_matrix(p0: float, s: int, m: float) -> np.ndarray:
-    """Matrix of the operator on spatially constant fields e^{-i p0 x0}:
-    diag(-p0 + s m, -p0 - s m).  Kernel nontrivial iff p0 = +-m."""
-    return np.diag([-p0 + s * m, -p0 - s * m])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .errors import IoError
+from .errors import IoError, require_choice
 
 SCHEMA_VERSION = 1
 
@@ -53,28 +53,27 @@ def make_report(check_name: str, params: dict, max_abs: float, rms: float,
 
 
 def render(reports, fmt: str = "json", include_runtime: bool = False) -> str:
+    require_choice("format", fmt, ("json", "csv"))
     reports = sorted(reports, key=lambda r: r.check_name)
     if fmt == "json":
         doc = {"schema": SCHEMA_VERSION,
                "reports": [r.to_dict(include_runtime) for r in reports]}
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        cols = ["check_name", *_PARAM_ORDER, "max_abs_residual", "rms_residual",
-                "tolerance", "pass"]
+    buf = io.StringIO()
+    cols = ["check_name", *_PARAM_ORDER, "max_abs_residual", "rms_residual",
+            "tolerance", "pass"]
+    if include_runtime:
+        cols.append("runtime_ms")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(cols)
+    for r in reports:
+        row = [r.check_name, *(r.params.get(k) for k in _PARAM_ORDER),
+               repr(r.max_abs_residual), repr(r.rms_residual),
+               repr(r.tolerance), r.passed]
         if include_runtime:
-            cols.append("runtime_ms")
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(cols)
-        for r in reports:
-            row = [r.check_name, *(r.params.get(k) for k in _PARAM_ORDER),
-                   repr(r.max_abs_residual), repr(r.rms_residual),
-                   repr(r.tolerance), r.passed]
-            if include_runtime:
-                row.append(r.runtime_ms)
-            w.writerow(row)
-        return buf.getvalue()
-    raise ValueError(f"unknown format {fmt!r}")
+            row.append(r.runtime_ms)
+        w.writerow(row)
+    return buf.getvalue()
 
 
 def emit(reports, fmt: str, path, include_runtime: bool = False) -> None:
@@ -85,12 +84,3 @@ def emit(reports, fmt: str, path, include_runtime: bool = False) -> None:
     except OSError as e:
         raise IoError(f"cannot write report to {path}: {e}") from e
 
-
-def parse_json(text: str):
-    doc = json.loads(text)
-    out = []
-    for d in doc["reports"]:
-        out.append(CheckReport(d["check_name"], d["params"], d["max_abs_residual"],
-                               d["rms_residual"], d["tolerance"], d["pass"],
-                               d.get("runtime_ms", 0)))
-    return out

@@ -24,7 +24,7 @@ from .algebra import (
     coframe_map,
     verify_coframe,
 )
-from .errors import InvalidCoframe, NonPositiveDensity, VanishingDensity, require_choice
+from .errors import InvalidCoframe, InvalidGrid, require_choice, require_density
 from .pauli import components, contract
 from .grids import (
     CoframeBundle,
@@ -35,19 +35,10 @@ from .grids import (
     form_field,
     hodge_dual,
     norm_squared,
-    perm_sign,
     wedge,
 )
 
 _REALITY_TOL = 1e-13
-
-
-def _check_density(rho: np.ndarray, positive: bool) -> None:
-    if positive:
-        if np.any(rho <= 0.0):
-            raise NonPositiveDensity(f"min density {rho.min():.3g} <= 0")
-    elif np.any(rho == 0.0):
-        raise VanishingDensity("density vanishes on the grid")
 
 
 @dataclass
@@ -86,7 +77,7 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None) -> S
     """Every spinor-route contraction of one bundle, in one pass.
 
     Always gives rho, z and t; a 4D bundle also gives y and u.  Passing
-    params mixes A into D_alpha, which only a 4D bundle accepts (ValueError
+    params mixes A into D_alpha, which only a 4D bundle accepts (InvalidGrid
     otherwise).  ``axial_torsion_spinor``, ``kk_decomposition_check``,
     ``lagrangian_4d`` and ``field_equation_residual_4d`` all read from here.
 
@@ -99,9 +90,9 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None) -> S
     """
     dims = b.spec.dims
     if params is not None and dims != 4:
-        raise ValueError("A mixing needs a 4D bundle")
+        raise InvalidGrid("A mixing needs a 4D bundle")
     rho = b.rho
-    _check_density(rho, positive=False)
+    require_density(rho, positive=False)
     z = 0.0
     for alpha in range(3):
         z += contract(SIGMA_UPPER[alpha], b.values, mixed_derivative(b, params, alpha))
@@ -144,33 +135,11 @@ def dirac_term(b: SpinorBundle, params: ModelParams, r: int, alpha: int) -> np.n
 def reduced_axial_torsion(b: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
     """*T_{Ar}^ax = -(4 / 3 rho) Re(eta^dag sigma^alpha (i d + r A)_alpha eta)."""
     rho = b.rho
-    _check_density(rho, positive=True)
+    require_density(rho)
     w = dirac_term(b, params, r, 0)
     for alpha in (1, 2):
         w += dirac_term(b, params, r, alpha)
     return -4.0 * w.real / (3.0 * rho)
-
-
-@dataclass
-class ReducedQuantities:
-    """x3-independent fields of the separated problem."""
-
-    t: np.ndarray      # *T_{Ar}^ax, scalar
-    u: np.ndarray      # (*D_3 theta)_alpha, covector
-    rho: np.ndarray
-
-
-def reduced_quantities(b: SpinorBundle, params: ModelParams, r: int) -> ReducedQuantities:
-    """The three reduced fields for xi = eta exp(-i r m x3)."""
-    rho = b.rho
-    _check_density(rho, positive=True)
-    t = reduced_axial_torsion(b, params, r)
-    u = np.stack(
-        [r * 4.0 * params.m * contract(SIGMA_LOWER[a], b.values, b.values).real
-         / (3.0 * rho) for a in range(3)],
-        axis=-1,
-    )
-    return ReducedQuantities(t, u, rho)
 
 
 def _row_forms(cb: CoframeBundle, j: int) -> tuple[LatticeField, LatticeField]:
@@ -230,43 +199,6 @@ def axial_torsion_coframe(cb: CoframeBundle, check_tol: float | None = 1e-8) -> 
     return total
 
 
-def torsion_tensor(cb: CoframeBundle) -> np.ndarray:
-    """Full torsion tensor o_jk theta^j (x) d theta^k, shape (*n, d, d, d).
-
-    Index order (a, b, c) = theta^j_a (d theta^k)_{bc}; not antisymmetric in
-    the first pair.  Built one frame row at a time from the same row forms
-    as ``axial_torsion_coframe``.
-    """
-    d = cb.spec.dims
-    out = np.zeros(cb.spec.extents + (d, d, d))
-    for j in range(3):
-        theta_j, dtheta_j = _row_forms(cb, j)
-        for i, (b_, c) in enumerate(dtheta_j.components):
-            outer = O3[j] * theta_j.values * dtheta_j.values[..., i, None]
-            out[..., :, b_, c] += outer
-            out[..., :, c, b_] -= outer
-    return out
-
-
-def alt3(T: np.ndarray) -> np.ndarray:
-    """Total antisymmetrization of a rank-3 tensor, as independent components.
-
-    Returns components in the order of form_components(d, 3).
-    """
-    from itertools import permutations
-
-    d = T.shape[-1]
-    comps = form_components(d, 3)
-    out = np.empty(T.shape[:-3] + (len(comps),))
-    for i, c in enumerate(comps):
-        acc = 0.0
-        for p in permutations(range(3)):
-            idx = tuple(c[k] for k in p)
-            acc = acc + perm_sign(p) * T[..., idx[0], idx[1], idx[2]]
-        out[..., i] = acc / 6.0
-    return out
-
-
 def spinor_vs_coframe_residual(b: SpinorBundle, cb: CoframeBundle,
                                norm: str = "max") -> float:
     """Mismatch between the two torsion routes (scalar *T^ax); norm is
@@ -309,7 +241,7 @@ def kk_decomposition_check(b: SpinorBundle, tol: float = 1e-10,
     """
     require_choice("coframe_derivs", coframe_derivs, ("chain", "grid"))
     if b.spec.dims != 4:
-        raise ValueError("kk check needs a 4D bundle")
+        raise InvalidGrid("kk check needs a 4D bundle")
     theta, rho = coframe_map(b.values)
     if coframe_derivs == "chain":
         dtheta = _coframe_chain_derivs(b)

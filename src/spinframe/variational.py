@@ -13,12 +13,17 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateDenominator, DimensionMismatch, VanishingU, require_choice
+from .errors import (
+    DegenerateDenominator,
+    DimensionMismatch,
+    VanishingU,
+    require_agreement,
+    require_choice,
+)
 from .field_equations import action_gradient
 from .grids import BACKENDS, LatticeSpec, derivatives
 
 _HERM_TOL = 1e-12
-_CROSS_TOL = 1e-12
 
 
 def _check_hermitian(mat: np.ndarray, what: str) -> None:
@@ -94,9 +99,7 @@ def first_order_lagrangian(op: FirstOrderOperator, u: np.ndarray,
     expanded = (0.5j * (bu_du - np.conj(bu_du))).real \
         + np.einsum("...m,...mk,...k->...", np.conj(u),
                     np.broadcast_to(op.c, u.shape[:-1] + (op.mdim, op.mdim)), u).real
-    dev = float(np.max(np.abs(spelled - expanded)))
-    if dev > _CROSS_TOL * max(1.0, float(np.max(np.abs(spelled)))):
-        raise AssertionError(f"first_order_lagrangian forms differ by {dev:.3g}")
+    require_agreement(spelled, expanded, "first_order_lagrangian")
     return spelled
 
 
@@ -151,63 +154,6 @@ def example_ode_residual(u: np.ndarray, du: np.ndarray, ddu: np.ndarray) -> np.n
     q_d = num_d / (2.0 * mod2) - q * mod2_d / mod2
     second = (np.conj(u) * du) ** 2 - (u * np.conj(du)) ** 2
     return q_d * u + q * du + second / (4.0 * mod2 ** 2) * u + u
-
-
-# ---------------------------------------------------------------------------
-# Solvable constant-coefficient instances and ODE integration
-# ---------------------------------------------------------------------------
-
-
-def solvable_operator(rng: np.random.Generator, spec: LatticeSpec, mdim: int,
-                      modes=None) -> tuple[FirstOrderOperator, np.ndarray]:
-    """Random constant-coefficient 1D operator whose solutions are exact
-    integer Fourier modes of the periodic grid.
-
-    With B = W W* and C = W diag(k) W* (k integers), B^{-1} C has spectrum k,
-    so solutions of A u = 0 are band-limited and sampled exactly.  Returns
-    the operator and the integer spectrum.
-    """
-    if spec.dims != 1:
-        raise DimensionMismatch("solvable instances are one-dimensional")
-    w = rng.normal(size=(mdim, mdim)) + 1j * rng.normal(size=(mdim, mdim))
-    w += 2.0 * np.eye(mdim)  # keep it comfortably invertible
-    if modes is None:
-        modes = rng.integers(-3, 4, size=mdim)
-    modes = np.asarray(modes)
-    b = (w @ w.conj().T)[None, :, :]
-    c = w @ np.diag(modes.astype(float)) @ w.conj().T
-    return FirstOrderOperator(spec, b, c), modes
-
-
-def integrate_solution(op: FirstOrderOperator, u0: np.ndarray,
-                       rtol: float = 1e-12, atol: float = 1e-12) -> np.ndarray:
-    """Solve A u = 0 as the linear ODE u' = i B^{-1} C u along the 1D grid
-    with a high-order explicit integrator.  Requires invertible constant B.
-    """
-    from scipy.integrate import solve_ivp
-
-    if op.spec.dims != 1:
-        raise DimensionMismatch("ODE integration needs a one-dimensional grid")
-    if op.b.ndim != 3:
-        raise DimensionMismatch("ODE integration needs constant coefficients")
-    bmat = op.b[0]
-    cond = np.linalg.cond(bmat)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise DegenerateDenominator("B is singular or near-singular")
-    gen = 1j * np.linalg.solve(bmat, op.c)
-    x = op.spec.axis_coords(0)
-    sol = solve_ivp(lambda t, y: gen @ y, (x[0], x[-1]), np.asarray(u0, complex),
-                    t_eval=x, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    return sol.y.T
-
-
-def solution_derivs(op: FirstOrderOperator, u: np.ndarray) -> np.ndarray:
-    """Exact derivative bundle of a solution of A u = 0 (constant B):
-    u' = i B^{-1} C u, applied pointwise."""
-    gen = 1j * np.linalg.solve(op.b[0], op.c)
-    return np.einsum("mk,...k->...m", gen, u)[..., None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,12 @@ from spinframe.algebra import (
     SIGMA_LOWER,
     SIGMA_UPPER,
     CoframeDensity,
-    Spinor2,
     bijection_to_positive,
     coframe_map,
-    coframe_of_spinor,
     density_of_spinor,
     verify_coframe,
 )
-from spinframe.errors import NonPositiveDensity, WrongDensitySign
+from spinframe.errors import WrongDensitySign
 
 
 def test_pauli_matrices_pinned():
@@ -52,11 +50,6 @@ def test_coframe_scale_invariance():
     t2, r2 = coframe_map(2.5 * xi)
     assert np.allclose(t1, t2, atol=1e-14)
     assert r2 == pytest.approx(2.5 ** 2 * r1)
-
-
-def test_coframe_of_spinor_rejects_negative_class():
-    with pytest.raises(NonPositiveDensity):
-        coframe_of_spinor(Spinor2(0.1 + 0j, 1.0 + 0j))
 
 
 def test_verify_coframe_on_random_batch():

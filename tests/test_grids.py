@@ -1,16 +1,12 @@
-import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from spinframe.errors import (
     AxisOutOfRange,
     GridTooSmall,
     InvalidGrid,
-    IoError,
     SpinframeError,
     RankMismatch,
     RankOverflow,
@@ -18,7 +14,6 @@ from spinframe.errors import (
 )
 from spinframe.grids import (
     CoframeBundle,
-    LatticeField,
     LatticeSpec,
     _axis_derivative,
     derivatives,
@@ -26,12 +21,9 @@ from spinframe.grids import (
     form_components,
     form_field,
     hodge_dual,
-    load_field,
     lorentz_dot,
     norm_squared,
-    partial_derivative,
     periodic_spec,
-    save_field,
     spectral_derivative,
     wedge,
 )
@@ -54,10 +46,10 @@ def test_form_components_order():
 
 def test_stencil_derivative_orders(spec3):
     x = _coords(spec3)
-    f = form_field(spec3, 0, np.sin(2.0 * x[1]))
+    f = np.sin(2.0 * x[1])
     exact = 2.0 * np.cos(2.0 * x[1])
-    e2 = np.max(np.abs(partial_derivative(f, 1, "stencil").values - exact))
-    e4 = np.max(np.abs(partial_derivative(f, 1, "stencil4").values - exact))
+    e2 = np.max(np.abs(derivatives(f, spec3, "stencil", [1])[..., 0] - exact))
+    e4 = np.max(np.abs(derivatives(f, spec3, "stencil4", [1])[..., 0] - exact))
     # second-order truncation bound k^3 h^2 / 6
     h = spec3.spacing[1]
     assert e2 <= 8.0 * h ** 2 / 6.0 * 1.0001
@@ -152,8 +144,8 @@ def test_coframe_torsion_holds_one_row_of_derivatives_at_a_time():
     lambda: LatticeSpec((4, 0), (1.0, 1.0), (True, True)),
     lambda: spectral_derivative(np.zeros((6, 6)),
                                 LatticeSpec((6, 6), (1.0, 1.0), (True, False)), 1),
-    lambda: partial_derivative(form_field(LatticeSpec((6, 6), (1.0, 1.0), (False, True)),
-                                          0, np.zeros((6, 6))), 0, "spectral"),
+    lambda: derivatives(np.zeros((6, 6)), LatticeSpec((6, 6), (1.0, 1.0), (False, True)),
+                        "spectral", [0]),
     lambda: derivatives(np.zeros((6, 6)), periodic_spec(6, 1.0, 2), axes=[]),
 ])
 def test_grid_misuse_raises_a_package_value_error(misuse):
@@ -170,12 +162,6 @@ def test_integrate_is_fsum_times_cell_volume():
     assert spec.integrate(density) == 2.0 * 0.125
 
 
-def test_partial_derivative_rejects_bad_axis(spec3):
-    f = form_field(spec3, 0, np.zeros(spec3.extents))
-    with pytest.raises(AxisOutOfRange):
-        partial_derivative(f, 3)
-
-
 @pytest.mark.parametrize("axes", [[5], [3], [-1], [0, -1]])
 def test_derivatives_rejects_axis_outside_the_grid(spec3, axes):
     for backend in ("stencil", "stencil4", "spectral"):
@@ -190,17 +176,6 @@ def test_stencil_needs_room_for_its_edges_on_open_axes_only():
     derivatives(values, open_axis, "stencil4", [1])  # a periodic axis wraps
     with pytest.raises(GridTooSmall):
         derivatives(values, open_axis, "stencil4", [0])
-
-
-@pytest.mark.parametrize("backend,reach", [("stencil", 1), ("stencil4", 2)])
-def test_margin_is_the_stencil_reach_on_open_axes(backend, reach):
-    spec = LatticeSpec((8, 7, 6), (0.5, 0.5, 0.5), (True, False, True))
-    f = form_field(spec, 0, np.zeros(spec.extents))
-    assert partial_derivative(f, 0, backend).boundary_margin == 0
-    assert partial_derivative(f, 1, backend).boundary_margin == reach
-    assert exterior_derivative(f, backend).boundary_margin == reach
-    assert exterior_derivative(form_field(periodic_spec(6, 1.0, 3), 0, np.zeros((6,) * 3)),
-                               backend).boundary_margin == 0
 
 
 def test_lorentz_dot_signature(spec3):
@@ -288,94 +263,3 @@ def test_exterior_derivative_nilpotent(spec3):
     f = form_field(spec3, 0, np.sin(x[0]) * np.cos(2 * x[1]) + np.sin(x[2]))
     ddf = exterior_derivative(exterior_derivative(f))
     assert np.max(np.abs(ddf.values)) < 1e-12
-
-
-def test_snapshot_round_trip(tmp_path, spec3):
-    rng = np.random.default_rng(2)
-    f = form_field(spec3, 2, rng.normal(size=spec3.extents + (3,)))
-    path = tmp_path / "field.spfr"
-    save_field(f, path)
-    g = load_field(path)
-    assert g.kind == f.kind
-    assert g.spec == f.spec
-    assert np.array_equal(g.values, f.values)
-
-
-def test_snapshot_round_trip_complex(tmp_path, spec3):
-    rng = np.random.default_rng(3)
-    vals = rng.normal(size=spec3.extents + (2,)) + 1j * rng.normal(size=spec3.extents + (2,))
-    f = LatticeField(spec3, "spinor", vals)
-    path = tmp_path / "spinor.spfr"
-    save_field(f, path)
-    g = load_field(path)
-    assert np.array_equal(g.values, vals)
-    g.values *= 2.0  # a loaded field is as writable as any other
-
-
-def _saved_bytes(tmp_path) -> bytes:
-    spec = LatticeSpec((3, 2, 2), (0.5, 0.25, 1.0), (True, False, True))
-    rng = np.random.default_rng(4)
-    vals = rng.normal(size=spec.extents + (2,)) + 1j * rng.normal(size=spec.extents + (2,))
-    path = tmp_path / "field.spfr"
-    save_field(LatticeField(spec, "spinor", vals), path)
-    return path.read_bytes()
-
-
-def _header(version=1, dims=3, kind=1, extents=(3, 2, 2), flags=(1, 0, 1, 1)):
-    return (b"SPFR" + struct.pack("<BBB", version, dims, kind)
-            + struct.pack(f"<{dims}q", *extents)
-            + struct.pack(f"<{dims}d", *(0.5,) * dims)
-            + struct.pack(f"<{dims + 1}B", *flags))
-
-
-_MALFORMED = {
-    "truncated-magic": b"SPF",
-    "truncated-fixed-header": b"SPFR\x01",
-    "truncated-extents": _header()[:20],
-    "version-9": _header(version=9) + bytes(8 * 24),
-    "no-axes": _header(dims=0, extents=(), flags=(1,)),
-    "kind-code-6": _header(kind=6) + bytes(8 * 24),
-    "periodic-flag-2": _header(flags=(2, 0, 1, 1)) + bytes(8 * 24),
-    "empty-axis": _header(extents=(3, 0, 2)),
-    "short-payload": _header() + bytes(8 * 23),
-    "long-payload": _header() + bytes(8 * 25),
-}
-
-
-@pytest.mark.parametrize("blob", list(_MALFORMED.values()), ids=list(_MALFORMED))
-def test_load_rejects_malformed_snapshots(tmp_path, blob):
-    path = tmp_path / "bad.spfr"
-    path.write_bytes(blob)
-    with pytest.raises(IoError):
-        load_field(path)
-
-
-def test_load_missing_file_raises_io_error(tmp_path):
-    with pytest.raises(IoError):
-        load_field(tmp_path / "missing.spfr")
-
-
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_load_fuzz_truncation_and_byte_flips(tmp_path, data):
-    """A damaged snapshot either raises IoError or is a canonical file:
-    saving what was loaded reproduces the damaged bytes exactly."""
-    good = _saved_bytes(tmp_path)
-    if data.draw(st.booleans(), label="truncate"):
-        blob = good[:data.draw(st.integers(0, len(good) - 1), label="length")]
-    else:
-        blob = bytearray(good)
-        for _ in range(data.draw(st.integers(1, 3), label="flips")):
-            i = data.draw(st.integers(0, len(good) - 1), label="index")
-            blob[i] ^= data.draw(st.integers(1, 255), label="xor")
-        blob = bytes(blob)
-    path = tmp_path / "fuzz.spfr"
-    path.write_bytes(blob)
-    try:
-        f = load_field(path)
-    except IoError:
-        return
-    again = tmp_path / "again.spfr"
-    save_field(f, again)
-    assert again.read_bytes() == blob

@@ -2,7 +2,9 @@
 function imports from the package: every relative import sits at module
 level, where a cycle would show at import time.  The derivative rule has
 one home: no function takes an ``order``, and only ``grids.derivatives``
-calls the per-axis derivative kernels."""
+calls the per-axis derivative kernels.  No public definition is kept for
+tests alone: each is reached from a suite or the CLI, exported from
+``__init__``, or named with its reason on a short allowlist."""
 
 import ast
 from pathlib import Path
@@ -95,3 +97,88 @@ def test_only_derivatives_calls_the_derivative_kernels():
     found = [line for path in sorted(PACKAGE.glob("*.py"))
              for line in kernel_calls_outside_derivatives(path)]
     assert found == []
+
+
+# Where the walk starts: every suite and every CLI path.
+ROOTS = (("suites", "run_suite"), ("cli", "main"))
+
+# Public definitions that no suite or CLI path reaches and ``__init__`` does
+# not export, each with the reason it stays.
+ALLOWED_UNREACHED = {
+    "sampling.ScaledSpinor": "the acceptance gate's scaling-covariance criterion "
+                             "builds it, and perfbench/tracer.py wraps "
+                             "ScaledSpinor.bundle by name",
+    "grids.exterior_derivative": "tests/test_torsion.py's independent reference "
+                                 "for the row forms of a 4D coframe",
+}
+
+
+def module_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Module-level functions, classes and assignments of one module, by the
+    names they bind."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defs[name.id] = node
+    return defs
+
+
+def relative_imports(tree: ast.Module) -> dict[str, tuple[str, str]]:
+    """Local name -> (module, name) for every `from .module import name`."""
+    return {alias.asname or alias.name: (node.module, alias.name)
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names}
+
+
+def reachable(package: Path, roots) -> set[tuple[str, str]]:
+    """Every (module, name) definition that a walk over name references,
+    starting from the roots, reaches.  A reached class brings its whole
+    body, so methods and properties read by attribute are covered."""
+    trees = {path.stem: _tree(path) for path in package.glob("*.py")}
+    defs = {module: module_definitions(tree) for module, tree in trees.items()}
+    imports = {module: relative_imports(tree) for module, tree in trees.items()}
+
+    def resolve(module: str, name: str):
+        while name not in defs[module] and name in imports[module]:
+            module, name = imports[module][name]
+        return (module, name) if name in defs[module] else None
+
+    seen, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        for node in ast.walk(defs[key[0]][key[1]]):
+            if isinstance(node, ast.Name) and (found := resolve(key[0], node.id)):
+                todo.append(found)
+    return seen
+
+
+def public_definitions(package: Path) -> list[str]:
+    """Every public module-level function or class, as "module.name"."""
+    return [f"{path.stem}.{node.name}"
+            for path in sorted(package.glob("*.py")) if path.stem != "__init__"
+            for node in _tree(path).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def unreached_definitions(package: Path) -> list[str]:
+    """Public definitions neither reached from ROOTS nor exported."""
+    keep = reachable(package, ROOTS)
+    keep |= set(relative_imports(_tree(package / "__init__.py")).values())
+    return [name for name in public_definitions(package)
+            if tuple(name.split(".")) not in keep]
+
+
+def test_every_public_definition_is_reached_exported_or_allowed():
+    # an allowlisted name that is reached, exported or deleted fails too
+    assert sorted(unreached_definitions(PACKAGE)) == sorted(ALLOWED_UNREACHED)

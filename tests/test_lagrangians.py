@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from spinframe.errors import DegenerateDenominator, NonPositiveDensity
-from spinframe.grids import ModelParams, periodic_spec
+from spinframe.errors import DegenerateDenominator, NonPositiveDensity, VanishingDensity
+from spinframe.field_equations import field_equation_residual_reduced, theorem1_check
+from spinframe.grids import ModelParams, SpinorBundle, periodic_spec
 from spinframe.lagrangians import (
     dirac_lagrangian,
     factorization_residual,
@@ -20,6 +21,8 @@ from spinframe.sampling import (
     random_positive_spinor_4d,
     random_trig_poly,
 )
+from spinframe.torsion import reduced_axial_torsion, spinor_contractions
+from spinframe.variational import example_operators, first_order_lagrangian
 
 
 @pytest.fixture
@@ -119,3 +122,61 @@ def test_discrete_action_of_constant(spec):
     a = spec.integrate(L)
     vol = spec.cell_volume * np.prod(spec.extents)
     assert a == pytest.approx(16.0 / 9.0 * vol, rel=1e-14)
+
+
+def _with_nan(dims: int, where: str) -> SpinorBundle:
+    """A random positive 8^dims bundle with one NaN, in a spinor value (so
+    rho is NaN there) or in a derivative (rho stays finite)."""
+    spec = periodic_spec(8, 2.0 * np.pi / 8, dims)
+    rng = np.random.default_rng(2)
+    if dims == 3:
+        b = random_positive_spinor(rng, base_for(spec), max_mode=2).bundle(spec)
+    else:
+        b = random_positive_spinor_4d(rng, spec, max_mode=1).bundle(spec)
+    values, derivs = b.values.copy(), b.derivs.copy()
+    if where == "value":
+        values[1, 2, 3, 0] = np.nan
+    else:
+        derivs[1, 2, 3, 1, 0] = np.nan
+    return SpinorBundle(spec, values, derivs)
+
+
+def _first_order_lagrangian_with_nan_derivative():
+    spec1 = periodic_spec(16, 2.0 * np.pi / 16, 1)
+    du = np.zeros((16, 1, 1), complex)
+    du[5] = np.nan
+    return first_order_lagrangian(example_operators(spec1)[0], np.ones((16, 1), complex), du)
+
+
+_P = ModelParams(m=1.3)
+_NAN_CASES = {
+    "value-lagrangian_reduced":
+        (NonPositiveDensity, lambda: lagrangian_reduced(_with_nan(3, "value"), _P, 1)),
+    "value-factorization_residual":
+        (NonPositiveDensity, lambda: factorization_residual(_with_nan(3, "value"), _P, 1)),
+    "value-reduced_axial_torsion":
+        (NonPositiveDensity, lambda: reduced_axial_torsion(_with_nan(3, "value"), _P, 1)),
+    "value-field_equation_residual_reduced":
+        (NonPositiveDensity, lambda: field_equation_residual_reduced(
+            _with_nan(3, "value"), _P, 1, np.zeros((8, 8, 8, 3)))),
+    "value-theorem1_check":
+        (NonPositiveDensity, lambda: theorem1_check(_with_nan(3, "value"), _P, 1)),
+    "value-spinor_contractions":
+        (VanishingDensity, lambda: spinor_contractions(_with_nan(4, "value"))),
+    "derivative-lagrangian_reduced":
+        (AssertionError, lambda: lagrangian_reduced(_with_nan(3, "derivative"), _P, 1)),
+    "derivative-dirac_lagrangian":
+        (AssertionError, lambda: dirac_lagrangian(_with_nan(3, "derivative"), _P, 1, 1)),
+    "derivative-lagrangian_4d":
+        (AssertionError, lambda: lagrangian_4d(_with_nan(4, "derivative"), _P)),
+    "derivative-first_order_lagrangian":
+        (AssertionError, _first_order_lagrangian_with_nan_derivative),
+}
+
+
+@pytest.mark.parametrize("error,call", list(_NAN_CASES.values()), ids=list(_NAN_CASES))
+def test_a_nan_fails_the_density_guard_or_the_cross_assert(error, call):
+    # NaN compares false with everything, so a guard written as
+    # "raise if rho <= 0" or "raise if dev > tol" would let it through
+    with pytest.raises(error):
+        call()

@@ -1,29 +1,36 @@
 """Option strings are checked where they enter: a misspelt backend, norm or
-derivative route raises instead of falling back to a default."""
+derivative route raises instead of falling back to a default.  A wrong
+option, kind, format or grid from the caller raises a package error."""
 
 import numpy as np
 import pytest
 
 from spinframe import variational
-from spinframe.errors import SpinframeError, UnknownOption
+from spinframe.errors import InvalidGrid, SpinframeError, UnknownOption
 from spinframe.field_equations import discrete_variational_derivative, theorem1_check
 from spinframe.grids import (
     CoframeBundle,
     ModelParams,
     SpinorBundle,
+    LatticeField,
     derivatives,
     exterior_derivative,
     form_field,
-    partial_derivative,
     periodic_spec,
 )
+from spinframe.plane_waves import PlaneWaveLabel, plane_wave_spinor
+from spinframe.reports import make_report, render
 from spinframe.sampling import (
     base_for,
     coframe_bundle_from_spinor,
     random_positive_spinor,
     random_positive_spinor_4d,
 )
-from spinframe.torsion import kk_decomposition_check, spinor_vs_coframe_residual
+from spinframe.torsion import (
+    kk_decomposition_check,
+    spinor_contractions,
+    spinor_vs_coframe_residual,
+)
 
 SPEC3 = periodic_spec(6, 2.0 * np.pi / 6, 3)
 SPEC4 = periodic_spec(6, 2.0 * np.pi / 6, 4)
@@ -58,9 +65,9 @@ def test_coframe_bundle_rejects_unknown_backend():
 def test_derivatives_rejects_unknown_backend():
     with pytest.raises(ValueError, match="'fft'"):
         derivatives(np.zeros(SPEC3.extents), SPEC3, "fft")
-    f = form_field(SPEC3, 0, np.zeros(SPEC3.extents))
     with pytest.raises(UnknownOption, match="'stencil3'"):
-        partial_derivative(f, 0, "stencil3")
+        derivatives(np.zeros(SPEC3.extents), SPEC3, "stencil3", [0])
+    f = form_field(SPEC3, 0, np.zeros(SPEC3.extents))
     with pytest.raises(UnknownOption, match="'stencil3'"):
         exterior_derivative(f, "stencil3")
 
@@ -124,3 +131,22 @@ def test_known_backends_still_accepted(backend):
     b = _bundle3()
     SpinorBundle.from_grid(SPEC3, b.values, backend=backend)
     coframe_bundle_from_spinor(b, backend=backend)
+
+
+_CALLER_ERRORS = {
+    "report-format": (UnknownOption, lambda: render([make_report("c", {}, 0.0, 0.0, 1.0)],
+                                                    "xml")),
+    "field-kind": (UnknownOption, lambda: LatticeField(SPEC3, "vector", np.zeros(SPEC3.extents))),
+    "mixing-on-3d": (InvalidGrid, lambda: spinor_contractions(_bundle3(), ModelParams(m=1.0))),
+    "kk-on-3d": (InvalidGrid, lambda: kk_decomposition_check(_bundle3())),
+    "plane-wave-on-2d": (InvalidGrid, lambda: plane_wave_spinor(PlaneWaveLabel(1, 1),
+                                                                periodic_spec(4, 1.0, 2))),
+}
+
+
+@pytest.mark.parametrize("error,call", list(_CALLER_ERRORS.values()), ids=list(_CALLER_ERRORS))
+def test_a_wrong_kind_format_or_grid_raises_a_package_value_error(error, call):
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, SpinframeError)
+    assert isinstance(info.value, ValueError)

@@ -10,8 +10,6 @@ from spinframe.plane_waves import (
     boosted_amplitude,
     boosted_wave,
     classify,
-    coframe_rotation_angle,
-    dispersion_matrix,
     grid_mode_momenta,
     measured_rotation_rate,
     plane_wave_spinor,
@@ -55,10 +53,12 @@ def test_classification_requires_interior_potential():
 
 
 def test_dispersion_matrix_kernel():
-    m = dispersion_matrix(1.0, 1, 1.0)
+    # on spatially constant fields e^{-i p0 x0} the symbol is
+    # diag(-p0 + s m, -p0 - s m): its kernel is nontrivial iff p0 = +-m
+    m = symbol_matrix(np.array([1.0, 0.0, 0.0]), 1, 1.0)
     assert np.allclose(m, np.diag([0.0, -2.0]))
     assert np.linalg.det(m) == 0.0
-    assert np.linalg.det(dispersion_matrix(0.9, 1, 1.0)) != 0.0
+    assert np.linalg.det(symbol_matrix(np.array([0.9, 0.0, 0.0]), 1, 1.0)) != 0.0
 
 
 def test_measured_rotation_rate_matches_energy():
@@ -86,8 +86,18 @@ def test_rotation_rate_matches_the_x0_line_of_a_cubic_wave():
 
 
 def test_coframe_rotation_angle_doubles_phase():
-    lab = PlaneWaveLabel(1, 1, 1.0, 0.0)
-    assert coframe_rotation_angle(lab, 0.5, 0.25) == pytest.approx(2 * (0.5 + 0.25))
+    # the coframe of xi = (1, 0) e^{-i phase} rotates about the third axis by
+    # 2 phase, phase = (s m - r A0) x0 + r m x3: theta^1_1 + i theta^2_1 =
+    # e^{-2 i phase}
+    spec = periodic_spec(8, 2.0 * np.pi / 8, 4)
+    x0 = spec.axis_coords(0)[:, None]
+    x3 = spec.axis_coords(3)[None, :]
+    for r in (1, -1):
+        lab = PlaneWaveLabel(r, 1, 1.0, 0.25)
+        theta, _ = coframe_map(plane_wave_spinor(lab, spec).values[:, 0, 0, :])
+        angle = 2.0 * (lab.temporal_frequency * x0 + r * lab.m * x3)
+        w = theta[..., 1, 1] + 1j * theta[..., 2, 1]
+        assert np.max(np.abs(w - np.exp(-1j * angle))) < 1e-13
 
 
 def test_grid_mode_momenta_on_shell():

@@ -1,14 +1,18 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
-from spinframe.algebra import O4, coframe_map
+from spinframe.algebra import O3, O4, coframe_map
 from spinframe.errors import InvalidCoframe, NonPositiveDensity
 from spinframe.grids import (
     CoframeBundle,
     ModelParams,
     exterior_derivative,
+    form_components,
     form_field,
     hodge_dual,
+    perm_sign,
     periodic_spec,
     wedge,
 )
@@ -22,14 +26,12 @@ from spinframe.sampling import (
     random_positive_spinor_4d,
 )
 from spinframe.torsion import (
-    alt3,
     axial_torsion_coframe,
     axial_torsion_spinor,
     kk_decomposition_check,
     reduced_axial_torsion,
-    reduced_quantities,
+    spinor_contractions,
     spinor_vs_coframe_residual,
-    torsion_tensor,
 )
 
 
@@ -68,12 +70,22 @@ def test_two_routes_residual_shrinks_second_order():
 
 
 def test_wedge_route_equals_antisymmetrized_tensor():
+    # (1/3) o_jj theta^j ^ d theta^j = Alt(o_jj theta^j (x) d theta^j) under
+    # the determinant convention; the tensor is built here from the row
+    # derivatives alone, with neither the wedge nor the torsion's row forms
     rng = np.random.default_rng(3)
     spec = periodic_spec(12, 2.0 * np.pi / 12, 3)
     sp = random_positive_spinor(rng, base_for(spec), max_mode=2)
     cb = coframe_bundle_from_spinor(sp.bundle(spec))
     via_wedge = axial_torsion_coframe(cb, check_tol=1e-8).values[..., 0]
-    via_tensor = alt3(torsion_tensor(cb))[..., 0]
+    tensor = 0.0
+    for j in range(3):
+        d = cb.row_derivatives(j)
+        dtheta = d - np.swapaxes(d, -1, -2)   # (d theta^j)_{bc}
+        tensor = tensor + O3[j] * np.einsum("...a,...bc->...abc", cb.theta[..., j, :], dtheta)
+    (c,) = form_components(3, 3)
+    via_tensor = sum(perm_sign(p) * tensor[(Ellipsis,) + tuple(c[k] for k in p)]
+                     for p in permutations(range(3))) / 6.0
     assert np.max(np.abs(via_wedge - via_tensor)) < 1e-13
 
 
@@ -87,16 +99,18 @@ def test_reduced_torsion_requires_positive_class():
 
 
 def test_reduced_quantities_plane_wave():
-    # eta = (1,0) e^{-i m x0}: t = +4m/3 (so the s=+1 density vanishes) and
-    # u = (4m/3, 0, 0) for r = +1
-    spec = periodic_spec(8, 2.0 * np.pi / 8, 3)
+    # eta = (1,0) e^{-i m x0}: t = +4m/3 (so the s=+1 density vanishes) and,
+    # from its 4D lift xi = eta e^{-i m x3}, u = (4m/3, 0, 0) for r = +1
     m = 1.0
-    b = plane_wave_spinor(PlaneWaveLabel(1, 1, m, 0.0), spec)
-    q = reduced_quantities(b, ModelParams(m=m), 1)
-    assert np.allclose(q.t, 4.0 * m / 3.0)
-    assert np.allclose(q.u[..., 0], 4.0 * m / 3.0)
-    assert np.allclose(q.u[..., 1:], 0.0)
-    assert np.allclose(q.rho, 1.0)
+    label = PlaneWaveLabel(1, 1, m, 0.0)
+    t = reduced_axial_torsion(plane_wave_spinor(label, periodic_spec(8, 2.0 * np.pi / 8, 3)),
+                              ModelParams(m=m), 1)
+    assert np.allclose(t, 4.0 * m / 3.0)
+    c = spinor_contractions(plane_wave_spinor(label, periodic_spec(8, 2.0 * np.pi / 8, 4)))
+    assert np.allclose(c.t, 4.0 * m / 3.0)
+    assert np.allclose(c.u[..., 0], 4.0 * m / 3.0)
+    assert np.allclose(c.u[..., 1:], 0.0)
+    assert np.allclose(c.rho, 1.0)
 
 
 def test_kk_decomposition_analytic():

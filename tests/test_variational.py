@@ -19,17 +19,33 @@ from spinframe.variational import (
     example_ode_residual,
     example_operators,
     first_order_lagrangian,
-    integrate_solution,
     lemma_check,
     op_apply,
-    solution_derivs,
-    solvable_operator,
 )
 
 
 @pytest.fixture
 def spec():
     return periodic_spec(64, 2.0 * np.pi / 64, 1)
+
+
+@pytest.fixture
+def solvable_operator():
+    """A random constant-coefficient 1D operator A = i B d + C whose
+    solutions are exact integer Fourier modes of the periodic grid.
+
+    With B = W W* and C = W diag(k) W* (k integers), B^{-1} C has spectrum
+    k, so every solution u(x) = exp(i x B^{-1} C) u(0) of A u = 0 is band
+    limited.  Returns a function of (rng, spec, mdim) giving the operator.
+    """
+    def make(rng, spec, mdim):
+        w = rng.normal(size=(mdim, mdim)) + 1j * rng.normal(size=(mdim, mdim))
+        w += 2.0 * np.eye(mdim)  # keep it comfortably invertible
+        modes = rng.integers(-3, 4, size=mdim)
+        b = (w @ w.conj().T)[None, :, :]
+        c = w @ np.diag(modes.astype(float)) @ w.conj().T
+        return FirstOrderOperator(spec, b, c)
+    return make
 
 
 def test_operator_validates_hermiticity(spec):
@@ -62,10 +78,10 @@ def test_example_operator_action(spec):
     assert np.allclose(op_apply(am, u, du), -3.0 * u)
 
 
-def test_formal_self_adjointness_periodic(spec):
+def test_formal_self_adjointness_periodic(spec, solvable_operator):
     # <Au, v> = <u, Av> on a periodic grid with spectral derivatives
     rng = np.random.default_rng(1)
-    op, _ = solvable_operator(rng, spec, mdim=3)
+    op = solvable_operator(rng, spec, mdim=3)
     u = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
     v = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
     au = op_apply(op, u, derivatives(u, spec, "spectral"))
@@ -182,29 +198,23 @@ def test_lemma_neither_on_random_field(spec):
     assert res.gradient_norm > 1e-4
 
 
-def test_integrated_solutions_satisfy_lemma(spec):
+def test_integrated_solutions_satisfy_lemma(spec, solvable_operator):
+    # A u = 0 is the linear ODE u' = i B^{-1} C u, integrated exactly by
+    # the matrix exponential
     x = spec.axis_coords(0)
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        op, modes = solvable_operator(rng, spec, mdim=3)
+        op = solvable_operator(rng, spec, mdim=3)
         # a genuinely different second operator, Hermitian by construction
         op2 = FirstOrderOperator(spec, op.b, op.c - 7.0 * op.b[0])
         u0 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        u = integrate_solution(op, u0)
         gen = 1j * np.linalg.solve(op.b[0], op.c)
-        closed = np.stack([expm(gen * t) @ u0.astype(complex) for t in x])
-        assert np.max(np.abs(u - closed)) < 1e-10
-        assert np.max(np.abs(op_apply(op, u, solution_derivs(op, u)))) < 1e-10
+        u = np.stack([expm(gen * t) @ u0.astype(complex) for t in x])
+        du = np.einsum("mk,...k->...m", gen, u)[..., None, :]
+        assert np.max(np.abs(op_apply(op, u, du))) < 1e-10
         res = lemma_check(op, op2, u)
         assert res.verdict is LemmaVerdict.SOLVES_A_PLUS
         assert res.gradient_norm < 1e-6 * res.scale
-
-
-def test_integration_rejects_singular_b(spec):
-    b = np.zeros((1, 2, 2))
-    op = FirstOrderOperator(spec, b, np.eye(2))
-    with pytest.raises(DegenerateDenominator):
-        integrate_solution(op, np.array([1.0, 0.0]))
 
 
 def test_combined_gradient_rejects_probe_near_open_boundary():
