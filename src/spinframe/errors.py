@@ -46,15 +46,9 @@ class AxisOutOfRange(SpinframeError):
     """Derivative axis outside the grid dimensions."""
 
 
-class GridTooSmall(SpinframeError):
-    """A non-periodic axis has too few points for the stencil's one-sided
-    edges."""
-
-
 class InvalidGrid(SpinframeError, ValueError):
     """A grid or derivative request the lattice cannot honour: bad extents or
-    spacing, a spectral derivative on a non-periodic axis, or no axis to
-    differentiate along."""
+    spacing, or no axis to differentiate along."""
 
 
 class DegenerateDenominator(SpinframeError):
@@ -65,12 +59,17 @@ class DimensionMismatch(SpinframeError):
     """Operator and field dimensions disagree."""
 
 
+class NotHermitian(SpinframeError, ValueError):
+    """An operator coefficient is not Hermitian, or is not finite."""
+
+
 class VanishingU(SpinframeError):
     """Scalar function u vanishes somewhere on the grid."""
 
 
 class ProbeOutsideInterior(SpinframeError):
-    """Variational probe placed on or outside the interior margin."""
+    """Variational probe that is not a grid point: not one integer index per
+    axis, or an index outside 0..n-1 on its axis."""
 
 
 class InvalidProbeField(SpinframeError):

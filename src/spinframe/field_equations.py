@@ -203,17 +203,18 @@ def action_gradient(action, values: np.ndarray, spec: LatticeSpec, probes,
     one working array per call: each evaluation perturbs one entry of it and
     the entry is restored exactly afterwards, so ``action`` must neither
     modify the array it gets nor keep a reference to it.  ``values`` itself
-    is never written.  A probe within 2 points of a non-periodic boundary
-    raises ProbeOutsideInterior.
+    is never written.  A probe that is not a grid point, integers 0 <= p_a < n_a,
+    raises ProbeOutsideInterior before any evaluation.
     """
+    probes = [np.atleast_1d(p) for p in probes]
+    for p in probes:
+        if p.dtype.kind not in "iu" or p.shape != (spec.dims,) \
+                or not np.all((p >= 0) & (p < spec.extents)):
+            raise ProbeOutsideInterior(f"probe {p.tolist()} is off the {spec.extents} grid")
     out = np.empty((len(probes), values.shape[-1], 2))
-    margin = 2
     work = values.copy(order="K")
     for i, p in enumerate(probes):
-        p = tuple(int(x) for x in np.atleast_1d(p))
-        for ax in range(spec.dims):
-            if not spec.periodic[ax] and not margin <= p[ax] < spec.extents[ax] - margin:
-                raise ProbeOutsideInterior(f"probe {p} within margin {margin} of a boundary")
+        p = tuple(int(x) for x in p)
         for comp in range(values.shape[-1]):
             entry = p + (comp,)
             saved = work[entry]
@@ -236,7 +237,8 @@ def discrete_variational_derivative(density_kind: str, eta_values: np.ndarray,
 
     Central two-sided differencing (``action_gradient``) of the action value
     at the probe points.  Returns an array (len(probes), 2, 2): probe x
-    component x (re, im).  Probes on non-periodic boundaries are rejected.
+    component x (re, im).  A probe that is not a grid point raises
+    ProbeOutsideInterior.
     """
     require_choice("density kind", density_kind, DENSITY_KINDS)
     require_choice("backend", backend, BACKENDS)

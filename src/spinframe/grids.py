@@ -20,7 +20,6 @@ import numpy as np
 from .algebra import METRIC3, METRIC4
 from .errors import (
     AxisOutOfRange,
-    GridTooSmall,
     InvalidGrid,
     RankMismatch,
     RankOverflow,
@@ -39,18 +38,17 @@ BACKENDS = ("stencil", "stencil4", "spectral")
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Uniform grid over 3 or 4 coordinates."""
+    """Uniform grid over 1 to 4 coordinates, periodic along every axis."""
 
     extents: tuple[int, ...]
     spacing: tuple[float, ...]
-    periodic: tuple[bool, ...]
 
     def __post_init__(self):
         if not 1 <= len(self.extents) <= 4:
             raise InvalidGrid("only 1D through 4D grids are supported")
-        if len(self.spacing) != self.dims or len(self.periodic) != self.dims:
-            raise InvalidGrid("extents, spacing and periodic must have equal length")
-        if any(n <= 0 for n in self.extents) or any(h <= 0 for h in self.spacing):
+        if len(self.spacing) != self.dims:
+            raise InvalidGrid("extents and spacing must have equal length")
+        if any(n <= 0 for n in self.extents) or not all(h > 0 for h in self.spacing):
             raise InvalidGrid("extents and spacing must be positive")
 
     @property
@@ -94,10 +92,10 @@ class LatticeSpec:
 
 
 def periodic_spec(n, h, dims: int = 3) -> LatticeSpec:
-    """Fully periodic cubic-ish grid; n and h may be scalars or sequences."""
+    """Cubic-ish grid; n and h may be scalars or sequences."""
     ns = tuple(int(x) for x in (n if np.iterable(n) else [n] * dims))
     hs = tuple(float(x) for x in (h if np.iterable(h) else [h] * dims))
-    return LatticeSpec(ns, hs, (True,) * len(ns))
+    return LatticeSpec(ns, hs)
 
 
 def form_components(dims: int, rank: int) -> list[tuple[int, ...]]:
@@ -174,31 +172,16 @@ def _axis_derivative(values: np.ndarray, spec: LatticeSpec, axis: int, backend: 
             out = term
         else:
             out += term
-    if not spec.periodic[axis]:
-        # one-sided edges at matching order would change the truncation
-        # analysis; interior-only contract, so edges get first-order values
-        margin = max(offsets)
-        sl_lo = [slice(None)] * values.ndim
-        sl_hi = [slice(None)] * values.ndim
-        for k in range(margin):
-            sl_lo[axis], sl_hi[axis] = k, values.shape[axis] - 1 - k
-            lo, hi = tuple(sl_lo), tuple(sl_hi)
-            out[lo] = np.take(values, k + 1, axis) - np.take(values, k, axis)
-            out[lo] /= h
-            out[hi] = np.take(values, -1 - k, axis) - np.take(values, -2 - k, axis)
-            out[hi] /= h
     return out
 
 
 def spectral_derivative(values: np.ndarray, spec: LatticeSpec, axis: int) -> np.ndarray:
-    """FFT derivative along a periodic axis; exact on resolved Fourier modes.
+    """FFT derivative along one axis; exact on resolved Fourier modes.
 
     The transform, the product by i k and the inverse transform share one
     complex buffer of the input's shape, the only array a call allocates; a
     real input gets the real part of it, a view.
     """
-    if not spec.periodic[axis]:
-        raise InvalidGrid("spectral derivative needs a periodic axis")
     n = spec.extents[axis]
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=spec.spacing[axis])
     shape = [1] * values.ndim
@@ -216,11 +199,10 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil",
 
     ``backend`` is the whole derivative rule, and this is the only function
     that reads it: "stencil" is the order-2 central difference, "stencil4"
-    the order-4 one, "spectral" the periodic FFT.  A stencil reaches 1 or 2
-    points to each side; on a non-periodic axis that many edge points get
-    one-sided first-order values, and fewer than twice that many plus one
-    points raise GridTooSmall.  An axis outside 0..dims-1 raises
-    AxisOutOfRange.
+    the order-4 one, "spectral" the FFT.  Every rule wraps around each axis,
+    so the values must be periodic on the grid: a jump at the seam gives
+    wrong derivatives, near the seam for a stencil and everywhere for the
+    FFT.  An axis outside 0..dims-1 raises AxisOutOfRange.
 
     The stack is grid-minor (``pauli.grid_minor``): each per-axis result is
     written into its slot and dropped before the next one is computed.
@@ -232,10 +214,6 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil",
     for a in axes:
         if not 0 <= a < spec.dims:
             raise AxisOutOfRange(f"axis {a} outside 0..{spec.dims - 1}")
-        if backend != "spectral" and not spec.periodic[a]:
-            need = 2 * max(_STENCILS[backend][0]) + 1
-            if spec.extents[a] < need:
-                raise GridTooSmall(f"axis {a} has {spec.extents[a]} < {need} points")
     out = None
     for i, a in enumerate(axes):
         if backend == "spectral":

@@ -61,7 +61,7 @@ def _lagrangian_4d(c: SpinorContractions, spec) -> np.ndarray:
 def _spatial3(spec):
     if spec.dims == 3:
         return spec
-    return LatticeSpec(spec.extents[:3], spec.spacing[:3], spec.periodic[:3])
+    return LatticeSpec(spec.extents[:3], spec.spacing[:3])
 
 
 def unhodge_scalar(spec3, t: np.ndarray):

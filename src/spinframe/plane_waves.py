@@ -155,12 +155,10 @@ def boosted_wave(p, s: int, m: float, spec: LatticeSpec) -> SpinorBundle:
     return sp.bundle(spec)
 
 
-def grid_mode_momenta(m: float = 1.0) -> list[tuple[int, int, int]]:
-    """Integer on-shell momenta for m = 1: the rest modes (+-1, 0, 0) and the
-    Pythagorean-type families 9 - 4 - 4 = 1 and 81 - 16 - 64 = 1, with all
+def grid_mode_momenta() -> list[tuple[int, int, int]]:
+    """Integer on-shell momenta for unit mass: the rest modes (+-1, 0, 0) and
+    the Pythagorean-type families 9 - 4 - 4 = 1 and 81 - 16 - 64 = 1, with all
     sign and axis permutations.  Exact lattice Fourier modes on 2 pi grids."""
-    if m != 1.0:
-        raise ValueError("integer momentum family is tabulated for unit mass")
     out = set()
     for p0 in (1, -1):
         out.add((p0, 0, 0))

@@ -83,10 +83,14 @@ class SuiteConfig:
             raise ConfigInvalid(f"tolerance must be finite and non-negative, got {self.tol!r}")
 
 
-def _params(cfg: SuiteConfig, **extra) -> dict:
-    p = {"m": cfg.m, "r": None, "s": None, "A": None, "seed": cfg.seed}
-    p.update(extra)
-    return p
+def _params(cfg: SuiteConfig) -> dict:
+    return {"m": cfg.m, "r": None, "s": None, "A": None, "seed": cfg.seed}
+
+
+def _plane_wave_spec(n: int, m: float):
+    """n^3 grid with a 2 pi / m long x0 axis, on which the x0 phase e^{-i s m x0}
+    of a plane wave at A0 = 0 is one Fourier mode: no jump at the seam."""
+    return periodic_spec(n, (2.0 * np.pi / (n * m), 2.0 * np.pi / n, 2.0 * np.pi / n), 3)
 
 
 def _tol(cfg: SuiteConfig, default: float) -> float:
@@ -136,10 +140,10 @@ def _suite_torsion_routes(cfg: SuiteConfig):
     # analytic-mode agreement on plane waves (exact x-dependence)
     def run_analytic():
         worst = 0.0
+        spec = _plane_wave_spec(16, m)
         for r in (1, -1):
             for s in (1, -1):
                 lab = PlaneWaveLabel(r, s, m, 0.0)
-                spec = periodic_spec(16, 2.0 * np.pi / 16, 3)
                 b = plane_wave_spinor(lab, spec)
                 cb = coframe_bundle_from_spinor(b, backend="spectral")
                 worst = _worst(worst, spinor_vs_coframe_residual(b, cb))
@@ -271,7 +275,7 @@ def _suite_theorem1(cfg: SuiteConfig):
     def run():
         worst_fe, worst_grad, inconsistent = 0.0, 0.0, 0
         n = 20
-        spec = periodic_spec(n, 2.0 * np.pi / n, 3)
+        spec = _plane_wave_spec(n, m)
         dt0 = np.zeros(spec.extents + (3,))
         waves = []
         for r in (1, -1):

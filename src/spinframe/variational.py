@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
+    NotHermitian,
     VanishingU,
     require_agreement,
     require_choice,
@@ -28,45 +29,31 @@ _HERM_TOL = 1e-12
 
 def _check_hermitian(mat: np.ndarray, what: str) -> None:
     dev = float(np.max(np.abs(mat - np.conj(np.swapaxes(mat, -1, -2)))))
-    if dev > _HERM_TOL * max(1.0, float(np.max(np.abs(mat)))):
-        raise ValueError(f"{what} is not Hermitian (deviation {dev:.3g})")
+    if not dev <= _HERM_TOL * max(1.0, float(np.max(np.abs(mat)))):
+        raise NotHermitian(f"{what} is not Hermitian (deviation {dev:.3g})")
 
 
 @dataclass
 class FirstOrderOperator:
-    """A = i B^alpha d_alpha + (i/2)(d_alpha B^alpha) + C with Hermitian
-    matrix coefficients.
-
-    b has shape (n, m, m) for constant coefficients or (*grid, n, m, m) for
-    variable ones; c is (m, m) or (*grid, m, m).  For variable b the
-    divergence d_alpha B^alpha must be supplied in db_div (same shape as c);
-    constant b has zero divergence automatically.
-    """
+    """A = i B^alpha d_alpha + C with constant Hermitian matrix coefficients:
+    b of shape (n, m, m), one matrix per grid axis, and c of shape (m, m).
+    Any other shape raises DimensionMismatch, and a non-Hermitian or
+    non-finite coefficient NotHermitian."""
 
     spec: LatticeSpec
     b: np.ndarray
     c: np.ndarray
-    db_div: np.ndarray | None = None
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=complex)
         self.c = np.asarray(self.c, dtype=complex)
-        n = self.spec.dims
-        if self.b.shape[-3] != n:
+        n, m = self.spec.dims, self.b.shape[-1] if self.b.ndim else 0
+        if self.b.shape != (n, m, m) or self.c.shape != (m, m):
             raise DimensionMismatch(
-                f"b has {self.b.shape[-3]} direction slots, grid has {n}")
-        m = self.b.shape[-1]
-        if self.b.shape[-2] != m or self.c.shape[-2:] != (m, m):
-            raise DimensionMismatch("b and c must be square and share mdim")
+                f"b must have shape (n, m, m) = ({n}, {m}, {m}) and c (m, m); "
+                f"got {self.b.shape} and {self.c.shape}")
         _check_hermitian(self.b, "B")
         _check_hermitian(self.c, "C")
-        if self.db_div is None:
-            if self.b.ndim > 3:
-                raise DimensionMismatch(
-                    "variable-coefficient b needs an explicit divergence db_div")
-            self.db_div = np.zeros((m, m), dtype=complex)
-        else:
-            self.db_div = np.asarray(self.db_div, dtype=complex)
 
     @property
     def mdim(self) -> int:
@@ -78,13 +65,7 @@ def op_apply(op: FirstOrderOperator, u: np.ndarray, du: np.ndarray) -> np.ndarra
     u = np.asarray(u, dtype=complex)
     if u.shape[-1] != op.mdim:
         raise DimensionMismatch(f"u has {u.shape[-1]} components, operator wants {op.mdim}")
-    out = np.einsum("...amk,...ak->...m", np.broadcast_to(
-        op.b, u.shape[:-1] + op.b.shape[-3:]), du) * 1j
-    out = out + 0.5j * np.einsum("...mk,...k->...m",
-                                 np.broadcast_to(op.db_div, u.shape[:-1] + (op.mdim, op.mdim)), u)
-    out = out + np.einsum("...mk,...k->...m",
-                          np.broadcast_to(op.c, u.shape[:-1] + (op.mdim, op.mdim)), u)
-    return out
+    return 1j * np.einsum("amk,...ak->...m", op.b, du) + np.einsum("mk,...k->...m", op.c, u)
 
 
 def first_order_lagrangian(op: FirstOrderOperator, u: np.ndarray,
@@ -94,11 +75,9 @@ def first_order_lagrangian(op: FirstOrderOperator, u: np.ndarray,
     u = np.asarray(u, dtype=complex)
     au = op_apply(op, u, du)
     spelled = np.einsum("...m,...m->...", np.conj(u), au).real
-    bu_du = np.einsum("...m,...amk,...ak->...", np.conj(u),
-                      np.broadcast_to(op.b, u.shape[:-1] + op.b.shape[-3:]), du)
+    bu_du = np.einsum("...m,amk,...ak->...", np.conj(u), op.b, du)
     expanded = (0.5j * (bu_du - np.conj(bu_du))).real \
-        + np.einsum("...m,...mk,...k->...", np.conj(u),
-                    np.broadcast_to(op.c, u.shape[:-1] + (op.mdim, op.mdim)), u).real
+        + np.einsum("...m,mk,...k->...", np.conj(u), op.c, u).real
     require_agreement(spelled, expanded, "first_order_lagrangian")
     return spelled
 
@@ -189,7 +168,7 @@ def combined_action_gradient(op_p: FirstOrderOperator, op_m: FirstOrderOperator,
     """Two-sided difference of the combined action w.r.t. Re/Im of each
     component at the probe points; (len(probes), mdim, 2).
 
-    The differencing loop, with its probe-margin check, is
+    The differencing loop, with its probe check, is
     ``field_equations.action_gradient``, the same one that differentiates
     the spinor actions; the combined density enters only through the action
     it is handed.  The backend name is checked even when there is no probe.

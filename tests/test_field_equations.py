@@ -13,7 +13,7 @@ from spinframe.field_equations import (
     field_equation_residual_reduced,
     theorem1_check,
 )
-from spinframe.grids import LatticeSpec, ModelParams, periodic_spec
+from spinframe.grids import ModelParams, periodic_spec
 from spinframe.plane_waves import (
     PlaneWaveLabel,
     boosted_wave,
@@ -144,13 +144,24 @@ def test_variational_gradient_nonzero_off_solution(spec):
     assert np.max(np.abs(g)) > 1e-4
 
 
-def test_probe_rejected_near_open_boundary():
-    spec = LatticeSpec((16, 16, 16), (0.1, 0.1, 0.1), (False, True, True))
-    vals = np.zeros(spec.extents + (2,), complex)
-    vals[..., 0] = 1.0
+def test_probe_must_be_a_grid_point():
+    spec = periodic_spec(6, 2.0 * np.pi / 6, 3)
+    vals = plane_wave_spinor(PlaneWaveLabel(1, 1), spec).values
+    p = ModelParams(m=1.0)
+    # every axis is periodic, so the edge points are probes like any other
+    g = discrete_variational_derivative("dirac", vals, spec, p, [(0, 0, 0), (5, 5, 5)])
+    assert g.shape == (2, 2, 2)
+    # too few or too many indices, past the end, a negative index that numpy
+    # would wrap to the far edge, and a fractional one int() would truncate
+    for probe in ((1, 2), (1, 2, 3, 0), (6, 0, 0), (0, 0, 6), (-1, 0, 0), (1.5, 0, 0)):
+        with pytest.raises(ProbeOutsideInterior):
+            discrete_variational_derivative("dirac", vals, spec, p, [probe])
+    # every probe is checked before the first action evaluation
+    calls = []
     with pytest.raises(ProbeOutsideInterior):
-        discrete_variational_derivative("dirac", vals, spec, ModelParams(m=1.0),
-                                        [(0, 4, 4)], backend="stencil")
+        field_equations.action_gradient(lambda v: calls.append(None) or 0.0, vals, spec,
+                                        [(0, 0, 0), (1, 2)], 1e-6)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", field_equations.DENSITY_KINDS)

@@ -39,7 +39,7 @@ EPS = np.finfo(float).eps
 
 GRIDS = {
     1: periodic_spec(24, 2.0 * np.pi / 24, 1),
-    3: LatticeSpec((8, 6, 5), (0.7, 0.3, 1.1), (True, True, False)),
+    3: periodic_spec((8, 6, 5), (0.7, 0.3, 1.1), 3),
     4: periodic_spec((6, 5, 4, 3), (0.5, 0.4, 0.9, 1.3), 4),
 }
 

@@ -1,4 +1,5 @@
-"""Suite verdicts fail closed on non-finite residuals."""
+"""Suite verdicts fail closed on non-finite residuals, and hold at masses
+other than 1."""
 
 import math
 
@@ -43,3 +44,12 @@ def test_worst_keeps_nan_and_matches_max_on_finite_values():
     assert math.isnan(suites._worst(math.nan, 1.0))
     for a, b in ((0.0, 1e-16), (2.0, 1.0), (1.0, 1.0), (0.0, -0.0)):
         assert repr(suites._worst(a, b)) == repr(max(a, b))
+
+
+def test_plane_wave_suites_pass_at_a_non_unit_mass():
+    # the plane waves' x0 phase e^{-i s m x0} must be one Fourier mode of
+    # the x0 axis, or the grid derivatives see a jump at the seam
+    reps = run_suite("theorem1", SuiteConfig(m=1.3)) \
+        + run_suite("torsion-routes", SuiteConfig(m=1.3))
+    assert len(reps) == 5
+    assert all(r.passed for r in reps), [(r.check_name, r.max_abs_residual) for r in reps]

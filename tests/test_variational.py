@@ -5,10 +5,12 @@ from scipy.linalg import expm
 from spinframe.errors import (
     DegenerateDenominator,
     DimensionMismatch,
+    NotHermitian,
     ProbeOutsideInterior,
+    SpinframeError,
     VanishingU,
 )
-from spinframe.grids import LatticeSpec, derivatives, periodic_spec
+from spinframe.grids import derivatives, periodic_spec
 from spinframe.sampling import base_for, random_trig_poly
 from spinframe.variational import (
     FirstOrderOperator,
@@ -56,8 +58,23 @@ def test_operator_validates_hermiticity(spec):
 
 
 def test_operator_validates_shapes(spec):
-    with pytest.raises(DimensionMismatch):
-        FirstOrderOperator(spec, np.ones((2, 1, 1)), np.array([[1.0]]))
+    # the coefficients are constant matrices: grid-shaped b or c is rejected
+    n = spec.extents[0]
+    b, c = np.ones((1, 1, 1)), np.array([[1.0]])
+    for bad_b, bad_c in ((np.ones((2, 1, 1)), c), (np.ones((n, 1, 1, 1)), c),
+                         (b, np.ones((n, 1, 1))), (np.ones(()), c), (b, np.ones(1))):
+        with pytest.raises(DimensionMismatch):
+            FirstOrderOperator(spec, bad_b, bad_c)
+
+
+def test_hermitian_check_fails_closed(spec):
+    nan = float("nan")
+    for b, c in ((np.full((1, 1, 1), nan), np.array([[1.0]])),
+                 (np.ones((1, 1, 1)), np.array([[nan]])),
+                 (np.ones((1, 1, 1)), np.array([[1j]]))):
+        with pytest.raises(NotHermitian) as info:
+            FirstOrderOperator(spec, b, c)
+        assert isinstance(info.value, SpinframeError)
 
 
 def test_identity_operator(spec):
@@ -217,10 +234,12 @@ def test_integrated_solutions_satisfy_lemma(spec, solvable_operator):
         assert res.gradient_norm < 1e-6 * res.scale
 
 
-def test_combined_gradient_rejects_probe_near_open_boundary():
-    spec = LatticeSpec((32,), (0.1,), (False,))
+def test_combined_gradient_rejects_probe_off_the_grid(spec):
     op_p, op_m = example_operators(spec)
     u = np.exp(1j * spec.axis_coords(0))[:, None]
-    for probe in ((0,), (1,), (30,), (31,)):
+    n = spec.extents[0]
+    g = combined_action_gradient(op_p, op_m, u, [(0,), (n - 1,)], backend="stencil4")
+    assert g.shape == (2, 1, 2)
+    for probe in ((n,), (-1,), (0, 0), ()):
         with pytest.raises(ProbeOutsideInterior):
             combined_action_gradient(op_p, op_m, u, [probe], backend="stencil4")
