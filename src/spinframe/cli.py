@@ -1,12 +1,12 @@
 """Command-line driver.
 
 Usage:
-    spinframe run <suite> [--m M] [--seed S] [--A0 V]
-                  [--tol T] [--seeds K] [--format json|csv] [--out PATH]
-                  [--include-runtime]
+    spinframe run <suite> [--m M] [--seed S] [--A0 V] [--seeds K]
+                  [--format json|csv] [--out PATH] [--include-runtime]
 
-Every suite runs on its own fixed grids.  Exit code is 0 iff every report
-passes, 2 for a configuration that cannot be honoured.
+Every suite runs on its own fixed grids with its own fixed bounds.  Exit
+code is 0 iff every report passes, 2 for a configuration that cannot be
+honoured.
 """
 
 from __future__ import annotations
@@ -18,16 +18,6 @@ from .errors import ConfigInvalid, SpinframeError, UnknownSuite
 from .reports import emit, render
 from .suites import SUITES, SuiteConfig, run_suite
 
-_TOL_HELP = (
-    "override the default tolerance of the checks coframe-correspondence, "
-    "torsion-two-routes-analytic, kk-decomposition-analytic, "
-    "factorization-identity, separation-of-variables, "
-    "theorem1-field-equation, plane-wave-dirac-solutions, "
-    "state-table-classification and ode-example-analytic; these bounds stay "
-    "fixed: torsion-two-routes-refinement 0.3, theorem1-variational-gradient "
-    "1e-6, theorem1-never-inconsistent 0.5, ode-example-stencil 1e-6, "
-    "ode-example-lemma-branches 0.5")
-
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="spinframe",
@@ -37,9 +27,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("suite", choices=SUITES)
     run.add_argument("--m", type=float, default=1.0, help="mass parameter")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--A0", dest="a0", type=float, default=0.25,
-                     help="constant electric potential")
-    run.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
+    run.add_argument("--A0", dest="a0", type=float, default=None,
+                     help="constant electric potential of plane-waves and table1 "
+                     "(also under all; default 0.25); other suites reject it")
     run.add_argument("--seeds", type=int, default=None,
                      help="sample count of coframe, kk-decomposition, "
                      "factorization and separation (also under all); other "
@@ -54,8 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = SuiteConfig(m=args.m, seed=args.seed, a0=args.a0, tol=args.tol,
-                          seeds=args.seeds)
+        cfg = SuiteConfig(m=args.m, seed=args.seed, a0=args.a0, seeds=args.seeds)
         reports = run_suite(args.suite, cfg)
     except (UnknownSuite, ConfigInvalid) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -3,8 +3,9 @@ raise them.
 
 Each guard is written so that a NaN fails it: an option outside its
 choices (``require_choice``), a density that is not strictly positive or
-vanishes somewhere (``require_density``), and a spelled-out density that
-differs from its compact form (``require_agreement``).
+vanishes somewhere (``require_density``), a torsion scalar or covector
+that is not finite everywhere (``require_finite``), and a spelled-out
+density that differs from its compact form (``require_agreement``).
 """
 
 import numpy as np
@@ -16,6 +17,11 @@ class SpinframeError(Exception):
 
 class NonPositiveDensity(SpinframeError):
     """Spinor density |c1|^2 - |c2|^2 is not strictly positive."""
+
+
+class NonFiniteTorsion(SpinframeError):
+    """A torsion scalar or covector is NaN or infinite somewhere, as from a
+    non-finite spinor derivative."""
 
 
 class WrongDensitySign(SpinframeError):
@@ -110,6 +116,12 @@ def require_density(rho: np.ndarray, positive: bool = True) -> None:
             raise NonPositiveDensity(f"min density {np.min(rho):.3g} <= 0")
     elif np.any(rho == 0.0) or np.any(np.isnan(rho)):
         raise VanishingDensity("density vanishes on the grid")
+
+
+def require_finite(x: np.ndarray, what: str) -> None:
+    """Raise NonFiniteTorsion unless every entry of x is finite."""
+    if not np.isfinite(x).all():
+        raise NonFiniteTorsion(f"{what} is not finite everywhere on the grid")
 
 
 # Relative bound on the spelled-out/compact mismatch of a density; both

@@ -4,9 +4,9 @@ variational derivatives, and the equivalence verdict harness.
 The explicit residuals are pure pointwise algebra in the bundle and the
 derivatives of the torsion scalars they are handed; they take no
 derivative rule.  ``theorem1_check`` and the variational route
-differentiate, and only through ``grids.derivatives``.  The variational
-route is an independent oracle: it differentiates the action numerically
-and knows nothing about the explicit equations.
+differentiate spectrally, and only through ``grids.derivatives``.  The
+variational route is an independent oracle: it differentiates the action
+numerically and knows nothing about the explicit equations.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import METRIC3, SIGMA3, SIGMA_LOWER, SIGMA_UPPER
 from .errors import ProbeOutsideInterior, require_choice, require_density
-from .grids import BACKENDS, LatticeSpec, ModelParams, SpinorBundle, derivatives
+from .grids import LatticeSpec, ModelParams, SpinorBundle, derivatives
 from .lagrangians import dirac_lagrangian, lagrangian_4d, lagrangian_reduced
 from .pauli import apply, components
 from .torsion import mixed_derivative, reduced_axial_torsion, spinor_contractions
@@ -142,25 +142,23 @@ class Theorem1Result:
 
 
 def theorem1_check(eta: SpinorBundle, params: ModelParams, r: int,
-                   tol: float = 1e-6, backend: str = "stencil",
                    dt: np.ndarray | None = None) -> Theorem1Result:
     """Compare near-vanishing of the field-equation and Dirac residuals.
 
     dt is the in-plane gradient of the reduced torsion scalar; without it,
-    the check differentiates ``reduced_axial_torsion`` by the ``backend``
-    rule of ``grids.derivatives``.  Inconsistent (one route vanishes, the
-    other does not) must never occur; it falsifies the build.  The backend
-    name is checked whether or not dt is given.
+    the check differentiates ``reduced_axial_torsion`` spectrally.
+    Inconsistent (one route vanishes, the other does not) must never occur;
+    it falsifies the build.
     """
-    require_choice("backend", backend, BACKENDS)
     rho = eta.rho
     require_density(rho)
     if dt is None:
-        dt = derivatives(reduced_axial_torsion(eta, params, r), eta.spec, backend, range(3))
+        dt = derivatives(reduced_axial_torsion(eta, params, r), eta.spec, "spectral", range(3))
     scale = params.m ** 2 * float(np.sqrt(np.max(rho)))
     fe = float(np.max(np.abs(field_equation_residual_reduced(eta, params, r, dt))))
     dp = float(np.max(np.abs(dirac_apply(eta, params, r, +1))))
     dm = float(np.max(np.abs(dirac_apply(eta, params, r, -1))))
+    tol = 1e-6   # relative bound under which a residual counts as vanishing
     fe_zero = fe <= tol * scale
     dp_zero = dp <= tol * params.m * float(np.sqrt(np.max(rho)))
     dm_zero = dm <= tol * params.m * float(np.sqrt(np.max(rho)))
@@ -181,10 +179,13 @@ def theorem1_check(eta: SpinorBundle, params: ModelParams, r: int,
 
 DENSITY_KINDS = ("dirac", "reduced")
 
+# Step of the two-sided action differences, in each Re/Im direction.
+_STEP = 1e-6
+
 
 def _action_from_values(values: np.ndarray, spec: LatticeSpec, params: ModelParams,
-                        density_kind: str, r: int, s: int, backend: str) -> float:
-    b = SpinorBundle.from_grid(spec, values, backend=backend)
+                        density_kind: str, r: int, s: int) -> float:
+    b = SpinorBundle.from_grid(spec, values, backend="spectral")
     if density_kind == "dirac":
         L = dirac_lagrangian(b, params, r, s)
     else:
@@ -192,10 +193,10 @@ def _action_from_values(values: np.ndarray, spec: LatticeSpec, params: ModelPara
     return spec.integrate(L)
 
 
-def action_gradient(action, values: np.ndarray, spec: LatticeSpec, probes,
-                    step: float) -> np.ndarray:
-    """Two-sided difference of action(values) w.r.t. Re/Im of each component
-    of values at the probe points; shape (len(probes), components, 2).
+def action_gradient(action, values: np.ndarray, spec: LatticeSpec, probes) -> np.ndarray:
+    """Two-sided difference, step ``_STEP``, of action(values) w.r.t. Re/Im of
+    each component of values at the probe points; shape (len(probes),
+    components, 2).
 
     ``action`` maps a perturbed copy of values (same shape and layout) to a
     float; this loop knows nothing of the density behind it, which keeps the
@@ -221,27 +222,24 @@ def action_gradient(action, values: np.ndarray, spec: LatticeSpec, probes,
             for k, delta in enumerate((1.0, 1.0j)):
                 both = []
                 for sign in (1.0, -1.0):
-                    work[entry] = saved + sign * step * delta
+                    work[entry] = saved + sign * _STEP * delta
                     both.append(action(work))
-                out[i, comp, k] = (both[0] - both[1]) / (2.0 * step)
+                out[i, comp, k] = (both[0] - both[1]) / (2.0 * _STEP)
             work[entry] = saved
     return out
 
 
 def discrete_variational_derivative(density_kind: str, eta_values: np.ndarray,
                                     spec: LatticeSpec, params: ModelParams,
-                                    probes, r: int = 1, s: int = 1,
-                                    step: float = 1e-6,
-                                    backend: str = "spectral") -> np.ndarray:
+                                    probes, r: int = 1, s: int = 1) -> np.ndarray:
     """Gradient of the discrete action w.r.t. Re/Im of each spinor component.
 
     Central two-sided differencing (``action_gradient``) of the action value
-    at the probe points.  Returns an array (len(probes), 2, 2): probe x
-    component x (re, im).  A probe that is not a grid point raises
-    ProbeOutsideInterior.
+    at the probe points; each evaluation differentiates the perturbed values
+    spectrally.  Returns an array (len(probes), 2, 2): probe x component x
+    (re, im).  A probe that is not a grid point raises ProbeOutsideInterior.
     """
     require_choice("density kind", density_kind, DENSITY_KINDS)
-    require_choice("backend", backend, BACKENDS)
     return action_gradient(
-        lambda v: _action_from_values(v, spec, params, density_kind, r, s, backend),
-        eta_values, spec, probes, step)
+        lambda v: _action_from_values(v, spec, params, density_kind, r, s),
+        eta_values, spec, probes)

@@ -48,8 +48,9 @@ class LatticeSpec:
             raise InvalidGrid("only 1D through 4D grids are supported")
         if len(self.spacing) != self.dims:
             raise InvalidGrid("extents and spacing must have equal length")
-        if any(n <= 0 for n in self.extents) or not all(h > 0 for h in self.spacing):
-            raise InvalidGrid("extents and spacing must be positive")
+        if any(n <= 0 for n in self.extents) \
+                or not all(0.0 < h < math.inf for h in self.spacing):
+            raise InvalidGrid("extents must be positive, spacing positive and finite")
 
     @property
     def dims(self) -> int:

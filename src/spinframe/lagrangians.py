@@ -105,20 +105,20 @@ def lagrangian_reduced(eta: SpinorBundle, params: ModelParams, r: int) -> np.nda
 def dirac_lagrangian(eta: SpinorBundle, params: ModelParams, r: int, s: int) -> np.ndarray:
     """L_rs = Re(eta^dag sigma^alpha (i d + r A)_alpha eta) + s m rho.
 
-    The compact form (-(3/4) *T_{Ar}^ax + s m) rho is asserted equal where
-    rho > 0; L_rs itself is defined for any eta.
+    The compact form (-(3/4) *T_{Ar}^ax + s m) rho is asserted equal unless
+    rho <= 0 somewhere; L_rs itself is defined for any eta.  A NaN density
+    takes the assert's branch, whose torsion raises NonPositiveDensity.
     """
     rho = eta.rho
     spelled = _dirac_contraction(eta, params, r).real + s * params.m * rho
-    if np.all(rho > 0.0):
+    if not np.any(rho <= 0.0):
         t = reduced_axial_torsion(eta, params, r)
         compact = (-0.75 * t + s * params.m) * rho
         require_agreement(spelled, compact, "dirac_lagrangian")
     return spelled
 
 
-def factorization_residual(eta: SpinorBundle, params: ModelParams, r: int,
-                           denom_tol: float = 1e-12) -> np.ndarray:
+def factorization_residual(eta: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
     """Pointwise residual of L_r + (32 m / 9) L_{r+} L_{r-} / (L_{r+} - L_{r-}).
 
     Algebraic identity in (*T, rho, m) once derivative values are fixed, so
@@ -130,7 +130,7 @@ def factorization_residual(eta: SpinorBundle, params: ModelParams, r: int,
     lm = dirac_lagrangian(eta, params, r, -1)
     denom = lp - lm
     scale = float(np.max(rho))
-    if np.any(np.abs(denom) < denom_tol * scale):
+    if np.any(np.abs(denom) < 1e-12 * scale):
         raise DegenerateDenominator("L_+ - L_- vanishes somewhere on the grid")
     lr = lagrangian_reduced(eta, params, r)
     return lr + (32.0 * params.m / 9.0) * lp * lm / denom

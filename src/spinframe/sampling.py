@@ -172,11 +172,10 @@ def base_for(spec: LatticeSpec) -> np.ndarray:
     return np.array([2.0 * np.pi / (n * h) for n, h in zip(spec.extents, spec.spacing)])
 
 
-def random_positive_spinor(rng: np.random.Generator, base, max_mode: int = 3,
-                           slack: float = 0.3) -> SpinorPoly:
-    """eta = (1 + da, db) with sup|da|, sup|db| <= slack, so rho > 0 pointwise."""
-    da = random_trig_poly(rng, base, max_mode, amplitude=slack)
-    db = random_trig_poly(rng, base, max_mode, amplitude=slack)
+def random_positive_spinor(rng: np.random.Generator, base, max_mode: int = 3) -> SpinorPoly:
+    """eta = (1 + da, db) with sup|da|, sup|db| <= 0.3, so rho > 0 pointwise."""
+    da = random_trig_poly(rng, base, max_mode, amplitude=0.3)
+    db = random_trig_poly(rng, base, max_mode, amplitude=0.3)
     return SpinorPoly(constant_poly(1.0, base) + da, db)
 
 
@@ -195,13 +194,6 @@ def covector_on(polys, spec: LatticeSpec) -> np.ndarray:
     for i, p in enumerate(polys):
         out[..., i] = p(coords).real
     return out
-
-
-def random_positive_spinor_4d(rng: np.random.Generator, spec: LatticeSpec,
-                              max_mode: int = 2, slack: float = 0.3) -> SpinorPoly:
-    """Positive-class spinor on a 4D grid, periodic in all axes incl. x3."""
-    base = base_for(spec)
-    return random_positive_spinor(rng, base, max_mode, slack)
 
 
 def coframe_bundle_from_spinor(b: SpinorBundle, backend: str = "stencil") -> CoframeBundle:

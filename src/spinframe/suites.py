@@ -44,7 +44,6 @@ from .sampling import (
     covector_on,
     random_covector_polys,
     random_positive_spinor,
-    random_positive_spinor_4d,
 )
 from .torsion import (
     kk_decomposition_check,
@@ -66,21 +65,18 @@ SUITES = ("coframe", "torsion-routes", "kk-decomposition", "factorization",
 class SuiteConfig:
     m: float = 1.0
     seed: int = 0
-    a0: float = 0.25
-    tol: float | None = None
-    seeds: int | None = None   # sample count for property suites
+    a0: float | None = None     # constant electric potential; None: 0.25
+    seeds: int | None = None    # sample count; None: each suite's own
 
     def __post_init__(self):
         if not (math.isfinite(self.m) and self.m > 0):
             raise ConfigInvalid(f"mass must be finite and positive, got {self.m!r}")
-        if not math.isfinite(self.a0):
+        if self.a0 is not None and not math.isfinite(self.a0):
             raise ConfigInvalid(f"A0 must be finite, got {self.a0!r}")
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be non-negative, got {self.seed}")
         if self.seeds is not None and self.seeds < 1:
             raise ConfigInvalid(f"seed count must be at least 1, got {self.seeds}")
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise ConfigInvalid(f"tolerance must be finite and non-negative, got {self.tol!r}")
 
 
 def _params(cfg: SuiteConfig) -> dict:
@@ -93,9 +89,9 @@ def _plane_wave_spec(n: int, m: float):
     return periodic_spec(n, (2.0 * np.pi / (n * m), 2.0 * np.pi / n, 2.0 * np.pi / n), 3)
 
 
-def _tol(cfg: SuiteConfig, default: float) -> float:
-    """The --tol override if given (0 included), else the suite default."""
-    return default if cfg.tol is None else cfg.tol
+def _a0(cfg: SuiteConfig) -> float:
+    """The given A0, else 0.25."""
+    return 0.25 if cfg.a0 is None else cfg.a0
 
 
 def _worst(worst: float, x: float) -> float:
@@ -117,7 +113,6 @@ def _timed(fn):
 
 def _suite_coframe(cfg: SuiteConfig):
     n = cfg.seeds or 10_000
-    tol = _tol(cfg, 1e-12)
 
     def run():
         rng = np.random.default_rng(cfg.seed)
@@ -125,17 +120,16 @@ def _suite_coframe(cfg: SuiteConfig):
         # force positive class: make the first component dominate
         a[:, 0] += np.sign(a[:, 0].real + 1e-300) * (np.abs(a[:, 1]) + 0.1)
         theta, rho = coframe_map(a)
-        rep = verify_coframe(CoframeDensity(theta, rho), tol=tol)
+        rep = verify_coframe(CoframeDensity(theta, rho))
         return _worst(rep.max_orthonormality_deviation, rep.det_deviation)
 
     dev, ms = _timed(run)
-    return [make_report("coframe-correspondence", _params(cfg), dev, dev, tol, ms)]
+    return [make_report("coframe-correspondence", _params(cfg), dev, dev, 1e-12, ms)]
 
 
 def _suite_torsion_routes(cfg: SuiteConfig):
     reports = []
     m = cfg.m
-    tol_analytic = _tol(cfg, 1e-10)
 
     # analytic-mode agreement on plane waves (exact x-dependence)
     def run_analytic():
@@ -151,7 +145,7 @@ def _suite_torsion_routes(cfg: SuiteConfig):
 
     dev, ms = _timed(run_analytic)
     reports.append(make_report("torsion-two-routes-analytic", _params(cfg),
-                               dev, dev, tol_analytic, ms))
+                               dev, dev, 1e-10, ms))
 
     # stencil refinement: residual is O(h^2), RMS shrinking by ~4 under h -> h/2
     def run_refine():
@@ -177,25 +171,24 @@ def _suite_torsion_routes(cfg: SuiteConfig):
 
 def _suite_kk(cfg: SuiteConfig):
     n_seeds = cfg.seeds or 100
-    tol = _tol(cfg, 1e-10)
 
     def run():
         worst = 0.0
         spec = periodic_spec(8, 2.0 * np.pi / 8, 4)
+        base = base_for(spec)
         for k in range(n_seeds):
             rng = np.random.default_rng(cfg.seed * 100_003 + k)
-            sp = random_positive_spinor_4d(rng, spec, max_mode=2)
-            rep = kk_decomposition_check(sp.bundle(spec), tol=tol, coframe_derivs="chain")
+            sp = random_positive_spinor(rng, base, max_mode=2)
+            rep = kk_decomposition_check(sp.bundle(spec), coframe_derivs="chain")
             worst = _worst(worst, rep.max_residual)
         return worst
 
     dev, ms = _timed(run)
-    return [make_report("kk-decomposition-analytic", _params(cfg), dev, dev, tol, ms)]
+    return [make_report("kk-decomposition-analytic", _params(cfg), dev, dev, 1e-10, ms)]
 
 
 def _suite_factorization(cfg: SuiteConfig):
     n_seeds = cfg.seeds or 1000
-    tol = _tol(cfg, 1e-10)
 
     def run():
         worst = 0.0
@@ -214,12 +207,11 @@ def _suite_factorization(cfg: SuiteConfig):
         return worst
 
     dev, ms = _timed(run)
-    return [make_report("factorization-identity", _params(cfg), dev, dev, tol, ms)]
+    return [make_report("factorization-identity", _params(cfg), dev, dev, 1e-10, ms)]
 
 
 def _suite_separation(cfg: SuiteConfig):
     n_seeds = cfg.seeds or 100
-    tol = _tol(cfg, 1e-9)
 
     def run():
         worst = 0.0
@@ -256,7 +248,7 @@ def _suite_separation(cfg: SuiteConfig):
         return worst
 
     dev, ms = _timed(run)
-    return [make_report("separation-of-variables", _params(cfg), dev, dev, tol, ms)]
+    return [make_report("separation-of-variables", _params(cfg), dev, dev, 1e-9, ms)]
 
 
 def _mul_poly(p: TrigPoly, q: TrigPoly) -> TrigPoly:
@@ -269,8 +261,6 @@ def _mul_poly(p: TrigPoly, q: TrigPoly) -> TrigPoly:
 def _suite_theorem1(cfg: SuiteConfig):
     reports = []
     m = cfg.m
-    tol_fe = _tol(cfg, 1e-9)
-    tol_grad = 1e-6
 
     def run():
         worst_fe, worst_grad, inconsistent = 0.0, 0.0, 0
@@ -303,19 +293,18 @@ def _suite_theorem1(cfg: SuiteConfig):
 
     (worst_fe, worst_grad, inconsistent), ms = _timed(run)
     reports.append(make_report("theorem1-field-equation", _params(cfg),
-                               worst_fe, worst_fe, tol_fe, ms))
+                               worst_fe, worst_fe, 1e-9, ms))
     reports.append(make_report("theorem1-variational-gradient", _params(cfg),
-                               worst_grad, worst_grad, tol_grad, ms))
+                               worst_grad, worst_grad, 1e-6, ms))
     reports.append(make_report("theorem1-never-inconsistent", _params(cfg),
                                float(inconsistent), float(inconsistent), 0.5, ms))
     return reports
 
 
 def _suite_plane_waves(cfg: SuiteConfig):
-    if not 0.0 <= cfg.a0 < cfg.m:
+    a0 = _a0(cfg)
+    if not 0.0 <= a0 < cfg.m:
         raise ConfigInvalid("plane-waves needs 0 <= A0 < m")
-    tol = _tol(cfg, 1e-12)
-    a0 = cfg.a0
 
     def run():
         worst = 0.0
@@ -329,7 +318,7 @@ def _suite_plane_waves(cfg: SuiteConfig):
         return worst
 
     dev, ms = _timed(run)
-    return [make_report("plane-wave-dirac-solutions", _params(cfg), dev, dev, tol, ms)]
+    return [make_report("plane-wave-dirac-solutions", _params(cfg), dev, dev, 1e-12, ms)]
 
 
 _EXPECTED_TABLE = [
@@ -341,29 +330,28 @@ _EXPECTED_TABLE = [
 
 
 def _suite_table1(cfg: SuiteConfig):
-    if not 0.0 < cfg.a0 < cfg.m:
+    a0 = _a0(cfg)
+    if not 0.0 < a0 < cfg.m:
         raise ConfigInvalid("table1 needs 0 < A0 < m")
-    tol = _tol(cfg, 1e-8)
 
     def run():
-        rows = table_of_states(cfg.m, cfg.a0)
+        rows = table_of_states(cfg.m, a0)
         label_errors = 0
         worst = 0.0
         for (r, s, kind, spin, energy), (er, es, ekind, espin) in zip(rows, _EXPECTED_TABLE):
             if (r, s, kind, spin) != (er, es, ekind, espin):
                 label_errors += 1
-            lab = PlaneWaveLabel(r, s, cfg.m, cfg.a0)
+            lab = PlaneWaveLabel(r, s, cfg.m, a0)
             rate = measured_rotation_rate(lab)
             worst = _worst(worst, abs(abs(rate) - energy))
         return worst + label_errors
 
     dev, ms = _timed(run)
-    return [make_report("state-table-classification", _params(cfg), dev, dev, tol, ms)]
+    return [make_report("state-table-classification", _params(cfg), dev, dev, 1e-8, ms)]
 
 
 def _suite_appendix_b(cfg: SuiteConfig):
     reports = []
-    tol_analytic = _tol(cfg, 1e-12)
 
     def run_analytic():
         n = 64
@@ -377,8 +365,7 @@ def _suite_appendix_b(cfg: SuiteConfig):
         return worst
 
     dev, ms = _timed(run_analytic)
-    reports.append(make_report("ode-example-analytic", _params(cfg), dev, dev,
-                               tol_analytic, ms))
+    reports.append(make_report("ode-example-analytic", _params(cfg), dev, dev, 1e-12, ms))
 
     def run_stencil():
         n = 512
@@ -426,15 +413,20 @@ _SUITE_FNS = {
 }
 
 
-# The property suites, the only ones that read a seed count.
-_SEEDED_SUITES = ("coframe", "kk-decomposition", "factorization", "separation")
+# The optional SuiteConfig fields, each with what it is, its flag, and the
+# suites that read it.
+_READERS = {
+    "seeds": ("seed count", "--seeds",
+              ("coframe", "kk-decomposition", "factorization", "separation")),
+    "a0": ("A0", "--A0", ("plane-waves", "table1")),
+}
 
 
 def run_suite(suite_name: str, config: SuiteConfig | None = None) -> list[CheckReport]:
     """Run one suite, or every suite for "all".
 
-    A seed count given to a single suite that reads none raises
-    ConfigInvalid; "all" hands it to the property suites.
+    An optional field (seed count or A0) given to a single suite that does
+    not read it raises ConfigInvalid; "all" hands it to the suites that do.
     """
     config = config or SuiteConfig()
     if suite_name == "all":
@@ -444,7 +436,8 @@ def run_suite(suite_name: str, config: SuiteConfig | None = None) -> list[CheckR
         return out
     if suite_name not in _SUITE_FNS:
         raise UnknownSuite(f"unknown suite {suite_name!r}; choose from {SUITES}")
-    if config.seeds is not None and suite_name not in _SEEDED_SUITES:
-        raise ConfigInvalid(f"{suite_name} reads no seed count; --seeds applies to "
-                            f"{', '.join(_SEEDED_SUITES)} and all")
+    for attr, (what, flag, readers) in _READERS.items():
+        if getattr(config, attr) is not None and suite_name not in readers:
+            raise ConfigInvalid(f"{suite_name} reads no {what}; {flag} applies to "
+                                f"{', '.join(readers)} and all")
     return _SUITE_FNS[suite_name](config)

@@ -24,7 +24,7 @@ from .algebra import (
     coframe_map,
     verify_coframe,
 )
-from .errors import InvalidCoframe, InvalidGrid, require_choice, require_density
+from .errors import InvalidCoframe, InvalidGrid, require_choice, require_density, require_finite
 from .pauli import components, contract
 from .grids import (
     CoframeBundle,
@@ -78,7 +78,8 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None) -> S
 
     Always gives rho, z and t; a 4D bundle also gives y and u.  Passing
     params mixes A into D_alpha, which only a 4D bundle accepts (InvalidGrid
-    otherwise).  ``axial_torsion_spinor``, ``kk_decomposition_check``,
+    otherwise).  A t or u that is not finite everywhere raises
+    NonFiniteTorsion.  ``axial_torsion_spinor``, ``kk_decomposition_check``,
     ``lagrangian_4d`` and ``field_equation_residual_4d`` all read from here.
 
     The density is read once.  On a grid-minor bundle (``SpinorBundle``)
@@ -97,10 +98,12 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None) -> S
     for alpha in range(3):
         z += contract(SIGMA_UPPER[alpha], b.values, mixed_derivative(b, params, alpha))
     out = SpinorContractions(rho, z, 4.0 * z.imag / (3.0 * rho))
+    require_finite(out.t, "axial torsion t")
     if dims == 4:
         d3 = b.derivs[..., 3, :]
         out.y = tuple(contract(SIGMA_LOWER[alpha], b.values, d3) for alpha in range(3))
         out.u = np.stack([-4.0 * y.imag / (3.0 * rho) for y in out.y], axis=-1)
+        require_finite(out.u, "x3-rotation covector u")
     return out
 
 
@@ -133,13 +136,16 @@ def dirac_term(b: SpinorBundle, params: ModelParams, r: int, alpha: int) -> np.n
 
 
 def reduced_axial_torsion(b: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
-    """*T_{Ar}^ax = -(4 / 3 rho) Re(eta^dag sigma^alpha (i d + r A)_alpha eta)."""
+    """*T_{Ar}^ax = -(4 / 3 rho) Re(eta^dag sigma^alpha (i d + r A)_alpha eta);
+    a t that is not finite everywhere raises NonFiniteTorsion."""
     rho = b.rho
     require_density(rho)
     w = dirac_term(b, params, r, 0)
     for alpha in (1, 2):
         w += dirac_term(b, params, r, alpha)
-    return -4.0 * w.real / (3.0 * rho)
+    t = -4.0 * w.real / (3.0 * rho)
+    require_finite(t, "reduced axial torsion t")
+    return t
 
 
 def _row_forms(cb: CoframeBundle, j: int) -> tuple[LatticeField, LatticeField]:
@@ -222,11 +228,9 @@ class KKReport:
     lhs_norm_sq: np.ndarray    # ||T_ext^ax||^2, 4D coframe route
     rhs_norm_sq: np.ndarray    # ||T^ax||^2 + ||D_3 theta||^2, spinor route
     max_residual: float
-    passed: bool
 
 
-def kk_decomposition_check(b: SpinorBundle, tol: float = 1e-10,
-                           coframe_derivs: str = "chain") -> KKReport:
+def kk_decomposition_check(b: SpinorBundle, coframe_derivs: str = "chain") -> KKReport:
     """||T_ext^ax||^2 (4D coframe route) vs ||T^ax||^2 + ||D_3 theta||^2.
 
     The right-hand side uses the spinor-route scalars; since ||*R||^2 =
@@ -256,8 +260,7 @@ def kk_decomposition_check(b: SpinorBundle, tol: float = 1e-10,
     del c
     u_norm = np.einsum("...a,a,...a->...", u, np.array([-1.0, 1.0, 1.0]), u)
     rhs = -(t ** 2) - u_norm
-    res = float(np.max(np.abs(lhs - rhs)))
-    return KKReport(lhs, rhs, res, res <= tol)
+    return KKReport(lhs, rhs, float(np.max(np.abs(lhs - rhs))))
 
 
 def _coframe_chain_derivs(b: SpinorBundle) -> np.ndarray:

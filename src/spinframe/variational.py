@@ -19,10 +19,9 @@ from .errors import (
     NotHermitian,
     VanishingU,
     require_agreement,
-    require_choice,
 )
 from .field_equations import action_gradient
-from .grids import BACKENDS, LatticeSpec, derivatives
+from .grids import LatticeSpec, derivatives
 
 _HERM_TOL = 1e-12
 
@@ -82,23 +81,21 @@ def first_order_lagrangian(op: FirstOrderOperator, u: np.ndarray,
     return spelled
 
 
-def combine_densities(lp: np.ndarray, lm: np.ndarray,
-                      denom_tol: float = 1e-12) -> np.ndarray:
+def combine_densities(lp: np.ndarray, lm: np.ndarray) -> np.ndarray:
     """lp lm / (lp - lm); any two scaling-covariant densities may be fed in,
     which is what generates the hierarchy of reducible equations."""
     denom = lp - lm
     scale = max(float(np.max(np.abs(lp))), float(np.max(np.abs(lm))), 1e-300)
-    if np.any(np.abs(denom) < denom_tol * scale):
+    if np.any(np.abs(denom) < 1e-12 * scale):
         raise DegenerateDenominator("L_+ - L_- vanishes somewhere on the grid")
     return lp * lm / denom
 
 
 def combined_lagrangian(op_p: FirstOrderOperator, op_m: FirstOrderOperator,
-                        u: np.ndarray, du: np.ndarray,
-                        denom_tol: float = 1e-12) -> np.ndarray:
+                        u: np.ndarray, du: np.ndarray) -> np.ndarray:
     lp = first_order_lagrangian(op_p, u, du)
     lm = first_order_lagrangian(op_m, u, du)
-    return combine_densities(lp, lm, denom_tol)
+    return combine_densities(lp, lm)
 
 
 # ---------------------------------------------------------------------------
@@ -156,37 +153,32 @@ class LemmaResult:
     scale: float
 
 
-def _combined_action(op_p, op_m, u, backend, denom_tol) -> float:
-    du = derivatives(u, op_p.spec, backend)
-    return op_p.spec.integrate(combined_lagrangian(op_p, op_m, u, du, denom_tol))
+def _combined_action(op_p, op_m, u) -> float:
+    du = derivatives(u, op_p.spec, "spectral")
+    return op_p.spec.integrate(combined_lagrangian(op_p, op_m, u, du))
 
 
 def combined_action_gradient(op_p: FirstOrderOperator, op_m: FirstOrderOperator,
-                             u: np.ndarray, probes, step: float = 1e-6,
-                             backend: str = "spectral",
-                             denom_tol: float = 1e-12) -> np.ndarray:
+                             u: np.ndarray, probes) -> np.ndarray:
     """Two-sided difference of the combined action w.r.t. Re/Im of each
     component at the probe points; (len(probes), mdim, 2).
 
-    The differencing loop, with its probe check, is
+    The differencing loop, with its probe check and step, is
     ``field_equations.action_gradient``, the same one that differentiates
     the spinor actions; the combined density enters only through the action
-    it is handed.  The backend name is checked even when there is no probe.
+    it is handed, which differentiates u spectrally.
     """
-    require_choice("backend", backend, BACKENDS)
-    return action_gradient(
-        lambda v: _combined_action(op_p, op_m, v, backend, denom_tol),
-        np.asarray(u, dtype=complex), op_p.spec, probes, step)
+    return action_gradient(lambda v: _combined_action(op_p, op_m, v),
+                           np.asarray(u, dtype=complex), op_p.spec, probes)
 
 
 def lemma_check(op_p: FirstOrderOperator, op_m: FirstOrderOperator, u: np.ndarray,
-                du: np.ndarray | None = None, tol: float = 1e-6,
-                probes=None, backend: str = "spectral") -> LemmaResult:
+                probes=None) -> LemmaResult:
     """Compare near-vanishing of the combined-action variational derivative
     with the two linear residuals.  Inconsistent must never occur.
 
-    Both residuals read du; without it, u is differentiated once by the
-    ``backend`` rule, the one the variational derivative uses."""
+    Both residuals read the spectral derivative of u, the rule the
+    variational derivative uses."""
     spec = op_p.spec
     u = np.asarray(u, dtype=complex)
     if probes is None:
@@ -195,12 +187,12 @@ def lemma_check(op_p: FirstOrderOperator, op_m: FirstOrderOperator, u: np.ndarra
         probes = [tuple(row) for row in idx]
     umax = float(np.max(np.abs(u)))
     scale = max(umax, umax ** 2, 1.0)
-    grad = combined_action_gradient(op_p, op_m, u, probes, backend=backend)
+    grad = combined_action_gradient(op_p, op_m, u, probes)
     gnorm = float(np.max(np.abs(grad)))
-    if du is None:
-        du = derivatives(u, spec, backend)
+    du = derivatives(u, spec, "spectral")
     ap = float(np.max(np.abs(op_apply(op_p, u, du))))
     am = float(np.max(np.abs(op_apply(op_m, u, du))))
+    tol = 1e-6   # relative bound under which a residual counts as vanishing
     g_zero = gnorm <= tol * scale
     op_scale = scale * (1.0 + float(np.max(np.abs(op_p.c))) + float(np.max(np.abs(op_m.c))))
     ap_zero = ap <= tol * op_scale

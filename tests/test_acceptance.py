@@ -52,7 +52,6 @@ def test_criterion_02_two_route_torsion(capsys):
 def test_criterion_03_kk_decomposition(capsys):
     rep, = run_suite("kk-decomposition", SuiteConfig(seed=0, seeds=100))
     # stencil route is second order: residual ratio ~4 under h -> h/2
-    from spinframe.sampling import random_positive_spinor_4d
     from spinframe.torsion import kk_decomposition_check
     rng = np.random.default_rng(11)
     res = []
@@ -60,7 +59,7 @@ def test_criterion_03_kk_decomposition(capsys):
     for n in (16, 32):
         spec = periodic_spec(n, 2.0 * np.pi / n, 4)
         if sp is None:
-            sp = random_positive_spinor_4d(rng, spec, max_mode=1)
+            sp = random_positive_spinor(rng, base_for(spec), max_mode=1)
         r = kk_decomposition_check(sp.bundle(spec), coframe_derivs="grid")
         res.append(r.max_residual)
     ratio = res[0] / res[1]
@@ -104,7 +103,7 @@ def test_criterion_06_never_inconsistent(capsys):
             r2 = lemma_check(op_p, op_m, u, probes=[(3,)])
         else:
             b = random_positive_spinor(rng, base3, max_mode=1).bundle(spec3)
-            r1 = theorem1_check(b, p, 1, backend="spectral")
+            r1 = theorem1_check(b, p, 1)
             u = (1.0 + random_trig_poly(rng, base_for(spec1), max_mode=2,
                                         amplitude=0.4)(spec1.meshgrid()))[:, None]
             r2 = lemma_check(op_p, op_m, u, probes=[(3,)])

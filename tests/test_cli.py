@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from spinframe.cli import main
+from spinframe.cli import build_parser, main
 from spinframe.errors import ConfigInvalid, UnknownSuite
 from spinframe.grids import ModelParams
 from spinframe.reports import render
@@ -59,14 +62,30 @@ def test_seed_count_rejected_by_suites_that_read_none(capsys, suite):
         run_suite(suite, SuiteConfig(seeds=5))
 
 
+@pytest.mark.parametrize("suite", ["coframe", "torsion-routes", "kk-decomposition",
+                                   "factorization", "separation", "theorem1", "appendix-b"])
+def test_a0_rejected_by_suites_that_read_none(capsys, suite):
+    assert main(["run", suite, "--A0", "0.25"]) == 2
+    assert "reads no A0" in capsys.readouterr().err
+    with pytest.raises(ConfigInvalid):
+        run_suite(suite, SuiteConfig(a0=0.25))
+
+
+def test_a0_defaults_to_a_quarter_where_it_is_read():
+    for suite in ("plane-waves", "table1"):
+        assert render(run_suite(suite, SuiteConfig()), "json") \
+            == render(run_suite(suite, SuiteConfig(a0=0.25)), "json")
+    assert SuiteConfig().a0 is None
+
+
 @pytest.mark.parametrize("m", [float("nan"), float("inf"), 0.0])
 def test_model_params_reject_non_finite_or_non_positive_mass(m):
     with pytest.raises(ValueError):
         ModelParams(m=m)
 
 
-@pytest.mark.parametrize("flag", [["--grid", "8"], ["--mode", "stencil"], ["--order", "4"]],
-                         ids=" ".join)
+@pytest.mark.parametrize("flag", [["--grid", "8"], ["--mode", "stencil"], ["--order", "4"],
+                                  ["--tol", "1e-3"]], ids=" ".join)
 def test_removed_flags_are_rejected(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["run", "plane-waves", *flag])
@@ -107,21 +126,16 @@ def test_csv_header_and_emit(tmp_path):
     assert len(lines) == 1 + len(reports)
 
 
-def test_tol_zero_is_honoured(capsys):
-    # --tol 0 is a real tolerance, not "use the default"
-    assert main(["run", "coframe", "--tol", "0"]) == 1
-    err = capsys.readouterr().err
-    assert "FAIL coframe-correspondence" in err
-    assert "tol=0.000e+00" in err
+def _readme_cli_section() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-def test_invalid_tol_exit_two(capsys, tol):
-    assert main(["run", "plane-waves", "--tol", tol]) == 2
-
-
-def test_config_rejects_bad_tolerance():
-    for tol in (-1e-12, float("nan"), float("inf")):
-        with pytest.raises(ConfigInvalid):
-            SuiteConfig(tol=tol)
-    assert SuiteConfig(tol=0.0).tol == 0.0
+def test_readme_names_exactly_the_run_options():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in sub.choices["run"]._actions for o in a.option_strings
+               if o.startswith("--") and o != "--help"}
+    named = set(re.findall(r"--[A-Za-z][\w-]*", _readme_cli_section()))
+    assert options - named == set(), "run options missing from README's CLI section"
+    assert named - options == set(), "README's CLI section names options run rejects"

@@ -16,7 +16,7 @@ from spinframe.field_equations import field_equation_residual_4d
 from spinframe.grids import ModelParams, SpinorBundle, derivatives, lorentz_dot, periodic_spec
 from spinframe.lagrangians import lagrangian_4d, unhodge_covector, unhodge_scalar
 from spinframe.pauli import apply, contract
-from spinframe.sampling import base_for, random_positive_spinor, random_positive_spinor_4d
+from spinframe.sampling import base_for, random_positive_spinor
 from spinframe.torsion import (
     axial_torsion_spinor,
     mixed_derivative,
@@ -115,7 +115,7 @@ def ref_field_equation_residual_4d(xi, params, dt, du):
 def _bundle4(seed: int, sampled: str = "analytic") -> SpinorBundle:
     """A random positive-class 4D field that is not x3-separated."""
     rng = np.random.default_rng(seed)
-    b = random_positive_spinor_4d(rng, SPEC4, max_mode=2).bundle(SPEC4)
+    b = random_positive_spinor(rng, base_for(SPEC4), max_mode=2).bundle(SPEC4)
     if sampled == "analytic":
         return b
     return SpinorBundle.from_grid(SPEC4, b.values, backend=sampled)

@@ -113,7 +113,7 @@ def test_theorem1_verdicts(spec):
 def test_theorem1_nonsolution_is_neither(spec):
     rng = np.random.default_rng(9)
     b = random_positive_spinor(rng, base_for(spec), max_mode=2).bundle(spec)
-    res = theorem1_check(b, ModelParams(m=1.0), 1, backend="spectral")
+    res = theorem1_check(b, ModelParams(m=1.0), 1)
     assert res.verdict is Verdict.SOLVES_NEITHER
 
 
@@ -160,7 +160,7 @@ def test_probe_must_be_a_grid_point():
     calls = []
     with pytest.raises(ProbeOutsideInterior):
         field_equations.action_gradient(lambda v: calls.append(None) or 0.0, vals, spec,
-                                        [(0, 0, 0), (1, 2)], 1e-6)
+                                        [(0, 0, 0), (1, 2)])
     assert calls == []
 
 
@@ -177,7 +177,7 @@ def test_one_action_evaluation_peaks_below_two_derivative_stacks(kind):
     stack_nbytes = 3 * values.nbytes
 
     def evaluate():
-        return field_equations._action_from_values(values, spec, p, kind, 1, 1, "spectral")
+        return field_equations._action_from_values(values, spec, p, kind, 1, 1)
 
     evaluate()
     tracemalloc.start()
@@ -189,8 +189,9 @@ def test_one_action_evaluation_peaks_below_two_derivative_stacks(kind):
     assert peak <= 2 * stack_nbytes
 
 
-def _copy_per_evaluation_gradient(kind, values, spec, p, probes, r, s, step=1e-6):
+def _copy_per_evaluation_gradient(kind, values, spec, p, probes, r, s):
     """The perturbation loop with a fresh copy per action evaluation."""
+    step = field_equations._STEP
     out = np.empty((len(probes), values.shape[-1], 2))
     for i, probe in enumerate(probes):
         for comp in range(values.shape[-1]):
@@ -200,7 +201,7 @@ def _copy_per_evaluation_gradient(kind, values, spec, p, probes, r, s, step=1e-6
                     v = values.copy(order="K")
                     v[tuple(probe) + (comp,)] += sign * step * delta
                     both.append(field_equations._action_from_values(
-                        v, spec, p, kind, r, s, "spectral"))
+                        v, spec, p, kind, r, s))
                 out[i, comp, k] = (both[0] - both[1]) / (2.0 * step)
     return out
 
@@ -232,14 +233,14 @@ def test_each_action_evaluation_sees_exactly_one_perturbed_entry():
     # again would leave it a few units in the last place off
     values[(1, 2, 3, 1)] = 1.2345678e-7 + 3.3e-8j
     probes = [(1, 2, 3), (1, 2, 4), (5, 0, 1)]
-    step = 1e-6
+    step = field_equations._STEP
     seen = []
 
     def action(v):
         seen.append(v.copy())
         return float(np.sum(np.abs(v) ** 2))
 
-    field_equations.action_gradient(action, values, spec, probes, step)
+    field_equations.action_gradient(action, values, spec, probes)
     want = []
     for probe in probes:
         for comp in range(2):

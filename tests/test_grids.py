@@ -147,6 +147,7 @@ def test_coframe_torsion_holds_one_row_of_derivatives_at_a_time():
     lambda: LatticeSpec((4, 4), (1.0, float("nan"))),
     lambda: LatticeSpec((), ()),
     lambda: derivatives(np.zeros((6, 6)), periodic_spec(6, 1.0, 2), axes=[]),
+    lambda: LatticeSpec((4,), (float("inf"),)),
 ])
 def test_grid_misuse_raises_a_package_value_error(misuse):
     with pytest.raises(InvalidGrid) as info:

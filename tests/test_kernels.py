@@ -30,7 +30,6 @@ from spinframe.sampling import (
     covector_on,
     random_covector_polys,
     random_positive_spinor,
-    random_positive_spinor_4d,
     random_trig_poly,
 )
 from spinframe.torsion import reduced_axial_torsion, spinor_contractions
@@ -256,7 +255,7 @@ def test_zero_A_kernels_are_bit_identical_to_the_full_products():
 def test_kernels_give_the_same_numbers_on_a_hand_built_bundle():
     spec = GRIDS[4]
     rng = np.random.default_rng(14)
-    b = random_positive_spinor_4d(rng, spec, max_mode=2).bundle(spec)
+    b = random_positive_spinor(rng, base_for(spec), max_mode=2).bundle(spec)
     p = ModelParams(m=1.1, A=0.2 * rng.normal(size=spec.extents + (3,)))
     c = _hand_built(b)
     con = spinor_contractions(b, p)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from spinframe.errors import DegenerateDenominator, NonPositiveDensity, VanishingDensity
+from spinframe.errors import (
+    DegenerateDenominator,
+    NonFiniteTorsion,
+    NonPositiveDensity,
+    VanishingDensity,
+)
 from spinframe.field_equations import field_equation_residual_reduced, theorem1_check
 from spinframe.grids import ModelParams, SpinorBundle, periodic_spec
 from spinframe.lagrangians import (
@@ -18,10 +23,9 @@ from spinframe.sampling import (
     covector_on,
     random_covector_polys,
     random_positive_spinor,
-    random_positive_spinor_4d,
     random_trig_poly,
 )
-from spinframe.torsion import reduced_axial_torsion, spinor_contractions
+from spinframe.torsion import axial_torsion_spinor, reduced_axial_torsion, spinor_contractions
 from spinframe.variational import example_operators, first_order_lagrangian
 
 
@@ -75,7 +79,7 @@ def test_lagrangian_4d_spelled_equals_norm_form():
     spec4 = periodic_spec(8, 2.0 * np.pi / 8, 4)
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        b = random_positive_spinor_4d(rng, spec4, max_mode=2).bundle(spec4)
+        b = random_positive_spinor(rng, base_for(spec4), max_mode=2).bundle(spec4)
         # the cross-assert inside raises on disagreement
         L = lagrangian_4d(b, ModelParams(m=1.0))
         assert np.all(np.isfinite(L))
@@ -96,7 +100,7 @@ def test_factorization_degenerate_denominator(spec):
     b.values = b.values.copy()
     b.values[0, 0, 0, 0] = 1e-9  # one near-degenerate point
     with pytest.raises(DegenerateDenominator):
-        factorization_residual(b, ModelParams(m=1.0), 1, denom_tol=1e-12)
+        factorization_residual(b, ModelParams(m=1.0), 1)
 
 
 def test_scaling_covariance_reduced_and_dirac(spec):
@@ -132,7 +136,7 @@ def _with_nan(dims: int, where: str) -> SpinorBundle:
     if dims == 3:
         b = random_positive_spinor(rng, base_for(spec), max_mode=2).bundle(spec)
     else:
-        b = random_positive_spinor_4d(rng, spec, max_mode=1).bundle(spec)
+        b = random_positive_spinor(rng, base_for(spec), max_mode=1).bundle(spec)
     values, derivs = b.values.copy(), b.derivs.copy()
     if where == "value":
         values[1, 2, 3, 0] = np.nan
@@ -163,12 +167,21 @@ _NAN_CASES = {
         (NonPositiveDensity, lambda: theorem1_check(_with_nan(3, "value"), _P, 1)),
     "value-spinor_contractions":
         (VanishingDensity, lambda: spinor_contractions(_with_nan(4, "value"))),
+    "value-dirac_lagrangian":
+        (NonPositiveDensity, lambda: dirac_lagrangian(_with_nan(3, "value"), _P, 1, 1)),
+    # a NaN derivative leaves rho finite; the torsion it reaches is NaN there
+    "derivative-reduced_axial_torsion":
+        (NonFiniteTorsion, lambda: reduced_axial_torsion(_with_nan(3, "derivative"), _P, 1)),
+    "derivative-axial_torsion_spinor":
+        (NonFiniteTorsion, lambda: axial_torsion_spinor(_with_nan(3, "derivative"))),
+    # the densities compute their compact form from that torsion, so its
+    # guard fires before the spelled/compact cross-assert
     "derivative-lagrangian_reduced":
-        (AssertionError, lambda: lagrangian_reduced(_with_nan(3, "derivative"), _P, 1)),
+        (NonFiniteTorsion, lambda: lagrangian_reduced(_with_nan(3, "derivative"), _P, 1)),
     "derivative-dirac_lagrangian":
-        (AssertionError, lambda: dirac_lagrangian(_with_nan(3, "derivative"), _P, 1, 1)),
+        (NonFiniteTorsion, lambda: dirac_lagrangian(_with_nan(3, "derivative"), _P, 1, 1)),
     "derivative-lagrangian_4d":
-        (AssertionError, lambda: lagrangian_4d(_with_nan(4, "derivative"), _P)),
+        (NonFiniteTorsion, lambda: lagrangian_4d(_with_nan(4, "derivative"), _P)),
     "derivative-first_order_lagrangian":
         (AssertionError, _first_order_lagrangian_with_nan_derivative),
 }
@@ -177,6 +190,7 @@ _NAN_CASES = {
 @pytest.mark.parametrize("error,call", list(_NAN_CASES.values()), ids=list(_NAN_CASES))
 def test_a_nan_fails_the_density_guard_or_the_cross_assert(error, call):
     # NaN compares false with everything, so a guard written as
-    # "raise if rho <= 0" or "raise if dev > tol" would let it through
+    # "raise if rho <= 0", "raise if dev > tol" or "check where rho > 0"
+    # would let it through; the torsion guard is np.isfinite
     with pytest.raises(error):
         call()

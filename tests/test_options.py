@@ -5,9 +5,8 @@ option, kind, format or grid from the caller raises a package error."""
 import numpy as np
 import pytest
 
-from spinframe import variational
 from spinframe.errors import InvalidGrid, SpinframeError, UnknownOption
-from spinframe.field_equations import discrete_variational_derivative, theorem1_check
+from spinframe.field_equations import discrete_variational_derivative
 from spinframe.grids import (
     CoframeBundle,
     ModelParams,
@@ -24,7 +23,6 @@ from spinframe.sampling import (
     base_for,
     coframe_bundle_from_spinor,
     random_positive_spinor,
-    random_positive_spinor_4d,
 )
 from spinframe.torsion import (
     kk_decomposition_check,
@@ -43,7 +41,7 @@ def _bundle3():
 
 def _bundle4():
     rng = np.random.default_rng(0)
-    return random_positive_spinor_4d(rng, SPEC4, max_mode=2).bundle(SPEC4)
+    return random_positive_spinor(rng, base_for(SPEC4), max_mode=2).bundle(SPEC4)
 
 
 def test_unknown_option_is_a_value_error_and_a_package_error():
@@ -72,35 +70,9 @@ def test_derivatives_rejects_unknown_backend():
         exterior_derivative(f, "stencil3")
 
 
-def test_oracles_reject_unknown_backend():
-    b = _bundle3()
-    with pytest.raises(UnknownOption, match="'fft'"):
-        theorem1_check(b, ModelParams(m=1.0), 1, backend="fft")
-    with pytest.raises(UnknownOption, match="'fft'"):
-        discrete_variational_derivative("dirac", b.values, SPEC3, ModelParams(m=1.0),
-                                        [(1, 2, 3)], backend="fft")
-    spec = periodic_spec(16, 2.0 * np.pi / 16, 1)
-    op_p, op_m = variational.example_operators(spec)
-    u = np.exp(1j * spec.axis_coords(0))[:, None]
-    with pytest.raises(UnknownOption, match="'fft'"):
-        variational.lemma_check(op_p, op_m, u, backend="fft")
-
-
 def test_backend_is_checked_even_where_no_derivative_is_taken():
-    # a given dt, an empty probe list or an unread bundle never reach
-    # grids.derivatives, so the name is checked at entry
-    b = _bundle3()
-    with pytest.raises(UnknownOption, match="'fft'"):
-        theorem1_check(b, ModelParams(m=1.0), 1, backend="fft",
-                       dt=np.zeros(SPEC3.extents + (3,)))
-    with pytest.raises(UnknownOption, match="'fft'"):
-        discrete_variational_derivative("dirac", b.values, SPEC3, ModelParams(m=1.0),
-                                        [], backend="fft")
-    spec = periodic_spec(16, 2.0 * np.pi / 16, 1)
-    op_p, op_m = variational.example_operators(spec)
-    u = np.exp(1j * spec.axis_coords(0))[:, None]
-    with pytest.raises(UnknownOption, match="'fft'"):
-        variational.combined_action_gradient(op_p, op_m, u, [], backend="fft")
+    # a bundle whose rows are never read never reaches grids.derivatives,
+    # so the name is checked at entry
     theta = np.zeros(SPEC3.extents + (3, 3))
     with pytest.raises(UnknownOption, match="'fft'"):
         CoframeBundle.from_grid(SPEC3, theta, backend="fft")

@@ -29,7 +29,7 @@ def _nan_on_call(monkeypatch, name, nan_call, make_nan):
     # two factorization_residual calls per seed: call 3 is the second seed
     ("factorization", "factorization_residual", 3, lambda res: np.full_like(res, np.nan)),
     ("kk-decomposition", "kk_decomposition_check", 2,
-     lambda rep: KKReport(rep.lhs_norm_sq, rep.rhs_norm_sq, math.nan, False)),
+     lambda rep: KKReport(rep.lhs_norm_sq, rep.rhs_norm_sq, math.nan)),
 ])
 def test_nan_from_a_later_seed_fails_the_report(monkeypatch, suite, name, nan_call, make_nan):
     calls = _nan_on_call(monkeypatch, name, nan_call, make_nan)

@@ -238,8 +238,8 @@ def test_combined_gradient_rejects_probe_off_the_grid(spec):
     op_p, op_m = example_operators(spec)
     u = np.exp(1j * spec.axis_coords(0))[:, None]
     n = spec.extents[0]
-    g = combined_action_gradient(op_p, op_m, u, [(0,), (n - 1,)], backend="stencil4")
+    g = combined_action_gradient(op_p, op_m, u, [(0,), (n - 1,)])
     assert g.shape == (2, 1, 2)
     for probe in ((n,), (-1,), (0, 0), ()):
         with pytest.raises(ProbeOutsideInterior):
-            combined_action_gradient(op_p, op_m, u, [probe], backend="stencil4")
+            combined_action_gradient(op_p, op_m, u, [probe])
