@@ -92,6 +92,15 @@ def test_removed_flags_are_rejected(capsys, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_invalid_tol_exit_two(capsys, tol):
+    # --tol is deleted, so every value it is given, bad ones included, exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "plane-waves", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_json_determinism(tmp_path):
     cfg = SuiteConfig(seed=3)
     a = render(run_suite("coframe", cfg), "json")
