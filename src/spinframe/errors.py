@@ -20,7 +20,8 @@ class NonPositiveDensity(SpinframeError):
 
 
 class NonFiniteTorsion(SpinframeError):
-    """A torsion scalar or covector is NaN or infinite somewhere, as from a
+    """A torsion scalar or covector, or a Dirac Lagrangian where the torsion
+    is undefined (rho <= 0), is NaN or infinite somewhere, as from a
     non-finite spinor derivative."""
 
 

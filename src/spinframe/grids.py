@@ -80,16 +80,15 @@ class LatticeSpec:
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays of the grid, one per axis, "ij" indexing.
 
-        The arrays are read-only broadcast views of ``axis_coords`` (stride 0
-        along every other axis), not copies; ``TrigPoly.__call__`` evaluates
-        on them through per-axis phase tables.  Copy one before writing to
-        it.
+        Each array is a read-only ``np.broadcast_to`` view of ``axis_coords``
+        (stride 0 along every other axis), not a copy; ``TrigPoly.__call__``
+        evaluates on such views through per-axis phase tables.  Copy one
+        before writing to it.
         """
-        coords = np.meshgrid(*(self.axis_coords(a) for a in range(self.dims)),
-                             indexing="ij", copy=False)
-        for c in coords:
-            c.flags.writeable = False
-        return coords
+        dims = self.dims
+        return tuple(np.broadcast_to(self.axis_coords(a).reshape((-1,) + (1,) * (dims - 1 - a)),
+                                     self.extents)
+                     for a in range(dims))
 
 
 def periodic_spec(n, h, dims: int = 3) -> LatticeSpec:

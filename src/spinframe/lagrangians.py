@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDenominator, require_agreement, require_density
+from .errors import DegenerateDenominator, require_agreement, require_density, require_finite
 from .grids import LatticeSpec, ModelParams, SpinorBundle, form_field, lorentz_dot, hodge_dual
 from .torsion import (
     SpinorContractions,
@@ -81,7 +81,11 @@ def unhodge_covector(spec3, u: np.ndarray):
 
 
 def _dirac_contraction(eta: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
-    """w = eta^dag sigma^alpha (i d + r A)_alpha eta, pointwise (complex)."""
+    """w = eta^dag sigma^alpha (i d + r A)_alpha eta, pointwise (complex).
+
+    Each density computes w once and reads Re w for both of its forms: the
+    spelled one directly, the compact one through ``reduced_axial_torsion``.
+    """
     w = dirac_term(eta, params, r, 0)
     for alpha in (1, 2):
         w += dirac_term(eta, params, r, alpha)
@@ -92,11 +96,9 @@ def lagrangian_reduced(eta: SpinorBundle, params: ModelParams, r: int) -> np.nda
     """L_r for the x3-separated field; compact form -((T*)^2 - 16 m^2/9) rho."""
     rho = eta.rho
     require_density(rho)
-    # only (Re w)^2 is kept, so the complex w is freed before the torsion
-    # pass below builds its own
-    re_w_sq = _dirac_contraction(eta, params, r).real ** 2
-    spelled = -(16.0 / (9.0 * rho)) * (re_w_sq - (params.m * rho) ** 2)
-    t = reduced_axial_torsion(eta, params, r)
+    re_w = _dirac_contraction(eta, params, r).real
+    spelled = -(16.0 / (9.0 * rho)) * (re_w ** 2 - (params.m * rho) ** 2)
+    t = reduced_axial_torsion(eta, params, r, re_w)
     compact = -(t ** 2 - (16.0 / 9.0) * params.m ** 2) * rho
     require_agreement(spelled, compact, "lagrangian_reduced")
     return spelled
@@ -106,13 +108,17 @@ def dirac_lagrangian(eta: SpinorBundle, params: ModelParams, r: int, s: int) -> 
     """L_rs = Re(eta^dag sigma^alpha (i d + r A)_alpha eta) + s m rho.
 
     The compact form (-(3/4) *T_{Ar}^ax + s m) rho is asserted equal unless
-    rho <= 0 somewhere; L_rs itself is defined for any eta.  A NaN density
+    rho <= 0 somewhere; L_rs itself is defined for any eta, so there it is
+    only checked to be finite (NonFiniteTorsion otherwise).  A NaN density
     takes the assert's branch, whose torsion raises NonPositiveDensity.
     """
     rho = eta.rho
-    spelled = _dirac_contraction(eta, params, r).real + s * params.m * rho
-    if not np.any(rho <= 0.0):
-        t = reduced_axial_torsion(eta, params, r)
+    re_w = _dirac_contraction(eta, params, r).real
+    spelled = re_w + s * params.m * rho
+    if np.any(rho <= 0.0):
+        require_finite(spelled, "Dirac Lagrangian L_rs")
+    else:
+        t = reduced_axial_torsion(eta, params, r, re_w)
         compact = (-0.75 * t + s * params.m) * rho
         require_agreement(spelled, compact, "dirac_lagrangian")
     return spelled

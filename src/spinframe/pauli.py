@@ -86,7 +86,7 @@ def apply(sig: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def contract(sig: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u^dagger sigma v pointwise: einsum("...a,ab,...b->...", conj(u), sigma, v)."""
-    s00, s01, s10, s11 = np.ravel(sig).tolist()
+    s00, s01, s10, s11 = sig.ravel().tolist()
     u0, u1 = u[..., 0], u[..., 1]
     v0, v1 = v[..., 0], v[..., 1]
     if s01 == 0 and s10 == 0:

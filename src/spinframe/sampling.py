@@ -52,23 +52,28 @@ class TrigPoly:
         dimension that varies along axis ``a`` only (length 1 or stride 0
         on every other axis, as for the views of ``LatticeSpec.meshgrid``
         or numpy's sparse meshgrid; any 1-D array qualifies), the sum goes
-        through one phase table ``exp(i k_a w_a x_a)`` of shape
-        (modes, n_a) per axis.  The coefficients are contracted with the
-        tables one axis at a time and the last table enters through a
-        single matmul, so no (modes, points) array is formed.  Any other
-        coordinates (full copies, user arrays) take the per-mode loop of
-        ``_mode_sum``.  The two paths agree to roundoff.
+        through a phase table ``exp(i k_a w_a x_a)`` of shape (modes, n_a)
+        per axis.  All the tables come from one ``exp`` over the axis
+        coordinates laid end to end, each table a column block of it.  The
+        coefficients are contracted with the tables one axis at a time and
+        the last table enters through a single matmul, so no (modes, points)
+        array is formed.  Any other coordinates (full copies, user arrays)
+        take the per-mode loop of ``_mode_sum``.  The two paths agree to
+        roundoff.
         """
         axes = self._axis_vectors(coords)
         if axes is None:
             return self._mode_sum(coords)
-        kw = self.freqs * self.base
+        lengths = [len(x) for x in axes]
+        kw = np.repeat(self.freqs * self.base, lengths, axis=1)
+        tables = np.exp(1j * (kw * np.concatenate(axes)))
         acc = self.coeffs[:, None]
-        for a, x in enumerate(axes[:-1]):
-            table = np.exp(1j * np.multiply.outer(kw[:, a], x))
-            acc = (acc[:, :, None] * table[:, None, :]).reshape(len(acc), acc.shape[1] * len(x))
-        last = np.exp(1j * np.multiply.outer(kw[:, -1], axes[-1]))
-        return (acc.T @ last).reshape(tuple(len(x) for x in axes))
+        start = 0
+        for n in lengths[:-1]:
+            table = tables[:, start:start + n]
+            start += n
+            acc = (acc[:, :, None] * table[:, None, :]).reshape(len(acc), acc.shape[1] * n)
+        return (acc.T @ tables[:, start:]).reshape(tuple(lengths))
 
     def _axis_vectors(self, coords) -> list[np.ndarray] | None:
         """The 1-D coordinate vector of each axis if coords qualify for the

@@ -121,29 +121,46 @@ def dirac_term(b: SpinorBundle, params: ModelParams, r: int, alpha: int) -> np.n
     """eta^dag sigma^alpha (i d + r A)_alpha eta for one alpha (complex); the
     sum over alpha is the w of the Dirac Lagrangian and the reduced torsion.
 
-    Where A_alpha is zero on the whole grid, the contraction of d_alpha eta
-    is multiplied by i in place; a product by i only swaps and negates
-    parts, so this is bit-identical to contracting a copy i d_alpha eta.
+    The sign r must be +1 or -1 (UnknownOption otherwise).  For r = -1 the
+    product A_alpha eta is subtracted; since (-a) v = -(a v) exactly, this is
+    bit-identical to adding (r A_alpha) eta.  Where A_alpha is zero on the
+    whole grid, the contraction of d_alpha eta is multiplied by i in place;
+    a product by i only swaps and negates parts, so this is bit-identical to
+    contracting a copy i d_alpha eta.
     """
+    require_choice("r", r, (1, -1))
     d = b.derivs[..., alpha, :]
-    if np.any(params.A[..., alpha]):
+    a = params.A[..., alpha]
+    if a.any():
         op = 1j * d
-        op += (r * params.A[..., alpha])[..., None] * b.values
+        a_eta = a[..., None] * b.values
+        if r == 1:
+            op += a_eta
+        else:
+            op -= a_eta
         return contract(SIGMA_UPPER[alpha], b.values, op)
     w = contract(SIGMA_UPPER[alpha], b.values, d)
     w *= 1j
     return w
 
 
-def reduced_axial_torsion(b: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
-    """*T_{Ar}^ax = -(4 / 3 rho) Re(eta^dag sigma^alpha (i d + r A)_alpha eta);
-    a t that is not finite everywhere raises NonFiniteTorsion."""
+def reduced_axial_torsion(b: SpinorBundle, params: ModelParams, r: int,
+                          re_w: np.ndarray | None = None) -> np.ndarray:
+    """*T_{Ar}^ax = -(4 / 3 rho) Re w, w = eta^dag sigma^alpha (i d + r A)_alpha eta;
+    a t that is not finite everywhere raises NonFiniteTorsion.
+
+    w is summed here from one ``dirac_term`` per alpha, unless the caller
+    already holds Re w for the same bundle, params and r and passes it as
+    re_w (as ``lagrangian_reduced`` and ``dirac_lagrangian`` do).
+    """
     rho = b.rho
     require_density(rho)
-    w = dirac_term(b, params, r, 0)
-    for alpha in (1, 2):
-        w += dirac_term(b, params, r, alpha)
-    t = -4.0 * w.real / (3.0 * rho)
+    if re_w is None:
+        w = dirac_term(b, params, r, 0)
+        for alpha in (1, 2):
+            w += dirac_term(b, params, r, alpha)
+        re_w = w.real
+    t = -4.0 * re_w / (3.0 * rho)
     require_finite(t, "reduced axial torsion t")
     return t
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from spinframe import lagrangians, torsion
 from spinframe.errors import (
     DegenerateDenominator,
     NonFiniteTorsion,
     NonPositiveDensity,
+    UnknownOption,
     VanishingDensity,
 )
 from spinframe.field_equations import field_equation_residual_reduced, theorem1_check
@@ -145,6 +147,20 @@ def _with_nan(dims: int, where: str) -> SpinorBundle:
     return SpinorBundle(spec, values, derivs)
 
 
+def _mixed_sign_with_nan_derivative() -> SpinorBundle:
+    """An 8^3 bundle with c2 = 1 and c1 = 1 + a random amplitude-0.5 field,
+    so rho runs from about -0.63 to 1.10, and one NaN derivative entry."""
+    spec = periodic_spec(8, 2.0 * np.pi / 8, 3)
+    base = base_for(spec)
+    rng = np.random.default_rng(2)
+    c1 = constant_poly(1.0, base) + random_trig_poly(rng, base, max_mode=2, amplitude=0.5)
+    b = SpinorPoly(c1, constant_poly(1.0, base)).bundle(spec)
+    assert np.min(b.rho) < 0.0 < np.max(b.rho)
+    derivs = b.derivs.copy()
+    derivs[1, 2, 3, 1, 0] = np.nan
+    return SpinorBundle(spec, b.values, derivs)
+
+
 def _first_order_lagrangian_with_nan_derivative():
     spec1 = periodic_spec(16, 2.0 * np.pi / 16, 1)
     du = np.zeros((16, 1, 1), complex)
@@ -180,6 +196,9 @@ _NAN_CASES = {
         (NonFiniteTorsion, lambda: lagrangian_reduced(_with_nan(3, "derivative"), _P, 1)),
     "derivative-dirac_lagrangian":
         (NonFiniteTorsion, lambda: dirac_lagrangian(_with_nan(3, "derivative"), _P, 1, 1)),
+    # where rho <= 0 somewhere the torsion is skipped; L_rs itself is guarded
+    "derivative-dirac_lagrangian-mixed-sign-density":
+        (NonFiniteTorsion, lambda: dirac_lagrangian(_mixed_sign_with_nan_derivative(), _P, 1, 1)),
     "derivative-lagrangian_4d":
         (NonFiniteTorsion, lambda: lagrangian_4d(_with_nan(4, "derivative"), _P)),
     "derivative-first_order_lagrangian":
@@ -194,3 +213,48 @@ def test_a_nan_fails_the_density_guard_or_the_cross_assert(error, call):
     # would let it through; the torsion guard is np.isfinite
     with pytest.raises(error):
         call()
+
+
+def _bundle_with_field_A():
+    spec = periodic_spec(8, 2.0 * np.pi / 8, 3)
+    base = base_for(spec)
+    rng = np.random.default_rng(9)
+    b = random_positive_spinor(rng, base, max_mode=2).bundle(spec)
+    return b, ModelParams(m=1.3, A=covector_on(random_covector_polys(rng, base), spec))
+
+
+def test_each_density_sums_w_once(monkeypatch):
+    # the compact form reads the spelled form's Re w instead of summing the
+    # three dirac_term contractions again
+    b, p = _bundle_with_field_A()
+    calls = []
+    original = torsion.dirac_term
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(torsion, "dirac_term", counting)
+    monkeypatch.setattr(lagrangians, "dirac_term", counting)
+    for expected, density in ((3, lambda r: lagrangian_reduced(b, p, r)),
+                              (3, lambda r: dirac_lagrangian(b, p, r, 1)),
+                              (9, lambda r: factorization_residual(b, p, r))):
+        for r in (1, -1):
+            calls.clear()
+            density(r)
+            assert len(calls) == expected
+    for r in (1, -1):
+        re_w = sum(original(b, p, r, alpha) for alpha in range(3)).real
+        np.testing.assert_array_equal(reduced_axial_torsion(b, p, r, re_w),
+                                      reduced_axial_torsion(b, p, r))
+
+
+@pytest.mark.parametrize("call", [
+    lambda b, p: reduced_axial_torsion(b, p, 2),
+    lambda b, p: dirac_lagrangian(b, p, 2, 1),
+    lambda b, p: lagrangian_reduced(b, p, 2),
+], ids=["reduced_axial_torsion", "dirac_lagrangian", "lagrangian_reduced"])
+def test_a_sign_r_other_than_plus_or_minus_one_is_rejected(call):
+    b, p = _bundle_with_field_A()
+    with pytest.raises(UnknownOption):
+        call(b, p)
