@@ -55,7 +55,8 @@ class AxisOutOfRange(SpinframeError):
 
 class InvalidGrid(SpinframeError, ValueError):
     """A grid or derivative request the lattice cannot honour: bad extents or
-    spacing, or no axis to differentiate along."""
+    spacing, no axis to differentiate along, or an ``out`` array that is not
+    grid-minor."""
 
 
 class DegenerateDenominator(SpinframeError):

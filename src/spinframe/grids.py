@@ -10,6 +10,7 @@ so that d(dx^0) ^ dx^1 etc. have unit components and
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from .pauli import grid_minor
 KINDS = ("scalar", "covector", "2-form", "3-form")
 
 # Derivative rules, one name each: the order-2 and order-4 central-difference
-# stencils and the periodic FFT.
+# stencils and the trigonometric-interpolation ("spectral") derivative.
 BACKENDS = ("stencil", "stencil4", "spectral")
 
 
@@ -175,21 +176,55 @@ def _axis_derivative(values: np.ndarray, spec: LatticeSpec, axis: int, backend: 
     return out
 
 
-def spectral_derivative(values: np.ndarray, spec: LatticeSpec, axis: int) -> np.ndarray:
-    """FFT derivative along one axis; exact on resolved Fourier modes.
+@functools.lru_cache(maxsize=32)
+def _fourier_matrix(n: int, h: float, real: bool) -> np.ndarray:
+    """The n x n Fourier differentiation matrix D = F^-1 diag(i k) F of an
+    axis with n points at spacing h, read-only.
 
-    The transform, the product by i k and the inverse transform share one
-    complex buffer of the input's shape, the only array a call allocates; a
-    real input gets the real part of it, a view.
+    It is built from numpy's ``fft``/``ifft`` of the identity, so it is the
+    same operator as that transform pair, Nyquist convention (k = -n/2 at
+    even n) included, and D is anti-Hermitian.  ``real`` gives Re D, whose
+    product with real values is the real part of D's: Im D is the Nyquist
+    term alone.  The table is keyed on (n, h, real) only.
     """
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+    d = np.fft.ifft(1j * k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    if real:
+        d = np.ascontiguousarray(d.real)
+    d.flags.writeable = False
+    return d
+
+
+def spectral_derivative(values: np.ndarray, spec: LatticeSpec, axis: int,
+                        *, out: np.ndarray | None = None) -> np.ndarray:
+    """Trigonometric-interpolation derivative along one axis: the product by
+    the axis's Fourier differentiation matrix, exact on resolved Fourier
+    modes.  A real input gives a real result.
+
+    The trailing (component) axes are moved first, so a grid-minor input is
+    read in place and a C-ordered one is copied once.  The product is one
+    matrix product per block of the other axes, written into ``out`` (a
+    grid-minor array of the input's shape and of dtype
+    ``promote_types(values.dtype, float)``), or into a new grid-minor array,
+    which is returned.
+    """
+    dims = spec.dims
     n = spec.extents[axis]
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=spec.spacing[axis])
-    shape = [1] * values.ndim
-    shape[axis] = n
-    out = np.fft.fft(values, axis=axis)
-    out *= 1j * k.reshape(shape)
-    np.fft.ifft(out, axis=axis, out=out)
-    return out if np.iscomplexobj(values) else out.real
+    d = _fourier_matrix(n, spec.spacing[axis], not np.iscomplexobj(values))
+    tail = tuple(range(dims, values.ndim))
+    front = tuple(range(len(tail)))
+    if out is None:
+        out = grid_minor(values.shape, dims, np.promote_types(values.dtype, float))
+    x = np.moveaxis(values, tail, front)
+    y = np.moveaxis(out, tail, front)
+    if not y.flags.c_contiguous:
+        raise InvalidGrid("out must be a grid-minor array")
+    inner = math.prod(spec.extents[axis + 1:])
+    if inner == 1:
+        np.matmul(x.reshape(-1, n), d.T, out=y.reshape(-1, n))
+    else:
+        np.matmul(d, x.reshape(-1, n, inner), out=y.reshape(-1, n, inner))
+    return out
 
 
 def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil",
@@ -199,13 +234,15 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil",
 
     ``backend`` is the whole derivative rule, and this is the only function
     that reads it: "stencil" is the order-2 central difference, "stencil4"
-    the order-4 one, "spectral" the FFT.  Every rule wraps around each axis,
-    so the values must be periodic on the grid: a jump at the seam gives
-    wrong derivatives, near the seam for a stencil and everywhere for the
-    FFT.  An axis outside 0..dims-1 raises AxisOutOfRange.
+    the order-4 one, "spectral" the trigonometric-interpolation derivative
+    (``spectral_derivative``).  Every rule wraps around each axis, so the
+    values must be periodic on the grid: a jump at the seam gives wrong
+    derivatives, near the seam for a stencil and everywhere for the
+    spectral rule.  An axis outside 0..dims-1 raises AxisOutOfRange.
 
-    The stack is grid-minor (``pauli.grid_minor``): each per-axis result is
-    written into its slot and dropped before the next one is computed.
+    The stack is grid-minor (``pauli.grid_minor``): the spectral rule writes
+    each per-axis product straight into its slot; a stencil result is copied
+    into its slot and dropped before the next one is computed.
     """
     require_choice("backend", backend, BACKENDS)
     axes = range(spec.dims) if axes is None else list(axes)
@@ -214,17 +251,14 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil",
     for a in axes:
         if not 0 <= a < spec.dims:
             raise AxisOutOfRange(f"axis {a} outside 0..{spec.dims - 1}")
-    out = None
+    shape = values.shape[:spec.dims] + (len(axes),) + values.shape[spec.dims:]
+    out = grid_minor(shape, spec.dims, np.promote_types(values.dtype, float))
     for i, a in enumerate(axes):
+        slot = out[(slice(None),) * spec.dims + (i,)]
         if backend == "spectral":
-            d = spectral_derivative(values, spec, a)
+            spectral_derivative(values, spec, a, out=slot)
         else:
-            d = _axis_derivative(values, spec, a, backend)
-        if out is None:
-            shape = d.shape[:spec.dims] + (len(axes),) + d.shape[spec.dims:]
-            out = grid_minor(shape, spec.dims, d.dtype)
-        out[(slice(None),) * spec.dims + (i,)] = d
-        del d
+            slot[...] = _axis_derivative(values, spec, a, backend)
     return out
 
 

@@ -265,17 +265,18 @@ def _suite_theorem1(cfg: SuiteConfig):
     def run():
         worst_fe, worst_grad, inconsistent = 0.0, 0.0, 0
         n = 20
-        spec = _plane_wave_spec(n, m)
+        # every axis 2 pi / m long: the rest waves' x0 phase and the boosted
+        # waves' momenta m q, q in grid_mode_momenta(), are its Fourier modes
+        spec = periodic_spec(n, 2.0 * np.pi / (n * m), 3)
         dt0 = np.zeros(spec.extents + (3,))
         waves = []
         for r in (1, -1):
             for s in (1, -1):
                 lab = PlaneWaveLabel(r, s, m, 0.0)
                 waves.append((plane_wave_spinor(lab, spec), r, s))
-        if m == 1.0:
-            for p_ in grid_mode_momenta():
-                s = 1 if p_[0] > 0 else -1
-                waves.append((boosted_wave(p_, s, m, spec), 1, s))
+        for q in grid_mode_momenta():
+            s = 1 if q[0] > 0 else -1
+            waves.append((boosted_wave(m * np.asarray(q, float), s, m, spec), 1, s))
         p = ModelParams(m=m)
         rng = np.random.default_rng(cfg.seed)
         for b, r, s in waves:

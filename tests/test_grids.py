@@ -15,6 +15,7 @@ from spinframe.grids import (
     CoframeBundle,
     LatticeSpec,
     _axis_derivative,
+    _fourier_matrix,
     derivatives,
     exterior_derivative,
     form_components,
@@ -26,6 +27,7 @@ from spinframe.grids import (
     spectral_derivative,
     wedge,
 )
+from spinframe.pauli import grid_minor
 from spinframe.torsion import axial_torsion_coframe
 
 
@@ -60,6 +62,61 @@ def test_spectral_derivative_exact_on_modes(spec3):
     f = np.exp(1j * (2 * x[0] - 3 * x[2]))
     d = spectral_derivative(f, spec3, 2)
     assert np.max(np.abs(d - (-3j) * f)) < 1e-12
+
+
+def _fft_derivative(values, spec, axis):
+    """The rule as an FFT: transform, times i k, inverse transform."""
+    k = 2.0 * np.pi * np.fft.fftfreq(spec.extents[axis], d=spec.spacing[axis])
+    out = np.fft.ifft(np.fft.fft(values, axis=axis) * np.expand_dims(
+        1j * k, tuple(range(1, values.ndim - axis))), axis=axis)
+    return out if np.iscomplexobj(values) else out.real
+
+
+_OTHER_EXTENTS = (3, 4, 2)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 20])
+def test_spectral_derivative_matches_the_fft_rule(n, dims):
+    rng = np.random.default_rng(10 * n + dims)
+    for axis in range(dims):
+        extents = [_OTHER_EXTENTS[(axis + j) % 3] for j in range(dims)]
+        extents[axis] = n
+        spec = periodic_spec(extents, [0.3 + 0.2 * a for a in range(dims)], dims)
+        for tail in ((), (2,), (3, 3)):
+            for complex_ in (False, True):
+                shape = spec.extents + tail
+                c_ordered = rng.normal(size=shape)
+                if complex_:
+                    c_ordered = c_ordered + 1j * rng.normal(size=shape)
+                grid_minor_ = grid_minor(shape, dims, c_ordered.dtype)
+                grid_minor_[...] = c_ordered
+                ref = _fft_derivative(c_ordered, spec, axis)
+                for values in (c_ordered, grid_minor_):
+                    got = spectral_derivative(values, spec, axis)
+                    assert got.dtype == (complex if complex_ else float)
+                    np.testing.assert_allclose(got, ref, rtol=0,
+                                               atol=1e-13 * max(1.0, np.max(np.abs(ref))))
+
+
+def test_spectral_derivative_rejects_an_out_array_that_is_not_grid_minor(spec3):
+    values = np.ones(spec3.extents + (2,), dtype=complex)
+    with pytest.raises(InvalidGrid):
+        spectral_derivative(values, spec3, 1, out=np.empty_like(values))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 20])
+def test_fourier_matrix_is_anti_hermitian_and_read_only(n):
+    h = 2.0 * np.pi / (7 * n)
+    d = _fourier_matrix(n, h, False)
+    scale = max(1.0, np.max(np.abs(d)))
+    assert np.max(np.abs(d + d.conj().T)) <= 1e-14 * scale
+    real = _fourier_matrix(n, h, True)
+    np.testing.assert_array_equal(real, d.real)
+    assert _fourier_matrix(n, h, False) is d
+    for m in (d, real):
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
 
 
 _SPEC1 = periodic_spec(12, 0.5, 1)

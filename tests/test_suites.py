@@ -46,6 +46,22 @@ def test_worst_keeps_nan_and_matches_max_on_finite_values():
         assert repr(suites._worst(a, b)) == repr(max(a, b))
 
 
+def test_theorem1_checks_all_thirty_waves_at_a_non_unit_mass(monkeypatch):
+    # 4 rest waves and one boosted wave per momentum m q, q in
+    # grid_mode_momenta(), on a grid whose axes are 2 pi / m long
+    original = suites.theorem1_check
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "theorem1_check", counted)
+    reps = run_suite("theorem1", SuiteConfig(m=1.3))
+    assert len(calls) == 30
+    assert all(r.passed for r in reps)
+
+
 def test_plane_wave_suites_pass_at_a_non_unit_mass():
     # the plane waves' x0 phase e^{-i s m x0} must be one Fourier mode of
     # the x0 axis, or the grid derivatives see a jump at the seam

@@ -1,13 +1,17 @@
 """A/B benchmark of the working tree against HEAD; writes BENCH_<label>.json.
 
     python3 tools/ab.py --label my-change --seed 201 \
-        --pairs property-sweep=10 exact-solutions=5 large-grid=5
+        --pairs property-sweep=10 exact-solutions=5 large-grid=5 \
+        --traced property-sweep
 
 Both sides run from copies side by side under one temporary directory, so
 that the checkout's location does not enter the comparison: ``base/`` is
 ``git archive`` of HEAD, ``change/`` is every file of the working tree that
 git tracks or would track.  Each run is one ``perfbench/run.py --trace 0``
-of the copy, with the benchmark's ``run_seconds``.
+of the copy, with the benchmark's ``run_seconds``.  A workload named in
+``--traced`` also gets one ``--trace 1`` run per side after its pairs, at
+the seed after the last pair; the output puts each per-layer metric of
+the two runs side by side.
 
 Per workload it first runs one A/A pair: the base tree from both
 directories (``change/`` holds a second copy of the base until the pair is
@@ -19,6 +23,12 @@ change's wins, losses and ties over the pairs (ties count for neither),
 whether the gap between the medians exceeds the base's quartile spread, the
 A/A spread |b/a - 1| next to the A/B median ratio, and every run's
 provenance line.  A difference inside the A/A spread means no difference.
+It also states two verdicts per metric: ``claim_met``, a claimed gain
+holds (at least 10 pairs, the change better in at least 9 of each 10, and
+its median better than the base's by more than the base's quartile
+spread), and ``within_bound``, the change's median is no worse than the
+base's by more than the metric's bound (``base * (1 + bound)`` for a
+lower-is-better metric, ``base * (1 - bound)`` for a higher-is-better one).
 
 Nothing outside the temporary directory and the output file, at the top
 of the repository, is written.
@@ -65,11 +75,11 @@ def export_working_tree(dest: Path) -> None:
             shutil.copy2(src, target)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``run.py --trace 0`` of the tree: its result and provenance lines,
-    or ``{"error": ...}`` when the run exited without them."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``run.py --trace {0,1}`` of the tree: its result and provenance
+    lines, or ``{"error": ...}`` when the run exited without them."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or len(lines) < 2:
@@ -82,9 +92,13 @@ def summarize(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
+CLAIM_MIN_PAIRS = 10
+
+
 def compare(pairs: list[tuple[dict, dict]], aa: tuple[dict, dict], metrics: list[dict]) -> dict:
-    """Per metric: both sides' summaries, the change's win count and the
-    A/A spread, over pairs of (base run, change run) that both succeeded."""
+    """Per metric: both sides' summaries, the change's win count, the A/A
+    spread and the two verdicts, over pairs of (base run, change run) that
+    both succeeded."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -93,12 +107,17 @@ def compare(pairs: list[tuple[dict, dict]], aa: tuple[dict, dict], metrics: list
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         losses = sum((c > b) if lower else (c < b) for b, c in zip(base, change))
         sb, sc = summarize(base), summarize(change)
+        gain = (sb["median"] - sc["median"]) if lower else (sc["median"] - sb["median"])
+        limit = sb["median"] * (1 + m["bound"] if lower else 1 - m["bound"])
         a, b = (r["metrics"][name]["value"] for r in aa)
         out[name] = {
             "better": m["better"], "bound": m["bound"], "base": sb, "change": sc,
             "change_wins": wins, "change_losses": losses, "ties": len(base) - wins - losses,
             "median_ratio": sc["median"] / sb["median"] if sb["median"] else None,
             "gap_exceeds_base_iqr": abs(sc["median"] - sb["median"]) > sb["q3"] - sb["q1"],
+            "claim_met": (len(base) >= CLAIM_MIN_PAIRS and 10 * wins >= 9 * len(base)
+                          and gain > sb["q3"] - sb["q1"]),
+            "within_bound": sc["median"] <= limit if lower else sc["median"] >= limit,
             "aa": {"first": a, "second": b, "spread": abs(b / a - 1) if a else None},
         }
     return out
@@ -122,9 +141,13 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="output is BENCH_<label>.json")
     ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     ap.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
+    ap.add_argument("--traced", nargs="+", default=[], choices=workloads, metavar="WORKLOAD",
+                    help="workloads that also get one --trace 1 run per side")
     ap.add_argument("--tmp", default=None, help="parent of the temporary directory")
     args = ap.parse_args(argv)
     pairs_wanted = parse_pairs(args.pairs, workloads)
+    if set(args.traced) - set(pairs_wanted):
+        ap.error("--traced names a workload without --pairs")
     seconds = bench["run_seconds"]
     base_commit = git("rev-parse", "HEAD").decode().strip()
 
@@ -133,8 +156,8 @@ def main(argv=None) -> int:
         base, change = Path(tmp) / "base", Path(tmp) / "change"
         export_base(base_commit, base)
 
-        def record(workload, side, tree, seed, pair):
-            res = run_once(tree, workload, seed, seconds)
+        def record(workload, side, tree, seed, pair, trace=0):
+            res = run_once(tree, workload, seed, seconds, trace)
             runs.append({"workload": workload, "side": side, "pair": pair, "seed": seed, **res})
             ok = "error" not in res and res["correct"]
             print(f"{workload} pair {pair} {side} seed {seed}: " + (
@@ -160,13 +183,22 @@ def main(argv=None) -> int:
                                 "seeds": [args.seed + i for i in range(n)]}
             if len(done) >= 2 and all(aa):
                 result[workload]["metrics"] = compare(done, aa, bench["end_to_end"])
+            if workload in args.traced:
+                seed = args.seed + n
+                traced = {side: record(workload, f"{side}-traced", tree, seed, n, trace=1)
+                          for side, tree in (("base", base), ("change", change))}
+                if all(traced.values()):
+                    result[workload]["traced"] = {"seed": seed, "metrics": {
+                        name: {side: traced[side]["metrics"][name]["value"] for side in traced}
+                        for name in traced["base"]["metrics"]}}
 
     doc = {
         "label": args.label,
         "about": ("tools/ab.py: base and change copied side by side, one A/A pair "
                   "(the base from both directories) per workload, then alternated "
                   f"pairs of perfbench/run.py --trace 0 --seconds {seconds}; times at "
-                  "reference speed; quartiles by statistics.quantiles(n=4, inclusive)"),
+                  "reference speed; quartiles by statistics.quantiles(n=4, inclusive); "
+                  "per-layer metrics of --trace 1 runs as measured"),
         "base_commit": base_commit,
         "change": "working tree",
         "workloads": result,
@@ -179,7 +211,11 @@ def main(argv=None) -> int:
             print(f"{workload:16s} {name:18s} base {m['base']['median']:.4g} "
                   f"change {m['change']['median']:.4g} ratio {m['median_ratio']:.3f} "
                   f"wins {m['change_wins']}/{r['pairs_ok']} A/A {m['aa']['spread']:.3f} "
-                  f"gap>IQR {m['gap_exceeds_base_iqr']}")
+                  f"gap>IQR {m['gap_exceeds_base_iqr']} claim_met {m['claim_met']} "
+                  f"within_bound {m['within_bound']}")
+        for name, v in r.get("traced", {}).get("metrics", {}).items():
+            print(f"{workload:16s} traced {name:38s} base {v['base']:.4g} "
+                  f"change {v['change']:.4g}")
     print(f"wrote {path}")
     failed = sum(1 for r in runs if "error" in r or not r["correct"])
     return 1 if failed else 0
