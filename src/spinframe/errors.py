@@ -88,8 +88,10 @@ class UnknownSuite(SpinframeError):
     """Requested verification suite does not exist."""
 
 
-class ConfigInvalid(SpinframeError):
-    """Suite configuration violates a precondition."""
+class ConfigInvalid(SpinframeError, ValueError):
+    """A configuration violates a precondition: a suite option, a mass that
+    is not finite and positive, a plane-wave potential outside [0, m), or an
+    off-shell momentum."""
 
 
 class IoError(SpinframeError):

@@ -10,7 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import coframe_map
-from .errors import InvalidGrid, InvalidProbeField, WrongDensitySign
+from .errors import (
+    ConfigInvalid,
+    InvalidGrid,
+    InvalidProbeField,
+    WrongDensitySign,
+    require_choice,
+)
 from .grids import LatticeSpec, ModelParams, SpinorBundle, periodic_spec
 from .sampling import SpinorPoly, TrigPoly, base_for, constant_poly
 
@@ -25,10 +31,10 @@ class PlaneWaveLabel:
     a0: float = 0.0
 
     def __post_init__(self):
-        if self.r not in (-1, 1) or self.s not in (-1, 1):
-            raise ValueError("r and s must be +-1")
+        require_choice("sign r", self.r, (-1, 1))
+        require_choice("sign s", self.s, (-1, 1))
         if not 0.0 <= self.a0 < self.m:
-            raise ValueError("constant potential must satisfy 0 <= A0 < m")
+            raise ConfigInvalid("constant potential must satisfy 0 <= A0 < m")
 
     @property
     def energy(self) -> float:
@@ -130,12 +136,13 @@ def boosted_amplitude(p: np.ndarray, s: int, m: float) -> np.ndarray:
     """Unit-density amplitude zeta with symbol_matrix(p) zeta = 0.
 
     Exists for on-shell p (p0^2 - p1^2 - p2^2 = m^2) on the branch where the
-    kernel vector has positive density; raises WrongDensitySign otherwise.
+    kernel vector has positive density; raises ConfigInvalid for an
+    off-shell p and WrongDensitySign on the other branch.
     """
     M = symbol_matrix(np.asarray(p, float), s, m)
     _, sv, vh = np.linalg.svd(M)
     if sv[-1] > 1e-9 * max(1.0, sv[0]):
-        raise ValueError(f"momentum {p} is not on shell (smallest singular value {sv[-1]:.3g})")
+        raise ConfigInvalid(f"momentum {p} is not on shell (smallest singular value {sv[-1]:.3g})")
     z = vh[-1].conj()
     rho = abs(z[0]) ** 2 - abs(z[1]) ** 2
     if rho <= 1e-12:

@@ -3,11 +3,13 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spinframe.cli import build_parser, main
-from spinframe.errors import ConfigInvalid, UnknownSuite
+from spinframe.errors import ConfigInvalid, SpinframeError, UnknownOption, UnknownSuite
 from spinframe.grids import ModelParams
+from spinframe.plane_waves import PlaneWaveLabel, boosted_amplitude
 from spinframe.reports import render
 from spinframe.suites import SuiteConfig, run_suite
 
@@ -82,6 +84,19 @@ def test_a0_defaults_to_a_quarter_where_it_is_read():
 def test_model_params_reject_non_finite_or_non_positive_mass(m):
     with pytest.raises(ValueError):
         ModelParams(m=m)
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda: ModelParams(m=-1.0), ConfigInvalid),
+    (lambda: PlaneWaveLabel(2, 1), UnknownOption),
+    (lambda: PlaneWaveLabel(1, 1, 1.0, 1.5), ConfigInvalid),
+    (lambda: boosted_amplitude(np.array([2.0, 0.0, 0.0]), 1, 1.0), ConfigInvalid),
+], ids=["mass", "plane-wave-sign", "plane-wave-A0", "off-shell-momentum"])
+def test_unhonourable_values_raise_a_package_value_error(make, error):
+    with pytest.raises(error) as info:
+        make()
+    assert isinstance(info.value, SpinframeError)
+    assert isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("flag", [["--grid", "8"], ["--mode", "stencil"], ["--order", "4"],

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from spinframe.field_equations import (
     field_equation_residual_reduced,
     theorem1_check,
 )
-from spinframe.grids import ModelParams, periodic_spec
+from spinframe.grids import LatticeSpec, ModelParams, periodic_spec
 from spinframe.plane_waves import (
     PlaneWaveLabel,
     boosted_wave,
@@ -252,3 +253,31 @@ def test_each_action_evaluation_sees_exactly_one_perturbed_entry():
     assert len(seen) == len(want)
     for got, expected in zip(seen, want):
         assert got.tobytes() == expected.tobytes()
+
+
+def _fsum_integrate(spec, density):
+    """The fsum rule the extraction sum in LatticeSpec.integrate reproduces."""
+    return math.fsum(np.ravel(density).tolist()) * spec.cell_volume
+
+
+def _gradient_cases():
+    spec20 = periodic_spec(20, 2.0 * np.pi / 20, 3)
+    wave = plane_wave_spinor(PlaneWaveLabel(1, 1, 1.0, 0.0), spec20).values
+    yield spec20, wave, ModelParams(m=1.0), [(0, 0, 0), (3, 7, 11)]
+    spec8 = periodic_spec(8, 2.0 * np.pi / 8, 3)
+    base = base_for(spec8)
+    rng = np.random.default_rng(31)
+    values = random_positive_spinor(rng, base, max_mode=2).bundle(spec8).values
+    p = ModelParams(m=1.3, A=covector_on(random_covector_polys(rng, base), spec8))
+    yield spec8, values, p, [(1, 2, 3), (6, 0, 5)]
+
+
+@pytest.mark.parametrize("kind", field_equations.DENSITY_KINDS)
+def test_variational_derivative_is_bit_identical_under_the_fsum_rule(kind, monkeypatch):
+    for spec, values, p, probes in _gradient_cases():
+        got = discrete_variational_derivative(kind, values, spec, p, probes)
+        with monkeypatch.context() as mp:
+            mp.setattr(LatticeSpec, "integrate", _fsum_integrate)
+            want = discrete_variational_derivative(kind, values, spec, p, probes)
+        assert np.max(np.abs(want)) > 0.0
+        assert got.tobytes() == want.tobytes()

@@ -1,7 +1,11 @@
+import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinframe.errors import (
     AxisOutOfRange,
@@ -218,6 +222,105 @@ def test_integrate_is_fsum_times_cell_volume():
     density = np.array([[1e16, 1.0], [-1e16, 1.0]])
     # a float64 running sum loses both 1.0s against 1e16; fsum keeps them
     assert spec.integrate(density) == 2.0 * 0.125
+
+
+def _fsum_integrate(spec, density):
+    """The reference rule: fsum of the density as a list, times the cell
+    volume."""
+    return math.fsum(np.ravel(density).tolist()) * spec.cell_volume
+
+
+def _assert_integrates_like_fsum(spec, density):
+    """spec.integrate gives the reference's float bit for bit, or raises
+    the same exception type."""
+    try:
+        expected = _fsum_integrate(spec, density)
+    except Exception as e:  # noqa: BLE001 - the type is what is compared
+        with pytest.raises(type(e)):
+            spec.integrate(density)
+        return
+    got = spec.integrate(density)
+    assert type(got) is float
+    assert struct.pack("<d", got) == struct.pack("<d", expected), (got, expected)
+
+
+_SPEC_1D = periodic_spec(7, 0.3, 1)
+
+
+@st.composite
+def _spread_arrays(draw):
+    """float64 arrays of 1 to 10,000 entries (8000, a 20^3 grid, drawn
+    often) whose exponents cover a drawn window of the whole subnormal and
+    normal range, with some entries cancelled exactly."""
+    n = draw(st.one_of(st.just(8000), st.integers(1, 10_000)))
+    lo = draw(st.integers(-1100, 1023))
+    hi = draw(st.integers(lo, 1023))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, hi + 1, n))
+    cancel = draw(st.integers(0, n // 2))
+    x[n - cancel:] = -x[:cancel]
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spread_arrays())
+def test_integrate_matches_fsum_bit_for_bit(density):
+    _assert_integrates_like_fsum(_SPEC_1D, density)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                min_size=1, max_size=50))
+def test_integrate_matches_fsum_on_drawn_floats(values):
+    _assert_integrates_like_fsum(_SPEC_1D, np.array(values))
+
+
+_TINY = 5e-324
+_EDGE_DENSITIES = {
+    "cancelling-pairs": np.array([1e300, 3.5, -1e300, 1e-300, -3.5, -1e-300]),
+    "cancel-to-zero": np.array([0.1, 0.2, -0.1, -0.2]),
+    "all-zero": np.zeros(8000),
+    "all-negative-zero": np.full(5, -0.0),
+    "negative-zero-entries": np.array([-0.0, 1.0, -0.0, 2.0 ** -60]),
+    "single": np.array([-2.5e-310]),
+    "single-large": np.array([1.5e300]),
+    "smallest-subnormals": np.array([_TINY, _TINY, -_TINY, _TINY]),
+    "ties-to-even": np.array([1.0, 2.0 ** -53, 2.0 ** -106]),
+    "near-guard": np.array([2.0 ** 959, -(2.0 ** 959), 1.0, 2.0 ** -1000]),
+    "at-guard": np.array([2.0 ** 960, 1.0, -(2.0 ** 960)]),
+    "nan": np.array([1.0, math.nan, 2.0]),
+    "inf": np.array([1.0, math.inf]),
+    "minus-inf": np.array([-math.inf, 1.0]),
+    "inf-minus-inf": np.array([math.inf, -math.inf]),
+    "overflow": np.array([1e308, 1e308]),
+    "complex": np.array([1.0 + 2.0j, 3.0]),
+    "float32": np.array([1e8, 1.0, -1e8, 0.1], dtype=np.float32),
+    "integer": np.array([2 ** 62, 3, -(2 ** 62)], dtype=np.int64),
+    "empty": np.zeros(0),
+    "list": [1e16, 1.0, -1e16],
+}
+
+
+@pytest.mark.parametrize("density", _EDGE_DENSITIES.values(), ids=_EDGE_DENSITIES.keys())
+def test_integrate_matches_fsum_on_edge_cases(density):
+    _assert_integrates_like_fsum(_SPEC_1D, density)
+
+
+def test_integrate_matches_fsum_on_grids_and_layouts():
+    rng = np.random.default_rng(3)
+    spec2 = periodic_spec((12, 9), (0.4, 0.7), 2)
+    spec3 = periodic_spec(20, 2.0 * np.pi / 20, 3)
+    wide = np.ldexp(rng.normal(size=(20, 20, 20, 2)), rng.integers(-40, 40, (20, 20, 20, 2)))
+    minor = grid_minor(wide.shape, 3, float)
+    minor[...] = wide
+    for spec, density in (
+            (spec2, rng.normal(size=(12, 9)) * 1e10),
+            (spec3, wide[..., 0]),                 # 3-D, C-contiguous
+            (spec3, minor[..., 1]),                # a grid-minor component
+            (spec3, minor),                        # grid-minor, raveled in C order
+            (spec3, wide[..., 0].transpose(2, 0, 1)),
+            (spec3, wide[::2, :, 1:, 0])):         # strided
+        _assert_integrates_like_fsum(spec, density)
 
 
 @pytest.mark.parametrize("axes", [[5], [3], [-1], [0, -1]])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -10,7 +12,7 @@ from spinframe.errors import (
     SpinframeError,
     VanishingU,
 )
-from spinframe.grids import derivatives, periodic_spec
+from spinframe.grids import LatticeSpec, derivatives, periodic_spec
 from spinframe.sampling import base_for, random_trig_poly
 from spinframe.variational import (
     FirstOrderOperator,
@@ -243,3 +245,25 @@ def test_combined_gradient_rejects_probe_off_the_grid(spec):
     for probe in ((n,), (-1,), (0, 0), ()):
         with pytest.raises(ProbeOutsideInterior):
             combined_action_gradient(op_p, op_m, u, [probe])
+
+
+def _fsum_integrate(spec, density):
+    """The fsum rule the extraction sum in LatticeSpec.integrate reproduces."""
+    return math.fsum(np.ravel(density).tolist()) * spec.cell_volume
+
+
+def test_combined_gradient_is_bit_identical_under_the_fsum_rule(spec, monkeypatch):
+    # appendix-b's lemma operators on its solutions and on a non-solution
+    op_p, op_m = example_operators(spec)
+    x = spec.axis_coords(0)
+    rng = np.random.default_rng(3)
+    fields = [np.exp(1j * x)[:, None], np.exp(-1j * x)[:, None],
+              (1.0 + random_trig_poly(rng, base_for(spec), max_mode=3,
+                                      amplitude=0.4)(spec.meshgrid()))[:, None]]
+    probes = [(0,), (17,), (63,)]
+    for u in fields:
+        got = combined_action_gradient(op_p, op_m, u, probes)
+        with monkeypatch.context() as mp:
+            mp.setattr(LatticeSpec, "integrate", _fsum_integrate)
+            want = combined_action_gradient(op_p, op_m, u, probes)
+        assert got.tobytes() == want.tobytes()
