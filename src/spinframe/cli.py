@@ -16,7 +16,14 @@ import sys
 
 from .errors import ConfigInvalid, SpinframeError, UnknownSuite
 from .reports import emit, render
-from .suites import SUITES, SuiteConfig, run_suite
+from .suites import READERS, SUITES, SuiteConfig, run_suite
+
+
+def _read_by(attr: str, default: str) -> str:
+    """Help text naming the suites that read an optional field."""
+    what, _, readers = READERS[attr]
+    return (f"{what} of {', '.join(readers)} (also under all; default {default}); "
+            "other suites reject it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,15 +32,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a verification suite")
     run.add_argument("suite", choices=SUITES)
-    run.add_argument("--m", type=float, default=1.0, help="mass parameter")
+    run.add_argument("--m", type=float, default=None, help=_read_by("m", "1.0"))
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--A0", dest="a0", type=float, default=None,
-                     help="constant electric potential of plane-waves and table1 "
-                     "(also under all; default 0.25); other suites reject it")
+                     help=_read_by("a0", "0.25"))
     run.add_argument("--seeds", type=int, default=None,
-                     help="sample count of coframe, kk-decomposition, "
-                     "factorization and separation (also under all); other "
-                     "suites reject it")
+                     help=_read_by("seeds", "each suite's own"))
     run.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     run.add_argument("--out", default=None, help="write the report to a file")
     run.add_argument("--include-runtime", action="store_true",

@@ -49,14 +49,9 @@ class UnsupportedRank(SpinframeError):
     """Hodge dual requested for a rank/dimension it is not defined for."""
 
 
-class AxisOutOfRange(SpinframeError):
-    """Derivative axis outside the grid dimensions."""
-
-
 class InvalidGrid(SpinframeError, ValueError):
-    """A grid or derivative request the lattice cannot honour: bad extents or
-    spacing, no axis to differentiate along, or an ``out`` array that is not
-    grid-minor."""
+    """A grid the lattice code cannot honour: bad extents or spacing, an
+    ``out`` array that is not grid-minor, or a field on the wrong grid."""
 
 
 class DegenerateDenominator(SpinframeError):

@@ -153,7 +153,7 @@ def theorem1_check(eta: SpinorBundle, params: ModelParams, r: int,
     rho = eta.rho
     require_density(rho)
     if dt is None:
-        dt = derivatives(reduced_axial_torsion(eta, params, r), eta.spec, "spectral", range(3))
+        dt = derivatives(reduced_axial_torsion(eta, params, r), eta.spec, "spectral")
     scale = params.m ** 2 * float(np.sqrt(np.max(rho)))
     fe = float(np.max(np.abs(field_equation_residual_reduced(eta, params, r, dt))))
     dp = float(np.max(np.abs(dirac_apply(eta, params, r, +1))))

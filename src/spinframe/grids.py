@@ -20,7 +20,6 @@ import numpy as np
 
 from .algebra import METRIC3, METRIC4
 from .errors import (
-    AxisOutOfRange,
     ConfigInvalid,
     InvalidGrid,
     RankMismatch,
@@ -66,6 +65,11 @@ class LatticeSpec:
         if self.dims == 4:
             return METRIC4
         raise UnsupportedRank("no Lorentzian metric on a Euclidean domain grid")
+
+    @property
+    def spatial(self) -> "LatticeSpec":
+        """The (x0, x1, x2) grid: a 4D grid's spatial part, a 3D grid itself."""
+        return LatticeSpec(self.extents[:3], self.spacing[:3])
 
     @property
     def cell_volume(self) -> float:
@@ -254,10 +258,9 @@ def spectral_derivative(values: np.ndarray, spec: LatticeSpec, axis: int,
     return out
 
 
-def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil",
-                axes=None) -> np.ndarray:
-    """First derivatives of a grid array along ``axes`` (default: every
-    axis), stacked on a new axis right after the grid axes.
+def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil") -> np.ndarray:
+    """First derivatives of a grid array along every axis, stacked on a new
+    axis right after the grid axes.
 
     ``backend`` is the whole derivative rule, and this is the only function
     that reads it: "stencil" is the order-2 central difference, "stencil4"
@@ -265,23 +268,17 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil",
     (``spectral_derivative``).  Every rule wraps around each axis, so the
     values must be periodic on the grid: a jump at the seam gives wrong
     derivatives, near the seam for a stencil and everywhere for the
-    spectral rule.  An axis outside 0..dims-1 raises AxisOutOfRange.
+    spectral rule.
 
     The stack is grid-minor (``pauli.grid_minor``): the spectral rule writes
     each per-axis product straight into its slot; a stencil result is copied
     into its slot and dropped before the next one is computed.
     """
     require_choice("backend", backend, BACKENDS)
-    axes = range(spec.dims) if axes is None else list(axes)
-    if not axes:
-        raise InvalidGrid("no axis to differentiate along")
-    for a in axes:
-        if not 0 <= a < spec.dims:
-            raise AxisOutOfRange(f"axis {a} outside 0..{spec.dims - 1}")
-    shape = values.shape[:spec.dims] + (len(axes),) + values.shape[spec.dims:]
+    shape = values.shape[:spec.dims] + (spec.dims,) + values.shape[spec.dims:]
     out = grid_minor(shape, spec.dims, np.promote_types(values.dtype, float))
-    for i, a in enumerate(axes):
-        slot = out[(slice(None),) * spec.dims + (i,)]
+    for a in range(spec.dims):
+        slot = out[(slice(None),) * spec.dims + (a,)]
         if backend == "spectral":
             spectral_derivative(values, spec, a, out=slot)
         else:
@@ -405,9 +402,8 @@ class SpinorBundle:
     the residual that zero derivative itself.
 
     Layout contract: the producers (``SpinorPoly.bundle``,
-    ``ScaledSpinor.bundle``, ``from_grid`` through ``derivatives``) build
-    both arrays grid-minor
-    (``pauli.grid_minor``), so each component slice ``values[..., k]`` and
+    ``ScaledSpinor.bundle``, ``sampling.lift_x3``, ``from_grid`` through
+    ``derivatives``) build both arrays grid-minor (``pauli.grid_minor``), so each component slice ``values[..., k]`` and
     ``derivs[..., a, k]`` is one contiguous block.  The kernels accept any
     layout: a C-ordered bundle built by hand gives the same numbers, only
     slower.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDenominator, require_agreement, require_density, require_finite
-from .grids import LatticeSpec, ModelParams, SpinorBundle, form_field, lorentz_dot, hodge_dual
+from .grids import ModelParams, SpinorBundle, form_field, lorentz_dot, hodge_dual
 from .torsion import (
     SpinorContractions,
     dirac_term,
@@ -50,18 +50,12 @@ def _lagrangian_4d(c: SpinorContractions, spec) -> np.ndarray:
 
     # norm form through the 3-form/2-form machinery (the form component axis
     # is the trailing one, so 4D grids just act as extra batch axes)
-    spec3 = _spatial3(spec)
+    spec3 = spec.spatial
     tform = unhodge_scalar(spec3, c.t)
     uform = unhodge_covector(spec3, c.u)
     compact = (lorentz_dot(tform, tform).values + lorentz_dot(uform, uform).values) * rho
     require_agreement(spelled, compact, "lagrangian_4d")
     return spelled
-
-
-def _spatial3(spec):
-    if spec.dims == 3:
-        return spec
-    return LatticeSpec(spec.extents[:3], spec.spacing[:3])
 
 
 def unhodge_scalar(spec3, t: np.ndarray):

@@ -18,7 +18,7 @@ from .errors import (
     require_choice,
 )
 from .grids import LatticeSpec, ModelParams, SpinorBundle, periodic_spec
-from .sampling import SpinorPoly, TrigPoly, base_for, constant_poly
+from .sampling import SpinorPoly, TrigPoly, base_for, constant_poly, lift_x3
 
 
 @dataclass(frozen=True)
@@ -48,20 +48,15 @@ class PlaneWaveLabel:
 
 
 def plane_wave_spinor(label: PlaneWaveLabel, spec: LatticeSpec) -> SpinorBundle:
-    """eta = (1, 0) exp(-i (s m - r A0) x0) on a 3D grid, or the 4D field
-    xi = eta exp(-i r m x3) on a 4D grid, with analytic derivatives."""
-    base = base_for(spec)
-    w0 = label.temporal_frequency
-    if spec.dims == 3:
-        k0 = w0 / base[0]
-        freq = np.array([[-k0, 0, 0]])
-    elif spec.dims == 4:
-        k0 = w0 / base[0]
-        k3 = label.r * label.m / base[3]
-        freq = np.array([[-k0, 0, 0, -k3]])
-    else:
+    """eta = (1, 0) exp(-i (s m - r A0) x0) with analytic derivatives on a 3D
+    grid, or its lift xi = eta exp(-i r m x3) (``lift_x3``) on a 4D grid."""
+    if spec.dims == 4:
+        return lift_x3(plane_wave_spinor(label, spec.spatial), spec, label.r * label.m)
+    if spec.dims != 3:
         raise InvalidGrid("plane waves live on 3D or 4D grids")
-    sp = SpinorPoly(TrigPoly(freq, np.array([1.0 + 0j]), base),
+    base = base_for(spec)
+    k0 = label.temporal_frequency / base[0]
+    sp = SpinorPoly(TrigPoly(np.array([[-k0, 0, 0]]), np.array([1.0 + 0j]), base),
                     constant_poly(0.0, base))
     return sp.bundle(spec)
 

@@ -19,7 +19,6 @@ from .errors import IoError, require_choice
 SCHEMA_VERSION = 1
 
 _PARAM_ORDER = ("m", "r", "s", "A", "seed")
-_FIELD_ORDER = ("check_name", "max_abs_residual", "rms_residual", "tolerance", "pass")
 
 
 @dataclass

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import coframe_map
+from .errors import InvalidGrid
 from .grids import LatticeSpec, SpinorBundle, CoframeBundle
 from .pauli import grid_minor
 
@@ -170,6 +171,27 @@ class ScaledSpinor:
         derivs = np.multiply(eh[..., None, None], product_rule,
                              out=grid_minor(b.derivs.shape, spec.dims))
         return SpinorBundle(spec, vals, derivs)
+
+
+def lift_x3(eta: SpinorBundle, spec4: LatticeSpec, k: float) -> SpinorBundle:
+    """xi = eta e^{-i k x3} on spec4, with closed-form derivatives
+    d_alpha eta e^{-i k x3} along x0..x2 and -i k xi along x3; the factor is
+    one ``exp`` over the x3 coordinates and both arrays are grid-minor.  eta
+    must live on ``spec4.spatial``, else InvalidGrid.
+
+    The factor need not be periodic on the x3 axis.  Separation's axis is
+    pi/m long, so e^{-i m x3} is anti-periodic on it and the lifted field
+    jumps at the seam: no grid derivative may be taken along x3 of it.
+    """
+    if spec4.dims != 4 or spec4.spatial != eta.spec:
+        raise InvalidGrid("lift_x3 takes a field on the spatial part of a 4D grid")
+    phase = np.exp(-1j * k * spec4.axis_coords(3))
+    vals = grid_minor(spec4.extents + (2,), 4)
+    derivs = grid_minor(spec4.extents + (4, 2), 4)
+    np.multiply(eta.values[..., None, :], phase[:, None], out=vals)
+    np.multiply(eta.derivs[..., None, :, :], phase[:, None, None], out=derivs[..., :3, :])
+    np.multiply(vals, -1j * k, out=derivs[..., 3, :])
+    return SpinorBundle(spec4, vals, derivs)
 
 
 def base_for(spec: LatticeSpec) -> np.ndarray:

@@ -24,7 +24,7 @@ from .field_equations import (
     field_equation_residual_reduced,
     theorem1_check,
 )
-from .grids import ModelParams, derivatives, periodic_spec
+from .grids import ModelParams, SpinorBundle, derivatives, periodic_spec
 from .lagrangians import factorization_residual, lagrangian_reduced
 from .plane_waves import (
     PlaneWaveLabel,
@@ -37,11 +37,10 @@ from .plane_waves import (
 )
 from .reports import CheckReport, make_report
 from .sampling import (
-    SpinorPoly,
-    TrigPoly,
     base_for,
     coframe_bundle_from_spinor,
     covector_on,
+    lift_x3,
     random_covector_polys,
     random_positive_spinor,
 )
@@ -63,13 +62,13 @@ SUITES = ("coframe", "torsion-routes", "kk-decomposition", "factorization",
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    m: float = 1.0
+    m: float | None = None      # mass; None: 1.0
     seed: int = 0
     a0: float | None = None     # constant electric potential; None: 0.25
     seeds: int | None = None    # sample count; None: each suite's own
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and self.m > 0):
+        if self.m is not None and not (math.isfinite(self.m) and self.m > 0):
             raise ConfigInvalid(f"mass must be finite and positive, got {self.m!r}")
         if self.a0 is not None and not math.isfinite(self.a0):
             raise ConfigInvalid(f"A0 must be finite, got {self.a0!r}")
@@ -80,13 +79,18 @@ class SuiteConfig:
 
 
 def _params(cfg: SuiteConfig) -> dict:
-    return {"m": cfg.m, "r": None, "s": None, "A": None, "seed": cfg.seed}
+    return {"m": _m(cfg), "r": None, "s": None, "A": None, "seed": cfg.seed}
 
 
 def _plane_wave_spec(n: int, m: float):
     """n^3 grid with a 2 pi / m long x0 axis, on which the x0 phase e^{-i s m x0}
     of a plane wave at A0 = 0 is one Fourier mode: no jump at the seam."""
     return periodic_spec(n, (2.0 * np.pi / (n * m), 2.0 * np.pi / n, 2.0 * np.pi / n), 3)
+
+
+def _m(cfg: SuiteConfig) -> float:
+    """The given mass, else 1.0."""
+    return 1.0 if cfg.m is None else cfg.m
 
 
 def _a0(cfg: SuiteConfig) -> float:
@@ -129,7 +133,7 @@ def _suite_coframe(cfg: SuiteConfig):
 
 def _suite_torsion_routes(cfg: SuiteConfig):
     reports = []
-    m = cfg.m
+    m = _m(cfg)
 
     # analytic-mode agreement on plane waves (exact x-dependence)
     def run_analytic():
@@ -189,6 +193,7 @@ def _suite_kk(cfg: SuiteConfig):
 
 def _suite_factorization(cfg: SuiteConfig):
     n_seeds = cfg.seeds or 1000
+    m = _m(cfg)
 
     def run():
         worst = 0.0
@@ -198,9 +203,9 @@ def _suite_factorization(cfg: SuiteConfig):
             rng = np.random.default_rng(cfg.seed * 100_003 + k)
             sp = random_positive_spinor(rng, base, max_mode=2)
             A = covector_on(random_covector_polys(rng, base), spec)
-            p = ModelParams(m=cfg.m, A=A)
+            p = ModelParams(m=m, A=A)
             b = sp.bundle(spec)
-            scale = float(np.max(np.abs(lagrangian_reduced(b, p, 1)))) + cfg.m ** 2
+            scale = float(np.max(np.abs(lagrangian_reduced(b, p, 1)))) + m ** 2
             for r in (1, -1):
                 res = factorization_residual(b, p, r)
                 worst = _worst(worst, float(np.max(np.abs(res))) / scale)
@@ -212,55 +217,41 @@ def _suite_factorization(cfg: SuiteConfig):
 
 def _suite_separation(cfg: SuiteConfig):
     n_seeds = cfg.seeds or 100
+    m = _m(cfg)
 
     def run():
         worst = 0.0
         n = 12
         spec3 = periodic_spec(n, 2.0 * np.pi / n, 3)
-        spec4 = periodic_spec((n, n, n, 8), (2.0 * np.pi / n,) * 3 + (np.pi / cfg.m / 8,), 4)
+        # the x3 axis is pi/m long, so the lift is anti-periodic on it: only
+        # its closed-form x3 derivative is used, never a grid one
+        spec4 = periodic_spec((n, n, n, 8), (2.0 * np.pi / n,) * 3 + (np.pi / m / 8,), 4)
         base3 = base_for(spec3)
-        base4 = base_for(spec4)
+        p = ModelParams(m=m)
         for k in range(n_seeds):
             rng = np.random.default_rng(cfg.seed * 100_003 + k)
-            sp3 = random_positive_spinor(rng, base3, max_mode=2)
-            p = ModelParams(m=cfg.m)
-            b3 = sp3.bundle(spec3)
+            b3 = random_positive_spinor(rng, base3, max_mode=2).bundle(spec3)
             # one shared in-plane gradient of the torsion scalar for both
-            # routes; the x3 direction is handled in closed form
-            t3 = reduced_axial_torsion(b3, p, 1)
-            dt3 = derivatives(t3, spec3, "spectral")
+            # routes; its x3 derivative, and that of u, vanish
+            dt3 = derivatives(reduced_axial_torsion(b3, p, 1), spec3, "spectral")
             res3 = field_equation_residual_reduced(b3, p, 1, dt3)
-            # lift to 4D with the e^{-i m x3} phase (r = +1 branch)
-            k3 = cfg.m / base4[3]
-            phase = TrigPoly(np.array([[0, 0, 0, -k3]]), np.array([1.0 + 0j]), base4)
-            lift = lambda q: TrigPoly(
-                np.hstack([q.freqs, np.zeros((len(q.freqs), 1), int)]), q.coeffs, base4)
-            sp4 = SpinorPoly(*( _mul_poly(lift(c), phase) for c in (sp3.c1, sp3.c2)))
-            b4 = sp4.bundle(spec4)
-            dt4 = np.concatenate(
-                [np.broadcast_to(dt3[..., None, :], spec4.extents + (3,)),
-                 np.zeros(spec4.extents + (1,))], axis=-1)
+            # xi = eta e^{-i m x3}, the r = +1 branch
+            b4 = lift_x3(b3, spec4, m)
+            dt4 = np.zeros(spec4.extents + (4,))
+            dt4[..., :3] = dt3[..., None, :]
             res4 = field_equation_residual_4d(b4, p, dt4, np.zeros(spec4.extents + (3,)))
-            ph = phase(spec4.meshgrid())
-            lifted3 = np.broadcast_to(res3[..., None, :], res4.shape[:-1] + (2,))
-            dev = np.max(np.abs(res4 - ph[..., None] * lifted3))
-            worst = _worst(worst, float(dev))
+            # res3 lifted by the same factor; its derivative slots are unused
+            lifted3 = lift_x3(SpinorBundle(spec3, res3, np.zeros_like(b3.derivs)), spec4, m)
+            worst = _worst(worst, float(np.max(np.abs(res4 - lifted3.values))))
         return worst
 
     dev, ms = _timed(run)
     return [make_report("separation-of-variables", _params(cfg), dev, dev, 1e-9, ms)]
 
 
-def _mul_poly(p: TrigPoly, q: TrigPoly) -> TrigPoly:
-    """Product of two trigonometric polynomials (frequency convolution)."""
-    freqs = (p.freqs[:, None, :] + q.freqs[None, :, :]).reshape(-1, p.freqs.shape[1])
-    coeffs = (p.coeffs[:, None] * q.coeffs[None, :]).ravel()
-    return TrigPoly(freqs, coeffs, p.base)
-
-
 def _suite_theorem1(cfg: SuiteConfig):
     reports = []
-    m = cfg.m
+    m = _m(cfg)
 
     def run():
         worst_fe, worst_grad, inconsistent = 0.0, 0.0, 0
@@ -303,8 +294,8 @@ def _suite_theorem1(cfg: SuiteConfig):
 
 
 def _suite_plane_waves(cfg: SuiteConfig):
-    a0 = _a0(cfg)
-    if not 0.0 <= a0 < cfg.m:
+    m, a0 = _m(cfg), _a0(cfg)
+    if not 0.0 <= a0 < m:
         raise ConfigInvalid("plane-waves needs 0 <= A0 < m")
 
     def run():
@@ -312,7 +303,7 @@ def _suite_plane_waves(cfg: SuiteConfig):
         spec = periodic_spec(16, 2.0 * np.pi / 16, 3)
         for r in (1, -1):
             for s in (1, -1):
-                lab = PlaneWaveLabel(r, s, cfg.m, a0)
+                lab = PlaneWaveLabel(r, s, m, a0)
                 b = plane_wave_spinor(lab, spec)
                 p = plane_wave_params(lab)
                 worst = _worst(worst, float(np.max(np.abs(dirac_apply(b, p, r, s)))))
@@ -331,18 +322,18 @@ _EXPECTED_TABLE = [
 
 
 def _suite_table1(cfg: SuiteConfig):
-    a0 = _a0(cfg)
-    if not 0.0 < a0 < cfg.m:
+    m, a0 = _m(cfg), _a0(cfg)
+    if not 0.0 < a0 < m:
         raise ConfigInvalid("table1 needs 0 < A0 < m")
 
     def run():
-        rows = table_of_states(cfg.m, a0)
+        rows = table_of_states(m, a0)
         label_errors = 0
         worst = 0.0
         for (r, s, kind, spin, energy), (er, es, ekind, espin) in zip(rows, _EXPECTED_TABLE):
             if (r, s, kind, spin) != (er, es, ekind, espin):
                 label_errors += 1
-            lab = PlaneWaveLabel(r, s, cfg.m, a0)
+            lab = PlaneWaveLabel(r, s, m, a0)
             rate = measured_rotation_rate(lab)
             worst = _worst(worst, abs(abs(rate) - energy))
         return worst + label_errors
@@ -416,7 +407,9 @@ _SUITE_FNS = {
 
 # The optional SuiteConfig fields, each with what it is, its flag, and the
 # suites that read it.
-_READERS = {
+READERS = {
+    "m": ("mass", "--m", ("torsion-routes", "factorization", "separation", "theorem1",
+                          "plane-waves", "table1")),
     "seeds": ("seed count", "--seeds",
               ("coframe", "kk-decomposition", "factorization", "separation")),
     "a0": ("A0", "--A0", ("plane-waves", "table1")),
@@ -426,8 +419,8 @@ _READERS = {
 def run_suite(suite_name: str, config: SuiteConfig | None = None) -> list[CheckReport]:
     """Run one suite, or every suite for "all".
 
-    An optional field (seed count or A0) given to a single suite that does
-    not read it raises ConfigInvalid; "all" hands it to the suites that do.
+    An optional field (mass, seed count or A0) given to a single suite that
+    does not read it raises ConfigInvalid; "all" hands it to the suites that do.
     """
     config = config or SuiteConfig()
     if suite_name == "all":
@@ -437,7 +430,7 @@ def run_suite(suite_name: str, config: SuiteConfig | None = None) -> list[CheckR
         return out
     if suite_name not in _SUITE_FNS:
         raise UnknownSuite(f"unknown suite {suite_name!r}; choose from {SUITES}")
-    for attr, (what, flag, readers) in _READERS.items():
+    for attr, (what, flag, readers) in READERS.items():
         if getattr(config, attr) is not None and suite_name not in readers:
             raise ConfigInvalid(f"{suite_name} reads no {what}; {flag} applies to "
                                 f"{', '.join(readers)} and all")

@@ -73,6 +73,30 @@ def test_a0_rejected_by_suites_that_read_none(capsys, suite):
         run_suite(suite, SuiteConfig(a0=0.25))
 
 
+@pytest.mark.parametrize("suite", ["coframe", "kk-decomposition", "appendix-b"])
+def test_mass_rejected_by_suites_that_read_none(capsys, suite):
+    assert main(["run", suite, "--m", "1.3"]) == 2
+    assert "reads no mass" in capsys.readouterr().err
+    with pytest.raises(ConfigInvalid):
+        run_suite(suite, SuiteConfig(m=1.3))
+
+
+def test_mass_is_handed_to_its_readers_under_all(capsys):
+    assert main(["run", "all", "--m", "1.3", "--seeds", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {r["params"]["m"] for r in doc["reports"]} == {1.3}
+
+
+def test_mass_defaults_to_one_in_every_report():
+    assert SuiteConfig().m is None
+    for suite in ("coframe", "appendix-b"):
+        doc = json.loads(render(run_suite(suite, SuiteConfig()), "json"))
+        assert all(r["params"]["m"] == 1.0 for r in doc["reports"])
+    for suite in ("plane-waves", "table1"):
+        assert render(run_suite(suite, SuiteConfig()), "json") \
+            == render(run_suite(suite, SuiteConfig(m=1.0)), "json")
+
+
 def test_a0_defaults_to_a_quarter_where_it_is_read():
     for suite in ("plane-waves", "table1"):
         assert render(run_suite(suite, SuiteConfig()), "json") \

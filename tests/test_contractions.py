@@ -129,7 +129,7 @@ def _torsion_derivatives(b, params, backend, x3_flat):
     if x3_flat:
         dt[..., 3] = 0.0
         return dt, np.zeros(c.u.shape)
-    return dt, derivatives(c.u, b.spec, backend, [3])[..., 0, :]
+    return dt, derivatives(c.u, b.spec, backend)[..., 3, :]
 
 
 def _params(kind: str, seed: int) -> ModelParams:

@@ -64,7 +64,7 @@ def test_derivatives_rejects_unknown_backend():
     with pytest.raises(ValueError, match="'fft'"):
         derivatives(np.zeros(SPEC3.extents), SPEC3, "fft")
     with pytest.raises(UnknownOption, match="'stencil3'"):
-        derivatives(np.zeros(SPEC3.extents), SPEC3, "stencil3", [0])
+        derivatives(np.zeros(SPEC3.extents), SPEC3, "stencil3")
     f = form_field(SPEC3, 0, np.zeros(SPEC3.extents))
     with pytest.raises(UnknownOption, match="'stencil3'"):
         exterior_derivative(f, "stencil3")

@@ -69,3 +69,11 @@ def test_plane_wave_suites_pass_at_a_non_unit_mass():
         + run_suite("torsion-routes", SuiteConfig(m=1.3))
     assert len(reps) == 5
     assert all(r.passed for r in reps), [(r.check_name, r.max_abs_residual) for r in reps]
+
+
+def test_separation_passes_at_a_non_unit_mass():
+    # both the lift's factor e^{-i m x3} and the pi/m long x3 axis depend
+    # on the mass
+    rep, = run_suite("separation", SuiteConfig(m=1.3, seeds=4))
+    assert rep.params["m"] == 1.3
+    assert rep.passed

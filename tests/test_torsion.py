@@ -21,6 +21,7 @@ from spinframe.sampling import (
     base_for,
     coframe_bundle_from_spinor,
     covector_on,
+    lift_x3,
     random_covector_polys,
     random_positive_spinor,
 )
@@ -153,18 +154,7 @@ def test_reduced_fields_are_x3_independent():
     spec4 = periodic_spec((n, n, n, 8), (2.0 * np.pi / n,) * 3 + (np.pi / 8,), 4)
     spec3 = periodic_spec(n, 2.0 * np.pi / n, 3)
     rng = np.random.default_rng(5)
-    from spinframe.sampling import SpinorPoly, TrigPoly
-    sp3 = random_positive_spinor(rng, base_for(spec3), max_mode=2)
-    base4 = base_for(spec4)
-    k3 = 1.0 / base4[3]
-    phase = TrigPoly(np.array([[0.0, 0.0, 0.0, -k3]]), np.array([1.0 + 0j]), base4)
-    def lift(q):
-        f = np.hstack([q.freqs, np.zeros((len(q.freqs), 1))])
-        out = TrigPoly(f, q.coeffs, base4)
-        return TrigPoly(out.freqs + phase.freqs, out.coeffs * phase.coeffs[0], base4)
-    sp4 = SpinorPoly(lift(sp3.c1), lift(sp3.c2))
-    b4 = sp4.bundle(spec4)
-    t4 = axial_torsion_spinor(b4)
-    b3 = sp3.bundle(spec3)
+    b3 = random_positive_spinor(rng, base_for(spec3), max_mode=2).bundle(spec3)
+    t4 = axial_torsion_spinor(lift_x3(b3, spec4, 1.0))
     t3 = reduced_axial_torsion(b3, ModelParams(m=1.0), 1)
     assert np.max(np.abs(t4 - t3[..., None])) < 1e-12
