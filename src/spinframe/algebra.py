@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongDensitySign
-from .pauli import components
+from .pauli import components, grid_minor
 
 # Minkowski metrics, diagonal entries only.
 METRIC3 = np.array([-1.0, 1.0, 1.0])
@@ -94,21 +94,27 @@ def density_of_spinor(xi) -> np.ndarray | float:
 def coframe_map(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized spinor -> (theta, rho) map on arrays of shape (..., 2).
 
-    Returns (theta, rho) with theta of shape (..., 3, 3).  No density check
-    is performed here; callers enforce positivity.
+    Returns (theta, rho) with theta of shape (..., 3, 3), row j the covector
+    theta^j.  theta is grid-minor (``pauli.grid_minor`` over the batch
+    axes): every entry slice ``theta[..., j, a]`` is one contiguous block, so
+    each store here and each frame row a consumer reads is contiguous.  No
+    density check is performed here: where rho = 0, theta is not finite and
+    no warning is raised.  Callers check the density
+    (``errors.require_density``, or ``verify_coframe``).
     """
     v = np.asarray(xi, dtype=complex)
     v0, v1 = v[..., 0], v[..., 1]
     c0, c1 = np.conj(v0), np.conj(v1)
     rho = np.abs(v0) ** 2 - np.abs(v1) ** 2
-    theta = np.empty(v.shape[:-1] + (3, 3))
-    for alpha in range(3):
-        sv0, sv1 = components(SIGMA_LOWER[alpha], v)  # (sigma_alpha xi)_a
-        theta[..., 0, alpha] = (c0 * sv0 + c1 * sv1).real / rho
-        # epsilon^{cb} sigma3_{ba} xi^a sigma_{alpha cd} xi^d
-        w = (v1 * sv0 + v0 * sv1) / rho
-        theta[..., 1, alpha] = w.real
-        theta[..., 2, alpha] = w.imag
+    theta = grid_minor(v.shape[:-1] + (3, 3), v.ndim - 1, float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for alpha in range(3):
+            sv0, sv1 = components(SIGMA_LOWER[alpha], v)  # (sigma_alpha xi)_a
+            theta[..., 0, alpha] = (c0 * sv0 + c1 * sv1).real / rho
+            # epsilon^{cb} sigma3_{ba} xi^a sigma_{alpha cd} xi^d
+            w = (v1 * sv0 + v0 * sv1) / rho
+            theta[..., 1, alpha] = w.real
+            theta[..., 2, alpha] = w.imag
     return theta, rho
 
 

@@ -327,7 +327,8 @@ def hodge_dual(R: LatticeField) -> LatticeField:
 
 
 def wedge(P: LatticeField, Q: LatticeField) -> LatticeField:
-    """Wedge product under the determinant convention."""
+    """Wedge product under the determinant convention, grid-minor: each
+    component is summed in its own contiguous block."""
     d = P.spec.dims
     p, q = P.rank, Q.rank
     if Q.spec.dims != d:
@@ -339,13 +340,25 @@ def wedge(P: LatticeField, Q: LatticeField) -> LatticeField:
     comps_out = form_components(d, p + q)
     pv = P.values if p > 0 else P.values[..., None]
     qv = Q.values if q > 0 else Q.values[..., None]
-    out = np.zeros(pv.shape[:-1] + (len(comps_out),), dtype=np.promote_types(pv.dtype, qv.dtype))
+    dtype = np.promote_types(pv.dtype, qv.dtype)
+    out = grid_minor(pv.shape[:-1] + (len(comps_out),), pv.ndim - 1, dtype)
+    term = np.empty(pv.shape[:-1], dtype)
     for j, c in enumerate(comps_out):
-        for sub in combinations(c, p):
+        slot = out[..., j]
+        for i, sub in enumerate(combinations(c, p)):
             rest = tuple(a for a in c if a not in sub)
             # sign of the shuffle (sub, rest) relative to sorted c
-            order = [c.index(a) for a in sub + rest]
-            out[..., j] += perm_sign(order) * pv[..., comps_p[sub]] * qv[..., comps_q[rest]]
+            sign = perm_sign([c.index(a) for a in sub + rest])
+            # the first term is written into the slot, the others added in
+            np.multiply(pv[..., comps_p[sub]], qv[..., comps_q[rest]],
+                        out=slot if i == 0 else term)
+            if i == 0:
+                if sign < 0:
+                    np.negative(slot, out=slot)
+            elif sign > 0:
+                slot += term
+            else:
+                slot -= term
     if p + q == 0:
         return LatticeField(P.spec, "scalar", out[..., 0])
     return form_field(P.spec, p + q, out)
@@ -434,6 +447,13 @@ class CoframeBundle:
     on each call, and a caller with closed-form derivatives hands a rule
     that slices them.  On a 4D grid the rows are the spatial coframe, with
     theta^j_3 = 0.
+
+    Layout: theta as ``algebra.coframe_map`` returns it is grid-minor
+    (``pauli.grid_minor``), so a row ``theta[..., j, :]`` is itself a
+    grid-minor (*n, 3) array that ``derivatives`` reads in place.  The rows
+    ``from_grid`` differentiates and the slices of the kk check's
+    closed-form d theta are grid-minor too.  Any other layout gives the
+    same numbers, only slower.
     """
 
     spec: LatticeSpec
@@ -447,8 +467,6 @@ class CoframeBundle:
         require_choice("backend", backend, BACKENDS)
 
         def row_derivatives(j: int) -> np.ndarray:
-            # a row is a strided view of theta; the stencil's rolls read a
-            # contiguous copy of it faster than the view itself
-            return derivatives(np.ascontiguousarray(theta[..., j, :]), spec, backend)
+            return derivatives(theta[..., j, :], spec, backend)
 
         return cls(spec, theta, row_derivatives, rho)

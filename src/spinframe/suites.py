@@ -78,8 +78,12 @@ class SuiteConfig:
             raise ConfigInvalid(f"seed count must be at least 1, got {self.seeds}")
 
 
-def _params(cfg: SuiteConfig) -> dict:
-    return {"m": _m(cfg), "r": None, "s": None, "A": None, "seed": cfg.seed}
+def _params(cfg: SuiteConfig, suite: str) -> dict:
+    """A report's params: m and seed as the suite read them, null where it
+    reads none (``PARAM_READERS``)."""
+    return {"m": _m(cfg) if suite in PARAM_READERS["m"] else None,
+            "r": None, "s": None, "A": None,
+            "seed": cfg.seed if suite in PARAM_READERS["seed"] else None}
 
 
 def _plane_wave_spec(n: int, m: float):
@@ -115,7 +119,7 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 
 
-def _suite_coframe(cfg: SuiteConfig):
+def _suite_coframe(cfg: SuiteConfig, params: dict):
     n = cfg.seeds or 10_000
 
     def run():
@@ -128,10 +132,10 @@ def _suite_coframe(cfg: SuiteConfig):
         return _worst(rep.max_orthonormality_deviation, rep.det_deviation)
 
     dev, ms = _timed(run)
-    return [make_report("coframe-correspondence", _params(cfg), dev, dev, 1e-12, ms)]
+    return [make_report("coframe-correspondence", params, dev, dev, 1e-12, ms)]
 
 
-def _suite_torsion_routes(cfg: SuiteConfig):
+def _suite_torsion_routes(cfg: SuiteConfig, params: dict):
     reports = []
     m = _m(cfg)
 
@@ -148,7 +152,7 @@ def _suite_torsion_routes(cfg: SuiteConfig):
         return worst
 
     dev, ms = _timed(run_analytic)
-    reports.append(make_report("torsion-two-routes-analytic", _params(cfg),
+    reports.append(make_report("torsion-two-routes-analytic", params,
                                dev, dev, 1e-10, ms))
 
     # stencil refinement: residual is O(h^2), RMS shrinking by ~4 under h -> h/2
@@ -168,12 +172,12 @@ def _suite_torsion_routes(cfg: SuiteConfig):
         return rms[0] / rms[1]
 
     ratio, ms = _timed(run_refine)
-    reports.append(make_report("torsion-two-routes-refinement", _params(cfg),
+    reports.append(make_report("torsion-two-routes-refinement", params,
                                abs(ratio - 4.0), abs(ratio - 4.0), 0.3, ms))
     return reports
 
 
-def _suite_kk(cfg: SuiteConfig):
+def _suite_kk(cfg: SuiteConfig, params: dict):
     n_seeds = cfg.seeds or 100
 
     def run():
@@ -188,10 +192,10 @@ def _suite_kk(cfg: SuiteConfig):
         return worst
 
     dev, ms = _timed(run)
-    return [make_report("kk-decomposition-analytic", _params(cfg), dev, dev, 1e-10, ms)]
+    return [make_report("kk-decomposition-analytic", params, dev, dev, 1e-10, ms)]
 
 
-def _suite_factorization(cfg: SuiteConfig):
+def _suite_factorization(cfg: SuiteConfig, params: dict):
     n_seeds = cfg.seeds or 1000
     m = _m(cfg)
 
@@ -212,10 +216,10 @@ def _suite_factorization(cfg: SuiteConfig):
         return worst
 
     dev, ms = _timed(run)
-    return [make_report("factorization-identity", _params(cfg), dev, dev, 1e-10, ms)]
+    return [make_report("factorization-identity", params, dev, dev, 1e-10, ms)]
 
 
-def _suite_separation(cfg: SuiteConfig):
+def _suite_separation(cfg: SuiteConfig, params: dict):
     n_seeds = cfg.seeds or 100
     m = _m(cfg)
 
@@ -246,10 +250,10 @@ def _suite_separation(cfg: SuiteConfig):
         return worst
 
     dev, ms = _timed(run)
-    return [make_report("separation-of-variables", _params(cfg), dev, dev, 1e-9, ms)]
+    return [make_report("separation-of-variables", params, dev, dev, 1e-9, ms)]
 
 
-def _suite_theorem1(cfg: SuiteConfig):
+def _suite_theorem1(cfg: SuiteConfig, params: dict):
     reports = []
     m = _m(cfg)
 
@@ -284,16 +288,16 @@ def _suite_theorem1(cfg: SuiteConfig):
         return worst_fe, worst_grad, inconsistent
 
     (worst_fe, worst_grad, inconsistent), ms = _timed(run)
-    reports.append(make_report("theorem1-field-equation", _params(cfg),
+    reports.append(make_report("theorem1-field-equation", params,
                                worst_fe, worst_fe, 1e-9, ms))
-    reports.append(make_report("theorem1-variational-gradient", _params(cfg),
+    reports.append(make_report("theorem1-variational-gradient", params,
                                worst_grad, worst_grad, 1e-6, ms))
-    reports.append(make_report("theorem1-never-inconsistent", _params(cfg),
+    reports.append(make_report("theorem1-never-inconsistent", params,
                                float(inconsistent), float(inconsistent), 0.5, ms))
     return reports
 
 
-def _suite_plane_waves(cfg: SuiteConfig):
+def _suite_plane_waves(cfg: SuiteConfig, params: dict):
     m, a0 = _m(cfg), _a0(cfg)
     if not 0.0 <= a0 < m:
         raise ConfigInvalid("plane-waves needs 0 <= A0 < m")
@@ -310,7 +314,7 @@ def _suite_plane_waves(cfg: SuiteConfig):
         return worst
 
     dev, ms = _timed(run)
-    return [make_report("plane-wave-dirac-solutions", _params(cfg), dev, dev, 1e-12, ms)]
+    return [make_report("plane-wave-dirac-solutions", params, dev, dev, 1e-12, ms)]
 
 
 _EXPECTED_TABLE = [
@@ -321,7 +325,7 @@ _EXPECTED_TABLE = [
 ]
 
 
-def _suite_table1(cfg: SuiteConfig):
+def _suite_table1(cfg: SuiteConfig, params: dict):
     m, a0 = _m(cfg), _a0(cfg)
     if not 0.0 < a0 < m:
         raise ConfigInvalid("table1 needs 0 < A0 < m")
@@ -339,10 +343,10 @@ def _suite_table1(cfg: SuiteConfig):
         return worst + label_errors
 
     dev, ms = _timed(run)
-    return [make_report("state-table-classification", _params(cfg), dev, dev, 1e-8, ms)]
+    return [make_report("state-table-classification", params, dev, dev, 1e-8, ms)]
 
 
-def _suite_appendix_b(cfg: SuiteConfig):
+def _suite_appendix_b(cfg: SuiteConfig, params: dict):
     reports = []
 
     def run_analytic():
@@ -357,7 +361,7 @@ def _suite_appendix_b(cfg: SuiteConfig):
         return worst
 
     dev, ms = _timed(run_analytic)
-    reports.append(make_report("ode-example-analytic", _params(cfg), dev, dev, 1e-12, ms))
+    reports.append(make_report("ode-example-analytic", params, dev, dev, 1e-12, ms))
 
     def run_stencil():
         n = 512
@@ -372,7 +376,7 @@ def _suite_appendix_b(cfg: SuiteConfig):
         return worst
 
     dev, ms = _timed(run_stencil)
-    reports.append(make_report("ode-example-stencil", _params(cfg), dev, dev, 1e-6, ms))
+    reports.append(make_report("ode-example-stencil", params, dev, dev, 1e-6, ms))
 
     def run_lemma():
         n = 64
@@ -388,7 +392,7 @@ def _suite_appendix_b(cfg: SuiteConfig):
         return float(bad)
 
     dev, ms = _timed(run_lemma)
-    reports.append(make_report("ode-example-lemma-branches", _params(cfg), dev, dev, 0.5, ms))
+    reports.append(make_report("ode-example-lemma-branches", params, dev, dev, 0.5, ms))
     return reports
 
 
@@ -416,6 +420,19 @@ READERS = {
 }
 
 
+# The suites that read each reported parameter; the others report it as null.
+# Every suite accepts a seed, since a benchmark hands one to each suite.
+PARAM_READERS = {
+    "m": READERS["m"][2],
+    "seed": ("coframe", "torsion-routes", "kk-decomposition", "factorization",
+             "separation", "theorem1"),
+}
+
+
+def _run(name: str, config: SuiteConfig) -> list[CheckReport]:
+    return _SUITE_FNS[name](config, _params(config, name))
+
+
 def run_suite(suite_name: str, config: SuiteConfig | None = None) -> list[CheckReport]:
     """Run one suite, or every suite for "all".
 
@@ -426,7 +443,7 @@ def run_suite(suite_name: str, config: SuiteConfig | None = None) -> list[CheckR
     if suite_name == "all":
         out = []
         for name in SUITES[:-1]:
-            out.extend(_SUITE_FNS[name](config))
+            out.extend(_run(name, config))
         return out
     if suite_name not in _SUITE_FNS:
         raise UnknownSuite(f"unknown suite {suite_name!r}; choose from {SUITES}")
@@ -434,4 +451,4 @@ def run_suite(suite_name: str, config: SuiteConfig | None = None) -> list[CheckR
         if getattr(config, attr) is not None and suite_name not in readers:
             raise ConfigInvalid(f"{suite_name} reads no {what}; {flag} applies to "
                                 f"{', '.join(readers)} and all")
-    return _SUITE_FNS[suite_name](config)
+    return _run(suite_name, config)

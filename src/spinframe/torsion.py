@@ -25,7 +25,7 @@ from .algebra import (
     verify_coframe,
 )
 from .errors import InvalidCoframe, InvalidGrid, require_choice, require_density, require_finite
-from .pauli import components, contract
+from .pauli import contract, grid_minor
 from .grids import (
     CoframeBundle,
     LatticeField,
@@ -166,7 +166,8 @@ def reduced_axial_torsion(b: SpinorBundle, params: ModelParams, r: int,
 
 
 def _row_forms(cb: CoframeBundle, j: int) -> tuple[LatticeField, LatticeField]:
-    """The 1-form theta^j and the 2-form d theta^j of frame row j.
+    """The 1-form theta^j and the 2-form d theta^j of frame row j, both
+    grid-minor.
 
     (d theta^j)_{ab} = d_a theta^j_b - d_b theta^j_a from the bundle's row
     derivatives.  On a 4D grid theta^j_3 = 0, so the row is padded with that
@@ -177,11 +178,12 @@ def _row_forms(cb: CoframeBundle, j: int) -> tuple[LatticeField, LatticeField]:
     drow = cb.row_derivatives(j)
     k = row.shape[-1]
     if k < spec.dims:
-        padded = np.zeros(spec.extents + (spec.dims,))
+        padded = grid_minor(spec.extents + (spec.dims,), spec.dims, float)
         padded[..., :k] = row
+        padded[..., k:] = 0.0
         row = padded
     comps = form_components(spec.dims, 2)
-    vals = np.empty(spec.extents + (len(comps),))
+    vals = grid_minor(spec.extents + (len(comps),), spec.dims, float)
     for i, (a, b_) in enumerate(comps):
         if b_ < k:
             np.subtract(drow[..., a, b_], drow[..., b_, a], out=vals[..., i])
@@ -264,8 +266,9 @@ def kk_decomposition_check(b: SpinorBundle, coframe_derivs: str = "chain") -> KK
     if b.spec.dims != 4:
         raise InvalidGrid("kk check needs a 4D bundle")
     theta, rho = coframe_map(b.values)
+    require_density(rho, positive=False)
     if coframe_derivs == "chain":
-        dtheta = _coframe_chain_derivs(b)
+        dtheta = _coframe_chain_derivs(b, theta, rho)
         cb = CoframeBundle(b.spec, theta, lambda j: dtheta[..., j, :], rho)
     else:
         cb = CoframeBundle.from_grid(b.spec, theta, rho, "stencil")
@@ -280,37 +283,58 @@ def kk_decomposition_check(b: SpinorBundle, coframe_derivs: str = "chain") -> KK
     return KKReport(lhs, rhs, float(np.max(np.abs(lhs - rhs))))
 
 
-def _coframe_chain_derivs(b: SpinorBundle) -> np.ndarray:
-    """d theta by differentiating the spinor -> coframe map in closed form.
+def _coframe_chain_derivs(b: SpinorBundle, theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """d_a theta^j_alpha, grid-minor (*n, dims, 3, 3), by differentiating
+    the spinor -> coframe map in closed form, every axis in each ufunc call.
 
-    Uses complex-step-free exact differentiation of the rational map: theta
-    is a ratio of sesquilinear forms in xi, so d theta follows from the
-    product rule on numerators and rho.
+    theta^0_alpha = Re(xi^dag sigma_alpha xi) / rho and theta^1_alpha +
+    i theta^2_alpha = xi^T J sigma_alpha xi / rho with J = sigma_1.  Since
+    sigma_alpha is Hermitian, d Re(xi^dag sigma_alpha xi) = 2 Re(xi^dag
+    sigma_alpha d xi); since J sigma_alpha is symmetric for alpha = 0, 1, 2,
+    d(xi^T J sigma_alpha xi) = 2 xi^T J sigma_alpha d xi; and d rho =
+    2 Re(xi^dag sigma_3 d xi).  With n' half the derivative of a numerator
+    and h = d rho / 2, d theta = 2 (n' - theta h) / rho reuses the theta and
+    rho of ``coframe_map``.  Each n' and h is a real or imaginary part of
+    p + q or p - q for one of four pairs (p, q) of products of d xi with xi
+    or conj(xi); the pairs share two buffers.
     """
-    xi = b.values
-    rho = b.rho
-    rho2 = rho ** 2
-    d = b.spec.dims
-    x0, x1 = xi[..., 0], xi[..., 1]
+    dims = b.spec.dims
+    x0, x1 = b.values[..., 0], b.values[..., 1]
     c0, c1 = np.conj(x0), np.conj(x1)
-    # sigma_alpha xi, the numerator of theta^0_alpha and w do not depend on
-    # the axis
-    svs = [components(SIGMA_LOWER[alpha], xi) for alpha in range(3)]
-    num0s = [(c0 * sv0 + c1 * sv1).real for sv0, sv1 in svs]
-    ws = [x1 * sv0 + x0 * sv1 for sv0, sv1 in svs]
-    out = np.empty(b.spec.extents + (d, 3, 3))
-    for axis in range(d):
-        dxi = b.derivs[..., axis, :]
-        dx0, dx1 = dxi[..., 0], dxi[..., 1]
-        dc0, dc1 = np.conj(dx0), np.conj(dx1)
-        drho = 2.0 * (c0 * dx0).real - 2.0 * (c1 * dx1).real
+    # axis first: dx0[a] = d_a xi_0 is one contiguous block on a grid-minor
+    # bundle, and xi broadcasts over the axes
+    dx0, dx1 = (np.moveaxis(b.derivs[..., k], dims, 0) for k in range(2))
+    out = grid_minor(b.spec.extents + (dims, 3, 3), dims, float)
+    o = np.moveaxis(out, (dims, dims + 1, dims + 2), (0, 1, 2))
+    p, q = np.empty(dx0.shape, complex), np.empty(dx0.shape, complex)
+    pr, pi, qr, qi = p.real, p.imag, q.real, q.imag
+    h = np.empty(dx0.shape)
+    # conj(xi_k) d xi_k: theta^0_0 and h
+    np.multiply(dx0, c0, out=p)
+    np.multiply(dx1, c1, out=q)
+    np.add(pr, qr, out=o[:, 0, 0])
+    np.subtract(pr, qr, out=h)
+    # conj(xi_1) d xi_0 and conj(xi_0) d xi_1: theta^0_1 and theta^0_2
+    np.multiply(dx0, c1, out=p)
+    np.multiply(dx1, c0, out=q)
+    np.add(pr, qr, out=o[:, 0, 1])
+    np.subtract(qi, pi, out=o[:, 0, 2])
+    # xi_k d xi_k: w_1 = xi_0^2 + xi_1^2 and w_2 = i (xi_0^2 - xi_1^2)
+    np.multiply(dx0, x0, out=p)
+    np.multiply(dx1, x1, out=q)
+    np.add(pr, qr, out=o[:, 1, 1])
+    np.add(pi, qi, out=o[:, 2, 1])
+    np.subtract(qi, pi, out=o[:, 1, 2])
+    np.subtract(pr, qr, out=o[:, 2, 2])
+    # xi_0 d xi_1 and xi_1 d xi_0: w_0 = 2 xi_0 xi_1
+    np.multiply(dx1, x0, out=p)
+    np.multiply(dx0, x1, out=q)
+    np.add(pr, qr, out=o[:, 1, 0])
+    np.add(pi, qi, out=o[:, 2, 0])
+    # n' - theta h, entry by entry over all axes; then 2 / rho on the whole
+    for j in range(3):
         for alpha in range(3):
-            sv0, sv1 = svs[alpha]
-            dsv0, dsv1 = components(SIGMA_LOWER[alpha], dxi)
-            dnum0 = (dc0 * sv0 + dc1 * sv1) + (c0 * dsv0 + c1 * dsv1)
-            out[..., axis, 0, alpha] = (dnum0.real * rho - num0s[alpha] * drho) / rho2
-            dw = dx1 * sv0 + x1 * dsv0 + dx0 * sv1 + x0 * dsv1
-            dval = (dw * rho - ws[alpha] * drho) / rho2
-            out[..., axis, 1, alpha] = dval.real
-            out[..., axis, 2, alpha] = dval.imag
+            np.multiply(h, theta[..., j, alpha], out=pr)
+            o[:, j, alpha] -= pr
+    o *= 2.0 / rho
     return out

@@ -11,7 +11,7 @@ from spinframe.errors import ConfigInvalid, SpinframeError, UnknownOption, Unkno
 from spinframe.grids import ModelParams
 from spinframe.plane_waves import PlaneWaveLabel, boosted_amplitude
 from spinframe.reports import render
-from spinframe.suites import SuiteConfig, run_suite
+from spinframe.suites import READERS, SuiteConfig, run_suite
 
 
 def test_run_table1_exit_zero(capsys):
@@ -81,18 +81,54 @@ def test_mass_rejected_by_suites_that_read_none(capsys, suite):
         run_suite(suite, SuiteConfig(m=1.3))
 
 
+# The checks of each suite; test_report_params_are_null_where_the_suite_reads_none
+# keeps this list equal to what run all reports.
+_CHECKS = {
+    "coframe": ("coframe-correspondence",),
+    "torsion-routes": ("torsion-two-routes-analytic", "torsion-two-routes-refinement"),
+    "kk-decomposition": ("kk-decomposition-analytic",),
+    "factorization": ("factorization-identity",),
+    "separation": ("separation-of-variables",),
+    "theorem1": ("theorem1-field-equation", "theorem1-variational-gradient",
+                 "theorem1-never-inconsistent"),
+    "plane-waves": ("plane-wave-dirac-solutions",),
+    "table1": ("state-table-classification",),
+    "appendix-b": ("ode-example-analytic", "ode-example-stencil", "ode-example-lemma-branches"),
+}
+_SUITE_OF = {check: suite for suite, checks in _CHECKS.items() for check in checks}
+
+
 def test_mass_is_handed_to_its_readers_under_all(capsys):
     assert main(["run", "all", "--m", "1.3", "--seeds", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert {r["params"]["m"] for r in doc["reports"]} == {1.3}
+    for r in doc["reports"]:
+        read = _SUITE_OF[r["check_name"]] in READERS["m"][2]
+        assert r["params"]["m"] == (1.3 if read else None)
 
 
-def test_mass_defaults_to_one_in_every_report():
+def test_report_params_are_null_where_the_suite_reads_none(capsys):
+    assert main(["run", "table1", "--seed", "3"]) == 0
+    (rep,) = json.loads(capsys.readouterr().out)["reports"]
+    assert rep["params"]["seed"] is None and rep["params"]["m"] == 1.0
+    assert main(["run", "all", "--seed", "3", "--seeds", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(_SUITE_OF) == [r["check_name"] for r in doc["reports"]]
+    no_seed = {"plane-waves", "table1", "appendix-b"}
+    no_mass = {"coframe", "kk-decomposition", "appendix-b"}
+    for r in doc["reports"]:
+        suite = _SUITE_OF[r["check_name"]]
+        assert r["params"]["seed"] == (None if suite in no_seed else 3)
+        assert r["params"]["m"] == (None if suite in no_mass else 1.0)
+
+
+def test_mass_defaults_to_one_where_it_is_read():
     assert SuiteConfig().m is None
     for suite in ("coframe", "appendix-b"):
         doc = json.loads(render(run_suite(suite, SuiteConfig()), "json"))
-        assert all(r["params"]["m"] == 1.0 for r in doc["reports"])
+        assert all(r["params"]["m"] is None for r in doc["reports"])
     for suite in ("plane-waves", "table1"):
+        doc = json.loads(render(run_suite(suite, SuiteConfig()), "json"))
+        assert all(r["params"]["m"] == 1.0 for r in doc["reports"])
         assert render(run_suite(suite, SuiteConfig()), "json") \
             == render(run_suite(suite, SuiteConfig(m=1.0)), "json")
 

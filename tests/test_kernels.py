@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 
 from spinframe import field_equations, pauli
-from spinframe.algebra import SIGMA3, SIGMA_LOWER, SIGMA_UPPER
+from spinframe.algebra import SIGMA3, SIGMA_LOWER, SIGMA_UPPER, coframe_map
 from spinframe.field_equations import dirac_apply, field_equation_residual_4d
 from spinframe.grids import (
     BACKENDS,
+    CoframeBundle,
     LatticeSpec,
     ModelParams,
     SpinorBundle,
     derivatives,
+    form_field,
     periodic_spec,
+    wedge,
 )
 from spinframe.lagrangians import dirac_lagrangian
 from spinframe.plane_waves import PlaneWaveLabel, boosted_wave, plane_wave_spinor
@@ -32,7 +35,12 @@ from spinframe.sampling import (
     random_positive_spinor,
     random_trig_poly,
 )
-from spinframe.torsion import reduced_axial_torsion, spinor_contractions
+from spinframe.torsion import (
+    _coframe_chain_derivs,
+    _row_forms,
+    reduced_axial_torsion,
+    spinor_contractions,
+)
 
 EPS = np.finfo(float).eps
 
@@ -199,6 +207,52 @@ def test_plane_and_boosted_waves_are_grid_minor():
     for b in (plane_wave_spinor(PlaneWaveLabel(1, -1), spec),
               boosted_wave((3, 2, -2), 1, 1.0, spec)):
         assert _grid_minor_slices(b.values, 3) and _grid_minor_slices(b.derivs, 3)
+
+
+def test_coframe_map_theta_is_grid_minor():
+    rng = np.random.default_rng(17)
+    # the coframe suite's (n, 2) input, a 4D bundle's values and one spinor
+    for xi, dims in ((rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2)), 1),
+                     (_layout_spinor(GRIDS[4]).bundle(GRIDS[4]).values, 4),
+                     (np.array([1.0 + 0.5j, 0.25j]), 0)):
+        theta, rho = coframe_map(xi)
+        assert theta.shape == xi.shape[:-1] + (3, 3) and rho.shape == xi.shape[:-1]
+        assert _grid_minor_slices(theta, dims)
+
+
+@pytest.mark.parametrize("dims", (3, 4))
+def test_chain_dtheta_row_forms_and_wedge_are_grid_minor(dims):
+    spec = GRIDS[dims]
+    b = _layout_spinor(spec).bundle(spec)
+    theta, rho = coframe_map(b.values)
+    dtheta = _coframe_chain_derivs(b, theta, rho)
+    assert dtheta.shape == spec.extents + (dims, 3, 3)
+    assert _grid_minor_slices(dtheta, dims)
+    for cb in (CoframeBundle(spec, theta, lambda j: dtheta[..., j, :], rho),
+               CoframeBundle.from_grid(spec, theta, rho)):
+        for j in range(3):
+            row, drow = _row_forms(cb, j)
+            assert row.values.shape == spec.extents + (dims,)
+            assert _grid_minor_slices(row.values, dims)
+            assert _grid_minor_slices(drow.values, dims)
+            term = wedge(row, drow)
+            assert term.values.shape == spec.extents + (1 if dims == 3 else 4,)
+            assert _grid_minor_slices(term.values, dims)
+    # a C-ordered operand gives a grid-minor wedge all the same
+    c = form_field(spec, 1, np.ascontiguousarray(_row_forms(cb, 0)[0].values))
+    assert _grid_minor_slices(wedge(c, c).values, dims)
+
+
+def test_hand_built_bundle_gives_the_same_theta_and_dtheta():
+    spec = GRIDS[4]
+    b = _layout_spinor(spec).bundle(spec)
+    c = _hand_built(b)
+    theta, rho = coframe_map(b.values)
+    theta_c, rho_c = coframe_map(c.values)
+    np.testing.assert_array_equal(theta_c, theta)
+    np.testing.assert_array_equal(rho_c, rho)
+    np.testing.assert_array_equal(_coframe_chain_derivs(c, theta_c, rho_c),
+                                  _coframe_chain_derivs(b, theta, rho))
 
 
 def test_variational_probe_copy_keeps_the_grid_minor_layout(monkeypatch):

@@ -1,10 +1,12 @@
+import tracemalloc
+import warnings
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from spinframe.algebra import O3, O4, coframe_map
-from spinframe.errors import InvalidCoframe, NonPositiveDensity
+from spinframe.errors import InvalidCoframe, NonPositiveDensity, VanishingDensity
 from spinframe.grids import (
     CoframeBundle,
     ModelParams,
@@ -26,6 +28,7 @@ from spinframe.sampling import (
     random_positive_spinor,
 )
 from spinframe.torsion import (
+    _coframe_chain_derivs,
     axial_torsion_coframe,
     axial_torsion_spinor,
     kk_decomposition_check,
@@ -120,6 +123,59 @@ def test_kk_decomposition_analytic():
         b = random_positive_spinor(rng, base_for(spec), max_mode=2).bundle(spec)
         rep = kk_decomposition_check(b, coframe_derivs="chain")
         assert rep.max_residual < 1e-10
+
+
+def _kk_field(seed: int = 1):
+    spec = periodic_spec(8, 2.0 * np.pi / 8, 4)
+    return spec, random_positive_spinor(np.random.default_rng(seed), base_for(spec), max_mode=2)
+
+
+def test_chain_dtheta_matches_a_central_difference_of_the_coframe_map():
+    # the closed-form d theta against (theta(x + eps e_a) - theta(x - eps
+    # e_a)) / 2 eps, theta from coframe_map of the same SpinorPoly evaluated
+    # at the shifted points: no derivative of the chain rule enters
+    spec, sp = _kk_field()
+    b = sp.bundle(spec)
+    dtheta = _coframe_chain_derivs(b, *coframe_map(b.values))
+    eps = 1e-5
+    for a in range(4):
+        theta = []
+        for sign in (1.0, -1.0):
+            x = np.meshgrid(*(spec.axis_coords(c) + (sign * eps if c == a else 0.0)
+                              for c in range(4)), indexing="ij", sparse=True)
+            theta.append(coframe_map(np.stack([sp.c1(x), sp.c2(x)], axis=-1))[0])
+        fd = (theta[0] - theta[1]) / (2.0 * eps)
+        assert np.max(np.abs(dtheta[..., a, :, :] - fd)) <= 1e-8
+
+
+def test_kk_check_fails_closed_on_a_vanishing_density():
+    spec, sp = _kk_field()
+    b = sp.bundle(spec)
+    b.values[1, 2, 0, 3] = [0.5 + 0.5j, 0.5 - 0.5j]
+    assert b.rho[1, 2, 0, 3] == 0.0
+    # the density guard runs before any division by rho
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VanishingDensity):
+            kk_decomposition_check(b)
+
+
+def test_one_kk_check_peaks_below_the_per_axis_chain():
+    # 2.85 MiB is the peak of a chain rule taken one axis at a time on this
+    # field (tracemalloc).  Temporaries of more than about twice the largest
+    # block freed (the 1.18 MB d theta) make glibc hand the heap top back to
+    # the kernel after a seed and fault it back in on the next, so the peak
+    # may not grow.
+    spec, sp = _kk_field()
+    b = sp.bundle(spec)
+    kk_decomposition_check(b)
+    tracemalloc.start()
+    try:
+        kk_decomposition_check(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.85 * 2 ** 20
 
 
 def test_coframe_torsion_of_an_extended_frame_checks_its_spatial_block():
