@@ -6,6 +6,8 @@ choices (``require_choice``), a density that is not strictly positive or
 vanishes somewhere (``require_density``), a torsion scalar or covector
 that is not finite everywhere (``require_finite``), and a spelled-out
 density that differs from its compact form (``require_agreement``).
+``require_shape`` rejects an array handed in on the wrong grid, such as a
+gradient that numpy would only broadcast against it.
 """
 
 import numpy as np
@@ -121,6 +123,12 @@ def require_finite(x: np.ndarray, what: str) -> None:
     """Raise NonFiniteTorsion unless every entry of x is finite."""
     if not np.isfinite(x).all():
         raise NonFiniteTorsion(f"{what} is not finite everywhere on the grid")
+
+
+def require_shape(x: np.ndarray, shape: tuple[int, ...], what: str) -> None:
+    """Raise InvalidGrid unless x has exactly this shape."""
+    if np.shape(x) != tuple(shape):
+        raise InvalidGrid(f"{what} has shape {np.shape(x)}, expected {tuple(shape)}")
 
 
 # Relative bound on the spelled-out/compact mismatch of a density; both

@@ -16,11 +16,11 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import METRIC3, SIGMA3, SIGMA_LOWER, SIGMA_UPPER
-from .errors import ProbeOutsideInterior, require_choice, require_density
+from .algebra import SIGMA3, SIGMA_UPPER
+from .errors import ProbeOutsideInterior, require_choice, require_density, require_shape
 from .grids import LatticeSpec, ModelParams, SpinorBundle, derivatives
 from .lagrangians import dirac_lagrangian, lagrangian_4d, lagrangian_reduced
-from .pauli import apply, components
+from .pauli import apply, components, grid_minor
 from .torsion import mixed_derivative, reduced_axial_torsion, spinor_contractions
 
 
@@ -52,8 +52,10 @@ def field_equation_residual_reduced(eta: SpinorBundle, params: ModelParams, r: i
     with P = sigma^alpha (i d + r A)_alpha and t the reduced axial torsion.
     P(t eta) expands to i sigma^alpha (d_alpha t) eta + t P eta, so only the
     gradient dt of the torsion scalar, shape (*n, 3), is needed: zeros for
-    plane waves, or ``derivatives`` of ``reduced_axial_torsion``.
+    plane waves, or ``derivatives`` of ``reduced_axial_torsion``.  A dt of
+    any other shape raises InvalidGrid.
     """
+    require_shape(dt, eta.spec.extents + (eta.spec.dims,), "dt")
     rho = eta.rho
     require_density(rho)
     t = reduced_axial_torsion(eta, params, r)
@@ -67,9 +69,19 @@ def field_equation_residual_reduced(eta: SpinorBundle, params: ModelParams, r: i
         + (32.0 * params.m ** 2 / 9.0) * mass - (lr / rho)[..., None] * mass
 
 
+def _torsion_gradient(params: ModelParams, dt: np.ndarray, du: np.ndarray,
+                      alpha: int) -> np.ndarray:
+    """D_alpha t - d_3 u_alpha, D_alpha = d_alpha + (A_alpha / m) d_3."""
+    g = dt[..., alpha]
+    a = params.A[..., alpha]
+    if np.any(a):
+        g = g + a / params.m * dt[..., 3]
+    return g - du[..., alpha]
+
+
 def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
                                dt: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """Explicit residual of the 4D field equation.
+    """Explicit residual of the 4D field equation, grid-minor (*n, 2).
 
     (4i/3)[2 t sigma^alpha D_alpha xi + sigma^alpha (D_alpha t) xi
            - 2 u_alpha sigma^alpha d_3 xi - sigma^alpha (d_3 u_alpha) xi]
@@ -77,51 +89,68 @@ def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
 
     dt (*n, 4) is the gradient of t over all four axes and du (*n, 3) the
     x3 derivative of u; for a separated field both x3 derivatives are zero.
+    Any other shape of either raises InvalidGrid.  Any layout of them is
+    read; grid-minor (``pauli.grid_minor``) is the fast one, where each
+    slice ``dt[..., a]`` is one contiguous block.
 
     rho, t, u and the contractions z, y behind them come from one
     ``torsion.spinor_contractions`` pass; L reuses them through
     ``lagrangian_4d``, whose spelled/compact cross-assert runs on every call.
-    p = sigma^alpha D_alpha xi (D_alpha xi from ``torsion.mixed_derivative``)
-    and sigma_alpha d_3 xi are formed here, their only reader, on the two
-    spinor components, which are contiguous reads on a grid-minor bundle.
+    D_alpha xi comes from ``torsion.mixed_derivative``.  No Pauli matrix is
+    applied: component j of the bracket (k = 1 - j) is written out as
+    2 t p_j - G_0 xi_j + (G_1 -+ i G_2) xi_k + 2 u_0 d_3 xi_j
+    + (w_1 -+ i w_2) d_3 xi_k, with G_alpha = D_alpha t - d_3 u_alpha,
+    w_alpha = -2 u_alpha and p = sigma^alpha D_alpha xi.  The metric sign of
+    sigma^0 rides on the real coefficients and sigma_2's -+i on the complex
+    ones, so each component takes five products.
     """
+    shape = xi.spec.extents
+    require_shape(dt, shape + (4,), "dt")
+    require_shape(du, shape + (3,), "du")
     c = spinor_contractions(xi, params)
     t, u = c.t, c.u
-    a = params.A
-    x = xi.values
-    d3 = xi.derivs[..., 3, :]
-    # p = sigma^alpha D_alpha xi with sigma^alpha = METRIC3[alpha] sigma_alpha;
-    # a complex negation costs more than a product, so subtract instead
-    p0, p1 = 0.0, 0.0
-    for alpha in range(3):
-        s0, s1 = components(SIGMA_LOWER[alpha], mixed_derivative(xi, params, alpha))
-        if METRIC3[alpha] > 0:
-            p0 += s0
-            p1 += s1
-        else:
-            p0 -= s0
-            p1 -= s1
-    # 2 t p + sum_alpha (D_alpha t - d_3 u_alpha) sigma^alpha xi
-    #       - 2 sum_alpha u_alpha sigma^alpha d_3 xi, component by component;
-    # the sign of sigma^alpha rides on the reals
-    two_t = 2.0 * t
-    out0, out1 = two_t * p0, two_t * p1
-    for alpha in range(3):
-        g = dt[..., alpha]
-        if np.any(a[..., alpha]):
-            g = g + a[..., alpha] / params.m * dt[..., 3]
-        g = g - du[..., alpha]
-        g = METRIC3[alpha] * g
-        w = (-2.0 * METRIC3[alpha]) * u[..., alpha]
-        s0, s1 = components(SIGMA_LOWER[alpha], x)
-        e0, e1 = components(SIGMA_LOWER[alpha], d3)
-        out0 += g * s0 + w * e0
-        out1 += g * s1 + w * e1
     k = lagrangian_4d(xi, params, contractions=c) / c.rho
-    res = np.empty(out0.shape + (2,), dtype=complex)
-    # minus (L / rho) sigma_3 xi, with sigma_3 xi = (x0, -x1)
-    res[..., 0] = (4.0j / 3.0) * out0 - k * x[..., 0]
-    res[..., 1] = (4.0j / 3.0) * out1 + k * x[..., 1]
+    # z and y are not read below
+    del c
+    x = xi.values[..., 0], xi.values[..., 1]
+    e = xi.derivs[..., 3, 0], xi.derivs[..., 3, 1]
+    d0, d1, d2 = (mixed_derivative(xi, params, alpha) for alpha in range(3))
+    grad = [_torsion_gradient(params, dt, du, alpha) for alpha in range(3)]
+    g_diag = np.negative(grad[0])
+    w_diag = 2.0 * u[..., 0]
+    # the off-diagonal coefficients of component 0; component 1 takes their
+    # conjugates
+    g_off = np.empty(shape, complex)
+    g_off.real = grad[1]
+    np.negative(grad[2], out=g_off.imag)
+    w_off = np.empty(shape, complex)
+    np.multiply(u[..., 1], -2.0, out=w_off.real)
+    np.multiply(u[..., 2], 2.0, out=w_off.imag)
+    del grad
+    two_t = 2.0 * t
+    res = grid_minor(shape + (2,), len(shape))
+    out, term = np.empty(shape, complex), np.empty(shape, complex)
+    # p_0 = D_1 xi_1 - D_0 xi_0 - i D_2 xi_1, p_1 = D_1 xi_0 - D_0 xi_1 + i D_2 xi_0
+    for j, i_sign in ((0, -1j), (1, 1j)):
+        other = 1 - j
+        if j == 1:
+            np.conjugate(g_off, out=g_off)
+            np.conjugate(w_off, out=w_off)
+        np.multiply(d2[..., other], i_sign, out=out)
+        out += d1[..., other]
+        out -= d0[..., j]
+        out *= two_t
+        for coef, v in ((g_diag, x[j]), (g_off, x[other]), (w_diag, e[j]), (w_off, e[other])):
+            np.multiply(coef, v, out=term)
+            out += term
+        out *= 4.0j / 3.0
+        # minus (L / rho) sigma_3 xi, with sigma_3 xi = (xi_0, -xi_1)
+        slot = res[..., j]
+        np.multiply(k, x[j], out=slot)
+        if j == 0:
+            np.subtract(out, slot, out=slot)
+        else:
+            slot += out
     return res
 
 
@@ -148,11 +177,14 @@ def theorem1_check(eta: SpinorBundle, params: ModelParams, r: int,
     dt is the in-plane gradient of the reduced torsion scalar; without it,
     the check differentiates ``reduced_axial_torsion`` spectrally.
     Inconsistent (one route vanishes, the other does not) must never occur;
-    it falsifies the build.
+    it falsifies the build.  A dt of any shape but (*n, 3) raises
+    InvalidGrid.
     """
     rho = eta.rho
     require_density(rho)
-    if dt is None:
+    if dt is not None:
+        require_shape(dt, eta.spec.extents + (eta.spec.dims,), "dt")
+    else:
         dt = derivatives(reduced_axial_torsion(eta, params, r), eta.spec, "spectral")
     scale = params.m ** 2 * float(np.sqrt(np.max(rho)))
     fe = float(np.max(np.abs(field_equation_residual_reduced(eta, params, r, dt))))

@@ -286,21 +286,37 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil")
     return out
 
 
-def _raise_indices(field: LatticeField) -> np.ndarray:
+def _metric_signs(field: LatticeField) -> list[float]:
+    """g^{c_1 c_1} ... g^{c_r c_r} for each independent component c of the
+    field: the sign, +-1, that raising all of its indices multiplies it by."""
     g = field.spec.metric
-    factors = np.array([np.prod(g[list(c)]) for c in field.components])
-    return field.values * factors
+    return [float(np.prod(g[list(c)])) for c in field.components]
 
 
 def lorentz_dot(P: LatticeField, Q: LatticeField) -> LatticeField:
-    """Pointwise (1/r!) P.Q contraction with the Lorentzian metric; signed."""
+    """Pointwise (1/r!) P.Q contraction with the Lorentzian metric; signed.
+
+    The sum runs one component at a time: each product P_c Q_c is formed in
+    one reused buffer and added or subtracted by its metric sign, so on
+    grid-minor operands (``pauli.grid_minor``) every read is one contiguous
+    block.  Any other layout gives the same numbers, only slower.
+    """
     if P.rank != Q.rank or P.spec.dims != Q.spec.dims:
         raise RankMismatch("operands must share rank and dimension")
     if P.rank == 0:
-        vals = P.values * Q.values
-    else:
-        vals = np.einsum("...c,...c->...", _raise_indices(P), Q.values)
-    return LatticeField(P.spec, "scalar", vals.real if not np.iscomplexobj(vals) else vals)
+        return LatticeField(P.spec, "scalar", P.values * Q.values)
+    signs = _metric_signs(P)
+    vals = P.values[..., 0] * Q.values[..., 0]
+    if signs[0] < 0:
+        np.negative(vals, out=vals)
+    term = np.empty_like(vals)
+    for i in range(1, len(signs)):
+        np.multiply(P.values[..., i], Q.values[..., i], out=term)
+        if signs[i] > 0:
+            vals += term
+        else:
+            vals -= term
+    return LatticeField(P.spec, "scalar", vals)
 
 
 def norm_squared(P: LatticeField) -> np.ndarray:
@@ -308,19 +324,25 @@ def norm_squared(P: LatticeField) -> np.ndarray:
 
 
 def hodge_dual(R: LatticeField) -> LatticeField:
-    """Hodge star on a 3D lattice, epsilon_{012} = +1, indices raised with g."""
+    """Hodge star on a 3D lattice, epsilon_{012} = +1, indices raised with g.
+
+    Each output component is one input component times a sign, that of the
+    permutation times the metric sign of the raised indices, so each is
+    written in one pass into its own slot of a grid-minor output
+    (``pauli.grid_minor``; every axis but the component one counts as a
+    grid axis).  Any input layout is read; a grid-minor one contiguously.
+    """
     if R.spec.dims != 3:
         raise UnsupportedRank("hodge_dual is defined on 3D grids only")
     r = R.rank
-    up = _raise_indices(R) if r > 0 else R.values[..., None]
-    comps_in = form_components(3, r) if r > 0 else [()]
+    vals = R.values if r > 0 else R.values[..., None]
     comps_out = form_components(3, 3 - r)
-    out = np.zeros(R.values.shape[: R.values.ndim - (1 if r > 0 else 0)] + (len(comps_out),))
-    out = out.astype(up.dtype)
-    for i, ci in enumerate(comps_in):
+    out = grid_minor(vals.shape[:-1] + (len(comps_out),), vals.ndim - 1,
+                     np.promote_types(vals.dtype, float))
+    for i, (ci, sign) in enumerate(zip(R.components, _metric_signs(R))):
         rest = tuple(a for a in range(3) if a not in ci)
-        j = comps_out.index(rest)
-        out[..., j] += perm_sign(ci + rest) * up[..., i]
+        np.multiply(vals[..., i], perm_sign(ci + rest) * sign,
+                    out=out[..., comps_out.index(rest)])
     if 3 - r == 0:
         return LatticeField(R.spec, "scalar", out[..., 0])
     return form_field(R.spec, 3 - r, out)

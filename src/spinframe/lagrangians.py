@@ -70,7 +70,7 @@ def unhodge_covector(spec3, u: np.ndarray):
     so the preimage of u under the star is -*u.
     """
     dual = hodge_dual(form_field(spec3, 1, np.asarray(u)))
-    dual.values = -dual.values
+    np.negative(dual.values, out=dual.values)
     return dual
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import coframe_map
-from .errors import InvalidGrid
+from .errors import InvalidGrid, require_shape
 from .grids import LatticeSpec, SpinorBundle, CoframeBundle
 from .pauli import grid_minor
 
@@ -173,11 +173,32 @@ class ScaledSpinor:
         return SpinorBundle(spec, vals, derivs)
 
 
+def _times_x3_phase(a: np.ndarray, spec4: LatticeSpec, k: float,
+                    out: np.ndarray) -> np.ndarray:
+    """out = a e^{-i k x3} for a (*n3, *tail) and out (*n4, *tail): the one
+    place the separation factor is formed, one ``exp`` over the x3 axis."""
+    phase = np.exp(-1j * k * spec4.axis_coords(3))
+    np.multiply(a[:, :, :, None], phase.reshape((-1,) + (1,) * (a.ndim - 3)), out=out)
+    return out
+
+
+def lift_values_x3(values: np.ndarray, spec4: LatticeSpec, k: float) -> np.ndarray:
+    """Spinor values (*n3, 2) on ``spec4.spatial`` times e^{-i k x3}, as a
+    grid-minor (*n4, 2) array: the values of ``lift_x3``, which calls this,
+    without the derivative slots.  A spec4 that is not 4D, or values of
+    another shape, raise InvalidGrid.
+    """
+    if spec4.dims != 4:
+        raise InvalidGrid("lift_values_x3 lifts onto a 4D grid")
+    require_shape(values, spec4.extents[:3] + (2,), "lifted values")
+    return _times_x3_phase(values, spec4, k, grid_minor(spec4.extents + (2,), 4))
+
+
 def lift_x3(eta: SpinorBundle, spec4: LatticeSpec, k: float) -> SpinorBundle:
     """xi = eta e^{-i k x3} on spec4, with closed-form derivatives
-    d_alpha eta e^{-i k x3} along x0..x2 and -i k xi along x3; the factor is
-    one ``exp`` over the x3 coordinates and both arrays are grid-minor.  eta
-    must live on ``spec4.spatial``, else InvalidGrid.
+    d_alpha eta e^{-i k x3} along x0..x2 and -i k xi along x3; the values
+    are ``lift_values_x3``'s and both arrays are grid-minor.  eta must live
+    on ``spec4.spatial``, else InvalidGrid.
 
     The factor need not be periodic on the x3 axis.  Separation's axis is
     pi/m long, so e^{-i m x3} is anti-periodic on it and the lifted field
@@ -185,11 +206,9 @@ def lift_x3(eta: SpinorBundle, spec4: LatticeSpec, k: float) -> SpinorBundle:
     """
     if spec4.dims != 4 or spec4.spatial != eta.spec:
         raise InvalidGrid("lift_x3 takes a field on the spatial part of a 4D grid")
-    phase = np.exp(-1j * k * spec4.axis_coords(3))
-    vals = grid_minor(spec4.extents + (2,), 4)
+    vals = lift_values_x3(eta.values, spec4, k)
     derivs = grid_minor(spec4.extents + (4, 2), 4)
-    np.multiply(eta.values[..., None, :], phase[:, None], out=vals)
-    np.multiply(eta.derivs[..., None, :, :], phase[:, None, None], out=derivs[..., :3, :])
+    _times_x3_phase(eta.derivs, spec4, k, derivs[..., :3, :])
     np.multiply(vals, -1j * k, out=derivs[..., 3, :])
     return SpinorBundle(spec4, vals, derivs)
 

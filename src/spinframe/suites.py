@@ -24,8 +24,9 @@ from .field_equations import (
     field_equation_residual_reduced,
     theorem1_check,
 )
-from .grids import ModelParams, SpinorBundle, derivatives, periodic_spec
+from .grids import ModelParams, derivatives, periodic_spec
 from .lagrangians import factorization_residual, lagrangian_reduced
+from .pauli import grid_minor
 from .plane_waves import (
     PlaneWaveLabel,
     boosted_wave,
@@ -40,6 +41,7 @@ from .sampling import (
     base_for,
     coframe_bundle_from_spinor,
     covector_on,
+    lift_values_x3,
     lift_x3,
     random_covector_polys,
     random_positive_spinor,
@@ -232,6 +234,11 @@ def _suite_separation(cfg: SuiteConfig, params: dict):
         spec4 = periodic_spec((n, n, n, 8), (2.0 * np.pi / n,) * 3 + (np.pi / m / 8,), 4)
         base3 = base_for(spec3)
         p = ModelParams(m=m)
+        # grid-minor gradients; their x3 slots stay zero
+        dt4 = grid_minor(spec4.extents + (4,), 4, float)
+        dt4[..., 3] = 0.0
+        du4 = grid_minor(spec4.extents + (3,), 4, float)
+        du4[...] = 0.0
         for k in range(n_seeds):
             rng = np.random.default_rng(cfg.seed * 100_003 + k)
             b3 = random_positive_spinor(rng, base3, max_mode=2).bundle(spec3)
@@ -241,12 +248,12 @@ def _suite_separation(cfg: SuiteConfig, params: dict):
             res3 = field_equation_residual_reduced(b3, p, 1, dt3)
             # xi = eta e^{-i m x3}, the r = +1 branch
             b4 = lift_x3(b3, spec4, m)
-            dt4 = np.zeros(spec4.extents + (4,))
-            dt4[..., :3] = dt3[..., None, :]
-            res4 = field_equation_residual_4d(b4, p, dt4, np.zeros(spec4.extents + (3,)))
-            # res3 lifted by the same factor; its derivative slots are unused
-            lifted3 = lift_x3(SpinorBundle(spec3, res3, np.zeros_like(b3.derivs)), spec4, m)
-            worst = _worst(worst, float(np.max(np.abs(res4 - lifted3.values))))
+            for a in range(3):
+                dt4[..., a] = dt3[..., a, None]
+            res4 = field_equation_residual_4d(b4, p, dt4, du4)
+            # res3 lifted by the same factor
+            res4 -= lift_values_x3(res3, spec4, m)
+            worst = _worst(worst, float(np.max(np.abs(res4))))
         return worst
 
     dev, ms = _timed(run)
@@ -256,44 +263,48 @@ def _suite_separation(cfg: SuiteConfig, params: dict):
 def _suite_theorem1(cfg: SuiteConfig, params: dict):
     reports = []
     m = _m(cfg)
+    worst_fe, worst_grad, inconsistent = 0.0, 0.0, 0
+    # the field-equation reports are timed on the theorem1_check calls, the
+    # gradient report on the oracle calls
+    check_s, oracle_s = 0.0, 0.0
+    n = 20
+    # every axis 2 pi / m long: the rest waves' x0 phase and the boosted
+    # waves' momenta m q, q in grid_mode_momenta(), are its Fourier modes
+    spec = periodic_spec(n, 2.0 * np.pi / (n * m), 3)
+    dt0 = np.zeros(spec.extents + (3,))
+    waves = []
+    for r in (1, -1):
+        for s in (1, -1):
+            lab = PlaneWaveLabel(r, s, m, 0.0)
+            waves.append((plane_wave_spinor(lab, spec), r, s))
+    for q in grid_mode_momenta():
+        s = 1 if q[0] > 0 else -1
+        waves.append((boosted_wave(m * np.asarray(q, float), s, m, spec), 1, s))
+    p = ModelParams(m=m)
+    rng = np.random.default_rng(cfg.seed)
+    for b, r, s in waves:
+        t0 = time.perf_counter()
+        res = theorem1_check(b, p, r, dt=dt0)
+        check_s += time.perf_counter() - t0
+        worst_fe = _worst(worst_fe, res.field_eq_residual / res.scale)
+        if res.verdict is Verdict.INCONSISTENT:
+            inconsistent += 1
+        probes = [tuple(rng.integers(0, n, size=3)) for _ in range(2)]
+        t0 = time.perf_counter()
+        g = discrete_variational_derivative("reduced", b.values, spec, p,
+                                            probes, r=r, s=s)
+        oracle_s += time.perf_counter() - t0
+        vol = spec.cell_volume * float(np.prod(spec.extents))
+        gscale = max(vol * m ** 2 * float(np.max(b.rho)), 1.0)
+        worst_grad = _worst(worst_grad, float(np.max(np.abs(g))) / gscale)
 
-    def run():
-        worst_fe, worst_grad, inconsistent = 0.0, 0.0, 0
-        n = 20
-        # every axis 2 pi / m long: the rest waves' x0 phase and the boosted
-        # waves' momenta m q, q in grid_mode_momenta(), are its Fourier modes
-        spec = periodic_spec(n, 2.0 * np.pi / (n * m), 3)
-        dt0 = np.zeros(spec.extents + (3,))
-        waves = []
-        for r in (1, -1):
-            for s in (1, -1):
-                lab = PlaneWaveLabel(r, s, m, 0.0)
-                waves.append((plane_wave_spinor(lab, spec), r, s))
-        for q in grid_mode_momenta():
-            s = 1 if q[0] > 0 else -1
-            waves.append((boosted_wave(m * np.asarray(q, float), s, m, spec), 1, s))
-        p = ModelParams(m=m)
-        rng = np.random.default_rng(cfg.seed)
-        for b, r, s in waves:
-            res = theorem1_check(b, p, r, dt=dt0)
-            worst_fe = _worst(worst_fe, res.field_eq_residual / res.scale)
-            if res.verdict is Verdict.INCONSISTENT:
-                inconsistent += 1
-            probes = [tuple(rng.integers(0, n, size=3)) for _ in range(2)]
-            g = discrete_variational_derivative("reduced", b.values, spec, p,
-                                                probes, r=r, s=s)
-            vol = spec.cell_volume * float(np.prod(spec.extents))
-            gscale = max(vol * m ** 2 * float(np.max(b.rho)), 1.0)
-            worst_grad = _worst(worst_grad, float(np.max(np.abs(g))) / gscale)
-        return worst_fe, worst_grad, inconsistent
-
-    (worst_fe, worst_grad, inconsistent), ms = _timed(run)
+    check_ms, oracle_ms = int(1000 * check_s), int(1000 * oracle_s)
     reports.append(make_report("theorem1-field-equation", params,
-                               worst_fe, worst_fe, 1e-9, ms))
+                               worst_fe, worst_fe, 1e-9, check_ms))
     reports.append(make_report("theorem1-variational-gradient", params,
-                               worst_grad, worst_grad, 1e-6, ms))
+                               worst_grad, worst_grad, 1e-6, oracle_ms))
     reports.append(make_report("theorem1-never-inconsistent", params,
-                               float(inconsistent), float(inconsistent), 0.5, ms))
+                               float(inconsistent), float(inconsistent), 0.5, check_ms))
     return reports
 
 

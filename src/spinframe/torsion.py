@@ -52,6 +52,9 @@ class SpinorContractions:
     * on a 4D bundle, y_alpha = xi^dag sigma_alpha d_3 xi and
       u_alpha = (*D_3 theta)_alpha = -4 Im y_alpha / (3 rho); both are None
       on a 3D bundle.
+
+    u is grid-minor (``pauli.grid_minor``): each component ``u[..., alpha]``
+    is one contiguous block, written in place by its division.
     """
 
     rho: np.ndarray
@@ -102,7 +105,10 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None) -> S
     if dims == 4:
         d3 = b.derivs[..., 3, :]
         out.y = tuple(contract(SIGMA_LOWER[alpha], b.values, d3) for alpha in range(3))
-        out.u = np.stack([-4.0 * y.imag / (3.0 * rho) for y in out.y], axis=-1)
+        out.u = grid_minor(rho.shape + (3,), dims, float)
+        three_rho = 3.0 * rho
+        for alpha, y in enumerate(out.y):
+            np.divide(-4.0 * y.imag, three_rho, out=out.u[..., alpha])
         require_finite(out.u, "x3-rotation covector u")
     return out
 

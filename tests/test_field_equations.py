@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinframe import field_equations
-from spinframe.errors import NonPositiveDensity, ProbeOutsideInterior
+from spinframe.errors import InvalidGrid, NonPositiveDensity, ProbeOutsideInterior
 from spinframe.field_equations import (
     Verdict,
     dirac_apply,
@@ -14,7 +14,8 @@ from spinframe.field_equations import (
     field_equation_residual_reduced,
     theorem1_check,
 )
-from spinframe.grids import LatticeSpec, ModelParams, periodic_spec
+from spinframe.grids import LatticeSpec, ModelParams, derivatives, periodic_spec
+from spinframe.pauli import grid_minor
 from spinframe.plane_waves import (
     PlaneWaveLabel,
     boosted_wave,
@@ -27,9 +28,11 @@ from spinframe.sampling import (
     base_for,
     constant_poly,
     covector_on,
+    lift_x3,
     random_covector_polys,
     random_positive_spinor,
 )
+from spinframe.torsion import reduced_axial_torsion
 
 
 @pytest.fixture
@@ -101,6 +104,77 @@ def test_4d_plane_waves_solve_4d_equation():
             res = field_equation_residual_4d(b, p, dt=np.zeros(spec4.extents + (4,)),
                                              du=np.zeros(spec4.extents + (3,)))
             assert np.max(np.abs(res)) < 1e-13
+
+
+def _wave3(spec):
+    return plane_wave_spinor(PlaneWaveLabel(1, 1, 1.0, 0.0), spec)
+
+
+_SPEC4 = periodic_spec(6, 2.0 * np.pi / 6, 4)
+
+
+def _wave4():
+    return plane_wave_spinor(PlaneWaveLabel(1, 1, 1.0, 0.0), _SPEC4)
+
+
+_P1 = ModelParams(m=1.0)
+_N4 = _SPEC4.extents
+
+# Gradients that numpy would broadcast against the grid, or slice short,
+# where each function needs (*n, dims) and the 4D du (*n, 3).
+_MALFORMED_GRADIENTS = {
+    "reduced-dt-one-point": lambda s: field_equation_residual_reduced(
+        _wave3(s), _P1, 1, np.zeros(3)),
+    "reduced-dt-one-row": lambda s: field_equation_residual_reduced(
+        _wave3(s), _P1, 1, np.zeros((16, 3))),
+    "reduced-dt-four-slots": lambda s: field_equation_residual_reduced(
+        _wave3(s), _P1, 1, np.zeros(s.extents + (4,))),
+    "theorem1-dt-one-point": lambda s: theorem1_check(_wave3(s), _P1, 1, dt=np.zeros(3)),
+    "4d-dt-three-slots": lambda s: field_equation_residual_4d(
+        _wave4(), _P1, np.zeros(_N4 + (3,)), np.zeros(_N4 + (3,))),
+    "4d-du-four-slots": lambda s: field_equation_residual_4d(
+        _wave4(), _P1, np.zeros(_N4 + (4,)), np.zeros(_N4 + (4,))),
+    "4d-du-one-point": lambda s: field_equation_residual_4d(
+        _wave4(), _P1, np.zeros(_N4 + (4,)), np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_GRADIENTS))
+def test_malformed_gradients_raise_invalid_grid(case, spec):
+    with pytest.raises(InvalidGrid):
+        _MALFORMED_GRADIENTS[case](spec)
+
+
+# tracemalloc peak of one field_equation_residual_4d call on separation's
+# first lifted field, at the commit before the residual was written out on
+# the two spinor components (u stacked, Hodge dual through a copy, sigma
+# applied per alpha)
+_RESIDUAL_4D_PEAK_BEFORE = 4_981_744
+
+
+def test_one_4d_residual_peaks_no_higher_than_before():
+    # separation's configuration at seed 0: 12^3 field lifted onto 12^3 x 8
+    n, m = 12, 1.0
+    spec3 = periodic_spec(n, 2.0 * np.pi / n, 3)
+    spec4 = periodic_spec((n, n, n, 8), (2.0 * np.pi / n,) * 3 + (np.pi / m / 8,), 4)
+    p = ModelParams(m=m)
+    b3 = random_positive_spinor(np.random.default_rng(0), base_for(spec3),
+                                max_mode=2).bundle(spec3)
+    dt3 = derivatives(reduced_axial_torsion(b3, p, 1), spec3, "spectral")
+    b4 = lift_x3(b3, spec4, m)
+    dt4 = grid_minor(spec4.extents + (4,), 4, float)
+    dt4[..., :3] = dt3[..., None, :]
+    dt4[..., 3] = 0.0
+    du4 = grid_minor(spec4.extents + (3,), 4, float)
+    du4[...] = 0.0
+    field_equation_residual_4d(b4, p, dt4, du4)
+    tracemalloc.start()
+    try:
+        field_equation_residual_4d(b4, p, dt4, du4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _RESIDUAL_4D_PEAK_BEFORE
 
 
 def test_theorem1_verdicts(spec):

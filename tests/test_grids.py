@@ -32,7 +32,7 @@ from spinframe.grids import (
     wedge,
 )
 from spinframe.pauli import grid_minor
-from spinframe.sampling import lift_x3
+from spinframe.sampling import lift_values_x3, lift_x3
 from spinframe.torsion import axial_torsion_coframe
 
 
@@ -218,6 +218,9 @@ _ETA6 = SpinorBundle(periodic_spec(6, 1.0, 3), np.zeros((6, 6, 6, 2), complex),
     lambda: LatticeSpec((4,), (float("inf"),)),
     lambda: lift_x3(_ETA6, periodic_spec(6, 1.0, 3), 1.0),
     lambda: lift_x3(_ETA6, periodic_spec(6, (1.0, 1.0, 0.5, 1.0), 4), 1.0),
+    lambda: lift_values_x3(_ETA6.values, periodic_spec(6, 1.0, 3), 1.0),
+    lambda: lift_values_x3(_ETA6.values, periodic_spec(5, 1.0, 4), 1.0),
+    lambda: lift_values_x3(_ETA6.derivs, periodic_spec(6, 1.0, 4), 1.0),
 ])
 def test_grid_misuse_raises_a_package_value_error(misuse):
     with pytest.raises(InvalidGrid) as info:
@@ -366,6 +369,60 @@ def test_double_hodge_sign(spec3, rank):
     twice = hodge_dual(hodge_dual(f))
     sign = -((-1.0) ** (rank * (3 - rank)))
     assert np.allclose(twice.values, sign * f.values, atol=1e-13)
+
+
+def _hodge_by_hand(vals: np.ndarray, rank: int) -> np.ndarray:
+    """*R component by component, g = diag(-1, 1, 1), epsilon_{012} = +1."""
+    if rank == 0:
+        return vals[..., None]                          # T_{012} = f
+    if rank == 1:
+        v0, v1, v2 = (vals[..., a] for a in range(3))
+        return np.stack([v2, -v1, -v0], axis=-1)        # F_{01}, F_{02}, F_{12}
+    if rank == 2:
+        f01, f02, f12 = (vals[..., a] for a in range(3))
+        return np.stack([f12, f02, -f01], axis=-1)      # v_0, v_1, v_2
+    return -vals[..., 0]                                 # the scalar
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+@pytest.mark.parametrize("batch", [(), (4,)])
+def test_hodge_dual_is_grid_minor_and_matches_the_hand_formula(spec3, rank, batch):
+    # batch: a 4D grid's x3 axis riding as an extra leading axis, as the 4D
+    # density passes it on the spatial spec
+    ncomp = len(form_components(3, rank))
+    rng = np.random.default_rng(40 + rank)
+    shape = spec3.extents + batch + ((ncomp,) if rank else ())
+    c_ordered = rng.normal(size=shape)
+    minor = grid_minor(shape, 3 + len(batch), float) if rank else c_ordered.copy()
+    minor[...] = c_ordered
+    want = _hodge_by_hand(c_ordered, rank)
+    for vals in (c_ordered, minor):
+        got = hodge_dual(form_field(spec3, rank, vals)).values
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        if rank < 3:
+            assert _grid_minor_slices(got, 3 + len(batch))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_lorentz_dot_matches_the_metric_einsum_in_any_layout(spec3, rank):
+    ncomp = len(form_components(3, rank))
+    rng = np.random.default_rng(50 + rank)
+    p, q = (rng.normal(size=spec3.extents + (ncomp,)) for _ in range(2))
+    signs = np.array([np.prod(spec3.metric[list(c)]) for c in form_components(3, rank)])
+    want = np.einsum("...c,c,...c->...", p, signs, q)
+    got = lorentz_dot(form_field(spec3, rank, p), form_field(spec3, rank, q)).values
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+    pm, qm = grid_minor(p.shape, 3, float), grid_minor(q.shape, 3, float)
+    pm[...], qm[...] = p, q
+    minor = lorentz_dot(form_field(spec3, rank, pm), form_field(spec3, rank, qm)).values
+    assert minor.tobytes() == got.tobytes()
+
+
+def _grid_minor_slices(a: np.ndarray, dims: int) -> bool:
+    """Every slice of a that fixes all tail indices is C-contiguous."""
+    return all(a[(Ellipsis,) + idx].flags.c_contiguous
+               for idx in np.ndindex(a.shape[dims:]))
 
 
 def test_hodge_unsupported_in_4d():

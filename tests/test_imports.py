@@ -4,10 +4,14 @@ level, where a cycle would show at import time.  The derivative rule has
 one home: no function takes an ``order``, and only ``grids.derivatives``
 calls the per-axis derivative kernels.  No public definition is kept for
 tests alone: each is reached from a suite or the CLI, exported from
-``__init__``, or named with its reason on a short allowlist."""
+``__init__``, or named with its reason on a short allowlist.  Each pair of
+independent routes shares only the names on its own allowlist."""
 
 import ast
+import shutil
 from pathlib import Path
+
+import pytest
 
 import spinframe
 
@@ -182,3 +186,97 @@ def unreached_definitions(package: Path) -> list[str]:
 def test_every_public_definition_is_reached_exported_or_allowed():
     # an allowlisted name that is reached, exported or deleted fails too
     assert sorted(unreached_definitions(PACKAGE)) == sorted(ALLOWED_UNREACHED)
+
+
+# ---------------------------------------------------------------------------
+# Route independence: a check compares two routes, so the two must not share
+# the code that computes what is compared.  The walk follows names, not
+# attributes, and a reached class brings its whole body: contraction code
+# must therefore stay out of the bundle classes, or the walk would no
+# longer see who calls it.
+# ---------------------------------------------------------------------------
+
+# Reached by every route, and computing none of the compared quantities: the
+# package errors and guards (the whole ``errors`` module), the frozen metric
+# and Pauli constants, and the grid, parameter and bundle containers.
+SHARED_INFRASTRUCTURE = {"algebra.METRIC3", "algebra.METRIC4", "algebra.SIGMA_LOWER",
+                         "algebra.SIGMA_UPPER", "grids.LatticeSpec", "grids.ModelParams",
+                         "grids.SpinorBundle"}
+
+_DERIVATIVES = dict.fromkeys(
+    ("grids.BACKENDS", "grids._STENCILS", "grids._axis_derivative",
+     "grids._fourier_matrix", "grids.derivatives", "grids.spectral_derivative"),
+    "the derivative rule, reached on both sides through SpinorBundle.from_grid; "
+    "it differentiates whatever array it is handed")
+_GRID_MINOR = {"pauli.grid_minor": "the allocator; it computes nothing"}
+_CONTRACT = dict.fromkeys(
+    ("pauli.contract", "pauli._conj_times", "pauli._scale_into"),
+    "the pointwise u^dag sigma v kernel, checked against einsum in "
+    "tests/test_kernels.py; each route chooses its own matrices and operands")
+
+# name: (roots of one route, roots of the other, allowed overlap with reasons)
+ROUTE_PAIRS = {
+    "coframe-vs-spinor": (
+        (("torsion", "axial_torsion_coframe"), ("sampling", "coframe_bundle_from_spinor"),
+         ("torsion", "_coframe_chain_derivs")),
+        (("torsion", "axial_torsion_spinor"), ("torsion", "spinor_contractions")),
+        {**_DERIVATIVES, **_GRID_MINOR}),
+    "reduced-vs-4d-residual": (
+        (("field_equations", "field_equation_residual_reduced"),),
+        (("field_equations", "field_equation_residual_4d"),),
+        {**_DERIVATIVES, **_GRID_MINOR, **_CONTRACT}),
+    "oracle-vs-field-equations": (
+        (("field_equations", "discrete_variational_derivative"),),
+        (("field_equations", "field_equation_residual_reduced"),
+         ("field_equations", "field_equation_residual_4d"),
+         ("field_equations", "dirac_apply")),
+        {**_DERIVATIVES, **_GRID_MINOR, **_CONTRACT,
+         **dict.fromkeys(
+             ("lagrangians.lagrangian_reduced", "lagrangians._dirac_contraction",
+              "torsion.reduced_axial_torsion", "torsion.dirac_term"),
+             "by construction: the reduced residual is written in t and L_r, and "
+             "the oracle differentiates the action of L_r; only an off-shell "
+             "check with A != 0 can catch an error the two share")}),
+}
+
+
+def route_overlap(package: Path, roots_a, roots_b) -> list[str]:
+    """The names both routes reach, less the shared infrastructure."""
+    shared = reachable(package, roots_a) & reachable(package, roots_b)
+    return sorted(name for name in (f"{m}.{n}" for m, n in shared)
+                  if not name.startswith("errors.") and name not in SHARED_INFRASTRUCTURE)
+
+
+@pytest.mark.parametrize("pair", sorted(ROUTE_PAIRS))
+def test_routes_share_only_their_allowlist(pair):
+    # a new shared name fails, and so does an allowlisted one no longer shared
+    roots_a, roots_b, allowed = ROUTE_PAIRS[pair]
+    assert route_overlap(PACKAGE, roots_a, roots_b) == sorted(allowed)
+
+
+# Merges the contract must refuse: (pair, file, anchor, line put before
+# the anchor, the name that becomes shared).
+_MERGES = (
+    ("coframe-vs-spinor", "torsion.py", "    x0, x1 = b.values[..., 0], b.values[..., 1]\n",
+     "    spinor_contractions(b)\n", "torsion.spinor_contractions"),
+    ("reduced-vs-4d-residual", "field_equations.py",
+     "    c = spinor_contractions(xi, params)\n",
+     "    lagrangian_reduced(xi, params, 1)\n", "lagrangians.lagrangian_reduced"),
+    ("oracle-vs-field-equations", "field_equations.py",
+     "    probes = [np.atleast_1d(p) for p in probes]\n",
+     "    field_equation_residual_reduced(None, None, 1, None)\n",
+     "field_equations.field_equation_residual_reduced"),
+)
+
+
+@pytest.mark.parametrize("merge", _MERGES, ids=[m[0] for m in _MERGES])
+def test_route_contract_fails_on_a_merged_route(merge, tmp_path):
+    pair, file, anchor, line, name = merge
+    tree = tmp_path / "spinframe"
+    shutil.copytree(PACKAGE, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (tree / file).read_text()
+    assert source.count(anchor) == 1
+    (tree / file).write_text(source.replace(anchor, line + anchor))
+    roots_a, roots_b, allowed = ROUTE_PAIRS[pair]
+    overlap = route_overlap(tree, roots_a, roots_b)
+    assert name in overlap and name not in allowed

@@ -243,6 +243,22 @@ def test_chain_dtheta_row_forms_and_wedge_are_grid_minor(dims):
     assert _grid_minor_slices(wedge(c, c).values, dims)
 
 
+def test_rotation_covector_and_4d_residual_are_grid_minor():
+    spec = GRIDS[4]
+    b = _layout_spinor(spec).bundle(spec)
+    p = ModelParams(m=1.2, A=0.3 * np.random.default_rng(18).normal(size=spec.extents + (3,)))
+    con = spinor_contractions(b, p)
+    assert con.u.shape == spec.extents + (3,) and _grid_minor_slices(con.u, 4)
+    dt = derivatives(con.t, spec, "spectral")
+    du = derivatives(con.u, spec, "spectral")[..., 3, :]
+    res = field_equation_residual_4d(b, p, dt, du)
+    assert res.shape == spec.extents + (2,) and _grid_minor_slices(res, 4)
+    # C-ordered gradients give the same numbers
+    np.testing.assert_array_equal(
+        field_equation_residual_4d(b, p, np.ascontiguousarray(dt), np.ascontiguousarray(du)),
+        res)
+
+
 def test_hand_built_bundle_gives_the_same_theta_and_dtheta():
     spec = GRIDS[4]
     b = _layout_spinor(spec).bundle(spec)

@@ -1,14 +1,15 @@
 """The closed-form x3 lift xi = eta e^{-i k x3} against the product of
-trigonometric polynomials it replaces."""
+trigonometric polynomials it replaces, and its values-only form."""
 
 import numpy as np
 import pytest
 
-from spinframe.grids import periodic_spec
+from spinframe.grids import SpinorBundle, periodic_spec
 from spinframe.sampling import (
     SpinorPoly,
     TrigPoly,
     base_for,
+    lift_values_x3,
     lift_x3,
     random_positive_spinor,
 )
@@ -50,3 +51,20 @@ def test_lift_matches_the_polynomial_product(m, seed):
         assert xi.values[..., k].flags.c_contiguous
         for a in range(4):
             assert xi.derivs[..., a, k].flags.c_contiguous
+
+
+@pytest.mark.parametrize("m", [1.0, 1.3])
+def test_values_only_lift_is_bit_identical_to_the_bundle_lift(m):
+    spec3, spec4 = _separated_specs(m)
+    rng = np.random.default_rng(3)
+    b3 = random_positive_spinor(rng, base_for(spec3), max_mode=2).bundle(spec3)
+    # a bundle's own values, and a residual wrapped in a bundle whose
+    # derivative slots nobody reads
+    residual = rng.normal(size=spec3.extents + (2,)) + 1j * rng.normal(size=spec3.extents + (2,))
+    for values, bundle in ((b3.values, b3),
+                           (residual, SpinorBundle(spec3, residual, np.zeros_like(b3.derivs)))):
+        got = lift_values_x3(values, spec4, m)
+        assert got.shape == spec4.extents + (2,)
+        assert got.tobytes() == lift_x3(bundle, spec4, m).values.tobytes()
+        for k in range(2):
+            assert got[..., k].flags.c_contiguous

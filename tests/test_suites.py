@@ -1,7 +1,8 @@
-"""Suite verdicts fail closed on non-finite residuals, and hold at masses
-other than 1."""
+"""Suite verdicts fail closed on non-finite residuals, hold at masses
+other than 1, and time each report on the calls behind it."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,6 +61,28 @@ def test_theorem1_checks_all_thirty_waves_at_a_non_unit_mass(monkeypatch):
     reps = run_suite("theorem1", SuiteConfig(m=1.3))
     assert len(calls) == 30
     assert all(r.passed for r in reps)
+
+
+def test_theorem1_times_each_report_on_its_own_calls(monkeypatch):
+    # a clock that moves only inside the two timed calls: 2^-6 s per
+    # theorem1_check and 2^-8 s per oracle call, exact in binary
+    clock = [0.0]
+
+    def ticking(fn, step):
+        def timed(*args, **kwargs):
+            clock[0] += step
+            return fn(*args, **kwargs)
+        return timed
+
+    monkeypatch.setattr(suites, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(suites, "theorem1_check", ticking(suites.theorem1_check, 2.0 ** -6))
+    monkeypatch.setattr(suites, "discrete_variational_derivative",
+                        ticking(suites.discrete_variational_derivative, 2.0 ** -8))
+    reps = {r.check_name: r for r in run_suite("theorem1")}
+    # 30 waves: 30 / 64 s and 30 / 256 s
+    assert reps["theorem1-field-equation"].runtime_ms == 468
+    assert reps["theorem1-never-inconsistent"].runtime_ms == 468
+    assert reps["theorem1-variational-gradient"].runtime_ms == 117
 
 
 def test_plane_wave_suites_pass_at_a_non_unit_mass():
