@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongDensitySign
-from .pauli import components, grid_minor
+from .pauli import grid_minor
 
 # Minkowski metrics, diagonal entries only.
 METRIC3 = np.array([-1.0, 1.0, 1.0])
@@ -95,26 +95,55 @@ def coframe_map(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized spinor -> (theta, rho) map on arrays of shape (..., 2).
 
     Returns (theta, rho) with theta of shape (..., 3, 3), row j the covector
-    theta^j.  theta is grid-minor (``pauli.grid_minor`` over the batch
-    axes): every entry slice ``theta[..., j, a]`` is one contiguous block, so
-    each store here and each frame row a consumer reads is contiguous.  No
-    density check is performed here: where rho = 0, theta is not finite and
-    no warning is raised.  Callers check the density
+    theta^j: theta^0_alpha = Re(xi^dag sigma_alpha xi) / rho and theta^1_alpha
+    + i theta^2_alpha = xi^T sigma_1 sigma_alpha xi / rho.  With x0, x1 the
+    two components, all nine entries come from six products and one 1/rho:
+
+        theta^0 = (|x0|^2 + |x1|^2, 2 Re p, 2 Im p) / rho,  p = conj(x0) x1,
+        theta^1 + i theta^2 = (2 x0 x1, x0^2 + x1^2, i (x0^2 - x1^2)) / rho.
+
+    Each numerator is written into its entry's slot, the products pass
+    through two complex scratch arrays, and one product by 1/rho scales all
+    nine.  rho = |x0|^2 - |x1|^2 is ``density_of_spinor``'s, bit for bit.
+    The numerators regroup the products of the per-alpha sigma formula, so
+    theta agrees with that formula to a few roundings of theta^0_0, the
+    largest entry of a Lorentz matrix.
+
+    theta is grid-minor (``pauli.grid_minor`` over the batch axes): every
+    entry slice ``theta[..., j, a]`` is one contiguous block, so each store
+    here and each frame row a consumer reads is contiguous.  No density
+    check is performed here: where rho = 0, theta is not finite and no
+    warning is raised.  Callers check the density
     (``errors.require_density``, or ``verify_coframe``).
     """
     v = np.asarray(xi, dtype=complex)
-    v0, v1 = v[..., 0], v[..., 1]
-    c0, c1 = np.conj(v0), np.conj(v1)
-    rho = np.abs(v0) ** 2 - np.abs(v1) ** 2
+    x0, x1 = v[..., 0], v[..., 1]
     theta = grid_minor(v.shape[:-1] + (3, 3), v.ndim - 1, float)
+    t = [[theta[..., j, alpha] for alpha in range(3)] for j in range(3)]
+    # |x0|^2 and |x1|^2 in two entry slots until rho and theta^0_0 are formed
+    n0, n1 = np.abs(x0, out=t[0][1]), np.abs(x1, out=t[0][2])
+    n0 *= n0
+    n1 *= n1
+    rho = n0 - n1
+    np.add(n0, n1, out=t[0][0])
+    p, q = np.empty_like(x0), np.empty_like(x0)
+    np.multiply(x0, x0, out=p)
+    np.multiply(x1, x1, out=q)
+    np.add(p.real, q.real, out=t[1][1])
+    np.add(p.imag, q.imag, out=t[2][1])
+    np.subtract(q.imag, p.imag, out=t[1][2])
+    np.subtract(p.real, q.real, out=t[2][2])
+    np.conjugate(x0, out=p)
+    p *= x1
+    np.multiply(x0, x1, out=q)
+    np.add(p.real, p.real, out=t[0][1])
+    np.add(p.imag, p.imag, out=t[0][2])
+    np.add(q.real, q.real, out=t[1][0])
+    np.add(q.imag, q.imag, out=t[2][0])
+    # the scratch arrays are not needed for the scaling
+    del p, q
     with np.errstate(divide="ignore", invalid="ignore"):
-        for alpha in range(3):
-            sv0, sv1 = components(SIGMA_LOWER[alpha], v)  # (sigma_alpha xi)_a
-            theta[..., 0, alpha] = (c0 * sv0 + c1 * sv1).real / rho
-            # epsilon^{cb} sigma3_{ba} xi^a sigma_{alpha cd} xi^d
-            w = (v1 * sv0 + v0 * sv1) / rho
-            theta[..., 1, alpha] = w.real
-            theta[..., 2, alpha] = w.imag
+        theta *= np.divide(1.0, rho)[..., None, None]
     return theta, rho
 
 

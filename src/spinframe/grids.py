@@ -188,21 +188,37 @@ _STENCILS = {
 }
 
 
-def _axis_derivative(values: np.ndarray, spec: LatticeSpec, axis: int, backend: str) -> np.ndarray:
+def _axis_derivative(values: np.ndarray, spec: LatticeSpec, axis: int, backend: str,
+                     out: np.ndarray) -> np.ndarray:
+    """The stencil derivative along one axis, written into ``out`` (the
+    input's shape, dtype ``promote_types(values.dtype, float)``).
+
+    Each offset's difference v[i + k] - v[i - k], indices taken modulo the
+    axis length n, is formed from slices: the output range splits where
+    i + k or i - k wraps, into at most three runs that each read two
+    contiguous source runs.  This holds for any n >= 1, also n < 2k, and
+    every operand is cast to the output dtype before the subtraction, so
+    the result is bit for bit ``(roll(v, -k) - roll(v, k)) * w / h`` summed
+    over the offsets.  The first offset is built in ``out`` itself, a
+    later one in a single scratch array.
+    """
     offsets, weights = _STENCILS[backend]
     h = spec.spacing[axis]
-    dtype = np.promote_types(values.dtype, float)
-    out = None
-    # each term is built in place in its own buffer; the second roll is the
-    # only other temporary
-    for k, w in zip(offsets, weights):
-        term = np.roll(values, -k, axis=axis).astype(dtype, copy=False)
-        term -= np.roll(values, k, axis=axis)
+    n = values.shape[axis]
+
+    def run(start: int, length: int) -> tuple[slice, ...]:
+        return (slice(None),) * axis + (slice(start, start + length),)
+
+    for i, (k, w) in enumerate(zip(offsets, weights)):
+        term = out if i == 0 else np.empty_like(out)
+        up, down = k % n, -k % n
+        cuts = sorted({0, n - up, n - down, n})
+        for a, b in zip(cuts, cuts[1:]):
+            np.subtract(values[run((a + up) % n, b - a)], values[run((a + down) % n, b - a)],
+                        out=term[run(a, b - a)], dtype=out.dtype)
         term *= w
         term /= h
-        if out is None:
-            out = term
-        else:
+        if i > 0:
             out += term
     return out
 
@@ -270,9 +286,11 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil")
     derivatives, near the seam for a stencil and everywhere for the
     spectral rule.
 
-    The stack is grid-minor (``pauli.grid_minor``): the spectral rule writes
-    each per-axis product straight into its slot; a stencil result is copied
-    into its slot and dropped before the next one is computed.
+    The stack is grid-minor (``pauli.grid_minor``), and each per-axis
+    result is written straight into its slot: the spectral rule's product,
+    or a stencil's differences of slices of the values (no shifted copy of
+    the values is made; "stencil4" needs one scratch array of one slot's
+    size for its second offset).
     """
     require_choice("backend", backend, BACKENDS)
     shape = values.shape[:spec.dims] + (spec.dims,) + values.shape[spec.dims:]
@@ -282,7 +300,7 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil")
         if backend == "spectral":
             spectral_derivative(values, spec, a, out=slot)
         else:
-            slot[...] = _axis_derivative(values, spec, a, backend)
+            _axis_derivative(values, spec, a, backend, slot)
     return out
 
 
@@ -466,9 +484,12 @@ class CoframeBundle:
     ``row_derivatives(j)`` returns d_a theta^j_b, shape (*n, dims, 3).  It is
     the only way a consumer reads derivatives, so no whole (*n, dims, 3, 3)
     stack need exist: ``from_grid`` differentiates row j by ``derivatives``
-    on each call, and a caller with closed-form derivatives hands a rule
-    that slices them.  On a 4D grid the rows are the spatial coframe, with
-    theta^j_3 = 0.
+    on each call, so the row's (*n, dims, 3) stack is all it allocates, and
+    a caller with closed-form derivatives hands a rule that slices them.
+    The bundle holds no spinor: built from spinor values
+    (``sampling.coframe_bundle_from_spinor``), it lets the spinor bundle's
+    derivative stack be released first.  On a 4D grid the rows are the
+    spatial coframe, with theta^j_3 = 0.
 
     Layout: theta as ``algebra.coframe_map`` returns it is grid-minor
     (``pauli.grid_minor``), so a row ``theta[..., j, :]`` is itself a

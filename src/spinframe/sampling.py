@@ -242,14 +242,17 @@ def covector_on(polys, spec: LatticeSpec) -> np.ndarray:
     return out
 
 
-def coframe_bundle_from_spinor(b: SpinorBundle, backend: str = "stencil") -> CoframeBundle:
-    """Coframe route: theta from the pointwise map, each row's derivatives
-    by grid derivative of that row when ``axial_torsion_coframe`` reads it.
+def coframe_bundle_from_spinor(values: np.ndarray, spec: LatticeSpec,
+                               backend: str = "stencil") -> CoframeBundle:
+    """Coframe route: theta from the pointwise map of the spinor values
+    (*n, 2) on spec, each row's derivatives by grid derivative of that row
+    when ``axial_torsion_coframe`` reads it.
 
     The derivative deliberately goes through the sampled theta grid (not the
     chain rule), which is what makes the coframe route independent of the
-    spinor route.  The bundle holds no derivative stack; the backend name is
-    checked here.
+    spinor route.  Only the values are read, so a caller can release a
+    spinor bundle's derivatives before theta is built.  The bundle holds no
+    derivative stack; the backend name is checked here.
     """
-    theta, rho = coframe_map(b.values)
-    return CoframeBundle.from_grid(b.spec, theta, rho=rho, backend=backend)
+    theta, rho = coframe_map(values)
+    return CoframeBundle.from_grid(spec, theta, rho=rho, backend=backend)

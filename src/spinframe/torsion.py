@@ -230,12 +230,18 @@ def axial_torsion_coframe(cb: CoframeBundle, check_tol: float | None = 1e-8) -> 
     return total
 
 
-def spinor_vs_coframe_residual(b: SpinorBundle, cb: CoframeBundle,
+def spinor_vs_coframe_residual(t_spinor: np.ndarray, cb: CoframeBundle,
                                norm: str = "max") -> float:
-    """Mismatch between the two torsion routes (scalar *T^ax); norm is
-    "max" or "rms" over the grid."""
+    """Mismatch between the two torsion routes (scalar *T^ax): t_spinor from
+    ``axial_torsion_spinor`` against the coframe route's *T^ax of cb; norm
+    is "max" or "rms" over the grid.
+
+    The caller takes the spinor route first, so that the spinor bundle's
+    derivative stack can be released before the coframe is built: the
+    coframe route reads only theta and each row's derivatives, one row at
+    a time.
+    """
     require_choice("norm", norm, ("max", "rms"))
-    t_spinor = axial_torsion_spinor(b)
     t_coframe = hodge_dual(axial_torsion_coframe(cb, check_tol=None)).values
     diff = t_spinor - t_coframe
     if norm == "rms":

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,47 @@ def test_unit_spinor_gives_identity_coframe():
     theta, rho = coframe_map(np.array([1.0 + 0j, 0.0]))
     assert rho == pytest.approx(1.0)
     assert np.allclose(theta, np.eye(3), atol=1e-15)
+
+
+def _sigma_coframe(xi):
+    """The per-alpha formula: theta^0_alpha = Re(xi^dag sigma_alpha xi) / rho
+    and theta^1_alpha + i theta^2_alpha = xi^T sigma_1 sigma_alpha xi / rho,
+    with rho = |xi_0|^2 - |xi_1|^2."""
+    rho = np.abs(xi[..., 0]) ** 2 - np.abs(xi[..., 1]) ** 2
+    theta = np.empty(xi.shape[:-1] + (3, 3))
+    for alpha in range(3):
+        s_xi = xi @ SIGMA_LOWER[alpha].T
+        theta[..., 0, alpha] = np.einsum("...a,...a->...", xi.conj(), s_xi).real / rho
+        w = np.einsum("...a,...a->...", xi @ SIGMA_LOWER[1].T, s_xi) / rho
+        theta[..., 1, alpha] = w.real
+        theta[..., 2, alpha] = w.imag
+    return theta, rho
+
+
+def test_coframe_map_matches_the_per_alpha_sigma_formula():
+    rng = np.random.default_rng(23)
+    xi = rng.normal(size=(10_000, 2)) + 1j * rng.normal(size=(10_000, 2))
+    # a thousand spinors of either class with |xi_1| within 1e-3..1e-8 of |xi_0|
+    near = slice(0, 1000)
+    xi[near, 1] = (xi[near, 0] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 1000))
+                   * (1.0 + rng.choice([-1.0, 1.0], 1000) * 10.0 ** -rng.uniform(3, 8, 1000)))
+    theta, rho = coframe_map(xi)
+    ref, ref_rho = _sigma_coframe(xi)
+    np.testing.assert_array_equal(rho, ref_rho)
+    # relative to |theta^0_0|, the largest entry of each Lorentz matrix
+    scale = np.abs(ref[..., 0, 0])[:, None, None]
+    assert np.max(np.abs(theta - ref) / scale) <= 1e-13
+    assert np.max(scale[near]) > 1e7
+
+
+def test_coframe_map_of_a_null_spinor_is_not_finite_and_silent():
+    xi = np.array([[1.0, 1.0], [0.0, 0.0], [1j, 1.0], [2.0, 0.5j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta, rho = coframe_map(xi)
+    assert np.array_equal(rho, [0.0, 0.0, 0.0, 3.75])
+    assert not np.any(np.isfinite(theta[:3, 0, 0]))
+    assert np.all(np.isfinite(theta[3]))
 
 
 def test_coframe_scale_invariance():

@@ -62,6 +62,55 @@ def test_stencil_derivative_orders(spec3):
     assert e4 < e2 / 3.0
 
 
+# the central differences as offsets and weights
+_ROLL_STENCILS = {"stencil": ([1], [0.5]), "stencil4": ([1, 2], [2.0 / 3.0, -1.0 / 12.0])}
+
+
+def _rolled_derivative(values, spec, axis, backend):
+    """The reference stencil: ((roll(v, -k) - roll(v, k)) * w / h) summed
+    over the offsets k, built in the promoted dtype."""
+    out = None
+    for k, w in zip(*_ROLL_STENCILS[backend]):
+        term = np.roll(values, -k, axis=axis).astype(np.promote_types(values.dtype, float))
+        term -= np.roll(values, k, axis=axis)
+        term *= w
+        term /= spec.spacing[axis]
+        out = term if out is None else out + term
+    return out
+
+
+# every length 1-6 on every axis position of 1D-4D grids, so the
+# stencils wrap on axes shorter than their reach (n < 2k)
+_STENCIL_EXTENTS = ([(n,) for n in range(1, 7)]
+                    + [(1, 6), (6, 1), (2, 5), (5, 2), (3, 4), (4, 3)]
+                    + [(1, 2, 3), (4, 5, 6), (6, 1, 5), (2, 3, 4), (5, 6, 1), (3, 4, 2)]
+                    + [(1, 2, 3, 4), (5, 6, 1, 2), (3, 4, 5, 6), (6, 5, 4, 3), (2, 1, 6, 5),
+                       (4, 3, 2, 1)])
+
+
+@pytest.mark.parametrize("backend", ("stencil", "stencil4"))
+@pytest.mark.parametrize("kind", ("real", "complex", "integer"))
+@pytest.mark.parametrize("extents", _STENCIL_EXTENTS, ids=str)
+def test_stencils_are_bit_identical_to_the_roll_formula(extents, kind, backend):
+    dims = len(extents)
+    spec = periodic_spec(extents, [0.7 + 0.3 * a for a in range(dims)], dims)
+    rng = np.random.default_rng(sum(extents))
+    for tail in ((), (2,)):
+        shape = spec.extents + tail
+        if kind == "integer":
+            values = rng.integers(-1000, 1000, size=shape)
+        else:
+            values = rng.normal(size=shape)
+            if kind == "complex":
+                values = values + 1j * rng.normal(size=shape)
+        got = derivatives(values, spec, backend)
+        assert got.dtype == (complex if kind == "complex" else float)
+        for a in range(dims):
+            ref = _rolled_derivative(values, spec, a, backend)
+            slot = got[(slice(None),) * dims + (a,)]
+            assert np.ascontiguousarray(slot).tobytes() == ref.tobytes()
+
+
 def test_spectral_derivative_exact_on_modes(spec3):
     x = _coords(spec3)
     f = np.exp(1j * (2 * x[0] - 3 * x[2]))
@@ -167,7 +216,9 @@ def test_derivatives_match_per_axis_stack(spec, tail, axes, old_axis, backend):
     if backend == "spectral":
         ds = [spectral_derivative(values, spec, a) for a in per_axis]
     else:
-        ds = [_axis_derivative(values, spec, a, backend) for a in per_axis]
+        ds = [_axis_derivative(values, spec, a, backend,
+                               np.empty(values.shape, np.promote_types(values.dtype, float)))
+              for a in per_axis]
     old = np.stack(ds, axis=old_axis)
     full = derivatives(values, spec, backend)
     assert full.shape[spec.dims] == spec.dims

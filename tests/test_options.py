@@ -25,6 +25,7 @@ from spinframe.sampling import (
     random_positive_spinor,
 )
 from spinframe.torsion import (
+    axial_torsion_spinor,
     kk_decomposition_check,
     spinor_contractions,
     spinor_vs_coframe_residual,
@@ -57,7 +58,7 @@ def test_from_grid_rejects_unknown_backend():
 
 def test_coframe_bundle_rejects_unknown_backend():
     with pytest.raises(ValueError, match="'fft'"):
-        coframe_bundle_from_spinor(_bundle3(), backend="fft")
+        coframe_bundle_from_spinor(_bundle3().values, SPEC3, backend="fft")
 
 
 def test_derivatives_rejects_unknown_backend():
@@ -88,9 +89,9 @@ def test_variational_derivative_rejects_unknown_density_kind(probes):
 
 def test_torsion_residual_rejects_unknown_norm():
     b = _bundle3()
-    cb = coframe_bundle_from_spinor(b)
+    cb = coframe_bundle_from_spinor(b.values, SPEC3)
     with pytest.raises(ValueError, match="'l2'"):
-        spinor_vs_coframe_residual(b, cb, norm="l2")
+        spinor_vs_coframe_residual(axial_torsion_spinor(b), cb, norm="l2")
 
 
 def test_kk_check_rejects_unknown_coframe_route():
@@ -102,7 +103,7 @@ def test_kk_check_rejects_unknown_coframe_route():
 def test_known_backends_still_accepted(backend):
     b = _bundle3()
     SpinorBundle.from_grid(SPEC3, b.values, backend=backend)
-    coframe_bundle_from_spinor(b, backend=backend)
+    coframe_bundle_from_spinor(b.values, SPEC3, backend=backend)
 
 
 _CALLER_ERRORS = {

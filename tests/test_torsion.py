@@ -27,6 +27,7 @@ from spinframe.sampling import (
     random_covector_polys,
     random_positive_spinor,
 )
+from spinframe.suites import _refinement_rms, run_suite
 from spinframe.torsion import (
     _coframe_chain_derivs,
     axial_torsion_coframe,
@@ -53,23 +54,30 @@ def test_two_routes_agree_analytically():
     for r in (1, -1):
         for s in (1, -1):
             b = plane_wave_spinor(PlaneWaveLabel(r, s, 1.0, 0.0), spec)
-            cb = coframe_bundle_from_spinor(b, backend="spectral")
-            assert spinor_vs_coframe_residual(b, cb) < 1e-10
+            cb = coframe_bundle_from_spinor(b.values, spec, backend="spectral")
+            assert spinor_vs_coframe_residual(axial_torsion_spinor(b), cb) < 1e-10
 
 
 def test_two_routes_residual_shrinks_second_order():
-    rng = np.random.default_rng(7)
-    sp = None
-    rms = []
-    for n in (32, 64):
-        spec = periodic_spec(n, 2.0 * np.pi / n, 3)
-        if sp is None:
-            sp = random_positive_spinor(rng, base_for(spec), max_mode=2)
-        b = sp.bundle(spec)
-        cb = coframe_bundle_from_spinor(b)
-        rms.append(spinor_vs_coframe_residual(b, cb, norm="rms"))
+    # the torsion-routes suite's own refinement, spinor route first
+    rms = _refinement_rms(7)
     ratio = rms[0] / rms[1]
     assert 3.7 <= ratio <= 4.3
+
+
+def test_torsion_routes_peaks_below_twice_the_64_cubed_bundle():
+    # the 64^3 spinor bundle (values and three derivative slots, complex) is
+    # 33.5 MB.  Spinor route first, bundle dropped before theta is built and
+    # stencils without shifted copies keep the suite near 1.5 of it; with
+    # the bundle alive through the coframe route it is near 2.7
+    bundle_bytes = 64 ** 3 * (2 + 3 * 2) * 16
+    tracemalloc.start()
+    try:
+        run_suite("torsion-routes")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * bundle_bytes
 
 
 def test_wedge_route_equals_antisymmetrized_tensor():
@@ -79,7 +87,7 @@ def test_wedge_route_equals_antisymmetrized_tensor():
     rng = np.random.default_rng(3)
     spec = periodic_spec(12, 2.0 * np.pi / 12, 3)
     sp = random_positive_spinor(rng, base_for(spec), max_mode=2)
-    cb = coframe_bundle_from_spinor(sp.bundle(spec))
+    cb = coframe_bundle_from_spinor(sp.bundle(spec).values, spec)
     via_wedge = axial_torsion_coframe(cb, check_tol=1e-8).values[..., 0]
     tensor = 0.0
     for j in range(3):
