@@ -6,10 +6,7 @@ Dirac equations, plane-wave states, and the underlying variational lemma.
 
 from .algebra import (
     CoframeDensity,
-    Spinor2,
-    bijection_to_positive,
     coframe_map,
-    density_of_spinor,
     verify_coframe,
 )
 from .errors import SpinframeError
@@ -22,6 +19,7 @@ from .field_equations import (
 )
 from .grids import LatticeSpec, ModelParams, SpinorBundle, periodic_spec
 from .lagrangians import (
+    dirac_contraction,
     dirac_lagrangian,
     factorization_residual,
     lagrangian_4d,

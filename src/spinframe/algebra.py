@@ -1,4 +1,4 @@
-"""Constant spinor algebra and the pointwise spinor <-> (coframe, density) map.
+"""Constant spinor algebra and the pointwise spinor -> (coframe, density) map.
 
 Conventions are frozen once and for all: metric diag(-1,+1,+1), Pauli
 matrices with the first index enumerating rows, epsilon = [[0,-1],[1,0]]
@@ -12,16 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WrongDensitySign
 from .pauli import grid_minor
 
 # Minkowski metrics, diagonal entries only.
 METRIC3 = np.array([-1.0, 1.0, 1.0])
 METRIC4 = np.array([-1.0, 1.0, 1.0, 1.0])
 
-# Frame metric o_jk = o^jk (3D) and its 4D extension.
+# Frame metric o_jk = o^jk.
 O3 = np.array([-1.0, 1.0, 1.0])
-O4 = np.array([-1.0, 1.0, 1.0, 1.0])
 
 # Pauli matrices sigma_alpha (lower index), alpha = 0..3.
 SIGMA_LOWER = np.array(
@@ -40,20 +38,6 @@ SIGMA_UPPER = np.array(
 )
 
 SIGMA3 = SIGMA_LOWER[3]
-
-# Metric spinor, same matrix for all four index placements.
-EPSILON = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-@dataclass(frozen=True)
-class Spinor2:
-    """A 2-component complex spinor value."""
-
-    c1: complex
-    c2: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -74,23 +58,6 @@ class CoframeReport:
     passed: bool
 
 
-def _values(xi) -> np.ndarray:
-    if isinstance(xi, Spinor2):
-        return xi.as_array()
-    return np.asarray(xi, dtype=complex)
-
-
-def density_of_spinor(xi) -> np.ndarray | float:
-    """Density rho = |c1|^2 - |c2|^2.
-
-    Accepts a single Spinor2 or an array of shape (..., 2); the sign of the
-    result conveys the class of the spinor.
-    """
-    v = _values(xi)
-    rho = np.abs(v[..., 0]) ** 2 - np.abs(v[..., 1]) ** 2
-    return float(rho) if rho.ndim == 0 else rho
-
-
 def coframe_map(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized spinor -> (theta, rho) map on arrays of shape (..., 2).
 
@@ -104,7 +71,7 @@ def coframe_map(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each numerator is written into its entry's slot, the products pass
     through two complex scratch arrays, and one product by 1/rho scales all
-    nine.  rho = |x0|^2 - |x1|^2 is ``density_of_spinor``'s, bit for bit.
+    nine.  rho = |x0|^2 - |x1|^2; its sign is the class of the spinor.
     The numerators regroup the products of the per-alpha sigma formula, so
     theta agrees with that formula to a few roundings of theta^0_0, the
     largest entry of a Lorentz matrix.
@@ -157,18 +124,3 @@ def verify_coframe(cd: CoframeDensity, tol: float = 1e-12) -> CoframeReport:
     passed = dev <= tol and ddet <= tol and t00 > 0.0 and bool(np.all(np.asarray(cd.rho) > 0.0))
     return CoframeReport(dev, ddet, t00, passed)
 
-
-def bijection_to_positive(xi_tilde) -> Spinor2 | np.ndarray:
-    """Map a negative-density spinor to the positive class.
-
-    The map (a, b) -> (conj(b), conj(a)) flips the sign of the density;
-    applying it twice returns to the original class.
-    """
-    v = _values(xi_tilde)
-    rho = density_of_spinor(v)
-    if np.any(np.asarray(rho) >= 0.0):
-        raise WrongDensitySign("input spinor must have strictly negative density")
-    out = np.stack([np.conj(v[..., 1]), np.conj(v[..., 0])], axis=-1)
-    if isinstance(xi_tilde, Spinor2):
-        return Spinor2(complex(out[0]), complex(out[1]))
-    return out

@@ -5,8 +5,9 @@ Usage:
                   [--format json|csv] [--out PATH] [--include-runtime]
 
 Every suite runs on its own fixed grids with its own fixed bounds.  Exit
-code is 0 iff every report passes, 2 for a configuration that cannot be
-honoured.
+code is 0 iff every report passes and 1 if one fails.  A configuration that
+cannot be honoured exits 2 and any other package error, such as a report
+that cannot be written, exits 3; both print ``error: ...`` and no report.
 """
 
 from __future__ import annotations
@@ -50,17 +51,16 @@ def main(argv=None) -> int:
     try:
         cfg = SuiteConfig(m=args.m, seed=args.seed, a0=args.a0, seeds=args.seeds)
         reports = run_suite(args.suite, cfg)
+        if args.out:
+            emit(reports, args.fmt, args.out, include_runtime=args.include_runtime)
+        else:
+            sys.stdout.write(render(reports, args.fmt, include_runtime=args.include_runtime))
     except (UnknownSuite, ConfigInvalid) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SpinframeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    text = render(reports, args.fmt, include_runtime=args.include_runtime)
-    if args.out:
-        emit(reports, args.fmt, args.out, include_runtime=args.include_runtime)
-    else:
-        sys.stdout.write(text)
     for r in sorted(reports, key=lambda r: r.check_name):
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.check_name} max={r.max_abs_residual:.3e} tol={r.tolerance:.3e}",

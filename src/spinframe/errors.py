@@ -28,7 +28,9 @@ class NonFiniteTorsion(SpinframeError):
 
 
 class WrongDensitySign(SpinframeError):
-    """Input spinor is not in the negative-density class."""
+    """A plane-wave amplitude has no positive-density kernel spinor: for an
+    on-shell momentum, ``plane_waves.boosted_amplitude`` raises it on the
+    branch whose kernel vector has non-positive density."""
 
 
 class VanishingDensity(SpinframeError):
@@ -53,7 +55,8 @@ class UnsupportedRank(SpinframeError):
 
 class InvalidGrid(SpinframeError, ValueError):
     """A grid the lattice code cannot honour: bad extents or spacing, an
-    ``out`` array that is not grid-minor, or a field on the wrong grid."""
+    ``out`` array that is not grid-minor, a field on the wrong grid, or
+    coordinates that are not axis-aligned for ``TrigPoly``."""
 
 
 class DegenerateDenominator(SpinframeError):

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import SIGMA3, SIGMA_UPPER
 from .errors import ProbeOutsideInterior, require_choice, require_density, require_shape
 from .grids import LatticeSpec, ModelParams, SpinorBundle, derivatives
-from .lagrangians import dirac_lagrangian, lagrangian_4d, lagrangian_reduced
+from .lagrangians import dirac_contraction, dirac_lagrangian, lagrangian_4d, lagrangian_reduced
 from .pauli import apply, components, grid_minor
 from .torsion import mixed_derivative, reduced_axial_torsion, spinor_contractions
 
@@ -58,7 +58,7 @@ def field_equation_residual_reduced(eta: SpinorBundle, params: ModelParams, r: i
     require_shape(dt, eta.spec.extents + (eta.spec.dims,), "dt")
     rho = eta.rho
     require_density(rho)
-    t = reduced_axial_torsion(eta, params, r)
+    t = reduced_axial_torsion(eta, dirac_contraction(eta, params, r).real)
     p_eta = _first_order_op(eta, params.A, r)
     grad_term = np.zeros_like(eta.values)
     for alpha in range(3):
@@ -185,7 +185,8 @@ def theorem1_check(eta: SpinorBundle, params: ModelParams, r: int,
     if dt is not None:
         require_shape(dt, eta.spec.extents + (eta.spec.dims,), "dt")
     else:
-        dt = derivatives(reduced_axial_torsion(eta, params, r), eta.spec, "spectral")
+        t = reduced_axial_torsion(eta, dirac_contraction(eta, params, r).real)
+        dt = derivatives(t, eta.spec, "spectral")
     scale = params.m ** 2 * float(np.sqrt(np.max(rho)))
     fe = float(np.max(np.abs(field_equation_residual_reduced(eta, params, r, dt))))
     dp = float(np.max(np.abs(dirac_apply(eta, params, r, +1))))

@@ -35,14 +35,7 @@ def lagrangian_4d(xi: SpinorBundle, params: ModelParams,
     holds them for the same bundle and params, such as
     ``field_equation_residual_4d``, passes them as ``contractions``.
     """
-    if contractions is None:
-        contractions = spinor_contractions(xi, params)
-    return _lagrangian_4d(contractions, xi.spec)
-
-
-def _lagrangian_4d(c: SpinorContractions, spec) -> np.ndarray:
-    """Both forms of the 4D density from precomputed z, y, t, u and rho,
-    cross-asserted pointwise on every call."""
+    c = contractions if contractions is not None else spinor_contractions(xi, params)
     rho = c.rho
     sq = (-2.0 * c.z.imag) ** 2
     ynorm = sum(g * (-2.0 * y.imag) ** 2 for g, y in zip((-1.0, 1.0, 1.0), c.y))
@@ -50,7 +43,7 @@ def _lagrangian_4d(c: SpinorContractions, spec) -> np.ndarray:
 
     # norm form through the 3-form/2-form machinery (the form component axis
     # is the trailing one, so 4D grids just act as extra batch axes)
-    spec3 = spec.spatial
+    spec3 = xi.spec.spatial
     tform = unhodge_scalar(spec3, c.t)
     uform = unhodge_covector(spec3, c.u)
     compact = (lorentz_dot(tform, tform).values + lorentz_dot(uform, uform).values) * rho
@@ -74,8 +67,10 @@ def unhodge_covector(spec3, u: np.ndarray):
     return dual
 
 
-def _dirac_contraction(eta: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
-    """w = eta^dag sigma^alpha (i d + r A)_alpha eta, pointwise (complex).
+def dirac_contraction(eta: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
+    """w = eta^dag sigma^alpha (i d + r A)_alpha eta, pointwise (complex): the
+    sum of one ``torsion.dirac_term`` per alpha, and the one place it is
+    summed.
 
     Each density computes w once and reads Re w for both of its forms: the
     spelled one directly, the compact one through ``reduced_axial_torsion``.
@@ -90,9 +85,9 @@ def lagrangian_reduced(eta: SpinorBundle, params: ModelParams, r: int) -> np.nda
     """L_r for the x3-separated field; compact form -((T*)^2 - 16 m^2/9) rho."""
     rho = eta.rho
     require_density(rho)
-    re_w = _dirac_contraction(eta, params, r).real
+    re_w = dirac_contraction(eta, params, r).real
     spelled = -(16.0 / (9.0 * rho)) * (re_w ** 2 - (params.m * rho) ** 2)
-    t = reduced_axial_torsion(eta, params, r, re_w)
+    t = reduced_axial_torsion(eta, re_w)
     compact = -(t ** 2 - (16.0 / 9.0) * params.m ** 2) * rho
     require_agreement(spelled, compact, "lagrangian_reduced")
     return spelled
@@ -107,12 +102,12 @@ def dirac_lagrangian(eta: SpinorBundle, params: ModelParams, r: int, s: int) -> 
     takes the assert's branch, whose torsion raises NonPositiveDensity.
     """
     rho = eta.rho
-    re_w = _dirac_contraction(eta, params, r).real
+    re_w = dirac_contraction(eta, params, r).real
     spelled = re_w + s * params.m * rho
     if np.any(rho <= 0.0):
         require_finite(spelled, "Dirac Lagrangian L_rs")
     else:
-        t = reduced_axial_torsion(eta, params, r, re_w)
+        t = reduced_axial_torsion(eta, re_w)
         compact = (-0.75 * t + s * params.m) * rho
         require_agreement(spelled, compact, "dirac_lagrangian")
     return spelled

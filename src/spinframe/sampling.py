@@ -47,24 +47,21 @@ class TrigPoly:
         return float(np.sum(np.abs(self.coeffs)))
 
     def __call__(self, coords) -> np.ndarray:
-        """Evaluate on broadcastable coordinate arrays (one per axis).
+        """Evaluate on axis-aligned coordinate arrays, one per axis.
 
-        Fast path: when each ``coords[a]`` is an array with one axis per
-        dimension that varies along axis ``a`` only (length 1 or stride 0
-        on every other axis, as for the views of ``LatticeSpec.meshgrid``
-        or numpy's sparse meshgrid; any 1-D array qualifies), the sum goes
-        through a phase table ``exp(i k_a w_a x_a)`` of shape (modes, n_a)
-        per axis.  All the tables come from one ``exp`` over the axis
-        coordinates laid end to end, each table a column block of it.  The
-        coefficients are contracted with the tables one axis at a time and
-        the last table enters through a single matmul, so no (modes, points)
-        array is formed.  Any other coordinates (full copies, user arrays)
-        take the per-mode loop of ``_mode_sum``.  The two paths agree to
-        roundoff.
+        Each ``coords[a]`` must be an array with one axis per dimension that
+        varies along axis ``a`` only (length 1 or stride 0 on every other
+        axis), as the views of ``LatticeSpec.meshgrid`` and numpy's sparse
+        meshgrid are; any 1-D array qualifies.  Other coordinates (full
+        copies, scalars, another grid's dimension) raise InvalidGrid.  The
+        sum goes through a phase table ``exp(i k_a w_a x_a)`` of shape
+        (modes, n_a) per axis.  All the tables come from one ``exp`` over
+        the axis coordinates laid end to end, each table a column block of
+        it.  The coefficients are contracted with the tables one axis at a
+        time and the last table enters through a single matmul, so no
+        (modes, points) array is formed.
         """
         axes = self._axis_vectors(coords)
-        if axes is None:
-            return self._mode_sum(coords)
         lengths = [len(x) for x in axes]
         kw = np.repeat(self.freqs * self.base, lengths, axis=1)
         tables = np.exp(1j * (kw * np.concatenate(axes)))
@@ -76,15 +73,15 @@ class TrigPoly:
             acc = (acc[:, :, None] * table[:, None, :]).reshape(len(acc), acc.shape[1] * n)
         return (acc.T @ tables[:, start:]).reshape(tuple(lengths))
 
-    def _axis_vectors(self, coords) -> list[np.ndarray] | None:
-        """The 1-D coordinate vector of each axis if coords qualify for the
-        table path of __call__, else None."""
+    def _axis_vectors(self, coords) -> list[np.ndarray]:
+        """The 1-D coordinate vector of each axis; InvalidGrid unless coords
+        are axis-aligned as ``__call__`` requires."""
         dims = self.dims
         if len(coords) != dims:
-            return None
+            raise InvalidGrid(f"{len(coords)} coordinate arrays for a {dims}D polynomial")
         for c in coords:
             if not isinstance(c, np.ndarray) or c.ndim != dims or c.size == 0:
-                return None
+                raise InvalidGrid(f"coordinates must be non-empty {dims}D arrays")
         extents = [coords[a].shape[a] for a in range(dims)]
         axes = []
         for a, c in enumerate(coords):
@@ -92,20 +89,9 @@ class TrigPoly:
                 if b == a or c.shape[b] == 1:
                     continue
                 if c.strides[b] != 0 or c.shape[b] != extents[b]:
-                    return None
+                    raise InvalidGrid(f"coordinate array {a} is not axis-aligned along axis {b}")
             axes.append(c[(0,) * a + (slice(None),) + (0,) * (dims - 1 - a)])
         return axes
-
-    def _mode_sum(self, coords) -> np.ndarray:
-        """Per-mode evaluation: one full-grid exp per mode."""
-        out = 0.0
-        for k, c in zip(self.freqs, self.coeffs):
-            phase = 0.0
-            for a in range(self.dims):
-                if k[a] != 0:
-                    phase = phase + k[a] * self.base[a] * coords[a]
-            out = out + c * np.exp(1j * phase)
-        return out + np.zeros(np.broadcast_shapes(*(np.shape(c) for c in coords)), dtype=complex)
 
     def on(self, spec: LatticeSpec) -> np.ndarray:
         return self(spec.meshgrid())

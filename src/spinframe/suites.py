@@ -25,7 +25,7 @@ from .field_equations import (
     theorem1_check,
 )
 from .grids import ModelParams, derivatives, periodic_spec
-from .lagrangians import factorization_residual, lagrangian_reduced
+from .lagrangians import dirac_contraction, factorization_residual, lagrangian_reduced
 from .pauli import grid_minor
 from .plane_waves import (
     PlaneWaveLabel,
@@ -258,7 +258,8 @@ def _suite_separation(cfg: SuiteConfig, params: dict):
             b3 = random_positive_spinor(rng, base3, max_mode=2).bundle(spec3)
             # one shared in-plane gradient of the torsion scalar for both
             # routes; its x3 derivative, and that of u, vanish
-            dt3 = derivatives(reduced_axial_torsion(b3, p, 1), spec3, "spectral")
+            t3 = reduced_axial_torsion(b3, dirac_contraction(b3, p, 1).real)
+            dt3 = derivatives(t3, spec3, "spectral")
             res3 = field_equation_residual_reduced(b3, p, 1, dt3)
             # xi = eta e^{-i m x3}, the r = +1 branch
             b4 = lift_x3(b3, spec4, m)

@@ -6,8 +6,9 @@ It sums over the frame rows one at a time, each from that row's own
 derivatives.  On a 4D grid the same three rows give the extended torsion
 T_ext^ax of the Kaluza-Klein step: the appended row theta^3 = dx^3 is
 constant, so its term vanishes and no extended coframe is built.  All
-starred quantities are real; the imaginary parts are dropped after a
-reality check.
+starred quantities are real: the spinor route takes the real or imaginary
+part of each contraction by its formula, and the coframe route is real
+throughout.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .grids import (
     norm_squared,
     wedge,
 )
-
-_REALITY_TOL = 1e-13
 
 
 @dataclass
@@ -125,7 +124,8 @@ def axial_torsion_spinor(b: SpinorBundle, params: ModelParams | None = None) -> 
 
 def dirac_term(b: SpinorBundle, params: ModelParams, r: int, alpha: int) -> np.ndarray:
     """eta^dag sigma^alpha (i d + r A)_alpha eta for one alpha (complex); the
-    sum over alpha is the w of the Dirac Lagrangian and the reduced torsion.
+    sum over alpha, ``lagrangians.dirac_contraction``, is the w of the Dirac
+    Lagrangian and the reduced torsion.
 
     The sign r must be +1 or -1 (UnknownOption otherwise).  For r = -1 the
     product A_alpha eta is subtracted; since (-a) v = -(a v) exactly, this is
@@ -150,22 +150,15 @@ def dirac_term(b: SpinorBundle, params: ModelParams, r: int, alpha: int) -> np.n
     return w
 
 
-def reduced_axial_torsion(b: SpinorBundle, params: ModelParams, r: int,
-                          re_w: np.ndarray | None = None) -> np.ndarray:
+def reduced_axial_torsion(b: SpinorBundle, re_w: np.ndarray) -> np.ndarray:
     """*T_{Ar}^ax = -(4 / 3 rho) Re w, w = eta^dag sigma^alpha (i d + r A)_alpha eta;
     a t that is not finite everywhere raises NonFiniteTorsion.
 
-    w is summed here from one ``dirac_term`` per alpha, unless the caller
-    already holds Re w for the same bundle, params and r and passes it as
-    re_w (as ``lagrangian_reduced`` and ``dirac_lagrangian`` do).
+    re_w is Re w for this bundle, the sign r and the params, as
+    ``lagrangians.dirac_contraction`` gives it; the density is read here.
     """
     rho = b.rho
     require_density(rho)
-    if re_w is None:
-        w = dirac_term(b, params, r, 0)
-        for alpha in (1, 2):
-            w += dirac_term(b, params, r, alpha)
-        re_w = w.real
     t = -4.0 * re_w / (3.0 * rho)
     require_finite(t, "reduced axial torsion t")
     return t

@@ -6,18 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinframe.algebra import (
-    EPSILON,
     METRIC3,
     O3,
     SIGMA_LOWER,
     SIGMA_UPPER,
     CoframeDensity,
-    bijection_to_positive,
     coframe_map,
-    density_of_spinor,
     verify_coframe,
 )
-from spinframe.errors import WrongDensitySign
 
 
 def test_pauli_matrices_pinned():
@@ -29,13 +25,12 @@ def test_pauli_matrices_pinned():
     assert np.array_equal(SIGMA_UPPER[0], -np.eye(2))
     for k in (1, 2, 3):
         assert np.array_equal(SIGMA_UPPER[k], SIGMA_LOWER[k])
-    assert np.array_equal(EPSILON, np.array([[0, -1], [1, 0]]))
 
 
 def test_density_values():
-    assert density_of_spinor(np.array([1.0, 0.0])) == 1.0
-    assert density_of_spinor(np.array([0.0, 1.0])) == -1.0
-    assert density_of_spinor(np.array([2.0, 1.0])) == 3.0
+    # the coframe map's rho, |c1|^2 - |c2|^2, whose sign is the class
+    _, rho = coframe_map(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]]))
+    assert np.array_equal(rho, [1.0, -1.0, 3.0])
 
 
 def test_unit_spinor_gives_identity_coframe():
@@ -110,22 +105,6 @@ def test_verify_coframe_flags_bad_input():
     theta = np.eye(3) * 1.01
     rep = verify_coframe(CoframeDensity(theta, 1.0), tol=1e-12)
     assert not rep.passed
-
-
-def test_bijection_flips_density_and_involutes():
-    xi = np.array([0.3 + 0.1j, 1.2 - 0.5j])
-    rho = density_of_spinor(xi)
-    assert rho < 0
-    out = bijection_to_positive(xi)
-    assert density_of_spinor(out) == pytest.approx(-rho)
-    # applying the same map again returns the original spinor
-    back = np.stack([np.conj(out[..., 1]), np.conj(out[..., 0])], axis=-1)
-    assert np.allclose(back, xi)
-
-
-def test_bijection_rejects_positive_class():
-    with pytest.raises(WrongDensitySign):
-        bijection_to_positive(np.array([1.0 + 0j, 0.0]))
 
 
 @settings(max_examples=50, deadline=None)

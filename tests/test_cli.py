@@ -210,6 +210,15 @@ def test_csv_header_and_emit(tmp_path):
     assert len(lines) == 1 + len(reports)
 
 
+def test_unwritable_out_path_exits_three_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    assert main(["run", "coframe", "--out", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report to ")
+    assert "Traceback" not in err
+    assert not path.parent.exists()
+
+
 def _readme_cli_section() -> str:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]

@@ -4,7 +4,7 @@ The reference functions below are the one-at-a-time formulas that
 ``field_equation_residual_4d``, ``lagrangian_4d``, ``axial_torsion_spinor``
 and the x3-rotation covector used before ``torsion.spinor_contractions``
 computed their shared contractions once.  They are kept here only as the
-tests' reference, the way ``TrigPoly._mode_sum`` serves the table path.
+tests' reference.
 """
 
 import numpy as np

@@ -15,6 +15,7 @@ from spinframe.field_equations import (
     theorem1_check,
 )
 from spinframe.grids import LatticeSpec, ModelParams, derivatives, periodic_spec
+from spinframe.lagrangians import dirac_contraction
 from spinframe.pauli import grid_minor
 from spinframe.plane_waves import (
     PlaneWaveLabel,
@@ -160,7 +161,8 @@ def test_one_4d_residual_peaks_no_higher_than_before():
     p = ModelParams(m=m)
     b3 = random_positive_spinor(np.random.default_rng(0), base_for(spec3),
                                 max_mode=2).bundle(spec3)
-    dt3 = derivatives(reduced_axial_torsion(b3, p, 1), spec3, "spectral")
+    dt3 = derivatives(reduced_axial_torsion(b3, dirac_contraction(b3, p, 1).real),
+                      spec3, "spectral")
     b4 = lift_x3(b3, spec4, m)
     dt4 = grid_minor(spec4.extents + (4,), 4, float)
     dt4[..., :3] = dt3[..., None, :]

@@ -2,10 +2,11 @@
 function imports from the package: every relative import sits at module
 level, where a cycle would show at import time.  The derivative rule has
 one home: no function takes an ``order``, and only ``grids.derivatives``
-calls the per-axis derivative kernels.  No public definition is kept for
-tests alone: each is reached from a suite or the CLI, exported from
-``__init__``, or named with its reason on a short allowlist.  Each pair of
-independent routes shares only the names on its own allowlist."""
+calls the per-axis derivative kernels.  No module-level definition
+(function, class, constant or private helper) is kept for tests alone:
+each is reached from a suite or the CLI, exported from ``__init__``, or
+named with its reason on a short allowlist.  Each pair of independent
+routes shares only the names on its own allowlist."""
 
 import ast
 import shutil
@@ -106,8 +107,8 @@ def test_only_derivatives_calls_the_derivative_kernels():
 # Where the walk starts: every suite and every CLI path.
 ROOTS = (("suites", "run_suite"), ("cli", "main"))
 
-# Public definitions that no suite or CLI path reaches and ``__init__`` does
-# not export, each with the reason it stays.
+# Module-level definitions that no suite or CLI path reaches and
+# ``__init__`` does not export, each with the reason it stays.
 ALLOWED_UNREACHED = {
     "sampling.ScaledSpinor": "the acceptance gate's scaling-covariance criterion "
                              "builds it, and perfbench/tracer.py wraps "
@@ -166,21 +167,15 @@ def reachable(package: Path, roots) -> set[tuple[str, str]]:
     return seen
 
 
-def public_definitions(package: Path) -> list[str]:
-    """Every public module-level function or class, as "module.name"."""
-    return [f"{path.stem}.{node.name}"
-            for path in sorted(package.glob("*.py")) if path.stem != "__init__"
-            for node in _tree(path).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
-
-
 def unreached_definitions(package: Path) -> list[str]:
-    """Public definitions neither reached from ROOTS nor exported."""
+    """Module-level definitions of every module but ``__init__``, public or
+    private, neither reached from ROOTS nor exported, as "module.name"."""
     keep = reachable(package, ROOTS)
     keep |= set(relative_imports(_tree(package / "__init__.py")).values())
-    return [name for name in public_definitions(package)
-            if tuple(name.split(".")) not in keep]
+    return [f"{path.stem}.{name}"
+            for path in sorted(package.glob("*.py")) if path.stem != "__init__"
+            for name in module_definitions(_tree(path))
+            if (path.stem, name) not in keep]
 
 
 def test_every_public_definition_is_reached_exported_or_allowed():
@@ -232,7 +227,7 @@ ROUTE_PAIRS = {
          ("field_equations", "dirac_apply")),
         {**_DERIVATIVES, **_GRID_MINOR, **_CONTRACT,
          **dict.fromkeys(
-             ("lagrangians.lagrangian_reduced", "lagrangians._dirac_contraction",
+             ("lagrangians.lagrangian_reduced", "lagrangians.dirac_contraction",
               "torsion.reduced_axial_torsion", "torsion.dirac_term"),
              "by construction: the reduced residual is written in t and L_r, and "
              "the oracle differentiates the action of L_r; only an off-shell "

@@ -1,10 +1,11 @@
 """The fast pointwise kernels against the formulas they replace.
 
-TrigPoly's phase-table path is compared with its per-mode loop, the Pauli
-kernels with numpy's einsum and matmul, and LatticeSpec.meshgrid's views
-with numpy's copied meshgrid.  The producers build grid-minor arrays
-(contiguous component slices), and the kernels give the same numbers on
-any layout and with the product by a zero A left out.
+TrigPoly's phase-table evaluation is compared with a per-mode sum written
+here, the Pauli kernels with numpy's einsum and matmul, and
+LatticeSpec.meshgrid's views with numpy's copied meshgrid.  The producers
+build grid-minor arrays (contiguous component slices), and the kernels
+give the same numbers on any layout and with the product by a zero A left
+out.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from spinframe import field_equations, pauli
 from spinframe.algebra import SIGMA3, SIGMA_LOWER, SIGMA_UPPER, coframe_map
+from spinframe.errors import InvalidGrid
 from spinframe.field_equations import dirac_apply, field_equation_residual_4d
 from spinframe.grids import (
     BACKENDS,
@@ -24,7 +26,7 @@ from spinframe.grids import (
     periodic_spec,
     wedge,
 )
-from spinframe.lagrangians import dirac_lagrangian
+from spinframe.lagrangians import dirac_contraction, dirac_lagrangian
 from spinframe.plane_waves import PlaneWaveLabel, boosted_wave, plane_wave_spinor
 from spinframe.sampling import (
     ScaledSpinor,
@@ -68,14 +70,26 @@ def _coords(spec: LatticeSpec, layout: str):
     return [c.copy() for c in np.meshgrid(*axes, indexing="ij")]
 
 
-@pytest.mark.parametrize("dims", sorted(GRIDS))
-@pytest.mark.parametrize("integer", [True, False])
-@pytest.mark.parametrize("layout", ["view", "copy", "sparse"])
-def test_table_path_matches_per_mode_loop(dims, integer, layout):
+def _mode_sum(p: TrigPoly, coords) -> np.ndarray:
+    """The reference: one full-grid exp per mode, on any coordinates that
+    broadcast."""
+    out = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in coords)), dtype=complex)
+    for k, c in zip(p.freqs, p.coeffs):
+        phase = sum(k[a] * p.base[a] * np.asarray(coords[a]) for a in range(p.dims))
+        out += c * np.exp(1j * phase)
+    return out
+
+
+# a full copy of the coordinates is axis-aligned only on a 1D grid
+@pytest.mark.parametrize("layout,integer,dims", [
+    (layout, integer, dims) for layout in ("view", "sparse", "copy")
+    for integer in (True, False) for dims in sorted(GRIDS)
+    if layout != "copy" or dims == 1])
+def test_table_path_matches_per_mode_loop(layout, integer, dims):
     spec = GRIDS[dims]
     p = _poly(dims, integer, seed=dims)
     coords = _coords(spec, layout)
-    reference = p._mode_sum(_coords(spec, "copy"))
+    reference = _mode_sum(p, _coords(spec, "copy"))
     got = p(coords)
     assert got.shape == spec.extents
     assert got.dtype == complex
@@ -86,23 +100,29 @@ def test_table_path_matches_per_mode_loop(dims, integer, layout):
 def test_table_path_taken_only_for_axis_aligned_coordinates(dims):
     spec = GRIDS[dims]
     p = _poly(dims, True)
-    assert p._axis_vectors(_coords(spec, "view")) is not None
-    assert p._axis_vectors(_coords(spec, "sparse")) is not None
+    assert len(p._axis_vectors(_coords(spec, "view"))) == dims
+    assert len(p._axis_vectors(_coords(spec, "sparse"))) == dims
     # a full copy varies along every axis in memory; only 1-D qualifies
-    assert (p._axis_vectors(_coords(spec, "copy")) is not None) == (dims == 1)
+    copy = _coords(spec, "copy")
+    if dims == 1:
+        assert len(p._axis_vectors(copy)) == 1
+    else:
+        with pytest.raises(InvalidGrid):
+            p(copy)
 
 
-def test_per_mode_fallback_for_mismatched_coordinates():
+def test_mismatched_coordinates_raise_invalid_grid():
     spec = GRIDS[3]
     p = _poly(3, True)
     x = spec.meshgrid()
-    # coordinates of a 4D grid for a 3D polynomial, and a scalar coordinate
+    # coordinates of a 4D grid for a 3D polynomial, a scalar coordinate, a
+    # coordinate of another extent and an empty grid
     four = periodic_spec((8, 6, 5, 2), (0.7, 0.3, 1.1, 1.0), 4).meshgrid()
-    assert p._axis_vectors(four) is None
-    np.testing.assert_array_equal(p(four), p._mode_sum(four))
-    mixed = (x[0], 0.5, x[2])
-    assert p._axis_vectors(mixed) is None
-    np.testing.assert_array_equal(p(mixed), p._mode_sum(mixed))
+    other = periodic_spec((8, 7, 5), (0.7, 0.3, 1.1), 3).meshgrid()
+    empty = tuple(np.empty((0, 1, 1)) for _ in range(3))
+    for coords in (four, (x[0], 0.5, x[2]), (x[0], other[1], x[2]), empty):
+        with pytest.raises(InvalidGrid):
+            p(coords)
 
 
 def test_meshgrid_views_equal_copied_meshgrid():
@@ -314,7 +334,8 @@ def test_zero_A_kernels_are_bit_identical_to_the_full_products():
             first = sum(pauli.apply(SIGMA_UPPER[alpha], op) for alpha, op in enumerate(ops))
             for bundle in (b, _hand_built(b)):
                 np.testing.assert_array_equal(
-                    reduced_axial_torsion(bundle, p, r), -4.0 * w.real / (3.0 * rho))
+                    reduced_axial_torsion(bundle, dirac_contraction(bundle, p, r).real),
+                    -4.0 * w.real / (3.0 * rho))
                 np.testing.assert_array_equal(
                     dirac_lagrangian(bundle, p, r, s), w.real + s * p.m * rho)
                 np.testing.assert_array_equal(

@@ -12,6 +12,7 @@ from spinframe.errors import (
 from spinframe.field_equations import field_equation_residual_reduced, theorem1_check
 from spinframe.grids import ModelParams, SpinorBundle, periodic_spec
 from spinframe.lagrangians import (
+    dirac_contraction,
     dirac_lagrangian,
     factorization_residual,
     lagrangian_4d,
@@ -169,13 +170,19 @@ def _first_order_lagrangian_with_nan_derivative():
 
 
 _P = ModelParams(m=1.3)
+
+
+def _reduced_torsion(b: SpinorBundle) -> np.ndarray:
+    return reduced_axial_torsion(b, dirac_contraction(b, _P, 1).real)
+
+
 _NAN_CASES = {
     "value-lagrangian_reduced":
         (NonPositiveDensity, lambda: lagrangian_reduced(_with_nan(3, "value"), _P, 1)),
     "value-factorization_residual":
         (NonPositiveDensity, lambda: factorization_residual(_with_nan(3, "value"), _P, 1)),
     "value-reduced_axial_torsion":
-        (NonPositiveDensity, lambda: reduced_axial_torsion(_with_nan(3, "value"), _P, 1)),
+        (NonPositiveDensity, lambda: _reduced_torsion(_with_nan(3, "value"))),
     "value-field_equation_residual_reduced":
         (NonPositiveDensity, lambda: field_equation_residual_reduced(
             _with_nan(3, "value"), _P, 1, np.zeros((8, 8, 8, 3)))),
@@ -187,7 +194,7 @@ _NAN_CASES = {
         (NonPositiveDensity, lambda: dirac_lagrangian(_with_nan(3, "value"), _P, 1, 1)),
     # a NaN derivative leaves rho finite; the torsion it reaches is NaN there
     "derivative-reduced_axial_torsion":
-        (NonFiniteTorsion, lambda: reduced_axial_torsion(_with_nan(3, "derivative"), _P, 1)),
+        (NonFiniteTorsion, lambda: _reduced_torsion(_with_nan(3, "derivative"))),
     "derivative-axial_torsion_spinor":
         (NonFiniteTorsion, lambda: axial_torsion_spinor(_with_nan(3, "derivative"))),
     # the densities compute their compact form from that torsion, so its
@@ -234,7 +241,6 @@ def test_each_density_sums_w_once(monkeypatch):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(torsion, "dirac_term", counting)
     monkeypatch.setattr(lagrangians, "dirac_term", counting)
     for expected, density in ((3, lambda r: lagrangian_reduced(b, p, r)),
                               (3, lambda r: dirac_lagrangian(b, p, r, 1)),
@@ -243,17 +249,17 @@ def test_each_density_sums_w_once(monkeypatch):
             calls.clear()
             density(r)
             assert len(calls) == expected
+    # w is the sum of the three contractions, taken in order
     for r in (1, -1):
-        re_w = sum(original(b, p, r, alpha) for alpha in range(3)).real
-        np.testing.assert_array_equal(reduced_axial_torsion(b, p, r, re_w),
-                                      reduced_axial_torsion(b, p, r))
+        np.testing.assert_array_equal(dirac_contraction(b, p, r),
+                                      sum(original(b, p, r, alpha) for alpha in range(3)))
 
 
 @pytest.mark.parametrize("call", [
-    lambda b, p: reduced_axial_torsion(b, p, 2),
+    lambda b, p: dirac_contraction(b, p, 2),
     lambda b, p: dirac_lagrangian(b, p, 2, 1),
     lambda b, p: lagrangian_reduced(b, p, 2),
-], ids=["reduced_axial_torsion", "dirac_lagrangian", "lagrangian_reduced"])
+], ids=["dirac_contraction", "dirac_lagrangian", "lagrangian_reduced"])
 def test_a_sign_r_other_than_plus_or_minus_one_is_rejected(call):
     b, p = _bundle_with_field_A()
     with pytest.raises(UnknownOption):

@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from spinframe.algebra import O3, O4, coframe_map
+from spinframe.algebra import O3, coframe_map
 from spinframe.errors import InvalidCoframe, NonPositiveDensity, VanishingDensity
 from spinframe.grids import (
     CoframeBundle,
@@ -18,6 +18,7 @@ from spinframe.grids import (
     periodic_spec,
     wedge,
 )
+from spinframe.lagrangians import dirac_contraction
 from spinframe.plane_waves import PlaneWaveLabel, plane_wave_spinor
 from spinframe.sampling import (
     base_for,
@@ -45,7 +46,7 @@ def test_constant_spinor_has_no_torsion():
     base = base_for(spec)
     b = SpinorPoly(constant_poly(1.0, base), constant_poly(0.0, base)).bundle(spec)
     assert np.allclose(axial_torsion_spinor(b), 0.0)
-    t = reduced_axial_torsion(b, ModelParams(m=1.0), 1)
+    t = reduced_axial_torsion(b, dirac_contraction(b, ModelParams(m=1.0), 1).real)
     assert np.allclose(t, 0.0)
 
 
@@ -106,7 +107,7 @@ def test_reduced_torsion_requires_positive_class():
     base = base_for(spec)
     b = SpinorPoly(constant_poly(0.0, base), constant_poly(1.0, base)).bundle(spec)
     with pytest.raises(NonPositiveDensity):
-        reduced_axial_torsion(b, ModelParams(m=1.0), 1)
+        reduced_axial_torsion(b, dirac_contraction(b, ModelParams(m=1.0), 1).real)
 
 
 def test_reduced_quantities_plane_wave():
@@ -114,8 +115,8 @@ def test_reduced_quantities_plane_wave():
     # from its 4D lift xi = eta e^{-i m x3}, u = (4m/3, 0, 0) for r = +1
     m = 1.0
     label = PlaneWaveLabel(1, 1, m, 0.0)
-    t = reduced_axial_torsion(plane_wave_spinor(label, periodic_spec(8, 2.0 * np.pi / 8, 3)),
-                              ModelParams(m=m), 1)
+    eta = plane_wave_spinor(label, periodic_spec(8, 2.0 * np.pi / 8, 3))
+    t = reduced_axial_torsion(eta, dirac_contraction(eta, ModelParams(m=m), 1).real)
     assert np.allclose(t, 4.0 * m / 3.0)
     c = spinor_contractions(plane_wave_spinor(label, periodic_spec(8, 2.0 * np.pi / 8, 4)))
     assert np.allclose(c.t, 4.0 * m / 3.0)
@@ -202,9 +203,10 @@ def test_coframe_torsion_of_an_extended_frame_checks_its_spatial_block():
     theta4[..., :3, :3] = theta
     theta4[..., 3, 3] = 1.0
     ref = 0.0
-    for j in range(4):
+    # o_jj of the extended frame metric diag(-1, 1, 1, 1)
+    for j, o in enumerate((-1.0, 1.0, 1.0, 1.0)):
         row = form_field(spec, 1, theta4[..., j, :])
-        ref = ref + O4[j] / 3.0 * wedge(row, exterior_derivative(row)).values
+        ref = ref + o / 3.0 * wedge(row, exterior_derivative(row)).values
     assert np.array_equal(checked.values, ref)
     cb.theta[..., 1, 1] *= 2.0
     with pytest.raises(InvalidCoframe):
@@ -220,5 +222,5 @@ def test_reduced_fields_are_x3_independent():
     rng = np.random.default_rng(5)
     b3 = random_positive_spinor(rng, base_for(spec3), max_mode=2).bundle(spec3)
     t4 = axial_torsion_spinor(lift_x3(b3, spec4, 1.0))
-    t3 = reduced_axial_torsion(b3, ModelParams(m=1.0), 1)
+    t3 = reduced_axial_torsion(b3, dirac_contraction(b3, ModelParams(m=1.0), 1).real)
     assert np.max(np.abs(t4 - t3[..., None])) < 1e-12
