@@ -37,10 +37,6 @@ class VanishingDensity(SpinframeError):
     """Spinor density vanishes somewhere on the grid."""
 
 
-class InvalidCoframe(SpinframeError):
-    """Coframe violates orthonormality, det=+1 or theta^0_0 > 0."""
-
-
 class RankMismatch(SpinframeError):
     """Operands have incompatible antisymmetric ranks."""
 

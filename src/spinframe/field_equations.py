@@ -53,20 +53,18 @@ def field_equation_residual_reduced(eta: SpinorBundle, params: ModelParams, r: i
     P(t eta) expands to i sigma^alpha (d_alpha t) eta + t P eta, so only the
     gradient dt of the torsion scalar, shape (*n, 3), is needed: zeros for
     plane waves, or ``derivatives`` of ``reduced_axial_torsion``.  A dt of
-    any other shape raises InvalidGrid.
+    any other shape raises InvalidGrid.  Since L_r / rho = 16 m^2/9 - t^2,
+    the mass terms are (16 m^2/9 + t^2) sigma^3 eta, in t alone.
     """
     require_shape(dt, eta.spec.extents + (eta.spec.dims,), "dt")
-    rho = eta.rho
-    require_density(rho)
     t = reduced_axial_torsion(eta, dirac_contraction(eta, params, r).real)
     p_eta = _first_order_op(eta, params.A, r)
     grad_term = np.zeros_like(eta.values)
     for alpha in range(3):
         grad_term += 1j * dt[..., alpha, None] * apply(SIGMA_UPPER[alpha], eta.values)
-    lr = lagrangian_reduced(eta, params, r)
     mass = apply(SIGMA3, eta.values)
     return (4.0 / 3.0) * (2.0 * t[..., None] * p_eta + grad_term) \
-        + (32.0 * params.m ** 2 / 9.0) * mass - (lr / rho)[..., None] * mass
+        + (16.0 * params.m ** 2 / 9.0 + t ** 2)[..., None] * mass
 
 
 def _torsion_gradient(params: ModelParams, dt: np.ndarray, du: np.ndarray,

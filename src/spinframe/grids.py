@@ -49,9 +49,9 @@ class LatticeSpec:
             raise InvalidGrid("only 1D through 4D grids are supported")
         if len(self.spacing) != self.dims:
             raise InvalidGrid("extents and spacing must have equal length")
-        if any(n <= 0 for n in self.extents) \
+        if not all(isinstance(n, (int, np.integer)) and n > 0 for n in self.extents) \
                 or not all(0.0 < h < math.inf for h in self.spacing):
-            raise InvalidGrid("extents must be positive, spacing positive and finite")
+            raise InvalidGrid("extents must be positive integers, spacing positive and finite")
 
     @property
     def dims(self) -> int:
@@ -284,7 +284,8 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil")
     (``spectral_derivative``).  Every rule wraps around each axis, so the
     values must be periodic on the grid: a jump at the seam gives wrong
     derivatives, near the seam for a stencil and everywhere for the
-    spectral rule.
+    spectral rule.  Values whose leading axes are not the grid's extents
+    raise InvalidGrid.
 
     The stack is grid-minor (``pauli.grid_minor``), and each per-axis
     result is written straight into its slot: the spectral rule's product,
@@ -293,7 +294,9 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil")
     size for its second offset).
     """
     require_choice("backend", backend, BACKENDS)
-    shape = values.shape[:spec.dims] + (spec.dims,) + values.shape[spec.dims:]
+    if values.shape[:spec.dims] != spec.extents:
+        raise InvalidGrid(f"values of shape {values.shape} are not on the {spec.extents} grid")
+    shape = spec.extents + (spec.dims,) + values.shape[spec.dims:]
     out = grid_minor(shape, spec.dims, np.promote_types(values.dtype, float))
     for a in range(spec.dims):
         slot = out[(slice(None),) * spec.dims + (a,)]
@@ -455,8 +458,9 @@ class SpinorBundle:
     the residual that zero derivative itself.
 
     Layout contract: the producers (``SpinorPoly.bundle``,
-    ``ScaledSpinor.bundle``, ``sampling.lift_x3``, ``from_grid`` through
-    ``derivatives``) build both arrays grid-minor (``pauli.grid_minor``), so each component slice ``values[..., k]`` and
+    ``ScaledSpinor.bundle``, ``sampling.lift_x3``, ``sampling.mode_bundle``,
+    ``from_grid`` through ``derivatives``) build both arrays grid-minor
+    (``pauli.grid_minor``), so each component slice ``values[..., k]`` and
     ``derivs[..., a, k]`` is one contiguous block.  The kernels accept any
     layout: a C-ordered bundle built by hand gives the same numbers, only
     slower.
@@ -478,8 +482,8 @@ class SpinorBundle:
 
 @dataclass
 class CoframeBundle:
-    """Coframe rows theta (*n, 3, 3), the density, and the rule that gives
-    each row's first derivatives.
+    """Coframe rows theta (*n, 3, 3) and the rule that gives each row's
+    first derivatives.
 
     ``row_derivatives(j)`` returns d_a theta^j_b, shape (*n, dims, 3).  It is
     the only way a consumer reads derivatives, so no whole (*n, dims, 3, 3)
@@ -502,14 +506,13 @@ class CoframeBundle:
     spec: LatticeSpec
     theta: np.ndarray
     row_derivatives: Callable[[int], np.ndarray]
-    rho: np.ndarray | None = None
 
     @classmethod
-    def from_grid(cls, spec: LatticeSpec, theta: np.ndarray, rho=None,
+    def from_grid(cls, spec: LatticeSpec, theta: np.ndarray,
                   backend: str = "stencil") -> "CoframeBundle":
         require_choice("backend", backend, BACKENDS)
 
         def row_derivatives(j: int) -> np.ndarray:
             return derivatives(theta[..., j, :], spec, backend)
 
-        return cls(spec, theta, row_derivatives, rho)
+        return cls(spec, theta, row_derivatives)

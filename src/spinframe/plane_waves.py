@@ -18,7 +18,7 @@ from .errors import (
     require_choice,
 )
 from .grids import LatticeSpec, ModelParams, SpinorBundle, periodic_spec
-from .sampling import SpinorPoly, TrigPoly, base_for, constant_poly, lift_x3
+from .sampling import mode_bundle
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,13 @@ class PlaneWaveLabel:
 
 
 def plane_wave_spinor(label: PlaneWaveLabel, spec: LatticeSpec) -> SpinorBundle:
-    """eta = (1, 0) exp(-i (s m - r A0) x0) with analytic derivatives on a 3D
-    grid, or its lift xi = eta exp(-i r m x3) (``lift_x3``) on a 4D grid."""
-    if spec.dims == 4:
-        return lift_x3(plane_wave_spinor(label, spec.spatial), spec, label.r * label.m)
-    if spec.dims != 3:
+    """eta = (1, 0) exp(-i (s m - r A0) x0) on a 3D grid, or its lift
+    xi = eta exp(-i r m x3) on a 4D grid: one ``mode_bundle`` with
+    closed-form derivatives."""
+    if spec.dims not in (3, 4):
         raise InvalidGrid("plane waves live on 3D or 4D grids")
-    base = base_for(spec)
-    k0 = label.temporal_frequency / base[0]
-    sp = SpinorPoly(TrigPoly(np.array([[-k0, 0, 0]]), np.array([1.0 + 0j]), base),
-                    constant_poly(0.0, base))
-    return sp.bundle(spec)
+    p = (label.temporal_frequency, 0.0, 0.0, label.r * label.m)[:spec.dims]
+    return mode_bundle(np.array([1.0, 0.0]), p, spec)
 
 
 def plane_wave_params(label: PlaneWaveLabel) -> ModelParams:
@@ -146,15 +142,9 @@ def boosted_amplitude(p: np.ndarray, s: int, m: float) -> np.ndarray:
 
 
 def boosted_wave(p, s: int, m: float, spec: LatticeSpec) -> SpinorBundle:
-    """eta = zeta e^{-i p.x} with analytic derivatives; p in grid-mode units
-    of the base frequencies so periodic sampling is exact."""
-    base = base_for(spec)
-    p = np.asarray(p, float)
-    z = boosted_amplitude(p, s, m)
-    freq = (-p / base)[None, :]
-    sp = SpinorPoly(TrigPoly(freq, np.array([z[0]]), base),
-                    TrigPoly(freq, np.array([z[1]]), base))
-    return sp.bundle(spec)
+    """eta = zeta e^{-i p.x}, zeta = ``boosted_amplitude``, by ``mode_bundle``;
+    periodic on a 3D spec where p is a grid mode."""
+    return mode_bundle(boosted_amplitude(p, s, m), p, spec)
 
 
 def grid_mode_momenta() -> list[tuple[int, int, int]]:

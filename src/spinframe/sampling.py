@@ -20,7 +20,8 @@ from .pauli import grid_minor
 
 @dataclass(frozen=True)
 class TrigPoly:
-    """f(x) = sum_M coeffs[M] * exp(i sum_a freqs[M,a] * base[a] * x_a)."""
+    """f(x) = sum_M coeffs[M] * exp(i sum_a freqs[M,a] * base[a] * x_a), integer
+    modes only (periodic for base_for(spec)); one mode at any p: ``mode_bundle``."""
 
     freqs: np.ndarray     # (M, dims) integers
     coeffs: np.ndarray    # (M,) complex
@@ -32,13 +33,6 @@ class TrigPoly:
 
     def derivative(self, axis: int) -> "TrigPoly":
         return TrigPoly(self.freqs, self.coeffs * 1j * self.freqs[:, axis] * self.base[axis], self.base)
-
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        return TrigPoly(
-            np.concatenate([self.freqs, other.freqs]),
-            np.concatenate([self.coeffs, other.coeffs]),
-            self.base,
-        )
 
     def scale(self, c) -> "TrigPoly":
         return TrigPoly(self.freqs, self.coeffs * c, self.base)
@@ -95,11 +89,6 @@ class TrigPoly:
 
     def on(self, spec: LatticeSpec) -> np.ndarray:
         return self(spec.meshgrid())
-
-
-def constant_poly(value, base) -> TrigPoly:
-    dims = len(base)
-    return TrigPoly(np.zeros((1, dims), dtype=int), np.array([value], dtype=complex), np.asarray(base, float))
 
 
 def random_trig_poly(rng: np.random.Generator, base, max_mode: int = 3,
@@ -199,6 +188,21 @@ def lift_x3(eta: SpinorBundle, spec4: LatticeSpec, k: float) -> SpinorBundle:
     return SpinorBundle(spec4, vals, derivs)
 
 
+def mode_bundle(zeta, p, spec: LatticeSpec) -> SpinorBundle:
+    """The single Fourier mode zeta e^{-i p.x} for a constant spinor zeta
+    (2,) and a momentum p (dims,), else InvalidGrid: the values from one
+    ``exp`` over the grid, the derivatives -i p_a times them, both
+    grid-minor.  It is periodic on spec where each p_a is a multiple of
+    ``base_for(spec)[a]``."""
+    p = np.asarray(p, float)
+    require_shape(p, (spec.dims,), "momentum")
+    phase = np.exp(-1j * sum(p_a * x for p_a, x in zip(p, spec.meshgrid())))
+    vals = np.multiply(phase[..., None], zeta, out=grid_minor(spec.extents + (2,), spec.dims))
+    derivs = grid_minor(spec.extents + (spec.dims, 2), spec.dims)
+    np.multiply(vals[..., None, :], -1j * p[:, None], out=derivs)
+    return SpinorBundle(spec, vals, derivs)
+
+
 def base_for(spec: LatticeSpec) -> np.ndarray:
     """Fundamental angular frequencies matching the grid periods."""
     return np.array([2.0 * np.pi / (n * h) for n, h in zip(spec.extents, spec.spacing)])
@@ -208,7 +212,9 @@ def random_positive_spinor(rng: np.random.Generator, base, max_mode: int = 3) ->
     """eta = (1 + da, db) with sup|da|, sup|db| <= 0.3, so rho > 0 pointwise."""
     da = random_trig_poly(rng, base, max_mode, amplitude=0.3)
     db = random_trig_poly(rng, base, max_mode, amplitude=0.3)
-    return SpinorPoly(constant_poly(1.0, base) + da, db)
+    c1 = TrigPoly(np.concatenate([np.zeros((1, da.dims), int), da.freqs]),
+                  np.concatenate([[1.0 + 0j], da.coeffs]), da.base)
+    return SpinorPoly(c1, db)
 
 
 def random_covector_polys(rng: np.random.Generator, base, max_mode: int = 2,
@@ -240,5 +246,5 @@ def coframe_bundle_from_spinor(values: np.ndarray, spec: LatticeSpec,
     spinor bundle's derivatives before theta is built.  The bundle holds no
     derivative stack; the backend name is checked here.
     """
-    theta, rho = coframe_map(values)
-    return CoframeBundle.from_grid(spec, theta, rho=rho, backend=backend)
+    theta, _ = coframe_map(values)
+    return CoframeBundle.from_grid(spec, theta, backend=backend)

@@ -17,15 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    O3,
-    SIGMA_LOWER,
-    SIGMA_UPPER,
-    CoframeDensity,
-    coframe_map,
-    verify_coframe,
-)
-from .errors import InvalidCoframe, InvalidGrid, require_choice, require_density, require_finite
+from .algebra import O3, SIGMA_LOWER, SIGMA_UPPER, coframe_map
+from .errors import InvalidGrid, require_choice, require_density, require_finite
 from .pauli import contract, grid_minor
 from .grids import (
     CoframeBundle,
@@ -191,26 +184,16 @@ def _row_forms(cb: CoframeBundle, j: int) -> tuple[LatticeField, LatticeField]:
     return form_field(spec, 1, row), form_field(spec, 2, vals)
 
 
-def axial_torsion_coframe(cb: CoframeBundle, check_tol: float | None = 1e-8) -> LatticeField:
+def axial_torsion_coframe(cb: CoframeBundle) -> LatticeField:
     """T^ax = (1/3) o_jj theta^j wedge d theta^j, from coframe derivatives.
 
     The sum runs over the three frame rows, one row at a time: each row's
     derivatives are read (``CoframeBundle.row_derivatives``), wedged and
     added in, and dropped before the next row.  o = diag(-1, 1, 1).  On a 4D
     grid this is T_ext^ax: the appended row theta^3 = dx^3 is constant, so
-    its term is exactly zero and is not computed.  Unless check_tol is None,
-    the coframe is first verified (InvalidCoframe if it is not one).
+    its term is exactly zero and is not computed.  theta is not verified
+    here: the coframe suite runs ``algebra.verify_coframe`` itself.
     """
-    if check_tol is not None:
-        rho = cb.rho if cb.rho is not None else 1.0
-        rep = verify_coframe(CoframeDensity(cb.theta,
-                                            float(np.min(rho)) if np.ndim(rho) else rho),
-                             check_tol)
-        if not rep.passed:
-            raise InvalidCoframe(
-                f"orthonormality deviation {rep.max_orthonormality_deviation:.3g}, "
-                f"det deviation {rep.det_deviation:.3g}, min theta00 {rep.theta00:.3g}"
-            )
     total = None
     for j in range(3):
         term = wedge(*_row_forms(cb, j))
@@ -235,7 +218,7 @@ def spinor_vs_coframe_residual(t_spinor: np.ndarray, cb: CoframeBundle,
     a time.
     """
     require_choice("norm", norm, ("max", "rms"))
-    t_coframe = hodge_dual(axial_torsion_coframe(cb, check_tol=None)).values
+    t_coframe = hodge_dual(axial_torsion_coframe(cb)).values
     diff = t_spinor - t_coframe
     if norm == "rms":
         return float(np.sqrt(np.mean(diff ** 2)))
@@ -274,10 +257,10 @@ def kk_decomposition_check(b: SpinorBundle, coframe_derivs: str = "chain") -> KK
     require_density(rho, positive=False)
     if coframe_derivs == "chain":
         dtheta = _coframe_chain_derivs(b, theta, rho)
-        cb = CoframeBundle(b.spec, theta, lambda j: dtheta[..., j, :], rho)
+        cb = CoframeBundle(b.spec, theta, lambda j: dtheta[..., j, :])
     else:
-        cb = CoframeBundle.from_grid(b.spec, theta, rho, "stencil")
-    lhs = norm_squared(axial_torsion_coframe(cb, check_tol=None))
+        cb = CoframeBundle.from_grid(b.spec, theta, "stencil")
+    lhs = norm_squared(axial_torsion_coframe(cb))
     c = spinor_contractions(b)
     t, u = c.t, c.u
     # z, y and rho are not read below; release them before the norm

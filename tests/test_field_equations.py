@@ -25,11 +25,10 @@ from spinframe.plane_waves import (
     plane_wave_spinor,
 )
 from spinframe.sampling import (
-    SpinorPoly,
     base_for,
-    constant_poly,
     covector_on,
     lift_x3,
+    mode_bundle,
     random_covector_polys,
     random_positive_spinor,
 )
@@ -66,8 +65,7 @@ def test_dirac_apply_with_potential(spec):
 
 
 def test_constant_field_reduced_residual(spec):
-    base = base_for(spec)
-    b = SpinorPoly(constant_poly(1.0, base), constant_poly(0.0, base)).bundle(spec)
+    b = mode_bundle((1.0, 0.0), (0,) * 3, spec)
     res = field_equation_residual_reduced(b, ModelParams(m=1.0), 1, dt=_zeros_dt(spec))
     # constants are not critical points of the reduced action
     assert np.allclose(res[..., 0], 16.0 / 9.0)
@@ -195,8 +193,7 @@ def test_theorem1_nonsolution_is_neither(spec):
 
 
 def test_theorem1_rejects_negative_class(spec):
-    base = base_for(spec)
-    b = SpinorPoly(constant_poly(0.0, base), constant_poly(1.0, base)).bundle(spec)
+    b = mode_bundle((0.0, 1.0), (0,) * 3, spec)
     with pytest.raises(NonPositiveDensity):
         theorem1_check(b, ModelParams(m=1.0), 1)
 

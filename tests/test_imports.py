@@ -227,11 +227,12 @@ ROUTE_PAIRS = {
          ("field_equations", "dirac_apply")),
         {**_DERIVATIVES, **_GRID_MINOR, **_CONTRACT,
          **dict.fromkeys(
-             ("lagrangians.lagrangian_reduced", "lagrangians.dirac_contraction",
-              "torsion.reduced_axial_torsion", "torsion.dirac_term"),
-             "by construction: the reduced residual is written in t and L_r, and "
-             "the oracle differentiates the action of L_r; only an off-shell "
-             "check with A != 0 can catch an error the two share")}),
+             ("lagrangians.dirac_contraction", "torsion.reduced_axial_torsion",
+              "torsion.dirac_term"),
+             "by construction: the reduced residual is written in t, and the "
+             "oracle differentiates the action of L_r, which is written in t "
+             "too; only an off-shell check with A != 0 can catch an error the "
+             "two share")}),
 }
 
 
@@ -256,7 +257,7 @@ _MERGES = (
      "    spinor_contractions(b)\n", "torsion.spinor_contractions"),
     ("reduced-vs-4d-residual", "field_equations.py",
      "    c = spinor_contractions(xi, params)\n",
-     "    lagrangian_reduced(xi, params, 1)\n", "lagrangians.lagrangian_reduced"),
+     "    dirac_contraction(xi, params, 1)\n", "lagrangians.dirac_contraction"),
     ("oracle-vs-field-equations", "field_equations.py",
      "    probes = [np.atleast_1d(p) for p in probes]\n",
      "    field_equation_residual_reduced(None, None, 1, None)\n",

@@ -22,8 +22,8 @@ from spinframe.sampling import (
     ScaledSpinor,
     SpinorPoly,
     base_for,
-    constant_poly,
     covector_on,
+    mode_bundle,
     random_covector_polys,
     random_positive_spinor,
     random_trig_poly,
@@ -38,8 +38,7 @@ def spec():
 
 
 def _const_bundle(spec):
-    base = base_for(spec)
-    return SpinorPoly(constant_poly(1.0, base), constant_poly(0.0, base)).bundle(spec)
+    return mode_bundle((1.0, 0.0), (0,) * 3, spec)
 
 
 def test_constant_spinor_hand_values(spec):
@@ -89,18 +88,14 @@ def test_lagrangian_4d_spelled_equals_norm_form():
 
 
 def test_reduced_lagrangian_rejects_negative_class(spec):
-    base = base_for(spec)
-    b = SpinorPoly(constant_poly(0.2, base), constant_poly(1.0, base)).bundle(spec)
+    b = mode_bundle((0.2, 1.0), (0,) * 3, spec)
     with pytest.raises(NonPositiveDensity):
         lagrangian_reduced(b, ModelParams(m=1.0), 1)
 
 
 def test_factorization_degenerate_denominator(spec):
     # rho > 0 but tiny makes L+ - L- = 2 m rho vanish relative to max rho
-    base = base_for(spec)
-    c1 = constant_poly(1.0, base)
-    b = SpinorPoly(c1, constant_poly(0.0, base)).bundle(spec)
-    b.values = b.values.copy()
+    b = _const_bundle(spec)
     b.values[0, 0, 0, 0] = 1e-9  # one near-degenerate point
     with pytest.raises(DegenerateDenominator):
         factorization_residual(b, ModelParams(m=1.0), 1)
@@ -152,14 +147,13 @@ def _mixed_sign_with_nan_derivative() -> SpinorBundle:
     """An 8^3 bundle with c2 = 1 and c1 = 1 + a random amplitude-0.5 field,
     so rho runs from about -0.63 to 1.10, and one NaN derivative entry."""
     spec = periodic_spec(8, 2.0 * np.pi / 8, 3)
-    base = base_for(spec)
-    rng = np.random.default_rng(2)
-    c1 = constant_poly(1.0, base) + random_trig_poly(rng, base, max_mode=2, amplitude=0.5)
-    b = SpinorPoly(c1, constant_poly(1.0, base)).bundle(spec)
+    q = random_trig_poly(np.random.default_rng(2), base_for(spec), max_mode=2, amplitude=0.5)
+    wave = SpinorPoly(q, q.scale(0.0)).bundle(spec)
+    b = mode_bundle((1.0, 1.0), (0,) * 3, spec)
+    b = SpinorBundle(spec, b.values + wave.values, b.derivs + wave.derivs)
     assert np.min(b.rho) < 0.0 < np.max(b.rho)
-    derivs = b.derivs.copy()
-    derivs[1, 2, 3, 1, 0] = np.nan
-    return SpinorBundle(spec, b.values, derivs)
+    b.derivs[1, 2, 3, 1, 0] = np.nan
+    return b
 
 
 def _first_order_lagrangian_with_nan_derivative():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinframe.algebra import coframe_map
-from spinframe.errors import InvalidProbeField, WrongDensitySign
+from spinframe.errors import InvalidGrid, InvalidProbeField, WrongDensitySign
 from spinframe.grids import periodic_spec
 from spinframe.plane_waves import (
     Classification,
@@ -16,6 +16,7 @@ from spinframe.plane_waves import (
     symbol_matrix,
     table_of_states,
 )
+from spinframe.sampling import mode_bundle
 from spinframe.torsion import spinor_contractions
 
 
@@ -139,3 +140,44 @@ def test_plane_wave_spinor_shapes():
     c = spinor_contractions(b4)
     for q in (c.rho, c.t, c.u):
         assert np.max(np.abs(q - q[:, :, :, :1])) <= 1e-13
+
+
+def _axis_product(zeta, p, spec):
+    """zeta e^{-i p.x} and its derivatives, (*n, 2) and (*n, dims, 2), with
+    the phase a product of one exp per axis: the per-mode reference for
+    the single-exp closed form."""
+    phase = np.ones(spec.extents, complex)
+    for p_a, x in zip(p, spec.meshgrid()):
+        phase = phase * np.exp(-1j * p_a * x)
+    vals = phase[..., None] * np.asarray(zeta)
+    return vals, -1j * np.asarray(p, float)[:, None] * vals[..., None, :]
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 1.3])
+def test_waves_match_a_per_axis_phase_product(m):
+    # every axis 2 pi / m long, as in theorem1: the boosted momenta m q are
+    # grid modes
+    specs = {dims: periodic_spec(8, 2.0 * np.pi / (8 * m), dims) for dims in (3, 4)}
+    cases = []
+    for r in (1, -1):
+        for s in (1, -1):
+            lab = PlaneWaveLabel(r, s, m, 0.25 * m)
+            w = lab.temporal_frequency
+            cases.append((plane_wave_spinor(lab, specs[3]), (1.0, 0.0), (w, 0.0, 0.0)))
+            cases.append((plane_wave_spinor(lab, specs[4]), (1.0, 0.0), (w, 0.0, 0.0, r * m)))
+    for q in ((1, 0, 0), (-3, 2, -2), (9, 4, 8), (-9, -8, 4)):
+        s = 1 if q[0] > 0 else -1
+        p = m * np.asarray(q, float)
+        cases.append((boosted_wave(p, s, m, specs[3]), boosted_amplitude(p, s, m), p))
+    for b, zeta, p in cases:
+        vals, derivs = _axis_product(zeta, p, b.spec)
+        assert b.values.shape == vals.shape and b.derivs.shape == derivs.shape
+        assert np.max(np.abs(b.values - vals)) <= 1e-13
+        assert np.max(np.abs(b.derivs - derivs)) <= 1e-13 * max(1.0, float(np.max(np.abs(p))))
+
+
+def test_mode_bundle_rejects_a_momentum_of_another_length():
+    with pytest.raises(InvalidGrid):
+        mode_bundle((1.0, 0.0), (1.0, 0.0, 0.0), periodic_spec(4, 1.0, 4))
+    with pytest.raises(InvalidGrid):
+        boosted_wave((3.0, 2.0, 2.0), 1, 1.0, periodic_spec(4, 1.0, 4))

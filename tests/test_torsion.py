@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinframe.algebra import O3, coframe_map
-from spinframe.errors import InvalidCoframe, NonPositiveDensity, VanishingDensity
+from spinframe.errors import NonPositiveDensity, VanishingDensity
 from spinframe.grids import (
     CoframeBundle,
     ModelParams,
@@ -25,6 +25,7 @@ from spinframe.sampling import (
     coframe_bundle_from_spinor,
     covector_on,
     lift_x3,
+    mode_bundle,
     random_covector_polys,
     random_positive_spinor,
 )
@@ -42,9 +43,7 @@ from spinframe.torsion import (
 
 def test_constant_spinor_has_no_torsion():
     spec = periodic_spec(8, 2.0 * np.pi / 8, 3)
-    from spinframe.sampling import SpinorPoly, constant_poly
-    base = base_for(spec)
-    b = SpinorPoly(constant_poly(1.0, base), constant_poly(0.0, base)).bundle(spec)
+    b = mode_bundle((1.0, 0.0), (0,) * 3, spec)
     assert np.allclose(axial_torsion_spinor(b), 0.0)
     t = reduced_axial_torsion(b, dirac_contraction(b, ModelParams(m=1.0), 1).real)
     assert np.allclose(t, 0.0)
@@ -89,7 +88,7 @@ def test_wedge_route_equals_antisymmetrized_tensor():
     spec = periodic_spec(12, 2.0 * np.pi / 12, 3)
     sp = random_positive_spinor(rng, base_for(spec), max_mode=2)
     cb = coframe_bundle_from_spinor(sp.bundle(spec).values, spec)
-    via_wedge = axial_torsion_coframe(cb, check_tol=1e-8).values[..., 0]
+    via_wedge = axial_torsion_coframe(cb).values[..., 0]
     tensor = 0.0
     for j in range(3):
         d = cb.row_derivatives(j)
@@ -103,9 +102,7 @@ def test_wedge_route_equals_antisymmetrized_tensor():
 
 def test_reduced_torsion_requires_positive_class():
     spec = periodic_spec(8, 2.0 * np.pi / 8, 3)
-    from spinframe.sampling import SpinorPoly, constant_poly
-    base = base_for(spec)
-    b = SpinorPoly(constant_poly(0.0, base), constant_poly(1.0, base)).bundle(spec)
+    b = mode_bundle((0.0, 1.0), (0,) * 3, spec)
     with pytest.raises(NonPositiveDensity):
         reduced_axial_torsion(b, dirac_contraction(b, ModelParams(m=1.0), 1).real)
 
@@ -191,12 +188,11 @@ def test_coframe_torsion_of_an_extended_frame_checks_its_spatial_block():
     spec = periodic_spec(6, 2.0 * np.pi / 6, 4)
     rng = np.random.default_rng(3)
     b = random_positive_spinor(rng, base_for(spec), max_mode=1).bundle(spec)
-    theta, rho = coframe_map(b.values)
-    cb = CoframeBundle.from_grid(spec, theta, rho=rho)
+    theta, _ = coframe_map(b.values)
+    cb = CoframeBundle.from_grid(spec, theta)
     assert cb.row_derivatives(0).shape == spec.extents + (4, 3)
     checked = axial_torsion_coframe(cb)
     assert checked.values.shape == spec.extents + (4,)
-    assert np.array_equal(checked.values, axial_torsion_coframe(cb, check_tol=None).values)
     # reference: the four rows of the extended coframe, theta^3 = dx^3
     # included, each differentiated as a whole 1-form on the 4D grid
     theta4 = np.zeros(spec.extents + (4, 4))
@@ -208,9 +204,6 @@ def test_coframe_torsion_of_an_extended_frame_checks_its_spatial_block():
         row = form_field(spec, 1, theta4[..., j, :])
         ref = ref + o / 3.0 * wedge(row, exterior_derivative(row)).values
     assert np.array_equal(checked.values, ref)
-    cb.theta[..., 1, 1] *= 2.0
-    with pytest.raises(InvalidCoframe):
-        axial_torsion_coframe(cb)
 
 
 def test_reduced_fields_are_x3_independent():
