@@ -54,7 +54,7 @@ class CoframeReport:
 
     max_orthonormality_deviation: float
     det_deviation: float
-    theta00: float
+    oriented: bool    # theta^0_0 > 0 and rho > 0 at every point
     passed: bool
 
 
@@ -114,13 +114,13 @@ def coframe_map(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, rho
 
 
-def verify_coframe(cd: CoframeDensity, tol: float = 1e-12) -> CoframeReport:
-    """Check o_jk theta^j theta^k = g, det = +1 and theta^0_0 > 0."""
+def verify_coframe(cd: CoframeDensity) -> CoframeReport:
+    """Check o_jk theta^j theta^k = g and det = +1 to 1e-12, theta^0_0 > 0
+    and rho > 0."""
     theta = np.asarray(cd.theta, dtype=float)
     gram = np.einsum("...ja,j,...jb->...ab", theta, O3, theta)
     dev = float(np.max(np.abs(gram - np.diag(METRIC3))))
     ddet = float(np.max(np.abs(np.linalg.det(theta) - 1.0)))
-    t00 = float(np.min(theta[..., 0, 0]))
-    passed = dev <= tol and ddet <= tol and t00 > 0.0 and bool(np.all(np.asarray(cd.rho) > 0.0))
-    return CoframeReport(dev, ddet, t00, passed)
+    oriented = bool(np.all(theta[..., 0, 0] > 0.0) and np.all(np.asarray(cd.rho) > 0.0))
+    return CoframeReport(dev, ddet, oriented, dev <= 1e-12 and ddet <= 1e-12 and oriented)
 

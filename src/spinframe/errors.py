@@ -41,8 +41,9 @@ class RankMismatch(SpinframeError):
     """Operands have incompatible antisymmetric ranks."""
 
 
-class RankOverflow(SpinframeError):
-    """Wedge product rank exceeds grid dimension."""
+class RankOverflow(SpinframeError, ValueError):
+    """A form rank outside 0..dims of its grid, as of a wedge product or an
+    exterior derivative that would exceed the grid dimension."""
 
 
 class UnsupportedRank(SpinframeError):
@@ -52,7 +53,8 @@ class UnsupportedRank(SpinframeError):
 class InvalidGrid(SpinframeError, ValueError):
     """A grid the lattice code cannot honour: bad extents or spacing, an
     ``out`` array that is not grid-minor, a field on the wrong grid, or
-    coordinates that are not axis-aligned for ``TrigPoly``."""
+    non-integer modes or coordinates that are not axis-aligned for
+    ``TrigPoly``."""
 
 
 class DegenerateDenominator(SpinframeError):

@@ -208,7 +208,7 @@ def theorem1_check(eta: SpinorBundle, params: ModelParams, r: int,
 # Discrete variational derivative
 # ---------------------------------------------------------------------------
 
-DENSITY_KINDS = ("dirac", "reduced")
+DENSITIES = ("dirac", "reduced")
 
 # Step of the two-sided action differences, in each Re/Im direction.
 _STEP = 1e-6
@@ -216,7 +216,7 @@ _STEP = 1e-6
 
 def _action_from_values(values: np.ndarray, spec: LatticeSpec, params: ModelParams,
                         density_kind: str, r: int, s: int) -> float:
-    b = SpinorBundle.from_grid(spec, values, backend="spectral")
+    b = SpinorBundle.from_grid(spec, values)
     if density_kind == "dirac":
         L = dirac_lagrangian(b, params, r, s)
     else:
@@ -270,7 +270,7 @@ def discrete_variational_derivative(density_kind: str, eta_values: np.ndarray,
     spectrally.  Returns an array (len(probes), 2, 2): probe x component x
     (re, im).  A probe that is not a grid point raises ProbeOutsideInterior.
     """
-    require_choice("density kind", density_kind, DENSITY_KINDS)
+    require_choice("density kind", density_kind, DENSITIES)
     return action_gradient(
         lambda v: _action_from_values(v, spec, params, density_kind, r, s),
         eta_values, spec, probes)

@@ -29,9 +29,6 @@ from .errors import (
 )
 from .pauli import grid_minor
 
-# Field kinds, indexed by antisymmetric rank.
-KINDS = ("scalar", "covector", "2-form", "3-form")
-
 # Derivative rules, one name each: the order-2 and order-4 central-difference
 # stencils and the trigonometric-interpolation ("spectral") derivative.
 BACKENDS = ("stencil", "stencil4", "spectral")
@@ -147,38 +144,33 @@ def perm_sign(perm) -> int:
 
 @dataclass
 class LatticeField:
-    """Dense per-point values of one antisymmetric field on a lattice.
+    """Dense per-point values of one antisymmetric rank-r field on a lattice:
+    shape (*n,) for r = 0, else (*n, ncomp) with component order from
+    form_components.
 
-    Shapes by kind: scalar (*n,), covector (*n, d), 2-form / 3-form
-    (*n, ncomp) with component order from form_components.
+    A rank outside 0..dims raises RankOverflow, and for r > 0 a trailing
+    length other than the number of independent components RankMismatch.
+    The leading axes are not checked against the grid: extra ones act as
+    batch axes, as when ``lagrangian_4d`` builds spatial forms on 4D arrays.
     """
 
     spec: LatticeSpec
-    kind: str
+    rank: int
     values: np.ndarray
 
     def __post_init__(self):
-        require_choice("kind", self.kind, KINDS)
         self.values = np.asarray(self.values)
-
-    @property
-    def rank(self) -> int:
-        return KINDS.index(self.kind)
+        dims = self.spec.dims
+        if not (isinstance(self.rank, int) and 0 <= self.rank <= dims):
+            raise RankOverflow(f"rank {self.rank!r} is outside 0..{dims} on a {dims}D grid")
+        if self.rank > 0 and self.values.shape[-1:] != (len(self.components),):
+            raise RankMismatch(f"a {self.rank}-form on a {dims}D grid has "
+                               f"{len(self.components)} components, got trailing shape "
+                               f"{self.values.shape[-1:]}")
 
     @property
     def components(self) -> list[tuple[int, ...]]:
         return form_components(self.spec.dims, self.rank)
-
-
-def form_field(spec: LatticeSpec, rank: int, values) -> LatticeField:
-    """An antisymmetric rank-r field; a trailing length other than the
-    number of independent components raises RankMismatch."""
-    kind = KINDS[rank]
-    f = LatticeField(spec, kind, values)
-    if rank > 0 and f.values.shape[-1:] != (len(f.components),):
-        raise RankMismatch(f"a {kind} on a {spec.dims}D grid has {len(f.components)} "
-                           f"components, got trailing shape {f.values.shape[-1:]}")
-    return f
 
 
 # Central-difference stencils by backend name: offsets and weights.
@@ -243,25 +235,23 @@ def _fourier_matrix(n: int, h: float, real: bool) -> np.ndarray:
 
 
 def spectral_derivative(values: np.ndarray, spec: LatticeSpec, axis: int,
-                        *, out: np.ndarray | None = None) -> np.ndarray:
+                        out: np.ndarray) -> np.ndarray:
     """Trigonometric-interpolation derivative along one axis: the product by
     the axis's Fourier differentiation matrix, exact on resolved Fourier
     modes.  A real input gives a real result.
 
     The trailing (component) axes are moved first, so a grid-minor input is
     read in place and a C-ordered one is copied once.  The product is one
-    matrix product per block of the other axes, written into ``out`` (a
+    matrix product per block of the other axes, written into ``out``, a
     grid-minor array of the input's shape and of dtype
-    ``promote_types(values.dtype, float)``), or into a new grid-minor array,
-    which is returned.
+    ``promote_types(values.dtype, float)`` (``derivatives`` hands it a slot
+    of its stack), which is returned.
     """
     dims = spec.dims
     n = spec.extents[axis]
     d = _fourier_matrix(n, spec.spacing[axis], not np.iscomplexobj(values))
     tail = tuple(range(dims, values.ndim))
     front = tuple(range(len(tail)))
-    if out is None:
-        out = grid_minor(values.shape, dims, np.promote_types(values.dtype, float))
     x = np.moveaxis(values, tail, front)
     y = np.moveaxis(out, tail, front)
     if not y.flags.c_contiguous:
@@ -301,7 +291,7 @@ def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil")
     for a in range(spec.dims):
         slot = out[(slice(None),) * spec.dims + (a,)]
         if backend == "spectral":
-            spectral_derivative(values, spec, a, out=slot)
+            spectral_derivative(values, spec, a, slot)
         else:
             _axis_derivative(values, spec, a, backend, slot)
     return out
@@ -325,7 +315,7 @@ def lorentz_dot(P: LatticeField, Q: LatticeField) -> LatticeField:
     if P.rank != Q.rank or P.spec.dims != Q.spec.dims:
         raise RankMismatch("operands must share rank and dimension")
     if P.rank == 0:
-        return LatticeField(P.spec, "scalar", P.values * Q.values)
+        return LatticeField(P.spec, 0, P.values * Q.values)
     signs = _metric_signs(P)
     vals = P.values[..., 0] * Q.values[..., 0]
     if signs[0] < 0:
@@ -337,11 +327,7 @@ def lorentz_dot(P: LatticeField, Q: LatticeField) -> LatticeField:
             vals += term
         else:
             vals -= term
-    return LatticeField(P.spec, "scalar", vals)
-
-
-def norm_squared(P: LatticeField) -> np.ndarray:
-    return lorentz_dot(P, P).values
+    return LatticeField(P.spec, 0, vals)
 
 
 def hodge_dual(R: LatticeField) -> LatticeField:
@@ -364,9 +350,7 @@ def hodge_dual(R: LatticeField) -> LatticeField:
         rest = tuple(a for a in range(3) if a not in ci)
         np.multiply(vals[..., i], perm_sign(ci + rest) * sign,
                     out=out[..., comps_out.index(rest)])
-    if 3 - r == 0:
-        return LatticeField(R.spec, "scalar", out[..., 0])
-    return form_field(R.spec, 3 - r, out)
+    return LatticeField(R.spec, 3 - r, out if r < 3 else out[..., 0])
 
 
 def wedge(P: LatticeField, Q: LatticeField) -> LatticeField:
@@ -402,9 +386,7 @@ def wedge(P: LatticeField, Q: LatticeField) -> LatticeField:
                 slot += term
             else:
                 slot -= term
-    if p + q == 0:
-        return LatticeField(P.spec, "scalar", out[..., 0])
-    return form_field(P.spec, p + q, out)
+    return LatticeField(P.spec, p + q, out if p + q else out[..., 0])
 
 
 def exterior_derivative(P: LatticeField, backend: str = "stencil") -> LatticeField:
@@ -413,7 +395,7 @@ def exterior_derivative(P: LatticeField, backend: str = "stencil") -> LatticeFie
     r = P.rank
     if r + 1 > d:
         raise RankOverflow("exterior derivative of a top form")
-    comps_in = {c: i for i, c in enumerate(P.components)} if r > 0 else {(): 0}
+    comps_in = {c: i for i, c in enumerate(P.components)}
     comps_out = form_components(d, r + 1)
     pv = P.values if r > 0 else P.values[..., None]
     derivs = derivatives(pv, P.spec, backend)
@@ -422,7 +404,7 @@ def exterior_derivative(P: LatticeField, backend: str = "stencil") -> LatticeFie
         for pos, a in enumerate(c):
             rest = tuple(b for b in c if b != a)
             out[..., j] += (-1) ** pos * derivs[..., a, comps_in[rest]]
-    return form_field(P.spec, r + 1, out)
+    return LatticeField(P.spec, r + 1, out)
 
 
 @dataclass
@@ -430,9 +412,10 @@ class ModelParams:
     """Mass and electromagnetic covector.
 
     A may be a constant length-3 covector or a grid field of shape (*n, 3);
-    it is stored as a float array broadcastable against the grid.  The sign
-    pair (r, s) is not a model parameter: every function that needs it
-    takes r and s as arguments.
+    it is stored as a float array broadcastable against the grid.  An A
+    whose last axis is not 3 long, or that is not finite everywhere, raises
+    ConfigInvalid.  The sign pair (r, s) is not a model parameter: every
+    function that needs it takes r and s as arguments.
     """
 
     m: float
@@ -442,6 +425,9 @@ class ModelParams:
         if not (math.isfinite(self.m) and self.m > 0):
             raise ConfigInvalid(f"mass must be finite and positive, got {self.m!r}")
         self.A = np.asarray(self.A, dtype=float)
+        if self.A.shape[-1:] != (3,) or not np.isfinite(self.A).all():
+            raise ConfigInvalid(f"A must be a finite covector with a last axis of 3, "
+                                f"got shape {self.A.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +461,11 @@ class SpinorBundle:
         return np.abs(self.values[..., 0]) ** 2 - np.abs(self.values[..., 1]) ** 2
 
     @classmethod
-    def from_grid(cls, spec: LatticeSpec, values: np.ndarray,
-                  backend: str = "stencil") -> "SpinorBundle":
-        return cls(spec, values, derivatives(values, spec, backend))
+    def from_grid(cls, spec: LatticeSpec, values: np.ndarray) -> "SpinorBundle":
+        """The values with their spectral derivatives, the variational
+        oracle's rule.  A bundle under another rule is
+        ``SpinorBundle(spec, values, derivatives(values, spec, rule))``."""
+        return cls(spec, values, derivatives(values, spec, "spectral"))
 
 
 @dataclass

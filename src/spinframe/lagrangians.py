@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDenominator, require_agreement, require_density, require_finite
-from .grids import ModelParams, SpinorBundle, form_field, lorentz_dot, hodge_dual
+from .grids import LatticeField, ModelParams, SpinorBundle, lorentz_dot, hodge_dual
 from .torsion import (
     SpinorContractions,
     dirac_term,
@@ -53,7 +53,7 @@ def lagrangian_4d(xi: SpinorBundle, params: ModelParams,
 
 def unhodge_scalar(spec3, t: np.ndarray):
     """3-form whose Hodge dual is the scalar t; T_{012} = -t since ** = -1."""
-    return form_field(spec3, 3, np.asarray(-t)[..., None])
+    return LatticeField(spec3, 3, np.asarray(-t)[..., None])
 
 
 def unhodge_covector(spec3, u: np.ndarray):
@@ -62,7 +62,7 @@ def unhodge_covector(spec3, u: np.ndarray):
     Double dual on 1-forms is (-1)^{1*2} sign(det g) = -1 in signature -++,
     so the preimage of u under the star is -*u.
     """
-    dual = hodge_dual(form_field(spec3, 1, np.asarray(u)))
+    dual = hodge_dual(LatticeField(spec3, 1, u))
     np.negative(dual.values, out=dual.values)
     return dual
 

@@ -93,14 +93,14 @@ def table_of_states(m: float, a0: float):
     return rows
 
 
-def measured_rotation_rate(label: PlaneWaveLabel, n: int = 64) -> float:
+def measured_rotation_rate(label: PlaneWaveLabel) -> float:
     """Slope of the unwrapped coframe rotation angle along x0, measured from
     the sampled coframe itself (independent of the closed form).
 
-    The wave is sampled on the x0 line at x1 = x2 = 0 only, an (n, 1, 1)
-    grid: the slope reads nothing else.
+    The wave is sampled on 64 points of the x0 line at x1 = x2 = 0 only, a
+    (64, 1, 1) grid: the slope reads nothing else.
     """
-    spec = periodic_spec((n, 1, 1), 2.0 * np.pi / n, 3)
+    spec = periodic_spec((64, 1, 1), 2.0 * np.pi / 64, 3)
     b = plane_wave_spinor(label, spec)
     theta, rho = coframe_map(b.values)
     # theta^1_1 + i theta^2_1 = e^{-2 i phase(x0)} for this wave

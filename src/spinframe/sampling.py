@@ -27,6 +27,10 @@ class TrigPoly:
     coeffs: np.ndarray    # (M,) complex
     base: np.ndarray      # (dims,) base angular frequencies
 
+    def __post_init__(self):
+        if np.asarray(self.freqs).dtype.kind not in "iu":
+            raise InvalidGrid("TrigPoly modes must be integers")
+
     @property
     def dims(self) -> int:
         return self.freqs.shape[1]
@@ -92,11 +96,12 @@ class TrigPoly:
 
 
 def random_trig_poly(rng: np.random.Generator, base, max_mode: int = 3,
-                     n_modes: int = 6, amplitude: float = 1.0, real: bool = False) -> TrigPoly:
-    """Random band-limited field, <= max_mode per axis; real=True hermitizes."""
+                     amplitude: float = 1.0, real: bool = False) -> TrigPoly:
+    """Random band-limited field of 6 modes, <= max_mode per axis, scaled to
+    sup bound amplitude; real=True hermitizes."""
     dims = len(base)
-    freqs = rng.integers(-max_mode, max_mode + 1, size=(n_modes, dims))
-    coeffs = (rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes))
+    freqs = rng.integers(-max_mode, max_mode + 1, size=(6, dims))
+    coeffs = (rng.normal(size=6) + 1j * rng.normal(size=6))
     p = TrigPoly(freqs, coeffs, np.asarray(base, float))
     if real:
         p = TrigPoly(
@@ -217,11 +222,10 @@ def random_positive_spinor(rng: np.random.Generator, base, max_mode: int = 3) ->
     return SpinorPoly(c1, db)
 
 
-def random_covector_polys(rng: np.random.Generator, base, max_mode: int = 2,
-                          amplitude: float = 0.5) -> list[TrigPoly]:
-    """Three real band-limited components for an electromagnetic covector."""
-    return [random_trig_poly(rng, base, max_mode, amplitude=amplitude, real=True)
-            for _ in range(3)]
+def random_covector_polys(rng: np.random.Generator, base) -> list[TrigPoly]:
+    """Three real band-limited components for an electromagnetic covector,
+    modes <= 2 per axis, sup bound 0.5 each."""
+    return [random_trig_poly(rng, base, 2, amplitude=0.5, real=True) for _ in range(3)]
 
 
 def covector_on(polys, spec: LatticeSpec) -> np.ndarray:

@@ -75,10 +75,11 @@ class SuiteConfig:
             raise ConfigInvalid(f"mass must be finite and positive, got {self.m!r}")
         if self.a0 is not None and not math.isfinite(self.a0):
             raise ConfigInvalid(f"A0 must be finite, got {self.a0!r}")
-        if self.seed < 0:
-            raise ConfigInvalid(f"seed must be non-negative, got {self.seed}")
-        if self.seeds is not None and self.seeds < 1:
-            raise ConfigInvalid(f"seed count must be at least 1, got {self.seeds}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigInvalid(f"seed must be a non-negative int, got {self.seed!r}")
+        if self.seeds is not None and (not isinstance(self.seeds, (int, np.integer))
+                                       or self.seeds < 1):
+            raise ConfigInvalid(f"seed count must be an int of at least 1, got {self.seeds!r}")
 
 
 def _params(cfg: SuiteConfig, suite: str) -> dict:
@@ -132,7 +133,10 @@ def _suite_coframe(cfg: SuiteConfig, params: dict):
         a[:, 0] += np.sign(a[:, 0].real + 1e-300) * (np.abs(a[:, 1]) + 0.1)
         theta, rho = coframe_map(a)
         rep = verify_coframe(CoframeDensity(theta, rho))
-        return _worst(rep.max_orthonormality_deviation, rep.det_deviation)
+        # Gram and det do not see a time-reversed frame or a negative
+        # density: either fails the report with a non-finite residual
+        worst = _worst(rep.max_orthonormality_deviation, rep.det_deviation)
+        return worst if rep.oriented else math.nan
 
     dev, ms = _timed(run)
     return [make_report("coframe-correspondence", params, dev, dev, 1e-12, ms)]

@@ -26,9 +26,8 @@ from .grids import (
     ModelParams,
     SpinorBundle,
     form_components,
-    form_field,
     hodge_dual,
-    norm_squared,
+    lorentz_dot,
     wedge,
 )
 
@@ -52,8 +51,8 @@ class SpinorContractions:
     rho: np.ndarray
     z: np.ndarray
     t: np.ndarray
-    y: tuple[np.ndarray, ...] | None = None
-    u: np.ndarray | None = None
+    y: tuple[np.ndarray, ...] | None
+    u: np.ndarray | None
 
 
 def mixed_derivative(b: SpinorBundle, params: ModelParams | None, alpha: int) -> np.ndarray:
@@ -92,27 +91,27 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None) -> S
     z = 0.0
     for alpha in range(3):
         z += contract(SIGMA_UPPER[alpha], b.values, mixed_derivative(b, params, alpha))
-    out = SpinorContractions(rho, z, 4.0 * z.imag / (3.0 * rho))
-    require_finite(out.t, "axial torsion t")
+    t = 4.0 * z.imag / (3.0 * rho)
+    require_finite(t, "axial torsion t")
+    y = u = None
     if dims == 4:
         d3 = b.derivs[..., 3, :]
-        out.y = tuple(contract(SIGMA_LOWER[alpha], b.values, d3) for alpha in range(3))
-        out.u = grid_minor(rho.shape + (3,), dims, float)
+        y = tuple(contract(SIGMA_LOWER[alpha], b.values, d3) for alpha in range(3))
+        u = grid_minor(rho.shape + (3,), dims, float)
         three_rho = 3.0 * rho
-        for alpha, y in enumerate(out.y):
-            np.divide(-4.0 * y.imag, three_rho, out=out.u[..., alpha])
-        require_finite(out.u, "x3-rotation covector u")
-    return out
+        for alpha, y_alpha in enumerate(y):
+            np.divide(-4.0 * y_alpha.imag, three_rho, out=u[..., alpha])
+        require_finite(u, "x3-rotation covector u")
+    return SpinorContractions(rho, z, t, y, u)
 
 
-def axial_torsion_spinor(b: SpinorBundle, params: ModelParams | None = None) -> np.ndarray:
-    """Hodge-dualized axial torsion from the spinor field (xi form).
-
-    Without params this is *T^ax = 4 Im(xi^dag sigma^alpha d_alpha xi) / (3 rho);
-    params mix d_alpha -> d_alpha + A_alpha/m * d_3 (4D bundles only).
-    The contraction is computed in ``spinor_contractions``.
+def axial_torsion_spinor(b: SpinorBundle) -> np.ndarray:
+    """Hodge-dualized axial torsion from the spinor field (xi form):
+    *T^ax = 4 Im(xi^dag sigma^alpha d_alpha xi) / (3 rho), computed in
+    ``spinor_contractions``.  A caller that mixes in A reads
+    ``spinor_contractions(b, params).t``.
     """
-    return spinor_contractions(b, params).t
+    return spinor_contractions(b).t
 
 
 def dirac_term(b: SpinorBundle, params: ModelParams, r: int, alpha: int) -> np.ndarray:
@@ -181,7 +180,7 @@ def _row_forms(cb: CoframeBundle, j: int) -> tuple[LatticeField, LatticeField]:
             np.subtract(drow[..., a, b_], drow[..., b_, a], out=vals[..., i])
         else:
             np.negative(drow[..., b_, a], out=vals[..., i])
-    return form_field(spec, 1, row), form_field(spec, 2, vals)
+    return LatticeField(spec, 1, row), LatticeField(spec, 2, vals)
 
 
 def axial_torsion_coframe(cb: CoframeBundle) -> LatticeField:
@@ -260,7 +259,9 @@ def kk_decomposition_check(b: SpinorBundle, coframe_derivs: str = "chain") -> KK
         cb = CoframeBundle(b.spec, theta, lambda j: dtheta[..., j, :])
     else:
         cb = CoframeBundle.from_grid(b.spec, theta, "stencil")
-    lhs = norm_squared(axial_torsion_coframe(cb))
+    t_ext = axial_torsion_coframe(cb)
+    lhs = lorentz_dot(t_ext, t_ext).values
+    del t_ext
     c = spinor_contractions(b)
     t, u = c.t, c.u
     # z, y and rho are not read below; release them before the norm

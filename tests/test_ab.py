@@ -55,6 +55,22 @@ def test_nine_wins_inside_the_base_quartile_spread_do_not_meet_the_claim():
     assert not m["claim_met"]
 
 
+def test_pairs_with_a_failed_run_count_against_the_claim():
+    # 12 pairs run, two change runs failed: 9 wins of the 10 left are 9 of 12
+    base = BASE + [1.0, 1.0]
+    pairs = _pairs(base, [0.8 * b for b in base])
+    pairs[0] = (pairs[0][0], None)
+    pairs[1] = (pairs[1][0], None)
+    pairs[2] = (pairs[2][0], _run(wall_s=1.5))
+    aa = (_run(wall_s=1.0), _run(wall_s=1.0))
+    m = ab.compare(pairs, aa, [WALL])["wall_s"]
+    assert m["change_wins"] == 9 and m["change_losses"] == 1 and m["ties"] == 0
+    assert m["gap_exceeds_base_iqr"]
+    assert not m["claim_met"]
+    # the same ten pairs without the failed ones meet it
+    assert ab.compare(pairs[2:], aa, [WALL])["wall_s"]["claim_met"]
+
+
 def test_fewer_than_ten_pairs_meet_no_claim():
     m = _wall(BASE[:9], [0.5 * b for b in BASE[:9]])
     assert m["change_wins"] == 9

@@ -95,7 +95,7 @@ def test_verify_coframe_on_random_batch():
     a = rng.normal(size=(500, 2)) + 1j * rng.normal(size=(500, 2))
     a[:, 0] += np.sign(a[:, 0].real + 1e-300) * (np.abs(a[:, 1]) + 0.1)
     theta, rho = coframe_map(a)
-    rep = verify_coframe(CoframeDensity(theta, rho), tol=1e-12)
+    rep = verify_coframe(CoframeDensity(theta, rho))
     assert rep.passed
     assert rep.max_orthonormality_deviation < 1e-12
     assert rep.det_deviation < 1e-12
@@ -103,7 +103,7 @@ def test_verify_coframe_on_random_batch():
 
 def test_verify_coframe_flags_bad_input():
     theta = np.eye(3) * 1.01
-    rep = verify_coframe(CoframeDensity(theta, 1.0), tol=1e-12)
+    rep = verify_coframe(CoframeDensity(theta, 1.0))
     assert not rep.passed
 
 

@@ -238,7 +238,7 @@ def test_probe_must_be_a_grid_point():
     assert calls == []
 
 
-@pytest.mark.parametrize("kind", field_equations.DENSITY_KINDS)
+@pytest.mark.parametrize("kind", field_equations.DENSITIES)
 def test_one_action_evaluation_peaks_below_two_derivative_stacks(kind):
     # theorem1's configuration: a plane wave on 20^3, spectral derivatives.
     # Temporaries of more than about twice the largest block freed make
@@ -280,7 +280,7 @@ def _copy_per_evaluation_gradient(kind, values, spec, p, probes, r, s):
     return out
 
 
-@pytest.mark.parametrize("kind", field_equations.DENSITY_KINDS)
+@pytest.mark.parametrize("kind", field_equations.DENSITIES)
 def test_perturbation_loop_restores_its_copy_and_matches_fresh_copies(kind):
     spec = periodic_spec(8, 2.0 * np.pi / 8, 3)
     base = base_for(spec)
@@ -345,7 +345,7 @@ def _gradient_cases():
     yield spec8, values, p, [(1, 2, 3), (6, 0, 5)]
 
 
-@pytest.mark.parametrize("kind", field_equations.DENSITY_KINDS)
+@pytest.mark.parametrize("kind", field_equations.DENSITIES)
 def test_variational_derivative_is_bit_identical_under_the_fsum_rule(kind, monkeypatch):
     for spec, values, p, probes in _gradient_cases():
         got = discrete_variational_derivative(kind, values, spec, p, probes)

@@ -17,6 +17,7 @@ from spinframe.errors import (
 from spinframe.grids import (
     BACKENDS,
     CoframeBundle,
+    LatticeField,
     LatticeSpec,
     SpinorBundle,
     _axis_derivative,
@@ -24,10 +25,8 @@ from spinframe.grids import (
     derivatives,
     exterior_derivative,
     form_components,
-    form_field,
     hodge_dual,
     lorentz_dot,
-    norm_squared,
     periodic_spec,
     spectral_derivative,
     wedge,
@@ -112,10 +111,16 @@ def test_stencils_are_bit_identical_to_the_roll_formula(extents, kind, backend):
             assert np.ascontiguousarray(slot).tobytes() == ref.tobytes()
 
 
+def _spectral(values, spec, axis):
+    """spectral_derivative into a new grid-minor array of the values' shape."""
+    out = grid_minor(values.shape, spec.dims, np.promote_types(values.dtype, float))
+    return spectral_derivative(values, spec, axis, out)
+
+
 def test_spectral_derivative_exact_on_modes(spec3):
     x = _coords(spec3)
     f = np.exp(1j * (2 * x[0] - 3 * x[2]))
-    d = spectral_derivative(f, spec3, 2)
+    d = _spectral(f, spec3, 2)
     assert np.max(np.abs(d - (-3j) * f)) < 1e-12
 
 
@@ -148,7 +153,7 @@ def test_spectral_derivative_matches_the_fft_rule(n, dims):
                 grid_minor_[...] = c_ordered
                 ref = _fft_derivative(c_ordered, spec, axis)
                 for values in (c_ordered, grid_minor_):
-                    got = spectral_derivative(values, spec, axis)
+                    got = _spectral(values, spec, axis)
                     assert got.dtype == (complex if complex_ else float)
                     np.testing.assert_allclose(got, ref, rtol=0,
                                                atol=1e-13 * max(1.0, np.max(np.abs(ref))))
@@ -157,7 +162,7 @@ def test_spectral_derivative_matches_the_fft_rule(n, dims):
 def test_spectral_derivative_rejects_an_out_array_that_is_not_grid_minor(spec3):
     values = np.ones(spec3.extents + (2,), dtype=complex)
     with pytest.raises(InvalidGrid):
-        spectral_derivative(values, spec3, 1, out=np.empty_like(values))
+        spectral_derivative(values, spec3, 1, np.empty_like(values))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 20])
@@ -215,7 +220,7 @@ def test_derivatives_match_per_axis_stack(spec, tail, axes, old_axis, backend):
     values = _grid_array(spec, tail, complex_=tail != (3, 3))
     per_axis = range(spec.dims) if axes is None else axes
     if backend == "spectral":
-        ds = [spectral_derivative(values, spec, a) for a in per_axis]
+        ds = [_spectral(values, spec, a) for a in per_axis]
     else:
         ds = [_axis_derivative(values, spec, a, backend,
                                np.empty(values.shape, np.promote_types(values.dtype, float)))
@@ -398,20 +403,20 @@ def test_lorentz_dot_signature(spec3):
     for axis, sign in ((0, -1.0), (1, 1.0), (2, 1.0)):
         v = np.zeros(shape + (3,))
         v[..., axis] = 1.0
-        u = form_field(spec3, 1, v)
+        u = LatticeField(spec3, 1, v)
         assert np.allclose(lorentz_dot(u, u).values, sign)
 
 
 def test_lorentz_dot_rank_mismatch(spec3):
-    u = form_field(spec3, 1, np.zeros(spec3.extents + (3,)))
-    w = form_field(spec3, 2, np.zeros(spec3.extents + (3,)))
+    u = LatticeField(spec3, 1, np.zeros(spec3.extents + (3,)))
+    w = LatticeField(spec3, 2, np.zeros(spec3.extents + (3,)))
     with pytest.raises(RankMismatch):
         lorentz_dot(u, w)
 
 
 def test_hodge_of_volume_form(spec3):
     # T_{012} = 1 maps to the scalar -1 (one index raised across the metric)
-    t = form_field(spec3, 3, np.ones(spec3.extents + (1,)))
+    t = LatticeField(spec3, 3, np.ones(spec3.extents + (1,)))
     assert np.allclose(hodge_dual(t).values, -1.0)
 
 
@@ -423,7 +428,7 @@ def test_double_hodge_sign(spec3, rank):
     vals = rng.normal(size=spec3.extents + (ncomp,))
     if rank == 0:
         vals = vals[..., 0]
-    f = form_field(spec3, rank, vals)
+    f = LatticeField(spec3, rank, vals)
     twice = hodge_dual(hodge_dual(f))
     sign = -((-1.0) ** (rank * (3 - rank)))
     assert np.allclose(twice.values, sign * f.values, atol=1e-13)
@@ -455,7 +460,7 @@ def test_hodge_dual_is_grid_minor_and_matches_the_hand_formula(spec3, rank, batc
     minor[...] = c_ordered
     want = _hodge_by_hand(c_ordered, rank)
     for vals in (c_ordered, minor):
-        got = hodge_dual(form_field(spec3, rank, vals)).values
+        got = hodge_dual(LatticeField(spec3, rank, vals)).values
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         if rank < 3:
@@ -469,11 +474,11 @@ def test_lorentz_dot_matches_the_metric_einsum_in_any_layout(spec3, rank):
     p, q = (rng.normal(size=spec3.extents + (ncomp,)) for _ in range(2))
     signs = np.array([np.prod(spec3.metric[list(c)]) for c in form_components(3, rank)])
     want = np.einsum("...c,c,...c->...", p, signs, q)
-    got = lorentz_dot(form_field(spec3, rank, p), form_field(spec3, rank, q)).values
+    got = lorentz_dot(LatticeField(spec3, rank, p), LatticeField(spec3, rank, q)).values
     assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
     pm, qm = grid_minor(p.shape, 3, float), grid_minor(q.shape, 3, float)
     pm[...], qm[...] = p, q
-    minor = lorentz_dot(form_field(spec3, rank, pm), form_field(spec3, rank, qm)).values
+    minor = lorentz_dot(LatticeField(spec3, rank, pm), LatticeField(spec3, rank, qm)).values
     assert minor.tobytes() == got.tobytes()
 
 
@@ -485,7 +490,7 @@ def _grid_minor_slices(a: np.ndarray, dims: int) -> bool:
 
 def test_hodge_unsupported_in_4d():
     spec4 = periodic_spec(4, 1.0, 4)
-    f = form_field(spec4, 2, np.zeros(spec4.extents + (6,)))
+    f = LatticeField(spec4, 2, np.zeros(spec4.extents + (6,)))
     with pytest.raises(UnsupportedRank):
         hodge_dual(f)
 
@@ -495,7 +500,7 @@ def test_wedge_basis_and_overflow(spec3):
     for axis in range(3):
         v = np.zeros(spec3.extents + (3,))
         v[..., axis] = 1.0
-        e[axis] = form_field(spec3, 1, v)
+        e[axis] = LatticeField(spec3, 1, v)
     w01 = wedge(e[0], e[1])
     assert np.allclose(w01.values[..., 0], 1.0)  # (dx0 ^ dx1)_{01}
     assert np.allclose(w01.values[..., 1:], 0.0)
@@ -509,26 +514,46 @@ def test_malformed_forms_raise_instead_of_reading_component_zero(spec3):
     spec4 = periodic_spec(4, 1.0, 4)
     # a 3-column coframe row on a 4D grid must be padded explicitly
     with pytest.raises(RankMismatch):
-        form_field(spec4, 1, np.ones(spec4.extents + (3,)))
+        LatticeField(spec4, 1, np.ones(spec4.extents + (3,)))
     with pytest.raises(RankMismatch):
-        form_field(spec3, 2, np.ones(spec3.extents + (1,)))
+        LatticeField(spec3, 2, np.ones(spec3.extents + (1,)))
     # a 4D 1-form wedged with a 3D one: a rest index tuple of the 4D result
     # is no component of the 3D form
-    u4 = form_field(spec4, 1, np.ones(spec4.extents + (4,)))
-    u3 = form_field(spec3, 1, np.ones(spec3.extents + (3,)))
+    u4 = LatticeField(spec4, 1, np.ones(spec4.extents + (4,)))
+    u3 = LatticeField(spec3, 1, np.ones(spec3.extents + (3,)))
     with pytest.raises(RankMismatch):
         wedge(u4, u3)
 
 
+@pytest.mark.parametrize("dims", [3, 4])
+def test_a_rank_outside_zero_to_dims_raises_rank_overflow(dims):
+    spec = periodic_spec(4, 1.0, dims)
+    for rank in (-1, dims + 1):
+        with pytest.raises(RankOverflow):
+            LatticeField(spec, rank, np.ones(spec.extents + (1,)))
+
+
+def test_4d_wedge_of_a_1_form_and_a_3_form_is_a_4_form():
+    spec4 = periodic_spec(4, 1.0, 4)
+    dx3 = np.zeros(spec4.extents + (4,))
+    dx3[..., 3] = 1.0
+    dx012 = np.zeros(spec4.extents + (4,))
+    dx012[..., 0] = 1.0
+    top = wedge(LatticeField(spec4, 1, dx3), LatticeField(spec4, 3, dx012))
+    assert top.rank == 4 and top.values.shape == spec4.extents + (1,)
+    # dx^3 ^ dx^0 ^ dx^1 ^ dx^2 = -dx^0 ^ dx^1 ^ dx^2 ^ dx^3
+    assert np.all(top.values == -1.0)
+
+
 def test_wedge_antisymmetry(spec3):
     rng = np.random.default_rng(1)
-    u = form_field(spec3, 1, rng.normal(size=spec3.extents + (3,)))
-    v = form_field(spec3, 1, rng.normal(size=spec3.extents + (3,)))
+    u = LatticeField(spec3, 1, rng.normal(size=spec3.extents + (3,)))
+    v = LatticeField(spec3, 1, rng.normal(size=spec3.extents + (3,)))
     assert np.allclose(wedge(u, v).values, -wedge(v, u).values)
 
 
 def test_exterior_derivative_nilpotent(spec3):
     x = _coords(spec3)
-    f = form_field(spec3, 0, np.sin(x[0]) * np.cos(2 * x[1]) + np.sin(x[2]))
+    f = LatticeField(spec3, 0, np.sin(x[0]) * np.cos(2 * x[1]) + np.sin(x[2]))
     ddf = exterior_derivative(exterior_derivative(f))
     assert np.max(np.abs(ddf.values)) < 1e-12

@@ -5,10 +5,13 @@ one home: no function takes an ``order``, and only ``grids.derivatives``
 calls the per-axis derivative kernels.  No module-level definition
 (function, class, constant or private helper) is kept for tests alone:
 each is reached from a suite or the CLI, exported from ``__init__``, or
-named with its reason on a short allowlist.  Each pair of independent
-routes shares only the names on its own allowlist."""
+named with its reason on a short allowlist.  No setting is kept for tests
+alone either: every defaulted parameter or field of such a definition is
+passed by a package call, or named on its own allowlist.  Each pair of
+independent routes shares only the names on its own allowlist."""
 
 import ast
+import math
 import shutil
 from pathlib import Path
 
@@ -167,11 +170,16 @@ def reachable(package: Path, roots) -> set[tuple[str, str]]:
     return seen
 
 
+def kept_definitions(package: Path) -> set[tuple[str, str]]:
+    """Every (module, name) definition reached from ROOTS or exported."""
+    exported = relative_imports(_tree(package / "__init__.py")).values()
+    return reachable(package, ROOTS) | set(exported)
+
+
 def unreached_definitions(package: Path) -> list[str]:
     """Module-level definitions of every module but ``__init__``, public or
     private, neither reached from ROOTS nor exported, as "module.name"."""
-    keep = reachable(package, ROOTS)
-    keep |= set(relative_imports(_tree(package / "__init__.py")).values())
+    keep = kept_definitions(package)
     return [f"{path.stem}.{name}"
             for path in sorted(package.glob("*.py")) if path.stem != "__init__"
             for name in module_definitions(_tree(path))
@@ -181,6 +189,126 @@ def unreached_definitions(package: Path) -> list[str]:
 def test_every_public_definition_is_reached_exported_or_allowed():
     # an allowlisted name that is reached, exported or deleted fails too
     assert sorted(unreached_definitions(PACKAGE)) == sorted(ALLOWED_UNREACHED)
+
+
+# ---------------------------------------------------------------------------
+# No test-only settings: every parameter with a default, and every dataclass
+# field with a default, of a reached or exported definition is passed by at
+# least one call in the package.  Calls are matched by simple name (``f(...)``
+# and ``x.f(...)`` alike, a class name for its fields), so a name that two
+# definitions share can only hide a finding, never invent one.
+# ---------------------------------------------------------------------------
+
+# Defaults that no package call passes, each with the reason it stays.
+ALLOWED_DEFAULTS = {
+    "cli.main(argv)": "the console entry point; the interpreter calls it without argv",
+    "variational.lemma_check(probes)": "acceptance criterion 6 passes one probe",
+}
+
+
+def _defaulted_arguments(fn, label: str, skip_first: bool) -> list[tuple[str, str, str, int]]:
+    """(label, call name, keyword, position) of each parameter of fn with a
+    default; a keyword-only one has position -1, and a method's first
+    parameter is not counted."""
+    a = fn.args
+    positional = (a.posonlyargs + a.args)[1 if skip_first else 0:]
+    first = len(positional) - len(a.defaults)
+    out = [(f"{label}({p.arg})", fn.name, p.arg, i)
+           for i, p in enumerate(positional) if i >= first]
+    out += [(f"{label}({p.arg})", fn.name, p.arg, -1)
+            for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _decorator_names(node) -> set[str]:
+    return {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+            for d in node.decorator_list}
+
+
+def defaulted_parameters(node, label: str) -> list[tuple[str, str, str, int]]:
+    """(label, call name, keyword, position) of every defaulted parameter in
+    one definition: its own, its methods' and those of the functions nested
+    in either, and a dataclass's defaulted fields."""
+    out = []
+    if isinstance(node, ast.ClassDef):
+        if "dataclass" in _decorator_names(node):
+            fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+            out += [(f"{label}({f.target.id})", node.name, f.target.id, i)
+                    for i, f in enumerate(fields) if f.value is not None]
+        methods = [s for s in node.body if isinstance(s, ast.FunctionDef)]
+    else:
+        methods = [node] if isinstance(node, ast.FunctionDef) else []
+    for method in methods:
+        is_method = method is not node and "staticmethod" not in _decorator_names(method)
+        name = f"{label}.{method.name}" if method is not node else label
+        out += _defaulted_arguments(method, name, is_method)
+        out += [entry for inner in ast.walk(method)
+                if isinstance(inner, ast.FunctionDef) and inner is not method
+                for entry in _defaulted_arguments(inner, f"{name}.{inner.name}", False)]
+    return out
+
+
+def package_calls(package: Path) -> dict[str, tuple[set, int]]:
+    """Call name -> (keywords passed, most positional arguments) over every
+    call in the package; a ``*args`` passes every position and a
+    ``**kwargs`` every keyword (recorded as None)."""
+    calls = {}
+    for path in package.glob("*.py"):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                keywords, most = calls.get(name, (set(), 0))
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                keywords |= {k.arg for k in node.keywords}
+                calls[name] = (keywords, math.inf if starred else max(most, len(node.args)))
+    return calls
+
+
+def unpassed_defaults(package: Path) -> list[str]:
+    """Every defaulted parameter or field of a definition reached from ROOTS
+    or exported that no package call passes, by keyword or by position, as
+    "module.definition(parameter)".  The definitions on ALLOWED_UNREACHED
+    are neither, so they are exempt."""
+    trees = {path.stem: _tree(path) for path in package.glob("*.py")}
+    calls = package_calls(package)
+    found = []
+    for module, name in sorted(kept_definitions(package)):
+        node = module_definitions(trees[module])[name]
+        for label, call, keyword, position in defaulted_parameters(node, f"{module}.{name}"):
+            keywords, most = calls.get(call, (set(), 0))
+            if keyword not in keywords and None not in keywords and not 0 <= position < most:
+                found.append(label)
+    return found
+
+
+def test_every_default_is_passed_by_a_package_call():
+    # an allowlisted default that a call passes, or that is deleted, fails too
+    assert sorted(unpassed_defaults(PACKAGE)) == sorted(ALLOWED_DEFAULTS)
+
+
+# Unused settings the contract must refuse: (file, anchor, replacement, the
+# finding it must report).
+_UNUSED_DEFAULTS = (
+    ("sampling.py", "def base_for(spec: LatticeSpec) -> np.ndarray:",
+     "def base_for(spec: LatticeSpec, scale: float = 1.0) -> np.ndarray:",
+     "sampling.base_for(scale)"),
+    ("grids.py", "    row_derivatives: Callable[[int], np.ndarray]\n",
+     "    row_derivatives: Callable[[int], np.ndarray]\n    label: str = \"\"\n",
+     "grids.CoframeBundle(label)"),
+)
+
+
+@pytest.mark.parametrize("edit", _UNUSED_DEFAULTS, ids=[e[3] for e in _UNUSED_DEFAULTS])
+def test_default_contract_fails_on_an_unused_default(edit, tmp_path):
+    file, anchor, replacement, finding = edit
+    tree = tmp_path / "spinframe"
+    shutil.copytree(PACKAGE, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (tree / file).read_text()
+    assert source.count(anchor) == 1
+    (tree / file).write_text(source.replace(anchor, replacement))
+    assert finding not in unpassed_defaults(PACKAGE)
+    assert finding in unpassed_defaults(tree)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ from spinframe.field_equations import dirac_apply, field_equation_residual_4d
 from spinframe.grids import (
     BACKENDS,
     CoframeBundle,
+    LatticeField,
     LatticeSpec,
     ModelParams,
     SpinorBundle,
     derivatives,
-    form_field,
     periodic_spec,
     wedge,
 )
@@ -53,12 +53,9 @@ GRIDS = {
 }
 
 
-def _poly(dims: int, integer: bool, seed: int = 0) -> TrigPoly:
+def _poly(dims: int, real: bool, seed: int = 0) -> TrigPoly:
     rng = np.random.default_rng(seed)
-    p = random_trig_poly(rng, base_for(GRIDS[dims]), max_mode=3, n_modes=7)
-    if integer:
-        return p
-    return TrigPoly(p.freqs + rng.uniform(-0.5, 0.5, size=p.freqs.shape), p.coeffs, p.base)
+    return random_trig_poly(rng, base_for(GRIDS[dims]), max_mode=3, real=real)
 
 
 def _coords(spec: LatticeSpec, layout: str):
@@ -80,14 +77,15 @@ def _mode_sum(p: TrigPoly, coords) -> np.ndarray:
     return out
 
 
-# a full copy of the coordinates is axis-aligned only on a 1D grid
-@pytest.mark.parametrize("layout,integer,dims", [
-    (layout, integer, dims) for layout in ("view", "sparse", "copy")
-    for integer in (True, False) for dims in sorted(GRIDS)
+# a full copy of the coordinates is axis-aligned only on a 1D grid; a
+# complex and a hermitized (real) polynomial per layout and grid
+@pytest.mark.parametrize("layout,real,dims", [
+    (layout, real, dims) for layout in ("view", "sparse", "copy")
+    for real in (True, False) for dims in sorted(GRIDS)
     if layout != "copy" or dims == 1])
-def test_table_path_matches_per_mode_loop(layout, integer, dims):
+def test_table_path_matches_per_mode_loop(layout, real, dims):
     spec = GRIDS[dims]
-    p = _poly(dims, integer, seed=dims)
+    p = _poly(dims, real, seed=dims)
     coords = _coords(spec, layout)
     reference = _mode_sum(p, _coords(spec, "copy"))
     got = p(coords)
@@ -96,10 +94,17 @@ def test_table_path_matches_per_mode_loop(layout, integer, dims):
     assert np.max(np.abs(got - reference)) <= 1e-14
 
 
+def test_non_integer_modes_raise_invalid_grid():
+    p = _poly(3, False)
+    for freqs in (p.freqs + 0.25, p.freqs.astype(float)):
+        with pytest.raises(InvalidGrid, match="integers"):
+            TrigPoly(freqs, p.coeffs, p.base)
+
+
 @pytest.mark.parametrize("dims", sorted(GRIDS))
 def test_table_path_taken_only_for_axis_aligned_coordinates(dims):
     spec = GRIDS[dims]
-    p = _poly(dims, True)
+    p = _poly(dims, False)
     assert len(p._axis_vectors(_coords(spec, "view"))) == dims
     assert len(p._axis_vectors(_coords(spec, "sparse"))) == dims
     # a full copy varies along every axis in memory; only 1-D qualifies
@@ -113,7 +118,7 @@ def test_table_path_taken_only_for_axis_aligned_coordinates(dims):
 
 def test_mismatched_coordinates_raise_invalid_grid():
     spec = GRIDS[3]
-    p = _poly(3, True)
+    p = _poly(3, False)
     x = spec.meshgrid()
     # coordinates of a 4D grid for a 3D polynomial, a scalar coordinate, a
     # coordinate of another extent and an empty grid
@@ -206,7 +211,8 @@ def test_spinor_poly_bundles_are_grid_minor(dims):
 def test_from_grid_bundle_is_grid_minor(backend):
     spec = periodic_spec((6, 5, 4), (0.5, 0.4, 0.9), 3)
     values = _layout_spinor(spec).bundle(spec).values
-    b = SpinorBundle.from_grid(spec, values, backend=backend)
+    b = SpinorBundle.from_grid(spec, values) if backend == "spectral" \
+        else SpinorBundle(spec, values, derivatives(values, spec, backend))
     assert b.derivs.shape == spec.extents + (3, 2)
     assert _grid_minor_slices(b.values, 3) and _grid_minor_slices(b.derivs, 3)
 
@@ -259,7 +265,7 @@ def test_chain_dtheta_row_forms_and_wedge_are_grid_minor(dims):
             assert term.values.shape == spec.extents + (1 if dims == 3 else 4,)
             assert _grid_minor_slices(term.values, dims)
     # a C-ordered operand gives a grid-minor wedge all the same
-    c = form_field(spec, 1, np.ascontiguousarray(_row_forms(cb, 0)[0].values))
+    c = LatticeField(spec, 1, np.ascontiguousarray(_row_forms(cb, 0)[0].values))
     assert _grid_minor_slices(wedge(c, c).values, dims)
 
 

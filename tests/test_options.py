@@ -1,20 +1,25 @@
 """Option strings are checked where they enter: a misspelt backend, norm or
 derivative route raises instead of falling back to a default.  A wrong
-option, kind, format or grid from the caller raises a package error."""
+option, rank, format or grid from the caller raises a package error, and a
+configuration that cannot be honoured raises ConfigInvalid."""
 
 import numpy as np
 import pytest
 
-from spinframe.errors import InvalidGrid, SpinframeError, UnknownOption
+from spinframe.errors import (
+    ConfigInvalid,
+    InvalidGrid,
+    RankOverflow,
+    SpinframeError,
+    UnknownOption,
+)
 from spinframe.field_equations import discrete_variational_derivative
 from spinframe.grids import (
     CoframeBundle,
-    ModelParams,
-    SpinorBundle,
     LatticeField,
+    ModelParams,
     derivatives,
     exterior_derivative,
-    form_field,
     periodic_spec,
 )
 from spinframe.plane_waves import PlaneWaveLabel, plane_wave_spinor
@@ -24,6 +29,7 @@ from spinframe.sampling import (
     coframe_bundle_from_spinor,
     random_positive_spinor,
 )
+from spinframe.suites import SuiteConfig
 from spinframe.torsion import (
     axial_torsion_spinor,
     kk_decomposition_check,
@@ -50,12 +56,6 @@ def test_unknown_option_is_a_value_error_and_a_package_error():
     assert issubclass(UnknownOption, SpinframeError)
 
 
-def test_from_grid_rejects_unknown_backend():
-    values = _bundle3().values
-    with pytest.raises(ValueError, match="'Spectral'"):
-        SpinorBundle.from_grid(SPEC3, values, backend="Spectral")
-
-
 def test_coframe_bundle_rejects_unknown_backend():
     with pytest.raises(ValueError, match="'fft'"):
         coframe_bundle_from_spinor(_bundle3().values, SPEC3, backend="fft")
@@ -66,7 +66,7 @@ def test_derivatives_rejects_unknown_backend():
         derivatives(np.zeros(SPEC3.extents), SPEC3, "fft")
     with pytest.raises(UnknownOption, match="'stencil3'"):
         derivatives(np.zeros(SPEC3.extents), SPEC3, "stencil3")
-    f = form_field(SPEC3, 0, np.zeros(SPEC3.extents))
+    f = LatticeField(SPEC3, 0, np.zeros(SPEC3.extents))
     with pytest.raises(UnknownOption, match="'stencil3'"):
         exterior_derivative(f, "stencil3")
 
@@ -102,14 +102,14 @@ def test_kk_check_rejects_unknown_coframe_route():
 @pytest.mark.parametrize("backend", ("stencil", "stencil4", "spectral"))
 def test_known_backends_still_accepted(backend):
     b = _bundle3()
-    SpinorBundle.from_grid(SPEC3, b.values, backend=backend)
+    derivatives(b.values, SPEC3, backend)
     coframe_bundle_from_spinor(b.values, SPEC3, backend=backend)
 
 
 _CALLER_ERRORS = {
     "report-format": (UnknownOption, lambda: render([make_report("c", {}, 0.0, 0.0, 1.0)],
                                                     "xml")),
-    "field-kind": (UnknownOption, lambda: LatticeField(SPEC3, "vector", np.zeros(SPEC3.extents))),
+    "rank-range": (RankOverflow, lambda: LatticeField(SPEC3, 4, np.zeros(SPEC3.extents + (1,)))),
     "mixing-on-3d": (InvalidGrid, lambda: spinor_contractions(_bundle3(), ModelParams(m=1.0))),
     "kk-on-3d": (InvalidGrid, lambda: kk_decomposition_check(_bundle3())),
     "plane-wave-on-2d": (InvalidGrid, lambda: plane_wave_spinor(PlaneWaveLabel(1, 1),
@@ -123,3 +123,23 @@ def test_a_wrong_kind_format_or_grid_raises_a_package_value_error(error, call):
         call()
     assert isinstance(info.value, SpinframeError)
     assert isinstance(info.value, ValueError)
+
+
+_UNHONOURABLE_CONFIGS = {
+    "fractional-seed-count": lambda: SuiteConfig(seeds=2.5),
+    "fractional-seed": lambda: SuiteConfig(seed=1.5),
+    "A-of-two-components": lambda: ModelParams(m=1, A=(1.0, 2.0)),
+    "A-field-of-two-components": lambda: ModelParams(m=1, A=np.zeros(SPEC3.extents + (2,))),
+    "nan-A": lambda: ModelParams(m=1, A=(np.nan, 0.0, 0.0)),
+    "inf-A-field": lambda: ModelParams(m=1, A=np.full(SPEC3.extents + (3,), np.inf)),
+}
+
+
+@pytest.mark.parametrize("make", list(_UNHONOURABLE_CONFIGS.values()),
+                         ids=list(_UNHONOURABLE_CONFIGS))
+def test_a_config_that_cannot_be_honoured_raises_config_invalid(make):
+    # a seed or seed count that is not an int used to end in a TypeError
+    # from range or SeedSequence, a short A in an IndexError, and a NaN A
+    # in a NaN residual everywhere
+    with pytest.raises(ConfigInvalid):
+        make()

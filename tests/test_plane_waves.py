@@ -73,7 +73,7 @@ def test_measured_rotation_rate_matches_energy():
 
 def test_rotation_rate_matches_the_x0_line_of_a_cubic_wave():
     # the rate samples only the x0 line; the same line cut from the full
-    # n^3 wave gives the same slope
+    # 64^3 wave gives the same slope
     n = 64
     spec = periodic_spec(n, 2.0 * np.pi / n, 3)
     x0 = spec.axis_coords(0)
@@ -83,7 +83,7 @@ def test_rotation_rate_matches_the_x0_line_of_a_cubic_wave():
             theta, _ = coframe_map(plane_wave_spinor(lab, spec).values)
             w = theta[:, 0, 0, 1, 1] + 1j * theta[:, 0, 0, 2, 1]
             want = -np.polyfit(x0, np.unwrap(np.angle(w)), 1)[0] / 2.0
-            assert measured_rotation_rate(lab, n) == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert measured_rotation_rate(lab) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_coframe_rotation_angle_doubles_phase():

@@ -1,5 +1,6 @@
-"""Suite verdicts fail closed on non-finite residuals, hold at masses
-other than 1, and time each report on the calls behind it."""
+"""Suite verdicts fail closed on non-finite residuals and on a
+time-reversed coframe, hold at masses other than 1, and time each report
+on the calls behind it."""
 
 import math
 from types import SimpleNamespace
@@ -36,6 +37,22 @@ def test_nan_from_a_later_seed_fails_the_report(monkeypatch, suite, name, nan_ca
     calls = _nan_on_call(monkeypatch, name, nan_call, make_nan)
     rep, = run_suite(suite, SuiteConfig(seeds=3))
     assert len(calls) >= nan_call
+    assert not math.isfinite(rep.max_abs_residual)
+    assert not rep.passed
+
+
+def test_a_time_reversed_coframe_fails_its_report(monkeypatch):
+    # negating frame rows 0 and 1 keeps the Gram matrix and the determinant,
+    # so only theta^0_0 > 0 can catch it
+    original = suites.coframe_map
+
+    def reversed_rows(xi):
+        theta, rho = original(xi)
+        theta[..., :2, :] *= -1.0
+        return theta, rho
+
+    monkeypatch.setattr(suites, "coframe_map", reversed_rows)
+    rep, = run_suite("coframe", SuiteConfig(seeds=100))
     assert not math.isfinite(rep.max_abs_residual)
     assert not rep.passed
 

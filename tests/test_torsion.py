@@ -9,10 +9,10 @@ from spinframe.algebra import O3, coframe_map
 from spinframe.errors import NonPositiveDensity, VanishingDensity
 from spinframe.grids import (
     CoframeBundle,
+    LatticeField,
     ModelParams,
     exterior_derivative,
     form_components,
-    form_field,
     hodge_dual,
     perm_sign,
     periodic_spec,
@@ -201,7 +201,7 @@ def test_coframe_torsion_of_an_extended_frame_checks_its_spatial_block():
     ref = 0.0
     # o_jj of the extended frame metric diag(-1, 1, 1, 1)
     for j, o in enumerate((-1.0, 1.0, 1.0, 1.0)):
-        row = form_field(spec, 1, theta4[..., j, :])
+        row = LatticeField(spec, 1, theta4[..., j, :])
         ref = ref + o / 3.0 * wedge(row, exterior_derivative(row)).values
     assert np.array_equal(checked.values, ref)
 

@@ -19,12 +19,14 @@ done).  It then runs the requested number of base/change pairs,
 alternating which side runs first; pair i uses seed ``--seed + i`` on both
 sides.  For every end-to-end metric of ``BENCHMARK.json`` the output gives
 each side's median and quartiles (``statistics.quantiles(n=4)``), the
-change's wins, losses and ties over the pairs (ties count for neither),
+change's wins, losses and ties over the pairs in which both runs
+succeeded (ties count for neither),
 whether the gap between the medians exceeds the base's quartile spread, the
 A/A spread |b/a - 1| next to the A/B median ratio, and every run's
 provenance line.  A difference inside the A/A spread means no difference.
 It also states two verdicts per metric: ``claim_met``, a claimed gain
-holds (at least 10 pairs, the change better in at least 9 of each 10, and
+holds (at least 10 pairs, the change better in at least 9 of each 10 pairs
+run, where a pair with a failed run is no win, and
 its median better than the base's by more than the base's quartile
 spread), and ``within_bound``, the change's median is no worse than the
 base's by more than the metric's bound (``base * (1 + bound)`` for a
@@ -95,15 +97,19 @@ def summarize(values: list[float]) -> dict:
 CLAIM_MIN_PAIRS = 10
 
 
-def compare(pairs: list[tuple[dict, dict]], aa: tuple[dict, dict], metrics: list[dict]) -> dict:
+def compare(pairs: list[tuple[dict | None, dict | None]], aa: tuple[dict, dict],
+            metrics: list[dict]) -> dict:
     """Per metric: both sides' summaries, the change's win count, the A/A
-    spread and the two verdicts, over pairs of (base run, change run) that
-    both succeeded."""
+    spread and the two verdicts, over every pair of (base run, change run)
+    that was run, a failed run being None.  Summaries, wins and losses come
+    from the pairs in which both runs succeeded; the claim counts its wins
+    against every pair run, so a pair with a failed run is no win."""
+    ok = [(b, c) for b, c in pairs if b and c]
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
-        base = [b["metrics"][name]["value"] for b, _ in pairs]
-        change = [c["metrics"][name]["value"] for _, c in pairs]
+        base = [b["metrics"][name]["value"] for b, _ in ok]
+        change = [c["metrics"][name]["value"] for _, c in ok]
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         losses = sum((c > b) if lower else (c < b) for b, c in zip(base, change))
         sb, sc = summarize(base), summarize(change)
@@ -115,7 +121,7 @@ def compare(pairs: list[tuple[dict, dict]], aa: tuple[dict, dict], metrics: list
             "change_wins": wins, "change_losses": losses, "ties": len(base) - wins - losses,
             "median_ratio": sc["median"] / sb["median"] if sb["median"] else None,
             "gap_exceeds_base_iqr": abs(sc["median"] - sb["median"]) > sb["q3"] - sb["q1"],
-            "claim_met": (len(base) >= CLAIM_MIN_PAIRS and 10 * wins >= 9 * len(base)
+            "claim_met": (len(pairs) >= CLAIM_MIN_PAIRS and 10 * wins >= 9 * len(pairs)
                           and gain > sb["q3"] - sb["q1"]),
             "within_bound": sc["median"] <= limit if lower else sc["median"] >= limit,
             "aa": {"first": a, "second": b, "spread": abs(b / a - 1) if a else None},
@@ -170,19 +176,19 @@ def main(argv=None) -> int:
             aa = (record(workload, "aa-base", base, args.seed, -1),
                   record(workload, "aa-copy", change, args.seed, -1))
             export_working_tree(change)
-            done = []
+            pairs = []
             for i in range(n):
                 seed = args.seed + i
                 order = [("base", base), ("change", change)]
                 if i % 2:
                     order.reverse()
                 got = {side: record(workload, side, tree, seed, i) for side, tree in order}
-                if got["base"] and got["change"]:
-                    done.append((got["base"], got["change"]))
-            result[workload] = {"pairs": n, "pairs_ok": len(done),
+                pairs.append((got["base"], got["change"]))
+            done = sum(1 for b, c in pairs if b and c)
+            result[workload] = {"pairs": n, "pairs_ok": done,
                                 "seeds": [args.seed + i for i in range(n)]}
-            if len(done) >= 2 and all(aa):
-                result[workload]["metrics"] = compare(done, aa, bench["end_to_end"])
+            if done >= 2 and all(aa):
+                result[workload]["metrics"] = compare(pairs, aa, bench["end_to_end"])
             if workload in args.traced:
                 seed = args.seed + n
                 traced = {side: record(workload, f"{side}-traced", tree, seed, n, trace=1)
