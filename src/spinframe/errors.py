@@ -42,8 +42,8 @@ class RankMismatch(SpinframeError):
 
 
 class RankOverflow(SpinframeError, ValueError):
-    """A form rank outside 0..dims of its grid, as of a wedge product or an
-    exterior derivative that would exceed the grid dimension."""
+    """A form rank outside 0..dims of its grid, as of a wedge product that
+    would exceed the grid dimension."""
 
 
 class UnsupportedRank(SpinframeError):

@@ -107,8 +107,8 @@ def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
     require_shape(du, shape + (3,), "du")
     c = spinor_contractions(xi, params)
     t, u = c.t, c.u
-    k = lagrangian_4d(xi, params, contractions=c) / c.rho
-    # z and y are not read below
+    k = lagrangian_4d(xi, c) / c.rho
+    # Im z and Im y are not read below
     del c
     x = xi.values[..., 0], xi.values[..., 1]
     e = xi.derivs[..., 3, 0], xi.derivs[..., 3, 1]

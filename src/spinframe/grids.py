@@ -389,24 +389,6 @@ def wedge(P: LatticeField, Q: LatticeField) -> LatticeField:
     return LatticeField(P.spec, p + q, out if p + q else out[..., 0])
 
 
-def exterior_derivative(P: LatticeField, backend: str = "stencil") -> LatticeField:
-    """Discrete d on an antisymmetric field, by ``derivatives``."""
-    d = P.spec.dims
-    r = P.rank
-    if r + 1 > d:
-        raise RankOverflow("exterior derivative of a top form")
-    comps_in = {c: i for i, c in enumerate(P.components)}
-    comps_out = form_components(d, r + 1)
-    pv = P.values if r > 0 else P.values[..., None]
-    derivs = derivatives(pv, P.spec, backend)
-    out = np.zeros(pv.shape[:-1] + (len(comps_out),), dtype=np.promote_types(pv.dtype, float))
-    for j, c in enumerate(comps_out):
-        for pos, a in enumerate(c):
-            rest = tuple(b for b in c if b != a)
-            out[..., j] += (-1) ** pos * derivs[..., a, comps_in[rest]]
-    return LatticeField(P.spec, r + 1, out)
-
-
 @dataclass
 class ModelParams:
     """Mass and electromagnetic covector.
@@ -470,37 +452,64 @@ class SpinorBundle:
 
 @dataclass
 class CoframeBundle:
-    """Coframe rows theta (*n, 3, 3) and the rule that gives each row's
-    first derivatives.
+    """Coframe rows theta (*n, 3, 3) and the rule that gives the gradient of
+    one coframe component.
 
-    ``row_derivatives(j)`` returns d_a theta^j_b, shape (*n, dims, 3).  It is
-    the only way a consumer reads derivatives, so no whole (*n, dims, 3, 3)
-    stack need exist: ``from_grid`` differentiates row j by ``derivatives``
-    on each call, so the row's (*n, dims, 3) stack is all it allocates, and
-    a caller with closed-form derivatives hands a rule that slices them.
-    The bundle holds no spinor: built from spinor values
+    ``component_gradient(j, p)`` returns d_a theta^j_p over every axis a,
+    shape (*n, dims).  Consumers read the rows' exterior derivatives through
+    ``row_differential``, which asks for one component's gradient at a
+    time, so neither a (*n, dims, 3) row stack nor a (*n, dims, 3, 3) stack
+    need exist: ``from_grid`` differentiates one component by
+    ``derivatives`` on each call, so one (*n, dims) gradient is all it
+    allocates, and a caller with closed-form derivatives hands a rule that
+    slices them.  The bundle holds no spinor: built from spinor values
     (``sampling.coframe_bundle_from_spinor``), it lets the spinor bundle's
     derivative stack be released first.  On a 4D grid the rows are the
     spatial coframe, with theta^j_3 = 0.
 
     Layout: theta as ``algebra.coframe_map`` returns it is grid-minor
-    (``pauli.grid_minor``), so a row ``theta[..., j, :]`` is itself a
-    grid-minor (*n, 3) array that ``derivatives`` reads in place.  The rows
-    ``from_grid`` differentiates and the slices of the kk check's
-    closed-form d theta are grid-minor too.  Any other layout gives the
-    same numbers, only slower.
+    (``pauli.grid_minor``), so a component ``theta[..., j, p]`` is one
+    contiguous block that ``derivatives`` reads in place.  The gradients
+    ``from_grid`` computes and the slices of the kk check's closed-form
+    d theta are grid-minor too.  Any other layout gives the same numbers,
+    only slower.
     """
 
     spec: LatticeSpec
     theta: np.ndarray
-    row_derivatives: Callable[[int], np.ndarray]
+    component_gradient: Callable[[int, int], np.ndarray]
+
+    def row_differential(self, j: int) -> LatticeField:
+        """d theta^j as a grid-minor 2-form, with slots
+        (d theta^j)_{ab} = d_a theta^j_b - d_b theta^j_a, and on a 4D grid
+        (d theta^j)_{a3} = -d_3 theta^j_a.
+
+        Components are read in order, each gradient dropped before the next
+        is asked for.  Component p writes -d_b theta^j_p into each slot
+        (p, b), then adds d_a theta^j_p into each slot (a, p); since a < p,
+        every slot is written before it is added to, and -x + y is y - x
+        exactly.  The diagonal d_p theta^j_p is computed by the rule but
+        not read.
+        """
+        spec = self.spec
+        comps = form_components(spec.dims, 2)
+        vals = grid_minor(spec.extents + (len(comps),), spec.dims, float)
+        for p in range(3):
+            grad = self.component_gradient(j, p)
+            for i, (a, b) in enumerate(comps):
+                if a == p:
+                    np.negative(grad[..., b], out=vals[..., i])
+                elif b == p:
+                    vals[..., i] += grad[..., a]
+            del grad
+        return LatticeField(spec, 2, vals)
 
     @classmethod
     def from_grid(cls, spec: LatticeSpec, theta: np.ndarray,
                   backend: str = "stencil") -> "CoframeBundle":
         require_choice("backend", backend, BACKENDS)
 
-        def row_derivatives(j: int) -> np.ndarray:
-            return derivatives(theta[..., j, :], spec, backend)
+        def component_gradient(j: int, p: int) -> np.ndarray:
+            return derivatives(theta[..., j, p], spec, backend)
 
-        return cls(spec, theta, row_derivatives)
+        return cls(spec, theta, component_gradient)

@@ -13,32 +13,26 @@ import numpy as np
 
 from .errors import DegenerateDenominator, require_agreement, require_density, require_finite
 from .grids import LatticeField, ModelParams, SpinorBundle, lorentz_dot, hodge_dual
-from .torsion import (
-    SpinorContractions,
-    dirac_term,
-    reduced_axial_torsion,
-    spinor_contractions,
-)
+from .torsion import SpinorContractions, dirac_term, reduced_axial_torsion
 
-def lagrangian_4d(xi: SpinorBundle, params: ModelParams,
-                  contractions: SpinorContractions | None = None) -> np.ndarray:
+
+def lagrangian_4d(xi: SpinorBundle, contractions: SpinorContractions) -> np.ndarray:
     """Rotational-deformation density for the 4D spinor field.
 
     Spelled-out form: -(4 / 9 rho) ([i(z - conj z)]^2 + ||i(y - conj y)||^2)
     with z the sigma^alpha contraction of the mixed derivative and y_alpha
-    the sigma_alpha contraction of the x3 derivative.  Cross-checked against
-    the norm form (||T_A^ax||^2 + ||D_3 theta||^2) rho computed through the
-    lattice form machinery.
+    the sigma_alpha contraction of the x3 derivative; i(z - conj z) =
+    -2 Im z.  Cross-checked against the norm form (||T_A^ax||^2 +
+    ||D_3 theta||^2) rho computed through the lattice form machinery.
 
-    z, y and the torsion scalars t, u are computed once, by
-    ``torsion.spinor_contractions`` with A mixed in; a caller that already
-    holds them for the same bundle and params, such as
-    ``field_equation_residual_4d``, passes them as ``contractions``.
+    ``contractions`` is ``torsion.spinor_contractions(xi, params)``, with A
+    mixed in: Im z, Im y and the torsion scalars t, u, computed once by the
+    caller (``field_equation_residual_4d``).
     """
-    c = contractions if contractions is not None else spinor_contractions(xi, params)
+    c = contractions
     rho = c.rho
-    sq = (-2.0 * c.z.imag) ** 2
-    ynorm = sum(g * (-2.0 * y.imag) ** 2 for g, y in zip((-1.0, 1.0, 1.0), c.y))
+    sq = (-2.0 * c.z) ** 2
+    ynorm = sum(g * (-2.0 * y) ** 2 for g, y in zip((-1.0, 1.0, 1.0), c.y))
     spelled = -(4.0 / (9.0 * rho)) * (sq + ynorm)
 
     # norm form through the 3-form/2-form machinery (the form component axis

@@ -241,8 +241,8 @@ def covector_on(polys, spec: LatticeSpec) -> np.ndarray:
 def coframe_bundle_from_spinor(values: np.ndarray, spec: LatticeSpec,
                                backend: str = "stencil") -> CoframeBundle:
     """Coframe route: theta from the pointwise map of the spinor values
-    (*n, 2) on spec, each row's derivatives by grid derivative of that row
-    when ``axial_torsion_coframe`` reads it.
+    (*n, 2) on spec, each component's gradient by grid derivative of that
+    component when ``axial_torsion_coframe`` reads it.
 
     The derivative deliberately goes through the sampled theta grid (not the
     chain rule), which is what makes the coframe route independent of the

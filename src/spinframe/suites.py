@@ -179,7 +179,10 @@ def _refinement_rms(seed: int) -> list[float]:
 
     On each grid the spinor route runs first; the bundle is then dropped,
     its values kept until theta is built, so the derivative stack and the
-    values are gone before the coframe route differentiates theta.
+    values are gone before the coframe route differentiates theta.  The
+    spinor stage holds the bundle (16 grid-sized float arrays), Im z, rho,
+    t and one temporary; the coframe stage theta (9), t, the running
+    total, one row's d theta^j (3) and one component's gradient (3).
     """
     specs = [periodic_spec(n, 2.0 * np.pi / n, 3) for n in (32, 64)]
     sp = random_positive_spinor(np.random.default_rng(seed), base_for(specs[0]), max_mode=2)

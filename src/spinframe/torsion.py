@@ -2,13 +2,24 @@
 
 The spinor-route formulas are the primary ones; the coframe route (wedge of
 the coframe with its exterior derivative) exists as an independent oracle.
-It sums over the frame rows one at a time, each from that row's own
-derivatives.  On a 4D grid the same three rows give the extended torsion
-T_ext^ax of the Kaluza-Klein step: the appended row theta^3 = dx^3 is
-constant, so its term vanishes and no extended coframe is built.  All
-starred quantities are real: the spinor route takes the real or imaginary
-part of each contraction by its formula, and the coframe route is real
-throughout.
+All starred quantities are real: the spinor route takes the real or
+imaginary part of each contraction by its formula, and the coframe route is
+real throughout.
+
+What each route holds besides its input:
+
+* The spinor route (``spinor_contractions``) keeps only the imaginary parts
+  it reads, as float arrays.  Each contraction passes through one complex
+  buffer of one component's size and one float pair sum, and rho is read
+  after the products.  Next to a 3D bundle it holds Im z, the pair sum and
+  the buffer, then Im z, rho, t and one quotient temporary.
+* The coframe route (``axial_torsion_coframe``) sums over the frame rows one
+  at a time.  Row j's 2-form d theta^j is built from one component's
+  gradient at a time (``CoframeBundle.row_differential``), so next to theta
+  it holds t, the running total, d theta^j and one component gradient.  On
+  a 4D grid the same three rows give the extended torsion T_ext^ax of the
+  Kaluza-Klein step: the appended row theta^3 = dx^3 is constant, so its
+  term vanishes and no extended coframe is built.
 """
 
 from __future__ import annotations
@@ -25,7 +36,6 @@ from .grids import (
     LatticeField,
     ModelParams,
     SpinorBundle,
-    form_components,
     hodge_dual,
     lorentz_dot,
     wedge,
@@ -34,14 +44,16 @@ from .grids import (
 
 @dataclass
 class SpinorContractions:
-    """The spinor-route contractions of one bundle, each computed once.
+    """The imaginary parts of the spinor-route contractions of one bundle,
+    the only parts that t, u and ``lagrangians.lagrangian_4d`` read, as
+    float arrays.
 
     With D_alpha = d_alpha + (A_alpha / m) d_3 (plain d_alpha when no
     params are given; see ``mixed_derivative``):
 
-    * z = xi^dag sigma^alpha D_alpha xi and t = *T^ax = 4 Im z / (3 rho);
-    * on a 4D bundle, y_alpha = xi^dag sigma_alpha d_3 xi and
-      u_alpha = (*D_3 theta)_alpha = -4 Im y_alpha / (3 rho); both are None
+    * z = Im(xi^dag sigma^alpha D_alpha xi) and t = *T^ax = 4 z / (3 rho);
+    * on a 4D bundle, y_alpha = Im(xi^dag sigma_alpha d_3 xi) and
+      u_alpha = (*D_3 theta)_alpha = -4 y_alpha / (3 rho); both are None
       on a 3D bundle.
 
     u is grid-minor (``pauli.grid_minor``): each component ``u[..., alpha]``
@@ -67,6 +79,39 @@ def mixed_derivative(b: SpinorBundle, params: ModelParams | None, alpha: int) ->
     return d
 
 
+def _imag_contraction(sig: np.ndarray, xi: np.ndarray, v: np.ndarray,
+                      buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Im(xi^dag sigma v) into the float array ``out``, for a Pauli matrix
+    sigma^alpha or sigma_alpha (alpha < 3), through the complex buffer buf.
+
+    ``pauli.contract`` forms this contraction as a (p +- q), where a and
+    b = +-a are the two nonzero entries of sigma, each one of +-1 and +-i,
+    p = conj(xi_0) v_l and q = conj(xi_1) v_(1-l).  Here buf holds p, then
+    q, each computed as ``pauli`` computes it (conjugate, then product in
+    place).  Im(a w) is +-Im w for a = +-1 and +-Re w for a = +-i, so the
+    sign of a is folded into the copy of p's part and into the add or
+    subtract of q's.  Each step is exact, so out is bit-identical to the
+    imaginary part of ``contract(sigma, xi, v)``.
+    """
+    s00, s01, s10, s11 = sig.ravel().tolist()
+    a, b_, l = (s00, s11, 0) if s01 == 0 and s10 == 0 else (s01, s10, 1)
+    positive = a.real + a.imag > 0
+    part = "imag" if a.imag == 0 else "real"
+    np.conjugate(xi[..., 0], out=buf)
+    buf *= v[..., l]
+    if positive:
+        np.copyto(out, getattr(buf, part))
+    else:
+        np.negative(getattr(buf, part), out=out)
+    np.conjugate(xi[..., 1], out=buf)
+    buf *= v[..., 1 - l]
+    if (b_ == a) == positive:
+        out += getattr(buf, part)
+    else:
+        out -= getattr(buf, part)
+    return out
+
+
 def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None) -> SpinorContractions:
     """Every spinor-route contraction of one bundle, in one pass.
 
@@ -76,31 +121,47 @@ def spinor_contractions(b: SpinorBundle, params: ModelParams | None = None) -> S
     NonFiniteTorsion.  ``axial_torsion_spinor``, ``kk_decomposition_check``,
     ``lagrangian_4d`` and ``field_equation_residual_4d`` all read from here.
 
-    The density is read once.  On a grid-minor bundle (``SpinorBundle``)
-    every derivative read is contiguous; any other layout gives the same
-    numbers, only slower.  z is the sum of one ``pauli.contract`` per alpha,
-    taken in order, and each y_alpha is one ``pauli.contract``, so t and u
-    are bit-identical to the one-contraction-at-a-time formulas that
-    tests/test_contractions.py keeps as its reference.
+    Each alpha's imaginary part is one ``_imag_contraction`` through one
+    reused complex buffer: alpha = 0 is written into z itself, and alphas 1
+    and 2 into one float pair sum that is then added to z, in order.  Each
+    y_alpha is written into its own array.  Imaginary parts of sums are
+    sums of imaginary parts, so t and u are bit-identical to the complex
+    formulas that tests/test_contractions.py keeps as its reference.  The
+    buffers are freed before rho is read, and the density is read once.
+    On a grid-minor bundle (``SpinorBundle``) every read is contiguous; any
+    other layout gives the same numbers, only slower.
     """
     dims = b.spec.dims
     if params is not None and dims != 4:
         raise InvalidGrid("A mixing needs a 4D bundle")
-    rho = b.rho
-    require_density(rho, positive=False)
-    z = 0.0
+    values = b.values
+    shape = values.shape[:-1]
+    buf = np.empty(shape, complex)
+    z, pair = np.empty(shape), np.empty(shape)
     for alpha in range(3):
-        z += contract(SIGMA_UPPER[alpha], b.values, mixed_derivative(b, params, alpha))
-    t = 4.0 * z.imag / (3.0 * rho)
-    require_finite(t, "axial torsion t")
-    y = u = None
+        d = mixed_derivative(b, params, alpha)
+        if alpha == 0:
+            _imag_contraction(SIGMA_UPPER[alpha], values, d, buf, z)
+        else:
+            z += _imag_contraction(SIGMA_UPPER[alpha], values, d, buf, pair)
+        del d
+    del pair
+    y = None
     if dims == 4:
         d3 = b.derivs[..., 3, :]
-        y = tuple(contract(SIGMA_LOWER[alpha], b.values, d3) for alpha in range(3))
-        u = grid_minor(rho.shape + (3,), dims, float)
+        y = tuple(_imag_contraction(SIGMA_LOWER[alpha], values, d3, buf, np.empty(shape))
+                  for alpha in range(3))
+    del buf
+    rho = b.rho
+    require_density(rho, positive=False)
+    t = 4.0 * z / (3.0 * rho)
+    require_finite(t, "axial torsion t")
+    u = None
+    if dims == 4:
+        u = grid_minor(shape + (3,), dims, float)
         three_rho = 3.0 * rho
         for alpha, y_alpha in enumerate(y):
-            np.divide(-4.0 * y_alpha.imag, three_rho, out=u[..., alpha])
+            np.divide(-4.0 * y_alpha, three_rho, out=u[..., alpha])
         require_finite(u, "x3-rotation covector u")
     return SpinorContractions(rho, z, t, y, u)
 
@@ -158,39 +219,29 @@ def reduced_axial_torsion(b: SpinorBundle, re_w: np.ndarray) -> np.ndarray:
 
 def _row_forms(cb: CoframeBundle, j: int) -> tuple[LatticeField, LatticeField]:
     """The 1-form theta^j and the 2-form d theta^j of frame row j, both
-    grid-minor.
+    grid-minor; d theta^j is ``CoframeBundle.row_differential``'s.
 
-    (d theta^j)_{ab} = d_a theta^j_b - d_b theta^j_a from the bundle's row
-    derivatives.  On a 4D grid theta^j_3 = 0, so the row is padded with that
-    zero and (d theta^j)_{a3} = -d_3 theta^j_a.
+    On a 4D grid theta^j_3 = 0, so the row is padded with that zero.
     """
     spec = cb.spec
     row = cb.theta[..., j, :]
-    drow = cb.row_derivatives(j)
     k = row.shape[-1]
     if k < spec.dims:
         padded = grid_minor(spec.extents + (spec.dims,), spec.dims, float)
         padded[..., :k] = row
         padded[..., k:] = 0.0
         row = padded
-    comps = form_components(spec.dims, 2)
-    vals = grid_minor(spec.extents + (len(comps),), spec.dims, float)
-    for i, (a, b_) in enumerate(comps):
-        if b_ < k:
-            np.subtract(drow[..., a, b_], drow[..., b_, a], out=vals[..., i])
-        else:
-            np.negative(drow[..., b_, a], out=vals[..., i])
-    return LatticeField(spec, 1, row), LatticeField(spec, 2, vals)
+    return LatticeField(spec, 1, row), cb.row_differential(j)
 
 
 def axial_torsion_coframe(cb: CoframeBundle) -> LatticeField:
     """T^ax = (1/3) o_jj theta^j wedge d theta^j, from coframe derivatives.
 
     The sum runs over the three frame rows, one row at a time: each row's
-    derivatives are read (``CoframeBundle.row_derivatives``), wedged and
-    added in, and dropped before the next row.  o = diag(-1, 1, 1).  On a 4D
-    grid this is T_ext^ax: the appended row theta^3 = dx^3 is constant, so
-    its term is exactly zero and is not computed.  theta is not verified
+    2-form d theta^j is built (``CoframeBundle.row_differential``), wedged
+    and added in, and dropped before the next row.  o = diag(-1, 1, 1).  On
+    a 4D grid this is T_ext^ax: the appended row theta^3 = dx^3 is constant,
+    so its term is exactly zero and is not computed.  theta is not verified
     here: the coframe suite runs ``algebra.verify_coframe`` itself.
     """
     total = None
@@ -213,8 +264,7 @@ def spinor_vs_coframe_residual(t_spinor: np.ndarray, cb: CoframeBundle,
 
     The caller takes the spinor route first, so that the spinor bundle's
     derivative stack can be released before the coframe is built: the
-    coframe route reads only theta and each row's derivatives, one row at
-    a time.
+    coframe route reads only theta and one component gradient at a time.
     """
     require_choice("norm", norm, ("max", "rms"))
     t_coframe = hodge_dual(axial_torsion_coframe(cb)).values
@@ -236,18 +286,20 @@ class KKReport:
     max_residual: float
 
 
-def kk_decomposition_check(b: SpinorBundle, coframe_derivs: str = "chain") -> KKReport:
+def kk_decomposition_check(b: SpinorBundle, coframe_derivs: str) -> KKReport:
     """||T_ext^ax||^2 (4D coframe route) vs ||T^ax||^2 + ||D_3 theta||^2.
 
     The right-hand side uses the spinor-route scalars; since ||*R||^2 =
     -||R||^2 in signature -++, it reads -(*T)^2 - ||*D_3 theta||^2.  The
     left-hand side is ``axial_torsion_coframe`` of the three coframe rows on
     the 4D grid, which is T_ext^ax (the appended row theta^3 = dx^3 adds
-    nothing).  With coframe_derivs="chain" the rows' derivatives are those
-    of the spinor -> coframe map in closed form (analytic agreement); with
-    "grid" each row of the sampled coframe is differentiated by the order-2
+    nothing).  With coframe_derivs="chain" the component gradients are
+    those of the spinor -> coframe map in closed form (analytic agreement),
+    sliced from one ``_coframe_chain_derivs`` stack; with "grid" each
+    component of the sampled coframe is differentiated by the order-2
     stencil when it is read, making the routes fully independent at the
-    cost of an O(h^2) chain-rule mismatch.
+    cost of an O(h^2) chain-rule mismatch.  Either way the rows' 2-forms
+    are antisymmetrised by ``CoframeBundle.row_differential``.
     """
     require_choice("coframe_derivs", coframe_derivs, ("chain", "grid"))
     if b.spec.dims != 4:
@@ -256,7 +308,7 @@ def kk_decomposition_check(b: SpinorBundle, coframe_derivs: str = "chain") -> KK
     require_density(rho, positive=False)
     if coframe_derivs == "chain":
         dtheta = _coframe_chain_derivs(b, theta, rho)
-        cb = CoframeBundle(b.spec, theta, lambda j: dtheta[..., j, :])
+        cb = CoframeBundle(b.spec, theta, lambda j, p: dtheta[..., j, p])
     else:
         cb = CoframeBundle.from_grid(b.spec, theta, "stencil")
     t_ext = axial_torsion_coframe(cb)
@@ -264,7 +316,7 @@ def kk_decomposition_check(b: SpinorBundle, coframe_derivs: str = "chain") -> KK
     del t_ext
     c = spinor_contractions(b)
     t, u = c.t, c.u
-    # z, y and rho are not read below; release them before the norm
+    # Im z, Im y and rho are not read below; release them before the norm
     # arithmetic allocates
     del c
     u_norm = np.einsum("...a,a,...a->...", u, np.array([-1.0, 1.0, 1.0]), u)
@@ -275,6 +327,7 @@ def kk_decomposition_check(b: SpinorBundle, coframe_derivs: str = "chain") -> KK
 def _coframe_chain_derivs(b: SpinorBundle, theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """d_a theta^j_alpha, grid-minor (*n, dims, 3, 3), by differentiating
     the spinor -> coframe map in closed form, every axis in each ufunc call.
+    ``out[..., j, alpha]`` is the (*n, dims) gradient of one component.
 
     theta^0_alpha = Re(xi^dag sigma_alpha xi) / rho and theta^1_alpha +
     i theta^2_alpha = xi^T J sigma_alpha xi / rho with J = sigma_1.  Since

@@ -177,7 +177,7 @@ def test_lagrangian_4d_matches_reference(a_kind):
     for seed in range(3):
         b = _bundle4(seed, sampled="stencil4" if seed else "analytic")
         p = _params(a_kind, seed)
-        _close(lagrangian_4d(b, p), ref_lagrangian_4d(b, p))
+        _close(lagrangian_4d(b, spinor_contractions(b, p)), ref_lagrangian_4d(b, p))
 
 
 @pytest.mark.parametrize("a_kind", A_KINDS)

@@ -23,7 +23,6 @@ from spinframe.grids import (
     _axis_derivative,
     _fourier_matrix,
     derivatives,
-    exterior_derivative,
     form_components,
     hodge_dual,
     lorentz_dot,
@@ -31,9 +30,11 @@ from spinframe.grids import (
     spectral_derivative,
     wedge,
 )
+from spinframe import torsion
+from spinframe.algebra import coframe_map
 from spinframe.pauli import grid_minor
-from spinframe.sampling import lift_values_x3, lift_x3
-from spinframe.torsion import axial_torsion_coframe
+from spinframe.sampling import base_for, lift_values_x3, lift_x3, random_positive_spinor
+from spinframe.torsion import _coframe_chain_derivs, axial_torsion_coframe, kk_decomposition_check
 
 
 @pytest.fixture
@@ -241,9 +242,9 @@ def test_derivatives_match_per_axis_stack(spec, tail, axes, old_axis, backend):
 
 def test_coframe_torsion_holds_one_row_of_derivatives_at_a_time():
     # building a grid bundle differentiates nothing; the torsion reads one
-    # row's derivative stack at a time, plus the row's contiguous copy, the
-    # per-axis result being written and one stencil temporary.  A whole
-    # (*n, 3, 3, 3) stack of every row would not fit.
+    # component's gradient at a time into one row's 2-form, less than one
+    # row's (*n, 3, 3) derivative stack.  A whole (*n, 3, 3, 3) stack of
+    # every row would not fit.
     spec = periodic_spec(32, 2.0 * np.pi / 32, 3)
     theta = np.random.default_rng(3).normal(size=spec.extents + (3, 3))
     row_stack = theta.nbytes
@@ -550,6 +551,58 @@ def test_wedge_antisymmetry(spec3):
     u = LatticeField(spec3, 1, rng.normal(size=spec3.extents + (3,)))
     v = LatticeField(spec3, 1, rng.normal(size=spec3.extents + (3,)))
     assert np.allclose(wedge(u, v).values, -wedge(v, u).values)
+
+
+def exterior_derivative(P: LatticeField, backend: str = "stencil") -> LatticeField:
+    """Discrete d on an antisymmetric field, from the whole ``derivatives``
+    stack of its components: the reference for the coframe rows' 2-forms."""
+    d = P.spec.dims
+    r = P.rank
+    comps_in = {c: i for i, c in enumerate(P.components)}
+    comps_out = form_components(d, r + 1)
+    pv = P.values if r > 0 else P.values[..., None]
+    derivs = derivatives(pv, P.spec, backend)
+    out = np.zeros(pv.shape[:-1] + (len(comps_out),), dtype=np.promote_types(pv.dtype, float))
+    for j, c in enumerate(comps_out):
+        for pos, a in enumerate(c):
+            rest = tuple(b for b in c if b != a)
+            out[..., j] += (-1) ** pos * derivs[..., a, comps_in[rest]]
+    return LatticeField(P.spec, r + 1, out)
+
+
+@pytest.mark.parametrize("dims", (3, 4))
+def test_row_differentials_equal_the_antisymmetrized_derivative_stack(dims, monkeypatch):
+    # one component's gradient at a time gives, bit for bit, d of the whole
+    # row (padded with theta^j_3 = 0 on a 4D grid) from its full derivatives
+    # stack, under every rule; the kk check's closed-form rule gives its
+    # chain slots d_a theta^j_b - d_b theta^j_a
+    spec = periodic_spec((6, 5, 4, 6)[:dims], (0.9, 1.1, 1.4, 0.7)[:dims], dims)
+    b = random_positive_spinor(np.random.default_rng(4), base_for(spec), max_mode=2).bundle(spec)
+    theta, rho = coframe_map(b.values)
+    comps = form_components(dims, 2)
+    for backend in BACKENDS:
+        cb = CoframeBundle.from_grid(spec, theta, backend)
+        for j in range(3):
+            row = np.zeros(spec.extents + (dims,))
+            row[..., :3] = theta[..., j, :]
+            ref = exterior_derivative(LatticeField(spec, 1, row), backend)
+            got = cb.row_differential(j)
+            assert got.rank == 2
+            np.testing.assert_array_equal(got.values, ref.values)
+    if dims == 3:
+        return
+    built = []
+    monkeypatch.setattr(torsion, "axial_torsion_coframe",
+                        lambda cb: built.append(cb) or axial_torsion_coframe(cb))
+    kk_decomposition_check(b, "chain")
+    (chain,) = built
+    dtheta = _coframe_chain_derivs(b, theta, rho)
+    for j in range(3):
+        slots = np.zeros(spec.extents + (dims, dims))
+        slots[..., :3] = dtheta[..., j, :]
+        slots = slots - np.swapaxes(slots, -1, -2)
+        ref = np.stack([slots[..., a, c] for a, c in comps], axis=-1)
+        np.testing.assert_array_equal(chain.row_differential(j).values, ref)
 
 
 def test_exterior_derivative_nilpotent(spec3):

@@ -116,8 +116,6 @@ ALLOWED_UNREACHED = {
     "sampling.ScaledSpinor": "the acceptance gate's scaling-covariance criterion "
                              "builds it, and perfbench/tracer.py wraps "
                              "ScaledSpinor.bundle by name",
-    "grids.exterior_derivative": "tests/test_torsion.py's independent reference "
-                                 "for the row forms of a 4D coframe",
 }
 
 
@@ -293,8 +291,8 @@ _UNUSED_DEFAULTS = (
     ("sampling.py", "def base_for(spec: LatticeSpec) -> np.ndarray:",
      "def base_for(spec: LatticeSpec, scale: float = 1.0) -> np.ndarray:",
      "sampling.base_for(scale)"),
-    ("grids.py", "    row_derivatives: Callable[[int], np.ndarray]\n",
-     "    row_derivatives: Callable[[int], np.ndarray]\n    label: str = \"\"\n",
+    ("grids.py", "    component_gradient: Callable[[int, int], np.ndarray]\n",
+     "    component_gradient: Callable[[int, int], np.ndarray]\n    label: str = \"\"\n",
      "grids.CoframeBundle(label)"),
 )
 
@@ -347,7 +345,7 @@ ROUTE_PAIRS = {
     "reduced-vs-4d-residual": (
         (("field_equations", "field_equation_residual_reduced"),),
         (("field_equations", "field_equation_residual_4d"),),
-        {**_DERIVATIVES, **_GRID_MINOR, **_CONTRACT}),
+        {**_DERIVATIVES, **_GRID_MINOR}),
     "oracle-vs-field-equations": (
         (("field_equations", "discrete_variational_derivative"),),
         (("field_equations", "field_equation_residual_reduced"),

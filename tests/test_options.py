@@ -19,7 +19,6 @@ from spinframe.grids import (
     LatticeField,
     ModelParams,
     derivatives,
-    exterior_derivative,
     periodic_spec,
 )
 from spinframe.plane_waves import PlaneWaveLabel, plane_wave_spinor
@@ -66,9 +65,8 @@ def test_derivatives_rejects_unknown_backend():
         derivatives(np.zeros(SPEC3.extents), SPEC3, "fft")
     with pytest.raises(UnknownOption, match="'stencil3'"):
         derivatives(np.zeros(SPEC3.extents), SPEC3, "stencil3")
-    f = LatticeField(SPEC3, 0, np.zeros(SPEC3.extents))
     with pytest.raises(UnknownOption, match="'stencil3'"):
-        exterior_derivative(f, "stencil3")
+        CoframeBundle.from_grid(SPEC3, np.zeros(SPEC3.extents + (3, 3)), "stencil3")
 
 
 def test_backend_is_checked_even_where_no_derivative_is_taken():
@@ -111,7 +109,7 @@ _CALLER_ERRORS = {
                                                     "xml")),
     "rank-range": (RankOverflow, lambda: LatticeField(SPEC3, 4, np.zeros(SPEC3.extents + (1,)))),
     "mixing-on-3d": (InvalidGrid, lambda: spinor_contractions(_bundle3(), ModelParams(m=1.0))),
-    "kk-on-3d": (InvalidGrid, lambda: kk_decomposition_check(_bundle3())),
+    "kk-on-3d": (InvalidGrid, lambda: kk_decomposition_check(_bundle3(), "chain")),
     "plane-wave-on-2d": (InvalidGrid, lambda: plane_wave_spinor(PlaneWaveLabel(1, 1),
                                                                 periodic_spec(4, 1.0, 2))),
 }
