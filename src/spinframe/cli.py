@@ -17,14 +17,16 @@ import sys
 
 from .errors import ConfigInvalid, SpinframeError, UnknownSuite
 from .reports import emit, render
-from .suites import READERS, SUITES, SuiteConfig, run_suite
+from .suites import OPTIONS, SUITES, SuiteConfig, readers, run_suite
 
 
-def _read_by(attr: str, default: str) -> str:
-    """Help text naming the suites that read an optional field."""
-    what, _, readers = READERS[attr]
-    return (f"{what} of {', '.join(readers)} (also under all; default {default}); "
-            "other suites reject it")
+def _read_by(field: str) -> str:
+    """Help text naming the suites that read an optional field, and their default."""
+    defaults = readers(field)
+    shared = set(defaults.values())
+    default = str(shared.pop()) if len(shared) == 1 else "each suite's own"
+    return (f"{OPTIONS[field][0]} of {', '.join(defaults)} (also under all; "
+            f"default {default}); other suites reject it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,12 +35,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a verification suite")
     run.add_argument("suite", choices=SUITES)
-    run.add_argument("--m", type=float, default=None, help=_read_by("m", "1.0"))
+    run.add_argument("--m", type=float, default=None, help=_read_by("m"))
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--A0", dest="a0", type=float, default=None,
-                     help=_read_by("a0", "0.25"))
+                     help=_read_by("a0"))
     run.add_argument("--seeds", type=int, default=None,
-                     help=_read_by("seeds", "each suite's own"))
+                     help=_read_by("seeds"))
     run.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     run.add_argument("--out", default=None, help="write the report to a file")
     run.add_argument("--include-runtime", action="store_true",

@@ -2,13 +2,17 @@
 raise them.
 
 Each guard is written so that a NaN fails it: an option outside its
-choices (``require_choice``), a density that is not strictly positive or
-vanishes somewhere (``require_density``), a torsion scalar or covector
-that is not finite everywhere (``require_finite``), and a spelled-out
-density that differs from its compact form (``require_agreement``).
+choices (``require_choice``), a mass that is not a finite positive real
+(``require_mass``), a density that is not strictly positive or vanishes
+somewhere (``require_density``), a torsion scalar or covector that is not
+finite everywhere (``require_finite``), and a spelled-out density that
+differs from its compact form (``require_agreement``).
 ``require_shape`` rejects an array handed in on the wrong grid, such as a
 gradient that numpy would only broadcast against it.
 """
+
+import math
+import numbers
 
 import numpy as np
 
@@ -88,8 +92,8 @@ class UnknownSuite(SpinframeError):
 
 class ConfigInvalid(SpinframeError, ValueError):
     """A configuration violates a precondition: a suite option, a mass that
-    is not finite and positive, a plane-wave potential outside [0, m), or an
-    off-shell momentum."""
+    is not finite and positive, a plane-wave potential outside [0, m), an
+    off-shell momentum, or a 2x2 matrix outside the Pauli kernels' pattern."""
 
 
 class IoError(SpinframeError):
@@ -108,6 +112,12 @@ def require_choice(what: str, value, choices) -> None:
     """
     if value not in choices:
         raise UnknownOption(f"unknown {what} {value!r}; choose from {tuple(choices)}")
+
+
+def require_mass(m) -> None:
+    """Raise ConfigInvalid unless m is a finite, positive real number."""
+    if not (isinstance(m, numbers.Real) and math.isfinite(m) and m > 0):
+        raise ConfigInvalid(f"mass must be finite and positive, got {m!r}")
 
 
 def require_density(rho: np.ndarray, positive: bool = True) -> None:

@@ -26,6 +26,7 @@ from .errors import (
     RankOverflow,
     UnsupportedRank,
     require_choice,
+    require_mass,
 )
 from .pauli import grid_minor
 
@@ -120,10 +121,13 @@ class LatticeSpec:
                      for a in range(dims))
 
 
-def periodic_spec(n, h, dims: int = 3) -> LatticeSpec:
-    """Cubic-ish grid; n and h may be scalars or sequences."""
+def periodic_spec(n, h, dims: int) -> LatticeSpec:
+    """Cubic-ish grid of dims axes; n and h may be scalars or sequences of
+    dims entries, and a sequence of another length raises InvalidGrid."""
     ns = tuple(int(x) for x in (n if np.iterable(n) else [n] * dims))
     hs = tuple(float(x) for x in (h if np.iterable(h) else [h] * dims))
+    if len(ns) != dims or len(hs) != dims:
+        raise InvalidGrid(f"{dims} axes need {dims} extents and spacings, got {ns} and {hs}")
     return LatticeSpec(ns, hs)
 
 
@@ -264,7 +268,7 @@ def spectral_derivative(values: np.ndarray, spec: LatticeSpec, axis: int,
     return out
 
 
-def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str = "stencil") -> np.ndarray:
+def derivatives(values: np.ndarray, spec: LatticeSpec, backend: str) -> np.ndarray:
     """First derivatives of a grid array along every axis, stacked on a new
     axis right after the grid axes.
 
@@ -404,8 +408,7 @@ class ModelParams:
     A: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and self.m > 0):
-            raise ConfigInvalid(f"mass must be finite and positive, got {self.m!r}")
+        require_mass(self.m)
         self.A = np.asarray(self.A, dtype=float)
         if self.A.shape[-1:] != (3,) or not np.isfinite(self.A).all():
             raise ConfigInvalid(f"A must be a finite covector with a last axis of 3, "

@@ -5,6 +5,7 @@ for exact lattice checks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .errors import (
     InvalidProbeField,
     WrongDensitySign,
     require_choice,
+    require_mass,
 )
 from .grids import LatticeSpec, ModelParams, SpinorBundle, periodic_spec
 from .sampling import mode_bundle
@@ -27,13 +29,14 @@ class PlaneWaveLabel:
 
     r: int
     s: int
-    m: float = 1.0
-    a0: float = 0.0
+    m: float
+    a0: float
 
     def __post_init__(self):
         require_choice("sign r", self.r, (-1, 1))
         require_choice("sign s", self.s, (-1, 1))
-        if not 0.0 <= self.a0 < self.m:
+        require_mass(self.m)
+        if not (isinstance(self.a0, numbers.Real) and 0.0 <= self.a0 < self.m):
             raise ConfigInvalid("constant potential must satisfy 0 <= A0 < m")
 
     @property

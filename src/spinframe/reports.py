@@ -29,7 +29,7 @@ class CheckReport:
     rms_residual: float
     tolerance: float
     passed: bool
-    runtime_ms: int = 0
+    runtime_ms: int
 
     def to_dict(self, include_runtime: bool = False) -> dict:
         d = {
@@ -46,7 +46,7 @@ class CheckReport:
 
 
 def make_report(check_name: str, params: dict, max_abs: float, rms: float,
-                tolerance: float, runtime_ms: int = 0) -> CheckReport:
+                tolerance: float, runtime_ms: int) -> CheckReport:
     return CheckReport(check_name, params, float(max_abs), float(rms),
                        float(tolerance), bool(max_abs <= tolerance), runtime_ms)
 

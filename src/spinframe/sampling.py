@@ -95,8 +95,8 @@ class TrigPoly:
         return self(spec.meshgrid())
 
 
-def random_trig_poly(rng: np.random.Generator, base, max_mode: int = 3,
-                     amplitude: float = 1.0, real: bool = False) -> TrigPoly:
+def random_trig_poly(rng: np.random.Generator, base, max_mode: int,
+                     amplitude: float, real: bool = False) -> TrigPoly:
     """Random band-limited field of 6 modes, <= max_mode per axis, scaled to
     sup bound amplitude; real=True hermitizes."""
     dims = len(base)
@@ -213,7 +213,7 @@ def base_for(spec: LatticeSpec) -> np.ndarray:
     return np.array([2.0 * np.pi / (n * h) for n, h in zip(spec.extents, spec.spacing)])
 
 
-def random_positive_spinor(rng: np.random.Generator, base, max_mode: int = 3) -> SpinorPoly:
+def random_positive_spinor(rng: np.random.Generator, base, max_mode: int) -> SpinorPoly:
     """eta = (1 + da, db) with sup|da|, sup|db| <= 0.3, so rho > 0 pointwise."""
     da = random_trig_poly(rng, base, max_mode, amplitude=0.3)
     db = random_trig_poly(rng, base, max_mode, amplitude=0.3)

@@ -4,18 +4,28 @@ Each suite runs a deterministic set of checks under a single seed and
 returns CheckReports; the exit-code contract is zero iff every report
 passes.  The random generator is numpy's default_rng (PCG64) throughout,
 so identical configuration and seed reproduce every drawn field exactly.
+
+``TABLE`` gives each suite's function, whether it reports its seed, and
+the optional ``SuiteConfig`` fields it reads with their defaults.  The
+runner (``run_suite``) calls the function with exactly those fields, and the
+seed if reported, as keyword arguments, so no suite can read an option it
+does not declare; it fills each report's m and seed params (null where not
+read) and rejects an option given to a single suite that does not read it.
+The CLI's help text comes from the same table (``readers``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .algebra import coframe_map, verify_coframe, CoframeDensity
-from .errors import ConfigInvalid, UnknownSuite
+from .errors import ConfigInvalid, UnknownSuite, require_mass
 from .field_equations import (
     Verdict,
     dirac_apply,
@@ -59,21 +69,20 @@ from .variational import (
     lemma_check,
 )
 
-SUITES = ("coframe", "torsion-routes", "kk-decomposition", "factorization",
-          "separation", "theorem1", "plane-waves", "table1", "appendix-b", "all")
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    m: float | None = None      # mass; None: 1.0
+    # m, a0 and seeds left None take each reading suite's default in TABLE
+    m: float | None = None      # mass
     seed: int = 0
-    a0: float | None = None     # constant electric potential; None: 0.25
-    seeds: int | None = None    # sample count; None: each suite's own
+    a0: float | None = None     # constant electric potential
+    seeds: int | None = None    # sample count
 
     def __post_init__(self):
-        if self.m is not None and not (math.isfinite(self.m) and self.m > 0):
-            raise ConfigInvalid(f"mass must be finite and positive, got {self.m!r}")
-        if self.a0 is not None and not math.isfinite(self.a0):
+        if self.m is not None:
+            require_mass(self.m)
+        if self.a0 is not None and not (isinstance(self.a0, numbers.Real)
+                                        and math.isfinite(self.a0)):
             raise ConfigInvalid(f"A0 must be finite, got {self.a0!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigInvalid(f"seed must be a non-negative int, got {self.seed!r}")
@@ -82,40 +91,17 @@ class SuiteConfig:
             raise ConfigInvalid(f"seed count must be an int of at least 1, got {self.seeds!r}")
 
 
-def _params(cfg: SuiteConfig, suite: str) -> dict:
-    """A report's params: m and seed as the suite read them, null where it
-    reads none (``PARAM_READERS``)."""
-    return {"m": _m(cfg) if suite in PARAM_READERS["m"] else None,
-            "r": None, "s": None, "A": None,
-            "seed": cfg.seed if suite in PARAM_READERS["seed"] else None}
-
-
-def _plane_wave_spec(n: int, m: float):
-    """n^3 grid with a 2 pi / m long x0 axis, on which the x0 phase e^{-i s m x0}
-    of a plane wave at A0 = 0 is one Fourier mode: no jump at the seam."""
-    return periodic_spec(n, (2.0 * np.pi / (n * m), 2.0 * np.pi / n, 2.0 * np.pi / n), 3)
-
-
-def _m(cfg: SuiteConfig) -> float:
-    """The given mass, else 1.0."""
-    return 1.0 if cfg.m is None else cfg.m
-
-
-def _a0(cfg: SuiteConfig) -> float:
-    """The given A0, else 0.25."""
-    return 0.25 if cfg.a0 is None else cfg.a0
-
-
 def _worst(worst: float, x: float) -> float:
     """max(worst, x) that keeps a NaN: the builtin max(0.0, nan) is 0.0,
     which would let a NaN residual from a later seed pass."""
     return x if x > worst or math.isnan(x) else worst
 
 
-def _timed(fn):
+def _timed_report(name: str, params: dict, bound: float, residual) -> CheckReport:
+    """The report of one check: residual() against bound, timed."""
     t0 = time.perf_counter()
-    out = fn()
-    return out, int(1000 * (time.perf_counter() - t0))
+    dev = residual()
+    return make_report(name, params, dev, dev, bound, int(1000 * (time.perf_counter() - t0)))
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +109,10 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 
 
-def _suite_coframe(cfg: SuiteConfig, params: dict):
-    n = cfg.seeds or 10_000
-
+def _suite_coframe(params: dict, seed: int, seeds: int):
     def run():
-        rng = np.random.default_rng(cfg.seed)
-        a = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(seeds, 2)) + 1j * rng.normal(size=(seeds, 2))
         # force positive class: make the first component dominate
         a[:, 0] += np.sign(a[:, 0].real + 1e-300) * (np.abs(a[:, 1]) + 0.1)
         theta, rho = coframe_map(a)
@@ -138,18 +122,16 @@ def _suite_coframe(cfg: SuiteConfig, params: dict):
         worst = _worst(rep.max_orthonormality_deviation, rep.det_deviation)
         return worst if rep.oriented else math.nan
 
-    dev, ms = _timed(run)
-    return [make_report("coframe-correspondence", params, dev, dev, 1e-12, ms)]
+    return [_timed_report("coframe-correspondence", params, 1e-12, run)]
 
 
-def _suite_torsion_routes(cfg: SuiteConfig, params: dict):
-    reports = []
-    m = _m(cfg)
-
+def _suite_torsion_routes(params: dict, seed: int, m: float):
     # analytic-mode agreement on plane waves (exact x-dependence)
-    def run_analytic():
+    def analytic():
         worst = 0.0
-        spec = _plane_wave_spec(16, m)
+        # a 2 pi / m long x0 axis, on which the x0 phase e^{-i s m x0} of a
+        # plane wave at A0 = 0 is one Fourier mode: no jump at the seam
+        spec = periodic_spec(16, (2.0 * np.pi / (16 * m),) + (2.0 * np.pi / 16,) * 2, 3)
         for r in (1, -1):
             for s in (1, -1):
                 lab = PlaneWaveLabel(r, s, m, 0.0)
@@ -158,19 +140,13 @@ def _suite_torsion_routes(cfg: SuiteConfig, params: dict):
                 worst = _worst(worst, spinor_vs_coframe_residual(axial_torsion_spinor(b), cb))
         return worst
 
-    dev, ms = _timed(run_analytic)
-    reports.append(make_report("torsion-two-routes-analytic", params,
-                               dev, dev, 1e-10, ms))
-
     # stencil refinement: residual is O(h^2), RMS shrinking by ~4 under h -> h/2
-    def run_refine():
-        rms = _refinement_rms(cfg.seed)
-        return rms[0] / rms[1]
+    def refinement():
+        rms = _refinement_rms(seed)
+        return abs(rms[0] / rms[1] - 4.0)
 
-    ratio, ms = _timed(run_refine)
-    reports.append(make_report("torsion-two-routes-refinement", params,
-                               abs(ratio - 4.0), abs(ratio - 4.0), 0.3, ms))
-    return reports
+    return [_timed_report("torsion-two-routes-analytic", params, 1e-10, analytic),
+            _timed_report("torsion-two-routes-refinement", params, 0.3, refinement)]
 
 
 def _refinement_rms(seed: int) -> list[float]:
@@ -200,34 +176,28 @@ def _refinement_rms(seed: int) -> list[float]:
     return rms
 
 
-def _suite_kk(cfg: SuiteConfig, params: dict):
-    n_seeds = cfg.seeds or 100
-
+def _suite_kk(params: dict, seed: int, seeds: int):
     def run():
         worst = 0.0
         spec = periodic_spec(8, 2.0 * np.pi / 8, 4)
         base = base_for(spec)
-        for k in range(n_seeds):
-            rng = np.random.default_rng(cfg.seed * 100_003 + k)
+        for k in range(seeds):
+            rng = np.random.default_rng(seed * 100_003 + k)
             sp = random_positive_spinor(rng, base, max_mode=2)
             rep = kk_decomposition_check(sp.bundle(spec), coframe_derivs="chain")
             worst = _worst(worst, rep.max_residual)
         return worst
 
-    dev, ms = _timed(run)
-    return [make_report("kk-decomposition-analytic", params, dev, dev, 1e-10, ms)]
+    return [_timed_report("kk-decomposition-analytic", params, 1e-10, run)]
 
 
-def _suite_factorization(cfg: SuiteConfig, params: dict):
-    n_seeds = cfg.seeds or 1000
-    m = _m(cfg)
-
+def _suite_factorization(params: dict, seed: int, m: float, seeds: int):
     def run():
         worst = 0.0
         spec = periodic_spec(8, 2.0 * np.pi / 8, 3)
         base = base_for(spec)
-        for k in range(n_seeds):
-            rng = np.random.default_rng(cfg.seed * 100_003 + k)
+        for k in range(seeds):
+            rng = np.random.default_rng(seed * 100_003 + k)
             sp = random_positive_spinor(rng, base, max_mode=2)
             A = covector_on(random_covector_polys(rng, base), spec)
             p = ModelParams(m=m, A=A)
@@ -238,14 +208,10 @@ def _suite_factorization(cfg: SuiteConfig, params: dict):
                 worst = _worst(worst, float(np.max(np.abs(res))) / scale)
         return worst
 
-    dev, ms = _timed(run)
-    return [make_report("factorization-identity", params, dev, dev, 1e-10, ms)]
+    return [_timed_report("factorization-identity", params, 1e-10, run)]
 
 
-def _suite_separation(cfg: SuiteConfig, params: dict):
-    n_seeds = cfg.seeds or 100
-    m = _m(cfg)
-
+def _suite_separation(params: dict, seed: int, m: float, seeds: int):
     def run():
         worst = 0.0
         n = 12
@@ -260,8 +226,8 @@ def _suite_separation(cfg: SuiteConfig, params: dict):
         dt4[..., 3] = 0.0
         du4 = grid_minor(spec4.extents + (3,), 4, float)
         du4[...] = 0.0
-        for k in range(n_seeds):
-            rng = np.random.default_rng(cfg.seed * 100_003 + k)
+        for k in range(seeds):
+            rng = np.random.default_rng(seed * 100_003 + k)
             b3 = random_positive_spinor(rng, base3, max_mode=2).bundle(spec3)
             # one shared in-plane gradient of the torsion scalar for both
             # routes; its x3 derivative, and that of u, vanish
@@ -278,13 +244,10 @@ def _suite_separation(cfg: SuiteConfig, params: dict):
             worst = _worst(worst, float(np.max(np.abs(res4))))
         return worst
 
-    dev, ms = _timed(run)
-    return [make_report("separation-of-variables", params, dev, dev, 1e-9, ms)]
+    return [_timed_report("separation-of-variables", params, 1e-9, run)]
 
 
-def _suite_theorem1(cfg: SuiteConfig, params: dict):
-    reports = []
-    m = _m(cfg)
+def _suite_theorem1(params: dict, seed: int, m: float):
     worst_fe, worst_grad, inconsistent = 0.0, 0.0, 0
     # the field-equation reports are timed on the theorem1_check calls, the
     # gradient report on the oracle calls
@@ -303,7 +266,7 @@ def _suite_theorem1(cfg: SuiteConfig, params: dict):
         s = 1 if q[0] > 0 else -1
         waves.append((boosted_wave(m * np.asarray(q, float), s, m, spec), 1, s))
     p = ModelParams(m=m)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     for b, r, s in waves:
         t0 = time.perf_counter()
         res = theorem1_check(b, p, r, dt=dt0)
@@ -321,17 +284,15 @@ def _suite_theorem1(cfg: SuiteConfig, params: dict):
         worst_grad = _worst(worst_grad, float(np.max(np.abs(g))) / gscale)
 
     check_ms, oracle_ms = int(1000 * check_s), int(1000 * oracle_s)
-    reports.append(make_report("theorem1-field-equation", params,
-                               worst_fe, worst_fe, 1e-9, check_ms))
-    reports.append(make_report("theorem1-variational-gradient", params,
-                               worst_grad, worst_grad, 1e-6, oracle_ms))
-    reports.append(make_report("theorem1-never-inconsistent", params,
-                               float(inconsistent), float(inconsistent), 0.5, check_ms))
-    return reports
+    return [make_report("theorem1-field-equation", params,
+                        worst_fe, worst_fe, 1e-9, check_ms),
+            make_report("theorem1-variational-gradient", params,
+                        worst_grad, worst_grad, 1e-6, oracle_ms),
+            make_report("theorem1-never-inconsistent", params,
+                        float(inconsistent), float(inconsistent), 0.5, check_ms)]
 
 
-def _suite_plane_waves(cfg: SuiteConfig, params: dict):
-    m, a0 = _m(cfg), _a0(cfg)
+def _suite_plane_waves(params: dict, m: float, a0: float):
     if not 0.0 <= a0 < m:
         raise ConfigInvalid("plane-waves needs 0 <= A0 < m")
 
@@ -346,8 +307,7 @@ def _suite_plane_waves(cfg: SuiteConfig, params: dict):
                 worst = _worst(worst, float(np.max(np.abs(dirac_apply(b, p, r, s)))))
         return worst
 
-    dev, ms = _timed(run)
-    return [make_report("plane-wave-dirac-solutions", params, dev, dev, 1e-12, ms)]
+    return [_timed_report("plane-wave-dirac-solutions", params, 1e-12, run)]
 
 
 _EXPECTED_TABLE = [
@@ -358,8 +318,7 @@ _EXPECTED_TABLE = [
 ]
 
 
-def _suite_table1(cfg: SuiteConfig, params: dict):
-    m, a0 = _m(cfg), _a0(cfg)
+def _suite_table1(params: dict, m: float, a0: float):
     if not 0.0 < a0 < m:
         raise ConfigInvalid("table1 needs 0 < A0 < m")
 
@@ -375,14 +334,11 @@ def _suite_table1(cfg: SuiteConfig, params: dict):
             worst = _worst(worst, abs(abs(rate) - energy))
         return worst + label_errors
 
-    dev, ms = _timed(run)
-    return [make_report("state-table-classification", params, dev, dev, 1e-8, ms)]
+    return [_timed_report("state-table-classification", params, 1e-8, run)]
 
 
-def _suite_appendix_b(cfg: SuiteConfig, params: dict):
-    reports = []
-
-    def run_analytic():
+def _suite_appendix_b(params: dict):
+    def analytic():
         n = 64
         spec = periodic_spec(n, 2.0 * np.pi / n, 1)
         x = spec.axis_coords(0)
@@ -393,10 +349,7 @@ def _suite_appendix_b(cfg: SuiteConfig, params: dict):
                 example_ode_residual(u, sgn * 1j * u, -u)))))
         return worst
 
-    dev, ms = _timed(run_analytic)
-    reports.append(make_report("ode-example-analytic", params, dev, dev, 1e-12, ms))
-
-    def run_stencil():
+    def stencil():
         n = 512
         spec = periodic_spec(n, 2.0 * np.pi / n, 1)
         x = spec.axis_coords(0)
@@ -408,10 +361,7 @@ def _suite_appendix_b(cfg: SuiteConfig, params: dict):
             worst = _worst(worst, float(np.max(np.abs(example_ode_residual(u, du, ddu)))))
         return worst
 
-    dev, ms = _timed(run_stencil)
-    reports.append(make_report("ode-example-stencil", params, dev, dev, 1e-6, ms))
-
-    def run_lemma():
+    def lemma():
         n = 64
         spec = periodic_spec(n, 2.0 * np.pi / n, 1)
         x = spec.axis_coords(0)
@@ -424,46 +374,51 @@ def _suite_appendix_b(cfg: SuiteConfig, params: dict):
                 bad += 1
         return float(bad)
 
-    dev, ms = _timed(run_lemma)
-    reports.append(make_report("ode-example-lemma-branches", params, dev, dev, 0.5, ms))
-    return reports
+    return [_timed_report("ode-example-analytic", params, 1e-12, analytic),
+            _timed_report("ode-example-stencil", params, 1e-6, stencil),
+            _timed_report("ode-example-lemma-branches", params, 0.5, lemma)]
 
 
-_SUITE_FNS = {
-    "coframe": _suite_coframe,
-    "torsion-routes": _suite_torsion_routes,
-    "kk-decomposition": _suite_kk,
-    "factorization": _suite_factorization,
-    "separation": _suite_separation,
-    "theorem1": _suite_theorem1,
-    "plane-waves": _suite_plane_waves,
-    "table1": _suite_table1,
-    "appendix-b": _suite_appendix_b,
+class Suite(NamedTuple):
+    """A suite's function, whether it reports its seed, and the optional
+    SuiteConfig fields it reads, each with its default."""
+    run: Callable[..., list[CheckReport]]
+    seeded: bool
+    reads: dict
+
+
+_MASS = {"m": 1.0}
+_WAVE = {**_MASS, "a0": 0.25}
+
+TABLE = {
+    "coframe": Suite(_suite_coframe, True, {"seeds": 10_000}),
+    "torsion-routes": Suite(_suite_torsion_routes, True, _MASS),
+    "kk-decomposition": Suite(_suite_kk, True, {"seeds": 100}),
+    "factorization": Suite(_suite_factorization, True, {**_MASS, "seeds": 1000}),
+    "separation": Suite(_suite_separation, True, {**_MASS, "seeds": 100}),
+    "theorem1": Suite(_suite_theorem1, True, _MASS),
+    "plane-waves": Suite(_suite_plane_waves, False, _WAVE),
+    "table1": Suite(_suite_table1, False, _WAVE),
+    "appendix-b": Suite(_suite_appendix_b, False, {}),
 }
 
+SUITES = (*TABLE, "all")
 
-# The optional SuiteConfig fields, each with what it is, its flag, and the
-# suites that read it.
-READERS = {
-    "m": ("mass", "--m", ("torsion-routes", "factorization", "separation", "theorem1",
-                          "plane-waves", "table1")),
-    "seeds": ("seed count", "--seeds",
-              ("coframe", "kk-decomposition", "factorization", "separation")),
-    "a0": ("A0", "--A0", ("plane-waves", "table1")),
-}
+# What each optional SuiteConfig field is, and its flag.
+OPTIONS = {"m": ("mass", "--m"), "seeds": ("seed count", "--seeds"), "a0": ("A0", "--A0")}
 
 
-# The suites that read each reported parameter; the others report it as null.
-# Every suite accepts a seed, since a benchmark hands one to each suite.
-PARAM_READERS = {
-    "m": READERS["m"][2],
-    "seed": ("coframe", "torsion-routes", "kk-decomposition", "factorization",
-             "separation", "theorem1"),
-}
+def readers(field: str) -> dict:
+    """Suite name -> default, over the suites that read an optional field."""
+    return {name: suite.reads[field] for name, suite in TABLE.items() if field in suite.reads}
 
 
 def _run(name: str, config: SuiteConfig) -> list[CheckReport]:
-    return _SUITE_FNS[name](config, _params(config, name))
+    suite = TABLE[name]
+    kwargs = {field: default if getattr(config, field) is None else getattr(config, field)
+              for field, default in suite.reads.items()}
+    seed = {"seed": config.seed} if suite.seeded else {}
+    return suite.run({"m": kwargs.get("m"), "seed": seed.get("seed")}, **kwargs, **seed)
 
 
 def run_suite(suite_name: str, config: SuiteConfig | None = None) -> list[CheckReport]:
@@ -474,14 +429,12 @@ def run_suite(suite_name: str, config: SuiteConfig | None = None) -> list[CheckR
     """
     config = config or SuiteConfig()
     if suite_name == "all":
-        out = []
-        for name in SUITES[:-1]:
-            out.extend(_run(name, config))
-        return out
-    if suite_name not in _SUITE_FNS:
+        return [report for name in TABLE for report in _run(name, config)]
+    if suite_name not in TABLE:
         raise UnknownSuite(f"unknown suite {suite_name!r}; choose from {SUITES}")
-    for attr, (what, flag, readers) in READERS.items():
-        if getattr(config, attr) is not None and suite_name not in readers:
+    for field, (what, flag) in OPTIONS.items():
+        names = readers(field)
+        if getattr(config, field) is not None and suite_name not in names:
             raise ConfigInvalid(f"{suite_name} reads no {what}; {flag} applies to "
-                                f"{', '.join(readers)} and all")
+                                f"{', '.join(names)} and all")
     return _run(suite_name, config)

@@ -11,7 +11,7 @@ from spinframe.errors import ConfigInvalid, SpinframeError, UnknownOption, Unkno
 from spinframe.grids import ModelParams
 from spinframe.plane_waves import PlaneWaveLabel, boosted_amplitude
 from spinframe.reports import render
-from spinframe.suites import READERS, SuiteConfig, run_suite
+from spinframe.suites import SuiteConfig, readers, run_suite
 
 
 def test_run_table1_exit_zero(capsys):
@@ -102,7 +102,7 @@ def test_mass_is_handed_to_its_readers_under_all(capsys):
     assert main(["run", "all", "--m", "1.3", "--seeds", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     for r in doc["reports"]:
-        read = _SUITE_OF[r["check_name"]] in READERS["m"][2]
+        read = _SUITE_OF[r["check_name"]] in readers("m")
         assert r["params"]["m"] == (1.3 if read else None)
 
 
@@ -148,10 +148,18 @@ def test_model_params_reject_non_finite_or_non_positive_mass(m):
 
 @pytest.mark.parametrize("make,error", [
     (lambda: ModelParams(m=-1.0), ConfigInvalid),
-    (lambda: PlaneWaveLabel(2, 1), UnknownOption),
+    (lambda: PlaneWaveLabel(2, 1, 1.0, 0.0), UnknownOption),
     (lambda: PlaneWaveLabel(1, 1, 1.0, 1.5), ConfigInvalid),
     (lambda: boosted_amplitude(np.array([2.0, 0.0, 0.0]), 1, 1.0), ConfigInvalid),
-], ids=["mass", "plane-wave-sign", "plane-wave-A0", "off-shell-momentum"])
+    (lambda: PlaneWaveLabel(1, 1, float("inf"), 0.0), ConfigInvalid),
+    (lambda: PlaneWaveLabel(1, 1, 1.0, "0.25"), ConfigInvalid),
+    (lambda: SuiteConfig(m="1.0"), ConfigInvalid),
+    (lambda: SuiteConfig(a0="0.25"), ConfigInvalid),
+    (lambda: SuiteConfig(m=1 + 0j), ConfigInvalid),
+    (lambda: ModelParams(m="1"), ConfigInvalid),
+], ids=["mass", "plane-wave-sign", "plane-wave-A0", "off-shell-momentum",
+        "plane-wave-infinite-mass", "plane-wave-string-A0", "string-mass", "string-A0",
+        "complex-mass", "model-string-mass"])
 def test_unhonourable_values_raise_a_package_value_error(make, error):
     with pytest.raises(error) as info:
         make()

@@ -220,7 +220,7 @@ def test_variational_gradient_nonzero_off_solution(spec):
 
 def test_probe_must_be_a_grid_point():
     spec = periodic_spec(6, 2.0 * np.pi / 6, 3)
-    vals = plane_wave_spinor(PlaneWaveLabel(1, 1), spec).values
+    vals = plane_wave_spinor(PlaneWaveLabel(1, 1, 1.0, 0.0), spec).values
     p = ModelParams(m=1.0)
     # every axis is periodic, so the edge points are probes like any other
     g = discrete_variational_derivative("dirac", vals, spec, p, [(0, 0, 0), (5, 5, 5)])

@@ -284,13 +284,24 @@ _ETA6 = SpinorBundle(periodic_spec(6, 1.0, 3), np.zeros((6, 6, 6, 2), complex),
     *(lambda backend=backend: derivatives(_ETA6.values, periodic_spec(8, 1.0, 3), backend)
       for backend in BACKENDS),
     lambda: SpinorBundle.from_grid(periodic_spec(8, 1.0, 3), _ETA6.values),
-    lambda: derivatives(_ETA6.values[0], periodic_spec(6, 1.0, 3)),
+    lambda: derivatives(_ETA6.values[0], periodic_spec(6, 1.0, 3), "stencil"),
 ])
 def test_grid_misuse_raises_a_package_value_error(misuse):
     with pytest.raises(InvalidGrid) as info:
         misuse()
     assert isinstance(info.value, SpinframeError)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("n,h,dims", [((8, 8, 8, 8), (1, 1, 1, 1), 3), ((8, 8), (1, 1), 4)],
+                         ids=["4-axes-as-3", "2-axes-as-4"])
+def test_periodic_spec_rejects_sequences_of_another_length_than_dims(n, h, dims):
+    # these used to build a 4D and a 2D grid, ignoring dims
+    with pytest.raises(InvalidGrid):
+        periodic_spec(n, h, dims)
+    with pytest.raises(InvalidGrid):
+        periodic_spec(n[0], h, dims)
+    assert periodic_spec(n, h, len(n)).extents == n
 
 
 def test_integrate_is_fsum_times_cell_volume():

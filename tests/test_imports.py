@@ -7,8 +7,10 @@ calls the per-axis derivative kernels.  No module-level definition
 each is reached from a suite or the CLI, exported from ``__init__``, or
 named with its reason on a short allowlist.  No setting is kept for tests
 alone either: every defaulted parameter or field of such a definition is
-passed by a package call, or named on its own allowlist.  Each pair of
-independent routes shares only the names on its own allowlist."""
+passed by a package call, or named on its own allowlist, and its twin: no
+default is passed by every package call, unless it is named on a reasoned
+allowlist.  Each pair of independent routes shares only the names on its
+own allowlist."""
 
 import ast
 import math
@@ -192,15 +194,32 @@ def test_every_public_definition_is_reached_exported_or_allowed():
 # ---------------------------------------------------------------------------
 # No test-only settings: every parameter with a default, and every dataclass
 # field with a default, of a reached or exported definition is passed by at
-# least one call in the package.  Calls are matched by simple name (``f(...)``
-# and ``x.f(...)`` alike, a class name for its fields), so a name that two
-# definitions share can only hide a finding, never invent one.
+# least one call in the package, and not by every one: a default that every
+# package call overrides only tests read.  Calls are matched by simple name
+# (``f(...)`` and ``x.f(...)`` alike, a class name for its fields), so a name
+# that two definitions share can only hide a finding, never invent one.
 # ---------------------------------------------------------------------------
 
 # Defaults that no package call passes, each with the reason it stays.
 ALLOWED_DEFAULTS = {
     "cli.main(argv)": "the console entry point; the interpreter calls it without argv",
     "variational.lemma_check(probes)": "acceptance criterion 6 passes one probe",
+}
+
+_NO_RUNTIME = "documented API: emitted reports leave out runtimes unless asked"
+
+# Defaults that every package call passes, each with the reason it stays.
+ALLOWED_PASSED_DEFAULTS = {
+    "suites.run_suite(config)": "documented API: a suite runs at its defaults without one",
+    "field_equations.theorem1_check(dt)": "acceptance criterion 6 calls it without dt",
+    "reports.render(fmt)": "documented API: JSON is the default format",
+    "reports.render(include_runtime)": _NO_RUNTIME,
+    "reports.emit(include_runtime)": _NO_RUNTIME,
+    "reports.CheckReport.to_dict(include_runtime)": _NO_RUNTIME,
+    "field_equations.discrete_variational_derivative(r)":
+        "the benchmark's tracer self-test probes the Dirac action without signs",
+    "field_equations.discrete_variational_derivative(s)":
+        "the benchmark's tracer self-test probes the Dirac action without signs",
 }
 
 
@@ -246,38 +265,46 @@ def defaulted_parameters(node, label: str) -> list[tuple[str, str, str, int]]:
     return out
 
 
-def package_calls(package: Path) -> dict[str, tuple[set, int]]:
-    """Call name -> (keywords passed, most positional arguments) over every
-    call in the package; a ``*args`` passes every position and a
-    ``**kwargs`` every keyword (recorded as None)."""
+def package_calls(package: Path) -> dict[str, list[tuple[set, float]]]:
+    """Call name -> (keywords passed, positional arguments) of each call in
+    the package; a ``*args`` passes every position and a ``**kwargs`` every
+    keyword (recorded as None)."""
     calls = {}
     for path in package.glob("*.py"):
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                keywords, most = calls.get(name, (set(), 0))
                 starred = any(isinstance(arg, ast.Starred) for arg in node.args)
-                keywords |= {k.arg for k in node.keywords}
-                calls[name] = (keywords, math.inf if starred else max(most, len(node.args)))
+                calls.setdefault(name, []).append(
+                    ({k.arg for k in node.keywords}, math.inf if starred else len(node.args)))
     return calls
 
 
-def unpassed_defaults(package: Path) -> list[str]:
-    """Every defaulted parameter or field of a definition reached from ROOTS
-    or exported that no package call passes, by keyword or by position, as
-    "module.definition(parameter)".  The definitions on ALLOWED_UNREACHED
-    are neither, so they are exempt."""
+def default_uses(package: Path) -> dict[str, list[bool]]:
+    """"module.definition(parameter)" -> whether each package call of its
+    name passes it, by keyword or by position, for every defaulted parameter
+    or field of a definition reached from ROOTS or exported.  The
+    definitions on ALLOWED_UNREACHED are neither, so they are exempt."""
     trees = {path.stem: _tree(path) for path in package.glob("*.py")}
     calls = package_calls(package)
-    found = []
+    uses = {}
     for module, name in sorted(kept_definitions(package)):
         node = module_definitions(trees[module])[name]
         for label, call, keyword, position in defaulted_parameters(node, f"{module}.{name}"):
-            keywords, most = calls.get(call, (set(), 0))
-            if keyword not in keywords and None not in keywords and not 0 <= position < most:
-                found.append(label)
-    return found
+            uses[label] = [keyword in keywords or None in keywords or 0 <= position < most
+                           for keywords, most in calls.get(call, [])]
+    return uses
+
+
+def unpassed_defaults(package: Path) -> list[str]:
+    """Every such default that no package call passes."""
+    return [label for label, passed in default_uses(package).items() if not any(passed)]
+
+
+def always_passed_defaults(package: Path) -> list[str]:
+    """Every such default that each of its package calls, one at least, passes."""
+    return [label for label, passed in default_uses(package).items() if passed and all(passed)]
 
 
 def test_every_default_is_passed_by_a_package_call():
@@ -285,28 +312,36 @@ def test_every_default_is_passed_by_a_package_call():
     assert sorted(unpassed_defaults(PACKAGE)) == sorted(ALLOWED_DEFAULTS)
 
 
-# Unused settings the contract must refuse: (file, anchor, replacement, the
-# finding it must report).
+def test_no_default_is_passed_by_every_package_call():
+    # an allowlisted default that a call leaves out, or that is deleted, fails too
+    assert sorted(always_passed_defaults(PACKAGE)) == sorted(ALLOWED_PASSED_DEFAULTS)
+
+
+# Unused settings the contract must refuse: (file, anchor, replacement,
+# the rule that must report it, the finding).
 _UNUSED_DEFAULTS = (
     ("sampling.py", "def base_for(spec: LatticeSpec) -> np.ndarray:",
      "def base_for(spec: LatticeSpec, scale: float = 1.0) -> np.ndarray:",
-     "sampling.base_for(scale)"),
+     unpassed_defaults, "sampling.base_for(scale)"),
     ("grids.py", "    component_gradient: Callable[[int, int], np.ndarray]\n",
      "    component_gradient: Callable[[int, int], np.ndarray]\n    label: str = \"\"\n",
-     "grids.CoframeBundle(label)"),
+     unpassed_defaults, "grids.CoframeBundle(label)"),
+    ("suites.py", "        cb = coframe_bundle_from_spinor(values, spec)\n",
+     "        cb = coframe_bundle_from_spinor(values, spec, backend=\"stencil\")\n",
+     always_passed_defaults, "sampling.coframe_bundle_from_spinor(backend)"),
 )
 
 
-@pytest.mark.parametrize("edit", _UNUSED_DEFAULTS, ids=[e[3] for e in _UNUSED_DEFAULTS])
+@pytest.mark.parametrize("edit", _UNUSED_DEFAULTS, ids=[e[4] for e in _UNUSED_DEFAULTS])
 def test_default_contract_fails_on_an_unused_default(edit, tmp_path):
-    file, anchor, replacement, finding = edit
+    file, anchor, replacement, rule, finding = edit
     tree = tmp_path / "spinframe"
     shutil.copytree(PACKAGE, tree, ignore=shutil.ignore_patterns("__pycache__"))
     source = (tree / file).read_text()
     assert source.count(anchor) == 1
     (tree / file).write_text(source.replace(anchor, replacement))
-    assert finding not in unpassed_defaults(PACKAGE)
-    assert finding in unpassed_defaults(tree)
+    assert finding not in rule(PACKAGE)
+    assert finding in rule(tree)
 
 
 # ---------------------------------------------------------------------------

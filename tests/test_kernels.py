@@ -13,7 +13,7 @@ import pytest
 
 from spinframe import field_equations, pauli
 from spinframe.algebra import SIGMA3, SIGMA_LOWER, SIGMA_UPPER, coframe_map
-from spinframe.errors import InvalidGrid
+from spinframe.errors import ConfigInvalid, InvalidGrid
 from spinframe.field_equations import dirac_apply, field_equation_residual_4d
 from spinframe.grids import (
     BACKENDS,
@@ -55,7 +55,7 @@ GRIDS = {
 
 def _poly(dims: int, real: bool, seed: int = 0) -> TrigPoly:
     rng = np.random.default_rng(seed)
-    return random_trig_poly(rng, base_for(GRIDS[dims]), max_mode=3, real=real)
+    return random_trig_poly(rng, base_for(GRIDS[dims]), 3, 1.0, real=real)
 
 
 def _coords(spec: LatticeSpec, layout: str):
@@ -143,11 +143,8 @@ def test_meshgrid_views_equal_copied_meshgrid():
 
 
 def _matrices():
-    rng = np.random.default_rng(5)
-    random = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     named = [(f"lower{k}", SIGMA_LOWER[k]) for k in range(4)]
-    named += [(f"upper{k}", SIGMA_UPPER[k]) for k in range(4)]
-    return named + [("random", random)]
+    return named + [(f"upper{k}", SIGMA_UPPER[k]) for k in range(4)]
 
 
 @pytest.mark.parametrize("name,sig", _matrices())
@@ -172,6 +169,23 @@ def test_pauli_apply_matches_matmul(name, sig):
     assert np.max(np.abs(got - want)) <= 8 * EPS * np.max(np.abs(want))
     c0, c1 = pauli.components(sig, v)
     np.testing.assert_array_equal(np.stack([c0, c1], axis=-1), got)
+
+
+def _off_pattern():
+    rng = np.random.default_rng(5)
+    random = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return [("random", random), ("diagonal", np.diag([1.0, 2.0])),
+            ("anti-diagonal", np.array([[0.0, 1.0], [1j, 0.0]]))]
+
+
+@pytest.mark.parametrize("name,sig", _off_pattern())
+def test_kernels_reject_a_matrix_outside_the_pauli_pattern(name, sig):
+    # only a diagonal or anti-diagonal matrix with entries b = +-a has a kernel
+    v = np.random.default_rng(7).normal(size=(6, 5, 2)) + 0j
+    for kernel in (lambda: pauli.contract(sig, v, v), lambda: pauli.apply(sig, v),
+                   lambda: pauli.components(sig, v)):
+        with pytest.raises(ConfigInvalid):
+            kernel()
 
 
 def _grid_minor_slices(a: np.ndarray, dims: int) -> bool:
@@ -199,7 +213,7 @@ def _layout_spinor(spec):
 def test_spinor_poly_bundles_are_grid_minor(dims):
     spec = GRIDS[dims]
     sp = _layout_spinor(spec)
-    h = random_trig_poly(np.random.default_rng(15), base_for(spec), real=True)
+    h = random_trig_poly(np.random.default_rng(15), base_for(spec), 3, 1.0, real=True)
     for b in (sp.bundle(spec), ScaledSpinor(sp, h).bundle(spec)):
         assert b.values.shape == spec.extents + (2,)
         assert b.derivs.shape == spec.extents + (dims, 2)
@@ -230,7 +244,7 @@ def test_covector_on_is_grid_minor():
 
 def test_plane_and_boosted_waves_are_grid_minor():
     spec = periodic_spec(8, 2.0 * np.pi / 8, 3)
-    for b in (plane_wave_spinor(PlaneWaveLabel(1, -1), spec),
+    for b in (plane_wave_spinor(PlaneWaveLabel(1, -1, 1.0, 0.0), spec),
               boosted_wave((3, 2, -2), 1, 1.0, spec)):
         assert _grid_minor_slices(b.values, 3) and _grid_minor_slices(b.derivs, 3)
 
@@ -299,7 +313,7 @@ def test_hand_built_bundle_gives_the_same_theta_and_dtheta():
 
 def test_variational_probe_copy_keeps_the_grid_minor_layout(monkeypatch):
     spec = periodic_spec(4, 2.0 * np.pi / 4, 3)
-    values = plane_wave_spinor(PlaneWaveLabel(1, 1), spec).values
+    values = plane_wave_spinor(PlaneWaveLabel(1, 1, 1.0, 0.0), spec).values
     seen = []
     original = field_equations._action_from_values
 

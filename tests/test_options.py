@@ -105,12 +105,12 @@ def test_known_backends_still_accepted(backend):
 
 
 _CALLER_ERRORS = {
-    "report-format": (UnknownOption, lambda: render([make_report("c", {}, 0.0, 0.0, 1.0)],
+    "report-format": (UnknownOption, lambda: render([make_report("c", {}, 0.0, 0.0, 1.0, 0)],
                                                     "xml")),
     "rank-range": (RankOverflow, lambda: LatticeField(SPEC3, 4, np.zeros(SPEC3.extents + (1,)))),
     "mixing-on-3d": (InvalidGrid, lambda: spinor_contractions(_bundle3(), ModelParams(m=1.0))),
     "kk-on-3d": (InvalidGrid, lambda: kk_decomposition_check(_bundle3(), "chain")),
-    "plane-wave-on-2d": (InvalidGrid, lambda: plane_wave_spinor(PlaneWaveLabel(1, 1),
+    "plane-wave-on-2d": (InvalidGrid, lambda: plane_wave_spinor(PlaneWaveLabel(1, 1, 1.0, 0.0),
                                                                 periodic_spec(4, 1.0, 2))),
 }
 

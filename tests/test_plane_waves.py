@@ -22,7 +22,7 @@ from spinframe.torsion import spinor_contractions
 
 def test_label_validation():
     with pytest.raises(ValueError):
-        PlaneWaveLabel(0, 1)
+        PlaneWaveLabel(0, 1, 1.0, 0.0)
     with pytest.raises(ValueError):
         PlaneWaveLabel(1, 1, 1.0, 1.0)   # A0 must be below m
     with pytest.raises(ValueError):

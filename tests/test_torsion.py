@@ -129,7 +129,7 @@ def test_wedge_route_equals_antisymmetrized_tensor():
     via_wedge = axial_torsion_coframe(cb).values[..., 0]
     tensor = 0.0
     for j in range(3):
-        d = derivatives(cb.theta[..., j, :], spec)
+        d = derivatives(cb.theta[..., j, :], spec, "stencil")
         dtheta = d - np.swapaxes(d, -1, -2)   # (d theta^j)_{bc}
         tensor = tensor + O3[j] * np.einsum("...a,...bc->...abc", cb.theta[..., j, :], dtheta)
     (c,) = form_components(3, 3)
@@ -240,7 +240,7 @@ def test_coframe_torsion_of_an_extended_frame_checks_its_spatial_block():
     ref = 0.0
     # o_jj of the extended frame metric diag(-1, 1, 1, 1)
     for j, o in enumerate((-1.0, 1.0, 1.0, 1.0)):
-        d = derivatives(theta4[..., j, :], spec)
+        d = derivatives(theta4[..., j, :], spec, "stencil")
         d = d - np.swapaxes(d, -1, -2)
         drow = LatticeField(spec, 2, np.stack([d[..., a, c] for a, c in form_components(4, 2)],
                                               axis=-1))
