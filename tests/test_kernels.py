@@ -144,7 +144,12 @@ def test_meshgrid_views_equal_copied_meshgrid():
 
 def _matrices():
     named = [(f"lower{k}", SIGMA_LOWER[k]) for k in range(4)]
-    return named + [(f"upper{k}", SIGMA_UPPER[k]) for k in range(4)]
+    named += [(f"upper{k}", SIGMA_UPPER[k]) for k in range(4)]
+    # a random complex entry in the anti-diagonal b = -a pattern, so the
+    # scaling is by neither +-1 nor +-i
+    rng = np.random.default_rng(5)
+    a = rng.normal() + 1j * rng.normal()
+    return named + [("random", np.array([[0.0, a], [-a, 0.0]]))]
 
 
 @pytest.mark.parametrize("name,sig", _matrices())
