@@ -1,5 +1,6 @@
 """Dirac operators, the explicit nonlinear field equations, discrete
-variational derivatives, and the equivalence verdict harness.
+variational derivatives, and the equivalence verdict harness that
+Theorem 1 and the reduction lemma share.
 
 The explicit residuals are pure pointwise algebra in the bundle and the
 derivatives of the torsion scalars they are handed; they take no
@@ -153,30 +154,54 @@ def field_equation_residual_4d(xi: SpinorBundle, params: ModelParams,
 
 
 class Verdict(Enum):
-    SOLVES_D_PLUS = "SolvesDPlus"
-    SOLVES_D_MINUS = "SolvesDMinus"
-    SOLVES_NEITHER = "SolvesNeither-FieldEqNonzero"
+    SOLVES_PLUS = "SolvesPlus"
+    SOLVES_MINUS = "SolvesMinus"
+    SOLVES_NEITHER = "SolvesNeither"
     INCONSISTENT = "Inconsistent"
 
 
 @dataclass
-class Theorem1Result:
+class EquivalenceResult:
     verdict: Verdict
-    field_eq_residual: float
-    dirac_plus_residual: float
-    dirac_minus_residual: float
+    nonlinear_residual: float
+    plus_residual: float
+    minus_residual: float
     scale: float
 
 
+def equivalence_verdict(nonlinear: float, plus: float, minus: float, scale: float,
+                        linear_scale: float) -> EquivalenceResult:
+    """Classify one field by which residuals vanish: the nonlinear one
+    relative to scale, the plus and minus linear ones relative to
+    linear_scale.  The nonlinear residual must vanish where a linear one
+    does, and only there; anything else is Inconsistent, which must never
+    occur and falsifies the build.  A NaN residual never counts as
+    vanishing.
+    """
+    tol = 1e-6   # relative bound under which a residual counts as vanishing
+    n_zero = nonlinear <= tol * scale
+    p_zero = plus <= tol * linear_scale
+    m_zero = minus <= tol * linear_scale
+    if n_zero and p_zero:
+        verdict = Verdict.SOLVES_PLUS
+    elif n_zero and m_zero:
+        verdict = Verdict.SOLVES_MINUS
+    elif not n_zero and not (p_zero or m_zero):
+        verdict = Verdict.SOLVES_NEITHER
+    else:
+        verdict = Verdict.INCONSISTENT
+    return EquivalenceResult(verdict, nonlinear, plus, minus, scale)
+
+
 def theorem1_check(eta: SpinorBundle, params: ModelParams, r: int,
-                   dt: np.ndarray | None = None) -> Theorem1Result:
-    """Compare near-vanishing of the field-equation and Dirac residuals.
+                   dt: np.ndarray | None = None) -> EquivalenceResult:
+    """Compare near-vanishing of the field-equation and Dirac residuals
+    (``equivalence_verdict``): the field equation's relative to
+    m^2 sqrt(max rho), the Dirac ones' relative to m sqrt(max rho).
 
     dt is the in-plane gradient of the reduced torsion scalar; without it,
-    the check differentiates ``reduced_axial_torsion`` spectrally.
-    Inconsistent (one route vanishes, the other does not) must never occur;
-    it falsifies the build.  A dt of any shape but (*n, 3) raises
-    InvalidGrid.
+    the check differentiates ``reduced_axial_torsion`` spectrally.  A dt of
+    any shape but (*n, 3) raises InvalidGrid.
     """
     rho = eta.rho
     require_density(rho)
@@ -185,23 +210,11 @@ def theorem1_check(eta: SpinorBundle, params: ModelParams, r: int,
     else:
         t = reduced_axial_torsion(eta, dirac_contraction(eta, params, r).real)
         dt = derivatives(t, eta.spec, "spectral")
-    scale = params.m ** 2 * float(np.sqrt(np.max(rho)))
+    root_rho = float(np.sqrt(np.max(rho)))
     fe = float(np.max(np.abs(field_equation_residual_reduced(eta, params, r, dt))))
     dp = float(np.max(np.abs(dirac_apply(eta, params, r, +1))))
     dm = float(np.max(np.abs(dirac_apply(eta, params, r, -1))))
-    tol = 1e-6   # relative bound under which a residual counts as vanishing
-    fe_zero = fe <= tol * scale
-    dp_zero = dp <= tol * params.m * float(np.sqrt(np.max(rho)))
-    dm_zero = dm <= tol * params.m * float(np.sqrt(np.max(rho)))
-    if fe_zero and dp_zero:
-        verdict = Verdict.SOLVES_D_PLUS
-    elif fe_zero and dm_zero:
-        verdict = Verdict.SOLVES_D_MINUS
-    elif not fe_zero and not (dp_zero or dm_zero):
-        verdict = Verdict.SOLVES_NEITHER
-    else:
-        verdict = Verdict.INCONSISTENT
-    return Theorem1Result(verdict, fe, dp, dm, scale)
+    return equivalence_verdict(fe, dp, dm, params.m ** 2 * root_rho, params.m * root_rho)
 
 
 # ---------------------------------------------------------------------------

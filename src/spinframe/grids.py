@@ -509,7 +509,7 @@ class CoframeBundle:
 
     @classmethod
     def from_grid(cls, spec: LatticeSpec, theta: np.ndarray,
-                  backend: str = "stencil") -> "CoframeBundle":
+                  backend: str) -> "CoframeBundle":
         require_choice("backend", backend, BACKENDS)
 
         def component_gradient(j: int, p: int) -> np.ndarray:

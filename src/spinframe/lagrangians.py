@@ -1,5 +1,5 @@
-"""Lagrangian densities: rotational-deformation, Dirac, and the
-factorization identity connecting them.
+"""Lagrangian densities: rotational-deformation, Dirac, the reduction
+lemma's combined density, and the factorization identity connecting them.
 
 Every density is computed in both its spelled-out and compact forms and the
 two are cross-asserted pointwise (``errors.require_agreement``); a
@@ -107,19 +107,26 @@ def dirac_lagrangian(eta: SpinorBundle, params: ModelParams, r: int, s: int) -> 
     return spelled
 
 
+def combine_densities(lp: np.ndarray, lm: np.ndarray) -> np.ndarray:
+    """lp lm / (lp - lm), the reduction lemma's combined density.  Any two
+    scaling-covariant densities may be fed in, which is what generates the
+    hierarchy of reducible equations.  Raises DegenerateDenominator where
+    |lp - lm| < 1e-12 max(|lp|, |lm|)."""
+    denom = lp - lm
+    scale = max(float(np.max(np.abs(lp))), float(np.max(np.abs(lm))), 1e-300)
+    if np.any(np.abs(denom) < 1e-12 * scale):
+        raise DegenerateDenominator("L_+ - L_- vanishes somewhere on the grid")
+    return lp * lm / denom
+
+
 def factorization_residual(eta: SpinorBundle, params: ModelParams, r: int) -> np.ndarray:
-    """Pointwise residual of L_r + (32 m / 9) L_{r+} L_{r-} / (L_{r+} - L_{r-}).
+    """Pointwise residual of L_r + (32 m / 9) L_{r+} L_{r-} / (L_{r+} - L_{r-}),
+    the combined density of the two Dirac Lagrangians.
 
     Algebraic identity in (*T, rho, m) once derivative values are fixed, so
     the residual is roundoff-level on any positive-class field.
     """
-    rho = eta.rho
-    require_density(rho)
+    require_density(eta.rho)
     lp = dirac_lagrangian(eta, params, r, +1)
     lm = dirac_lagrangian(eta, params, r, -1)
-    denom = lp - lm
-    scale = float(np.max(rho))
-    if np.any(np.abs(denom) < 1e-12 * scale):
-        raise DegenerateDenominator("L_+ - L_- vanishes somewhere on the grid")
-    lr = lagrangian_reduced(eta, params, r)
-    return lr + (32.0 * params.m / 9.0) * lp * lm / denom
+    return lagrangian_reduced(eta, params, r) + (32.0 * params.m / 9.0) * combine_densities(lp, lm)

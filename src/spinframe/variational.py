@@ -9,19 +9,13 @@ C^m-valued columns on a lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    DimensionMismatch,
-    NotHermitian,
-    VanishingU,
-    require_agreement,
-)
-from .field_equations import action_gradient
+from .errors import DimensionMismatch, NotHermitian, VanishingU, require_agreement
+from .field_equations import EquivalenceResult, Verdict, action_gradient, equivalence_verdict
 from .grids import LatticeSpec, derivatives
+from .lagrangians import combine_densities
 
 _HERM_TOL = 1e-12
 
@@ -81,16 +75,6 @@ def first_order_lagrangian(op: FirstOrderOperator, u: np.ndarray,
     return spelled
 
 
-def combine_densities(lp: np.ndarray, lm: np.ndarray) -> np.ndarray:
-    """lp lm / (lp - lm); any two scaling-covariant densities may be fed in,
-    which is what generates the hierarchy of reducible equations."""
-    denom = lp - lm
-    scale = max(float(np.max(np.abs(lp))), float(np.max(np.abs(lm))), 1e-300)
-    if np.any(np.abs(denom) < 1e-12 * scale):
-        raise DegenerateDenominator("L_+ - L_- vanishes somewhere on the grid")
-    return lp * lm / denom
-
-
 def combined_lagrangian(op_p: FirstOrderOperator, op_m: FirstOrderOperator,
                         u: np.ndarray, du: np.ndarray) -> np.ndarray:
     lp = first_order_lagrangian(op_p, u, du)
@@ -137,20 +121,9 @@ def example_ode_residual(u: np.ndarray, du: np.ndarray, ddu: np.ndarray) -> np.n
 # ---------------------------------------------------------------------------
 
 
-class LemmaVerdict(Enum):
-    SOLVES_A_PLUS = "SolvesAPlus"
-    SOLVES_A_MINUS = "SolvesAMinus"
-    SOLVES_NEITHER = "SolvesNeither"
-    INCONSISTENT = "Inconsistent"
-
-
-@dataclass
-class LemmaResult:
-    verdict: LemmaVerdict
-    gradient_norm: float
-    a_plus_residual: float
-    a_minus_residual: float
-    scale: float
+# The lemma's verdicts are Theorem 1's; the lemma's name for them stays
+# importable here, where acceptance criterion 6 imports it.
+LemmaVerdict = Verdict
 
 
 def _combined_action(op_p, op_m, u) -> float:
@@ -173,9 +146,11 @@ def combined_action_gradient(op_p: FirstOrderOperator, op_m: FirstOrderOperator,
 
 
 def lemma_check(op_p: FirstOrderOperator, op_m: FirstOrderOperator, u: np.ndarray,
-                probes=None) -> LemmaResult:
+                probes=None) -> EquivalenceResult:
     """Compare near-vanishing of the combined-action variational derivative
-    with the two linear residuals.  Inconsistent must never occur.
+    with the two linear residuals (``field_equations.equivalence_verdict``):
+    the gradient's relative to max(|u|, |u|^2, 1), the linear ones' relative
+    to that times 1 + max|C_+| + max|C_-|.  Inconsistent must never occur.
 
     Both residuals read the spectral derivative of u, the rule the
     variational derivative uses."""
@@ -192,17 +167,5 @@ def lemma_check(op_p: FirstOrderOperator, op_m: FirstOrderOperator, u: np.ndarra
     du = derivatives(u, spec, "spectral")
     ap = float(np.max(np.abs(op_apply(op_p, u, du))))
     am = float(np.max(np.abs(op_apply(op_m, u, du))))
-    tol = 1e-6   # relative bound under which a residual counts as vanishing
-    g_zero = gnorm <= tol * scale
     op_scale = scale * (1.0 + float(np.max(np.abs(op_p.c))) + float(np.max(np.abs(op_m.c))))
-    ap_zero = ap <= tol * op_scale
-    am_zero = am <= tol * op_scale
-    if g_zero and ap_zero:
-        verdict = LemmaVerdict.SOLVES_A_PLUS
-    elif g_zero and am_zero:
-        verdict = LemmaVerdict.SOLVES_A_MINUS
-    elif not g_zero and not (ap_zero or am_zero):
-        verdict = LemmaVerdict.SOLVES_NEITHER
-    else:
-        verdict = LemmaVerdict.INCONSISTENT
-    return LemmaResult(verdict, gnorm, ap, am, scale)
+    return equivalence_verdict(gnorm, ap, am, scale, op_scale)

@@ -10,6 +10,7 @@ from spinframe.field_equations import (
     Verdict,
     dirac_apply,
     discrete_variational_derivative,
+    equivalence_verdict,
     field_equation_residual_4d,
     field_equation_residual_reduced,
     theorem1_check,
@@ -179,10 +180,39 @@ def test_one_4d_residual_peaks_no_higher_than_before():
 
 def test_theorem1_verdicts(spec):
     p = ModelParams(m=1.0)
-    for s, expect in ((1, Verdict.SOLVES_D_PLUS), (-1, Verdict.SOLVES_D_MINUS)):
+    for s, expect in ((1, Verdict.SOLVES_PLUS), (-1, Verdict.SOLVES_MINUS)):
         b = plane_wave_spinor(PlaneWaveLabel(1, s, 1.0, 0.0), spec)
         res = theorem1_check(b, p, 1, dt=_zeros_dt(spec))
         assert res.verdict is expect
+
+
+# (nonlinear, plus, minus) vanishing -> verdict; the linear scale is 10
+# times the nonlinear one, so each residual is measured against its own
+_VERDICTS = [
+    ((True, True, True), Verdict.SOLVES_PLUS),
+    ((True, True, False), Verdict.SOLVES_PLUS),
+    ((True, False, True), Verdict.SOLVES_MINUS),
+    ((True, False, False), Verdict.INCONSISTENT),
+    ((False, True, True), Verdict.INCONSISTENT),
+    ((False, True, False), Verdict.INCONSISTENT),
+    ((False, False, True), Verdict.INCONSISTENT),
+    ((False, False, False), Verdict.SOLVES_NEITHER),
+]
+
+
+@pytest.mark.parametrize("vanishing,expect", _VERDICTS,
+                         ids=["".join("0" if v else "x" for v in case[0]) for case in _VERDICTS])
+def test_equivalence_verdict_rule(vanishing, expect):
+    scale, linear_scale = 2.0, 20.0
+    bounds = (1e-6 * scale, 1e-6 * linear_scale, 1e-6 * linear_scale)
+    # a vanishing residual sits exactly on its bound, a non-vanishing one
+    # just above it or NaN
+    for above in (lambda b: b * (1.0 + 1e-9), lambda b: math.nan):
+        residuals = [b if v else above(b) for v, b in zip(vanishing, bounds)]
+        res = equivalence_verdict(*residuals, scale, linear_scale)
+        assert res.verdict is expect
+        assert (res.nonlinear_residual, res.plus_residual, res.minus_residual,
+                res.scale) == pytest.approx((*residuals, scale), nan_ok=True)
 
 
 def test_theorem1_nonsolution_is_neither(spec):

@@ -253,7 +253,7 @@ def test_coframe_torsion_holds_one_row_of_derivatives_at_a_time():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        cb = CoframeBundle.from_grid(spec, theta)
+        cb = CoframeBundle.from_grid(spec, theta, "stencil")
         axial_torsion_coframe(cb)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:

@@ -195,9 +195,11 @@ def test_every_public_definition_is_reached_exported_or_allowed():
 # No test-only settings: every parameter with a default, and every dataclass
 # field with a default, of a reached or exported definition is passed by at
 # least one call in the package, and not by every one: a default that every
-# package call overrides only tests read.  Calls are matched by simple name
-# (``f(...)`` and ``x.f(...)`` alike, a class name for its fields), so a name
-# that two definitions share can only hide a finding, never invent one.
+# package call overrides only tests read.  A call ``Cls.f(...)`` whose
+# receiver is a package class is matched to that class's method; every other
+# call by simple name (``f(...)`` and ``x.f(...)`` alike, a class name for its
+# fields), so a name that two definitions share can only hide a finding,
+# never invent one.
 # ---------------------------------------------------------------------------
 
 # Defaults that no package call passes, each with the reason it stays.
@@ -223,16 +225,17 @@ ALLOWED_PASSED_DEFAULTS = {
 }
 
 
-def _defaulted_arguments(fn, label: str, skip_first: bool) -> list[tuple[str, str, str, int]]:
+def _defaulted_arguments(fn, label: str, skip_first: bool,
+                         call: str) -> list[tuple[str, str, str, int]]:
     """(label, call name, keyword, position) of each parameter of fn with a
     default; a keyword-only one has position -1, and a method's first
     parameter is not counted."""
     a = fn.args
     positional = (a.posonlyargs + a.args)[1 if skip_first else 0:]
     first = len(positional) - len(a.defaults)
-    out = [(f"{label}({p.arg})", fn.name, p.arg, i)
+    out = [(f"{label}({p.arg})", call, p.arg, i)
            for i, p in enumerate(positional) if i >= first]
-    out += [(f"{label}({p.arg})", fn.name, p.arg, -1)
+    out += [(f"{label}({p.arg})", call, p.arg, -1)
             for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
     return out
 
@@ -245,7 +248,8 @@ def _decorator_names(node) -> set[str]:
 def defaulted_parameters(node, label: str) -> list[tuple[str, str, str, int]]:
     """(label, call name, keyword, position) of every defaulted parameter in
     one definition: its own, its methods' and those of the functions nested
-    in either, and a dataclass's defaulted fields."""
+    in either, and a dataclass's defaulted fields.  A method's call name is
+    "Cls.f"."""
     out = []
     if isinstance(node, ast.ClassDef):
         if "dataclass" in _decorator_names(node):
@@ -258,23 +262,32 @@ def defaulted_parameters(node, label: str) -> list[tuple[str, str, str, int]]:
     for method in methods:
         is_method = method is not node and "staticmethod" not in _decorator_names(method)
         name = f"{label}.{method.name}" if method is not node else label
-        out += _defaulted_arguments(method, name, is_method)
+        call = f"{node.name}.{method.name}" if method is not node else method.name
+        out += _defaulted_arguments(method, name, is_method, call)
         out += [entry for inner in ast.walk(method)
                 if isinstance(inner, ast.FunctionDef) and inner is not method
-                for entry in _defaulted_arguments(inner, f"{name}.{inner.name}", False)]
+                for entry in _defaulted_arguments(inner, f"{name}.{inner.name}", False,
+                                                  inner.name)]
     return out
 
 
 def package_calls(package: Path) -> dict[str, list[tuple[set, float]]]:
     """Call name -> (keywords passed, positional arguments) of each call in
     the package; a ``*args`` passes every position and a ``**kwargs`` every
-    keyword (recorded as None)."""
+    keyword (recorded as None).  The name of a call ``Cls.f(...)`` whose
+    receiver is a package class is "Cls.f", of any other its simple name."""
+    trees = [_tree(path) for path in package.glob("*.py")]
+    classes = {node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef)}
     calls = {}
-    for path in package.glob("*.py"):
-        for node in ast.walk(_tree(path)):
+    for tree in trees:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                receiver = getattr(func, "value", None)
+                if isinstance(receiver, ast.Name) and receiver.id in classes:
+                    name = f"{receiver.id}.{name}"
                 starred = any(isinstance(arg, ast.Starred) for arg in node.args)
                 calls.setdefault(name, []).append(
                     ({k.arg for k in node.keywords}, math.inf if starred else len(node.args)))
@@ -284,16 +297,21 @@ def package_calls(package: Path) -> dict[str, list[tuple[set, float]]]:
 def default_uses(package: Path) -> dict[str, list[bool]]:
     """"module.definition(parameter)" -> whether each package call of its
     name passes it, by keyword or by position, for every defaulted parameter
-    or field of a definition reached from ROOTS or exported.  The
-    definitions on ALLOWED_UNREACHED are neither, so they are exempt."""
+    or field of a definition reached from ROOTS or exported.  A method
+    "Cls.f" is called through its class and through any receiver that is
+    not a package class.  The definitions on ALLOWED_UNREACHED are neither,
+    so they are exempt."""
     trees = {path.stem: _tree(path) for path in package.glob("*.py")}
     calls = package_calls(package)
     uses = {}
     for module, name in sorted(kept_definitions(package)):
         node = module_definitions(trees[module])[name]
         for label, call, keyword, position in defaulted_parameters(node, f"{module}.{name}"):
+            matched = calls.get(call, [])
+            if "." in call:
+                matched = matched + calls.get(call.rsplit(".", 1)[1], [])
             uses[label] = [keyword in keywords or None in keywords or 0 <= position < most
-                           for keywords, most in calls.get(call, [])]
+                           for keywords, most in matched]
     return uses
 
 
@@ -329,6 +347,10 @@ _UNUSED_DEFAULTS = (
     ("suites.py", "        cb = coframe_bundle_from_spinor(values, spec)\n",
      "        cb = coframe_bundle_from_spinor(values, spec, backend=\"stencil\")\n",
      always_passed_defaults, "sampling.coframe_bundle_from_spinor(backend)"),
+    # SpinorBundle.from_grid(spec, values) shares the method's simple name
+    ("grids.py", "                  backend: str) -> \"CoframeBundle\":",
+     "                  backend: str = \"stencil\") -> \"CoframeBundle\":",
+     always_passed_defaults, "grids.CoframeBundle.from_grid(backend)"),
 )
 
 

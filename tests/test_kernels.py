@@ -274,7 +274,7 @@ def test_chain_dtheta_row_forms_and_wedge_are_grid_minor(dims):
     assert dtheta.shape == spec.extents + (dims, 3, 3)
     assert _grid_minor_slices(dtheta, dims)
     for cb in (CoframeBundle(spec, theta, lambda j, p: dtheta[..., j, p]),
-               CoframeBundle.from_grid(spec, theta)):
+               CoframeBundle.from_grid(spec, theta, "stencil")):
         for j in range(3):
             row, drow = _row_forms(cb, j)
             assert row.values.shape == spec.extents + (dims,)

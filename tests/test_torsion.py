@@ -227,7 +227,7 @@ def test_coframe_torsion_of_an_extended_frame_checks_its_spatial_block():
     rng = np.random.default_rng(3)
     b = random_positive_spinor(rng, base_for(spec), max_mode=1).bundle(spec)
     theta, _ = coframe_map(b.values)
-    cb = CoframeBundle.from_grid(spec, theta)
+    cb = CoframeBundle.from_grid(spec, theta, "stencil")
     assert cb.row_differential(0).values.shape == spec.extents + (6,)
     checked = axial_torsion_coframe(cb)
     assert checked.values.shape == spec.extents + (4,)

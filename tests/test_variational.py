@@ -12,12 +12,12 @@ from spinframe.errors import (
     SpinframeError,
     VanishingU,
 )
+from spinframe.field_equations import Verdict
 from spinframe.grids import LatticeSpec, derivatives, periodic_spec
+from spinframe.lagrangians import combine_densities
 from spinframe.sampling import base_for, random_trig_poly
 from spinframe.variational import (
     FirstOrderOperator,
-    LemmaVerdict,
-    combine_densities,
     combined_action_gradient,
     combined_lagrangian,
     example_ode_residual,
@@ -200,11 +200,10 @@ def test_hierarchy_preserves_scaling_covariance(spec):
 def test_lemma_branches_on_example(spec):
     ap, am = example_operators(spec)
     x = spec.axis_coords(0)
-    for sgn, expect in ((1, LemmaVerdict.SOLVES_A_PLUS),
-                        (-1, LemmaVerdict.SOLVES_A_MINUS)):
+    for sgn, expect in ((1, Verdict.SOLVES_PLUS), (-1, Verdict.SOLVES_MINUS)):
         res = lemma_check(ap, am, np.exp(sgn * 1j * x)[:, None])
         assert res.verdict is expect
-        assert res.gradient_norm < 1e-6
+        assert res.nonlinear_residual < 1e-6
 
 
 def test_lemma_neither_on_random_field(spec):
@@ -213,8 +212,8 @@ def test_lemma_neither_on_random_field(spec):
     u = (1.0 + random_trig_poly(rng, base_for(spec), max_mode=3,
                                 amplitude=0.4)(spec.meshgrid()))[:, None]
     res = lemma_check(ap, am, u)
-    assert res.verdict is LemmaVerdict.SOLVES_NEITHER
-    assert res.gradient_norm > 1e-4
+    assert res.verdict is Verdict.SOLVES_NEITHER
+    assert res.nonlinear_residual > 1e-4
 
 
 def test_integrated_solutions_satisfy_lemma(spec, solvable_operator):
@@ -232,8 +231,8 @@ def test_integrated_solutions_satisfy_lemma(spec, solvable_operator):
         du = np.einsum("mk,...k->...m", gen, u)[..., None, :]
         assert np.max(np.abs(op_apply(op, u, du))) < 1e-10
         res = lemma_check(op, op2, u)
-        assert res.verdict is LemmaVerdict.SOLVES_A_PLUS
-        assert res.gradient_norm < 1e-6 * res.scale
+        assert res.verdict is Verdict.SOLVES_PLUS
+        assert res.nonlinear_residual < 1e-6 * res.scale
 
 
 def test_combined_gradient_rejects_probe_off_the_grid(spec):
