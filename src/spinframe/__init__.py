@@ -4,11 +4,7 @@ dimensional reduction, Lagrangian factorization into a pair of linear
 Dirac equations, plane-wave states, and the underlying variational lemma.
 """
 
-from .algebra import (
-    CoframeDensity,
-    coframe_map,
-    verify_coframe,
-)
+from .algebra import coframe_map, verify_coframe
 from .errors import SpinframeError
 from .field_equations import (
     Verdict,

@@ -41,21 +41,12 @@ SIGMA3 = SIGMA_LOWER[3]
 
 
 @dataclass(frozen=True)
-class CoframeDensity:
-    """A 3x3 real coframe matrix (row j = covector theta^j) and a density."""
-
-    theta: np.ndarray
-    rho: float
-
-
-@dataclass(frozen=True)
 class CoframeReport:
     """Deviations of a coframe from the kinematic constraints."""
 
     max_orthonormality_deviation: float
     det_deviation: float
     oriented: bool    # theta^0_0 > 0 and rho > 0 at every point
-    passed: bool
 
 
 def coframe_map(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,13 +105,14 @@ def coframe_map(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, rho
 
 
-def verify_coframe(cd: CoframeDensity) -> CoframeReport:
-    """Check o_jk theta^j theta^k = g and det = +1 to 1e-12, theta^0_0 > 0
-    and rho > 0."""
-    theta = np.asarray(cd.theta, dtype=float)
+def verify_coframe(theta: np.ndarray, rho) -> CoframeReport:
+    """The largest deviations of a coframe (..., 3, 3), row j the covector
+    theta^j, from o_jk theta^j theta^k = g and from det = +1, and whether
+    theta^0_0 > 0 and rho > 0 at every point; the caller bounds them."""
+    theta = np.asarray(theta, dtype=float)
     gram = np.einsum("...ja,j,...jb->...ab", theta, O3, theta)
     dev = float(np.max(np.abs(gram - np.diag(METRIC3))))
     ddet = float(np.max(np.abs(np.linalg.det(theta) - 1.0)))
-    oriented = bool(np.all(theta[..., 0, 0] > 0.0) and np.all(np.asarray(cd.rho) > 0.0))
-    return CoframeReport(dev, ddet, oriented, dev <= 1e-12 and ddet <= 1e-12 and oriented)
+    oriented = bool(np.all(theta[..., 0, 0] > 0.0) and np.all(np.asarray(rho) > 0.0))
+    return CoframeReport(dev, ddet, oriented)
 

@@ -212,8 +212,11 @@ def theorem1_check(eta: SpinorBundle, params: ModelParams, r: int,
         dt = derivatives(t, eta.spec, "spectral")
     root_rho = float(np.sqrt(np.max(rho)))
     fe = float(np.max(np.abs(field_equation_residual_reduced(eta, params, r, dt))))
-    dp = float(np.max(np.abs(dirac_apply(eta, params, r, +1))))
-    dm = float(np.max(np.abs(dirac_apply(eta, params, r, -1))))
+    # dirac_apply's two signs s = +-1 share the first-order part
+    p_eta = _first_order_op(eta, params.A, r)
+    mass = params.m * apply(SIGMA3, eta.values)
+    dp = float(np.max(np.abs(p_eta + mass)))
+    dm = float(np.max(np.abs(p_eta - mass)))
     return equivalence_verdict(fe, dp, dm, params.m ** 2 * root_rho, params.m * root_rho)
 
 

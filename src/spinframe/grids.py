@@ -108,17 +108,11 @@ class LatticeSpec:
         return np.arange(self.extents[axis]) * self.spacing[axis]
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays of the grid, one per axis, "ij" indexing.
-
-        Each array is a read-only ``np.broadcast_to`` view of ``axis_coords``
-        (stride 0 along every other axis), not a copy; ``TrigPoly.__call__``
-        evaluates on such views through per-axis phase tables.  Copy one
-        before writing to it.
-        """
-        dims = self.dims
-        return tuple(np.broadcast_to(self.axis_coords(a).reshape((-1,) + (1,) * (dims - 1 - a)),
-                                     self.extents)
-                     for a in range(dims))
+        """Sparse "ij" coordinate arrays of the grid, one per axis: array
+        ``a`` holds ``axis_coords(a)`` along axis ``a`` and has length 1 on
+        every other axis, so the arrays broadcast to the grid."""
+        return tuple(np.meshgrid(*(self.axis_coords(a) for a in range(self.dims)),
+                                 indexing="ij", sparse=True))
 
 
 def periodic_spec(n, h, dims: int) -> LatticeSpec:

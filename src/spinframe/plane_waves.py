@@ -51,13 +51,12 @@ class PlaneWaveLabel:
 
 
 def plane_wave_spinor(label: PlaneWaveLabel, spec: LatticeSpec) -> SpinorBundle:
-    """eta = (1, 0) exp(-i (s m - r A0) x0) on a 3D grid, or its lift
-    xi = eta exp(-i r m x3) on a 4D grid: one ``mode_bundle`` with
-    closed-form derivatives."""
-    if spec.dims not in (3, 4):
-        raise InvalidGrid("plane waves live on 3D or 4D grids")
-    p = (label.temporal_frequency, 0.0, 0.0, label.r * label.m)[:spec.dims]
-    return mode_bundle(np.array([1.0, 0.0]), p, spec)
+    """eta = (1, 0) exp(-i (s m - r A0) x0) on a 3D grid, else InvalidGrid:
+    one ``mode_bundle`` with closed-form derivatives.  Its 1+3 lift is
+    ``lift_x3(plane_wave_spinor(label, spec4.spatial), spec4, r m)``."""
+    if spec.dims != 3:
+        raise InvalidGrid("plane waves live on 3D grids")
+    return mode_bundle(np.array([1.0, 0.0]), (label.temporal_frequency, 0.0, 0.0), spec)
 
 
 def plane_wave_params(label: PlaneWaveLabel) -> ModelParams:

@@ -45,14 +45,11 @@ class TrigPoly:
         return float(np.sum(np.abs(self.coeffs)))
 
     def __call__(self, coords) -> np.ndarray:
-        """Evaluate on axis-aligned coordinate arrays, one per axis.
-
-        Each ``coords[a]`` must be an array with one axis per dimension that
-        varies along axis ``a`` only (length 1 or stride 0 on every other
-        axis), as the views of ``LatticeSpec.meshgrid`` and numpy's sparse
-        meshgrid are; any 1-D array qualifies.  Other coordinates (full
-        copies, scalars, another grid's dimension) raise InvalidGrid.  The
-        sum goes through a phase table ``exp(i k_a w_a x_a)`` of shape
+        """Evaluate on sparse "ij" coordinates, one array per axis, as
+        ``LatticeSpec.meshgrid`` returns them: ``coords[a]`` has one axis per
+        dimension and length 1 on every axis but ``a``.  Other coordinates
+        (dense copies, scalars, another grid's dimension) raise InvalidGrid.
+        The sum goes through a phase table ``exp(i k_a w_a x_a)`` of shape
         (modes, n_a) per axis.  All the tables come from one ``exp`` over
         the axis coordinates laid end to end, each table a column block of
         it.  The coefficients are contracted with the tables one axis at a
@@ -73,22 +70,16 @@ class TrigPoly:
 
     def _axis_vectors(self, coords) -> list[np.ndarray]:
         """The 1-D coordinate vector of each axis; InvalidGrid unless coords
-        are axis-aligned as ``__call__`` requires."""
+        are sparse axes as ``__call__`` requires."""
         dims = self.dims
         if len(coords) != dims:
             raise InvalidGrid(f"{len(coords)} coordinate arrays for a {dims}D polynomial")
-        for c in coords:
-            if not isinstance(c, np.ndarray) or c.ndim != dims or c.size == 0:
-                raise InvalidGrid(f"coordinates must be non-empty {dims}D arrays")
-        extents = [coords[a].shape[a] for a in range(dims)]
         axes = []
         for a, c in enumerate(coords):
-            for b in range(dims):
-                if b == a or c.shape[b] == 1:
-                    continue
-                if c.strides[b] != 0 or c.shape[b] != extents[b]:
-                    raise InvalidGrid(f"coordinate array {a} is not axis-aligned along axis {b}")
-            axes.append(c[(0,) * a + (slice(None),) + (0,) * (dims - 1 - a)])
+            if not isinstance(c, np.ndarray) or c.size == 0 \
+                    or c.shape != (1,) * a + (c.size,) + (1,) * (dims - 1 - a):
+                raise InvalidGrid(f"coordinate array {a} is not a non-empty sparse {dims}D axis")
+            axes.append(c.reshape(-1))
         return axes
 
     def on(self, spec: LatticeSpec) -> np.ndarray:

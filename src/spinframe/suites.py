@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import coframe_map, verify_coframe, CoframeDensity
+from .algebra import coframe_map, verify_coframe
 from .errors import ConfigInvalid, UnknownSuite, require_mass
 from .field_equations import (
     Verdict,
@@ -117,7 +117,7 @@ def _suite_coframe(params: dict, seed: int, seeds: int):
         # force positive class: make the first component dominate
         a[:, 0] += np.sign(a[:, 0].real + 1e-300) * (np.abs(a[:, 1]) + 0.1)
         theta, rho = coframe_map(a)
-        rep = verify_coframe(CoframeDensity(theta, rho))
+        rep = verify_coframe(theta, rho)
         # Gram and det do not see a time-reversed frame or a negative
         # density: either fails the report with a non-finite residual
         worst = _worst(rep.max_orthonormality_deviation, rep.det_deviation)

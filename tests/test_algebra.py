@@ -10,7 +10,6 @@ from spinframe.algebra import (
     O3,
     SIGMA_LOWER,
     SIGMA_UPPER,
-    CoframeDensity,
     coframe_map,
     verify_coframe,
 )
@@ -95,16 +94,21 @@ def test_verify_coframe_on_random_batch():
     a = rng.normal(size=(500, 2)) + 1j * rng.normal(size=(500, 2))
     a[:, 0] += np.sign(a[:, 0].real + 1e-300) * (np.abs(a[:, 1]) + 0.1)
     theta, rho = coframe_map(a)
-    rep = verify_coframe(CoframeDensity(theta, rho))
-    assert rep.passed
+    rep = verify_coframe(theta, rho)
+    assert rep.oriented
     assert rep.max_orthonormality_deviation < 1e-12
     assert rep.det_deviation < 1e-12
 
 
 def test_verify_coframe_flags_bad_input():
     theta = np.eye(3) * 1.01
-    rep = verify_coframe(CoframeDensity(theta, 1.0))
-    assert not rep.passed
+    rep = verify_coframe(theta, 1.0)
+    # 1.01^2 - 1 off the metric, 1.01^3 - 1 off det = 1; the frame is oriented
+    assert rep.max_orthonormality_deviation == pytest.approx(1.01 ** 2 - 1.0, rel=1e-12)
+    assert rep.det_deviation == pytest.approx(1.01 ** 3 - 1.0, rel=1e-12)
+    assert rep.oriented
+    assert not verify_coframe(theta, -1.0).oriented
+    assert not verify_coframe(-theta, 1.0).oriented
 
 
 @settings(max_examples=50, deadline=None)

@@ -100,7 +100,8 @@ def test_4d_plane_waves_solve_4d_equation():
     p = ModelParams(m=1.0)
     for r in (1, -1):
         for s in (1, -1):
-            b = plane_wave_spinor(PlaneWaveLabel(r, s, 1.0, 0.0), spec4)
+            b = lift_x3(plane_wave_spinor(PlaneWaveLabel(r, s, 1.0, 0.0), spec4.spatial),
+                        spec4, r * 1.0)
             res = field_equation_residual_4d(b, p, dt=np.zeros(spec4.extents + (4,)),
                                              du=np.zeros(spec4.extents + (3,)))
             assert np.max(np.abs(res)) < 1e-13
@@ -114,7 +115,7 @@ _SPEC4 = periodic_spec(6, 2.0 * np.pi / 6, 4)
 
 
 def _wave4():
-    return plane_wave_spinor(PlaneWaveLabel(1, 1, 1.0, 0.0), _SPEC4)
+    return lift_x3(plane_wave_spinor(PlaneWaveLabel(1, 1, 1.0, 0.0), _SPEC4.spatial), _SPEC4, 1.0)
 
 
 _P1 = ModelParams(m=1.0)
@@ -139,9 +140,11 @@ _MALFORMED_GRADIENTS = {
 }
 
 
+# every case raises from the residual's own shape check, so a wave that
+# failed to build cannot pass it
 @pytest.mark.parametrize("case", sorted(_MALFORMED_GRADIENTS))
 def test_malformed_gradients_raise_invalid_grid(case, spec):
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(InvalidGrid, match=r"^d[tu] has shape .*, expected "):
         _MALFORMED_GRADIENTS[case](spec)
 
 
@@ -327,6 +330,32 @@ def test_perturbation_loop_restores_its_copy_and_matches_fresh_copies(kind):
         want = _copy_per_evaluation_gradient(kind, values, spec, p, probes, r, s)
         np.testing.assert_array_equal(g, want)
         assert np.max(np.abs(g)) > 1e-4
+
+
+def test_theorem1_passes_its_residuals_and_both_scales(monkeypatch):
+    # the field equation is quadratic in m, the Dirac residuals linear: the
+    # check hands m^2 sqrt(max rho) and m sqrt(max rho) to the verdict, and
+    # its Dirac residuals are dirac_apply's for s = +1 and s = -1
+    spec = periodic_spec(8, 2.0 * np.pi / 8, 3)
+    base = base_for(spec)
+    rng = np.random.default_rng(23)
+    b = random_positive_spinor(rng, base, max_mode=2).bundle(spec)
+    p = ModelParams(m=1.3, A=covector_on(random_covector_polys(rng, base), spec))
+    seen = []
+    real_verdict = field_equations.equivalence_verdict
+
+    def spy(*args):
+        seen.append(args)
+        return real_verdict(*args)
+
+    monkeypatch.setattr(field_equations, "equivalence_verdict", spy)
+    theorem1_check(b, p, 1)
+    [(_, plus, minus, scale, linear_scale)] = seen
+    root_rho = float(np.sqrt(np.max(b.rho)))
+    assert scale == pytest.approx(1.3 ** 2 * root_rho, rel=1e-14)
+    assert linear_scale == pytest.approx(1.3 * root_rho, rel=1e-14)
+    assert plus == float(np.max(np.abs(dirac_apply(b, p, 1, +1))))
+    assert minus == float(np.max(np.abs(dirac_apply(b, p, 1, -1))))
 
 
 def test_each_action_evaluation_sees_exactly_one_perturbed_entry():

@@ -52,7 +52,7 @@ def test_form_components_order():
 
 
 def test_stencil_derivative_orders(spec3):
-    x = _coords(spec3)
+    x = np.broadcast_arrays(*_coords(spec3))
     f = np.sin(2.0 * x[1])
     exact = 2.0 * np.cos(2.0 * x[1])
     e2 = np.max(np.abs(derivatives(f, spec3, "stencil")[..., 1] - exact))

@@ -2,7 +2,7 @@
 
 TrigPoly's phase-table evaluation is compared with a per-mode sum written
 here, the Pauli kernels with numpy's einsum and matmul, and
-LatticeSpec.meshgrid's views with numpy's copied meshgrid.  The producers
+LatticeSpec.meshgrid with numpy's sparse meshgrid.  The producers
 build grid-minor arrays (contiguous component slices), and the kernels
 give the same numbers on any layout and with the product by a zero A left
 out.
@@ -77,7 +77,7 @@ def _mode_sum(p: TrigPoly, coords) -> np.ndarray:
     return out
 
 
-# a full copy of the coordinates is axis-aligned only on a 1D grid; a
+# a dense copy of the coordinates is a sparse axis only on a 1D grid; a
 # complex and a hermitized (real) polynomial per layout and grid
 @pytest.mark.parametrize("layout,real,dims", [
     (layout, real, dims) for layout in ("view", "sparse", "copy")
@@ -107,7 +107,7 @@ def test_table_path_taken_only_for_axis_aligned_coordinates(dims):
     p = _poly(dims, False)
     assert len(p._axis_vectors(_coords(spec, "view"))) == dims
     assert len(p._axis_vectors(_coords(spec, "sparse"))) == dims
-    # a full copy varies along every axis in memory; only 1-D qualifies
+    # a dense copy is a sparse axis only on a 1D grid
     copy = _coords(spec, "copy")
     if dims == 1:
         assert len(p._axis_vectors(copy)) == 1
@@ -120,26 +120,27 @@ def test_mismatched_coordinates_raise_invalid_grid():
     spec = GRIDS[3]
     p = _poly(3, False)
     x = spec.meshgrid()
-    # coordinates of a 4D grid for a 3D polynomial, a scalar coordinate, a
-    # coordinate of another extent and an empty grid
+    # coordinates of a 4D grid for a 3D polynomial, a scalar coordinate, an
+    # empty grid, a 1-D axis on a 3D grid, an axis in another axis's slot,
+    # an array varying along two axes and a dense copy of an axis
     four = periodic_spec((8, 6, 5, 2), (0.7, 0.3, 1.1, 1.0), 4).meshgrid()
-    other = periodic_spec((8, 7, 5), (0.7, 0.3, 1.1), 3).meshgrid()
     empty = tuple(np.empty((0, 1, 1)) for _ in range(3))
-    for coords in (four, (x[0], 0.5, x[2]), (x[0], other[1], x[2]), empty):
+    for coords in (four, (x[0], 0.5, x[2]), empty, (spec.axis_coords(0), x[1], x[2]),
+                   (x[1], x[0], x[2]), (x[0] + x[1], x[1], x[2]),
+                   (np.broadcast_to(x[0], spec.extents), x[1], x[2])):
         with pytest.raises(InvalidGrid):
             p(coords)
 
 
-def test_meshgrid_views_equal_copied_meshgrid():
+def test_meshgrid_is_numpy_sparse_meshgrid():
     for spec in GRIDS.values():
         axes = [spec.axis_coords(a) for a in range(spec.dims)]
-        old = np.meshgrid(*axes, indexing="ij")
-        new = spec.meshgrid()
-        assert len(new) == len(old)
-        for o, n in zip(old, new):
-            assert n.shape == o.shape
-            np.testing.assert_array_equal(n, o)
-            assert not n.flags.writeable
+        want = np.meshgrid(*axes, indexing="ij", sparse=True)
+        got = spec.meshgrid()
+        assert len(got) == len(want)
+        for w, g in zip(want, got):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
 
 
 def _matrices():

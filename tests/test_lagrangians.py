@@ -9,7 +9,7 @@ from spinframe.errors import (
     UnknownOption,
     VanishingDensity,
 )
-from spinframe.field_equations import field_equation_residual_reduced, theorem1_check
+from spinframe.field_equations import dirac_apply, field_equation_residual_reduced, theorem1_check
 from spinframe.grids import ModelParams, SpinorBundle, periodic_spec
 from spinframe.lagrangians import (
     dirac_contraction,
@@ -47,6 +47,23 @@ def test_constant_spinor_hand_values(spec):
     assert np.allclose(lagrangian_reduced(b, p, 1), 16.0 / 9.0)
     assert np.allclose(dirac_lagrangian(b, p, 1, +1), 1.0)
     assert np.allclose(dirac_lagrangian(b, p, 1, -1), -1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dirac_lagrangian_is_eta_dag_dirac_eta(seed):
+    # L_rs = Re eta^dag D_rs eta, since eta^dag sigma^3 eta = rho: the
+    # density's r A (torsion.dirac_term) against the operator's
+    # (field_equations), with A varying over the grid
+    spec = periodic_spec(8, 2.0 * np.pi / 8, 3)
+    base = base_for(spec)
+    rng = np.random.default_rng(seed)
+    b = random_positive_spinor(rng, base, max_mode=2).bundle(spec)
+    p = ModelParams(m=1.3, A=covector_on(random_covector_polys(rng, base), spec))
+    for r in (1, -1):
+        for s in (1, -1):
+            want = np.sum(np.conj(b.values) * dirac_apply(b, p, r, s), axis=-1).real
+            dev = np.max(np.abs(dirac_lagrangian(b, p, r, s) - want))
+            assert dev <= 1e-13 * np.max(np.abs(want))
 
 
 def test_factorization_exact_on_constants(spec):

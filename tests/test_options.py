@@ -112,6 +112,8 @@ _CALLER_ERRORS = {
     "kk-on-3d": (InvalidGrid, lambda: kk_decomposition_check(_bundle3(), "chain")),
     "plane-wave-on-2d": (InvalidGrid, lambda: plane_wave_spinor(PlaneWaveLabel(1, 1, 1.0, 0.0),
                                                                 periodic_spec(4, 1.0, 2))),
+    "plane-wave-on-4d": (InvalidGrid, lambda: plane_wave_spinor(PlaneWaveLabel(1, 1, 1.0, 0.0),
+                                                                periodic_spec(4, 1.0, 4))),
 }
 
 

@@ -16,8 +16,13 @@ from spinframe.plane_waves import (
     symbol_matrix,
     table_of_states,
 )
-from spinframe.sampling import mode_bundle
+from spinframe.sampling import lift_x3, mode_bundle
 from spinframe.torsion import spinor_contractions
+
+
+def _lifted_wave(label, spec4):
+    """The 1+3 plane wave xi = eta e^{-i r m x3} on a 4D grid."""
+    return lift_x3(plane_wave_spinor(label, spec4.spatial), spec4, label.r * label.m)
 
 
 def test_label_validation():
@@ -95,7 +100,7 @@ def test_coframe_rotation_angle_doubles_phase():
     x3 = spec.axis_coords(3)[None, :]
     for r in (1, -1):
         lab = PlaneWaveLabel(r, 1, 1.0, 0.25)
-        theta, _ = coframe_map(plane_wave_spinor(lab, spec).values[:, 0, 0, :])
+        theta, _ = coframe_map(_lifted_wave(lab, spec).values[:, 0, 0, :])
         angle = 2.0 * (lab.temporal_frequency * x0 + r * lab.m * x3)
         w = theta[..., 1, 1] + 1j * theta[..., 2, 1]
         assert np.max(np.abs(w - np.exp(-1j * angle))) < 1e-13
@@ -133,7 +138,7 @@ def test_plane_wave_spinor_shapes():
     lab = PlaneWaveLabel(1, 1, 1.0, 0.0)
     b3 = plane_wave_spinor(lab, spec3)
     assert b3.values.shape == (8, 8, 8, 2)
-    b4 = plane_wave_spinor(lab, spec4)
+    b4 = _lifted_wave(lab, spec4)
     assert b4.values.shape == (8, 8, 8, 8, 2)
     # the bilinears of the separated 4D wave do not depend on x3, which is
     # why its residual is handed zero x3 derivatives
@@ -164,7 +169,7 @@ def test_waves_match_a_per_axis_phase_product(m):
             lab = PlaneWaveLabel(r, s, m, 0.25 * m)
             w = lab.temporal_frequency
             cases.append((plane_wave_spinor(lab, specs[3]), (1.0, 0.0), (w, 0.0, 0.0)))
-            cases.append((plane_wave_spinor(lab, specs[4]), (1.0, 0.0), (w, 0.0, 0.0, r * m)))
+            cases.append((_lifted_wave(lab, specs[4]), (1.0, 0.0), (w, 0.0, 0.0, r * m)))
     for q in ((1, 0, 0), (-3, 2, -2), (9, 4, 8), (-9, -8, 4)):
         s = 1 if q[0] > 0 else -1
         p = m * np.asarray(q, float)

@@ -153,7 +153,8 @@ def test_reduced_quantities_plane_wave():
     eta = plane_wave_spinor(label, periodic_spec(8, 2.0 * np.pi / 8, 3))
     t = reduced_axial_torsion(eta, dirac_contraction(eta, ModelParams(m=m), 1).real)
     assert np.allclose(t, 4.0 * m / 3.0)
-    c = spinor_contractions(plane_wave_spinor(label, periodic_spec(8, 2.0 * np.pi / 8, 4)))
+    spec4 = periodic_spec(8, 2.0 * np.pi / 8, 4)
+    c = spinor_contractions(lift_x3(plane_wave_spinor(label, spec4.spatial), spec4, m))
     assert np.allclose(c.t, 4.0 * m / 3.0)
     assert np.allclose(c.u[..., 0], 4.0 * m / 3.0)
     assert np.allclose(c.u[..., 1:], 0.0)
