@@ -115,8 +115,9 @@ def require_choice(what: str, value, choices) -> None:
 
 
 def require_mass(m) -> None:
-    """Raise ConfigInvalid unless m is a finite, positive real number."""
-    if not (isinstance(m, numbers.Real) and math.isfinite(m) and m > 0):
+    """Raise ConfigInvalid unless m is a finite, positive real number; a bool
+    is not one, although Python counts it as an int."""
+    if isinstance(m, bool) or not (isinstance(m, numbers.Real) and math.isfinite(m) and m > 0):
         raise ConfigInvalid(f"mass must be finite and positive, got {m!r}")
 
 

@@ -47,25 +47,60 @@ def dirac_apply(eta: SpinorBundle, params: ModelParams, r: int, s: int) -> np.nd
 
 def field_equation_residual_reduced(eta: SpinorBundle, params: ModelParams, r: int,
                                     dt: np.ndarray) -> np.ndarray:
-    """Explicit residual of the reduced nonlinear field equation.
+    """Explicit residual of the reduced nonlinear field equation, grid-minor
+    (*n, 2).
 
     (4/3)[t P eta + P(t eta)] + (32 m^2/9) sigma^3 eta - (L_r / rho) sigma_3 eta
     with P = sigma^alpha (i d + r A)_alpha and t the reduced axial torsion.
     P(t eta) expands to i sigma^alpha (d_alpha t) eta + t P eta, so only the
     gradient dt of the torsion scalar, shape (*n, 3), is needed: zeros for
     plane waves, or ``derivatives`` of ``reduced_axial_torsion``.  A dt of
-    any other shape raises InvalidGrid.  Since L_r / rho = 16 m^2/9 - t^2,
-    the mass terms are (16 m^2/9 + t^2) sigma^3 eta, in t alone.
+    any other shape raises InvalidGrid; any layout of it is read, and
+    grid-minor is the fast one.  Since L_r / rho = 16 m^2/9 - t^2, the mass
+    terms are (16 m^2/9 + t^2) sigma^3 eta, in t alone.
+
+    Like ``field_equation_residual_4d``, each spinor component j is written
+    straight into its slot of the result with two scratch arrays, and no
+    Pauli matrix is applied to eta: with k = 1 - j, the sum over alpha of
+    (d_alpha t) (sigma^alpha eta)_j is -(d_0 t) eta_j + (d_1 t) eta_k
+    -+ i (d_2 t) eta_k, in that order, times i once; then 2 t (P eta)_j is
+    added, the whole scaled by 4/3, and the mass term's sigma^3 sign picks
+    an addition or a subtraction.  Each product is the one the stacked
+    formula rounds, so the result is bit-identical to it.  Products of
+    sigma^0 and sigma^2 with eta would be four more grid-sized copies.
     """
-    require_shape(dt, eta.spec.extents + (eta.spec.dims,), "dt")
+    shape = eta.spec.extents
+    require_shape(dt, shape + (eta.spec.dims,), "dt")
     t = reduced_axial_torsion(eta, dirac_contraction(eta, params, r).real)
     p_eta = _first_order_op(eta, params.A, r)
-    grad_term = np.zeros_like(eta.values)
-    for alpha in range(3):
-        grad_term += 1j * dt[..., alpha, None] * apply(SIGMA_UPPER[alpha], eta.values)
-    mass = apply(SIGMA3, eta.values)
-    return (4.0 / 3.0) * (2.0 * t[..., None] * p_eta + grad_term) \
-        + (16.0 * params.m ** 2 / 9.0 + t ** 2)[..., None] * mass
+    x = eta.values[..., 0], eta.values[..., 1]
+    two_t = 2.0 * t
+    mass = 16.0 * params.m ** 2 / 9.0 + t ** 2
+    res = grid_minor(shape + (2,), len(shape))
+    out, term = np.empty(shape, complex), np.empty(shape, complex)
+    for j, i_sign in ((0, -1j), (1, 1j)):
+        other = 1 - j
+        # sigma^0 = -1, sigma^1 swaps the components, sigma^2 swaps them
+        # times -+i
+        np.multiply(dt[..., 0], x[j], out=out)
+        out *= -1.0
+        np.multiply(dt[..., 1], x[other], out=term)
+        out += term
+        np.multiply(dt[..., 2], x[other], out=term)
+        term *= i_sign
+        out += term
+        out *= 1j
+        np.multiply(two_t, p_eta[..., j], out=term)
+        out += term
+        out *= 4.0 / 3.0
+        # plus the mass term, with sigma^3 eta = (eta_0, -eta_1)
+        slot = res[..., j]
+        np.multiply(mass, x[j], out=slot)
+        if j == 0:
+            slot += out
+        else:
+            np.subtract(out, slot, out=slot)
+    return res
 
 
 def _torsion_gradient(params: ModelParams, dt: np.ndarray, du: np.ndarray,

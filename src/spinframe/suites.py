@@ -74,16 +74,21 @@ class SuiteConfig:
     seeds: int | None = None    # sample count
 
     def __post_init__(self):
+        # a bool is no mass, A0, seed or count, although Python counts it
+        # as an int
         if self.m is not None:
             require_mass(self.m)
-        if self.a0 is not None and not (isinstance(self.a0, numbers.Real)
-                                        and math.isfinite(self.a0)):
+        if self.a0 is not None and (isinstance(self.a0, bool) or not (
+                isinstance(self.a0, numbers.Real) and math.isfinite(self.a0))):
             raise ConfigInvalid(f"A0 must be finite, got {self.a0!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigInvalid(f"seed must be a non-negative int, got {self.seed!r}")
-        if self.seeds is not None and (not isinstance(self.seeds, (int, np.integer))
-                                       or self.seeds < 1):
+        if self.seeds is not None and (not _is_int(self.seeds) or self.seeds < 1):
             raise ConfigInvalid(f"seed count must be an int of at least 1, got {self.seeds!r}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _worst(worst: float, x: float) -> float:
@@ -254,18 +259,22 @@ def _suite_theorem1(params: dict, seed: int, m: float):
     # every axis 2 pi / m long: the rest waves' x0 phase and the boosted
     # waves' momenta m q, q in grid_mode_momenta(), are its Fourier modes
     spec = periodic_spec(n, 2.0 * np.pi / (n * m), 3)
-    dt0 = np.zeros(spec.extents + (3,))
-    waves = []
-    for r in (1, -1):
-        for s in (1, -1):
-            lab = PlaneWaveLabel(r, s, m, 0.0)
-            waves.append((plane_wave_spinor(lab, spec), r, s))
-    for q in grid_mode_momenta():
-        s = 1 if q[0] > 0 else -1
-        waves.append((boosted_wave(m * np.asarray(q, float), s, m, spec), 1, s))
+    dt0 = grid_minor(spec.extents + (3,), 3, float)
+    dt0[...] = 0.0
+
+    def waves():
+        # each wave is built when it is checked, so at most two bundles
+        # (the one checked and the next one built) are alive at a time
+        for r in (1, -1):
+            for s in (1, -1):
+                yield plane_wave_spinor(PlaneWaveLabel(r, s, m, 0.0), spec), r, s
+        for q in grid_mode_momenta():
+            s = 1 if q[0] > 0 else -1
+            yield boosted_wave(m * np.asarray(q, float), s, m, spec), 1, s
+
     p = ModelParams(m=m)
     rng = np.random.default_rng(seed)
-    for b, r, s in waves:
+    for b, r, s in waves():
         t0 = time.perf_counter()
         res = theorem1_check(b, p, r, dt=dt0)
         check_s += time.perf_counter() - t0

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from spinframe.cli import build_parser, main
-from spinframe.errors import ConfigInvalid, SpinframeError, UnknownOption, UnknownSuite
+from spinframe.errors import (
+    ConfigInvalid,
+    SpinframeError,
+    UnknownOption,
+    UnknownSuite,
+    require_mass,
+)
 from spinframe.grids import ModelParams
 from spinframe.plane_waves import PlaneWaveLabel, boosted_amplitude
 from spinframe.reports import render
@@ -165,6 +171,21 @@ def test_unhonourable_values_raise_a_package_value_error(make, error):
         make()
     assert isinstance(info.value, SpinframeError)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("value", (True, False))
+@pytest.mark.parametrize("make", [
+    lambda v: SuiteConfig(m=v),
+    lambda v: SuiteConfig(a0=v),
+    lambda v: SuiteConfig(seed=v),
+    lambda v: SuiteConfig(seeds=v),
+    require_mass,
+], ids=["m", "a0", "seed", "seeds", "require_mass"])
+def test_a_bool_is_rejected_where_a_number_is_read(make, value):
+    # Python counts a bool as an int: SuiteConfig(m=True) would run and
+    # report "m": true, and seeds=True would reach numpy as a shape
+    with pytest.raises(ConfigInvalid):
+        make(value)
 
 
 @pytest.mark.parametrize("flag", [["--grid", "8"], ["--mode", "stencil"], ["--order", "4"],

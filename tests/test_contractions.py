@@ -1,10 +1,12 @@
-"""The fused 4D spinor contractions against the formulas they replace.
+"""The fused spinor contractions and residuals against the formulas they
+replace.
 
 The reference functions below are the one-at-a-time formulas that
 ``field_equation_residual_4d``, ``lagrangian_4d``, ``axial_torsion_spinor``
 and the x3-rotation covector used before ``torsion.spinor_contractions``
-computed their shared contractions once.  They are kept here only as the
-tests' reference.
+computed their shared contractions once, and the stacked formula that
+``field_equation_residual_reduced`` used before it was written per spinor
+component.  They are kept here only as the tests' reference.
 """
 
 import numpy as np
@@ -12,10 +14,10 @@ import pytest
 
 from spinframe import lagrangians
 from spinframe.algebra import SIGMA3, SIGMA_LOWER, SIGMA_UPPER
-from spinframe.field_equations import field_equation_residual_4d
+from spinframe.field_equations import field_equation_residual_4d, field_equation_residual_reduced
 from spinframe.grids import ModelParams, SpinorBundle, derivatives, lorentz_dot, periodic_spec
 from spinframe.lagrangians import lagrangian_4d, unhodge_covector, unhodge_scalar
-from spinframe.pauli import apply, contract
+from spinframe.pauli import apply, contract, grid_minor
 from spinframe.sampling import base_for, random_positive_spinor
 from spinframe.torsion import (
     axial_torsion_spinor,
@@ -107,6 +109,25 @@ def ref_field_equation_residual_4d(xi, params, dt, du):
         - (lagr / rho)[..., None] * mass
 
 
+def ref_field_equation_residual_reduced(eta, params, r, dt):
+    """(4/3)[2 t P eta + i sigma^alpha (d_alpha t) eta] + (16 m^2/9 + t^2) sigma^3 eta,
+    P = sigma^alpha (i d + r A)_alpha, with every sigma product a stacked
+    (*n, 2) array and t = -(4 / 3 rho) Re eta^dag P eta."""
+    v = eta.values
+    w = np.zeros(eta.rho.shape, dtype=complex)
+    p_eta = np.zeros_like(v)
+    grad_t = np.zeros_like(v)
+    for alpha in range(3):
+        op = 1j * eta.derivs[..., alpha, :] + (r * params.A[..., alpha])[..., None] * v
+        w += contract(SIGMA_UPPER[alpha], v, op)
+        p_eta += apply(SIGMA_UPPER[alpha], op)
+        grad_t += 1j * dt[..., alpha, None] * apply(SIGMA_UPPER[alpha], v)
+    t = -4.0 * w.real / (3.0 * eta.rho)
+    mass = apply(SIGMA3, v)
+    return (4.0 / 3.0) * (2.0 * t[..., None] * p_eta + grad_t) \
+        + (16.0 * params.m ** 2 / 9.0 + t ** 2)[..., None] * mass
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
@@ -170,6 +191,40 @@ def test_residual_4d_with_given_derivatives_matches_reference(a_kind):
     du = rng.normal(size=SPEC4.extents + (3,))
     _close(field_equation_residual_4d(b, p, dt=dt, du=du),
            ref_field_equation_residual_4d(b, p, dt=dt, du=du))
+
+
+SPEC3 = periodic_spec(12, 2.0 * np.pi / 12, 3)
+
+
+def _reduced_case(seed: int, layout: str):
+    """A random positive field on 12^3, field-valued A at m = 1.3, and a
+    random dt, grid-minor or C-ordered."""
+    rng = np.random.default_rng(seed)
+    b = random_positive_spinor(rng, base_for(SPEC3), max_mode=2).bundle(SPEC3)
+    p = ModelParams(m=1.3, A=0.4 * rng.normal(size=SPEC3.extents + (3,)))
+    dt = rng.normal(size=SPEC3.extents + (3,))
+    if layout == "grid-minor":
+        g = grid_minor(dt.shape, 3, float)
+        g[...] = dt
+        dt = g
+    return b, p, dt
+
+
+@pytest.mark.parametrize("layout", ("grid-minor", "C"))
+@pytest.mark.parametrize("r", (1, -1))
+def test_residual_reduced_is_bit_identical_to_reference(r, layout):
+    b, p, dt = _reduced_case(11, layout)
+    assert np.array_equal(field_equation_residual_reduced(b, p, r, dt),
+                          ref_field_equation_residual_reduced(b, p, r, dt))
+
+
+@pytest.mark.parametrize("layout", ("grid-minor", "C"))
+def test_residual_reduced_is_grid_minor(layout):
+    # each spinor component is one contiguous block, for any layout of dt
+    b, p, dt = _reduced_case(12, layout)
+    res = field_equation_residual_reduced(b, p, 1, dt)
+    for j in range(2):
+        assert res[..., j].flags["C_CONTIGUOUS"]
 
 
 @pytest.mark.parametrize("a_kind", A_KINDS)

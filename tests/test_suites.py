@@ -3,6 +3,7 @@ time-reversed coframe, hold at masses other than 1, and time each report
 on the calls behind it."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,6 +79,23 @@ def test_theorem1_checks_all_thirty_waves_at_a_non_unit_mass(monkeypatch):
     reps = run_suite("theorem1", SuiteConfig(m=1.3))
     assert len(calls) == 30
     assert all(r.passed for r in reps)
+
+
+def test_theorem1_holds_one_wave_at_a_time():
+    # a 20^3 bundle (values and three derivative slots, complex) is 1.02 MB.
+    # Each wave is built when it is checked, so the suite holds at most the
+    # wave checked and the next one; with all 30 built first it peaks near
+    # 33 MB.  numpy imports its random module on first use, so it is
+    # imported here, outside the traced window.
+    bundle_bytes = 20 ** 3 * (2 + 3 * 2) * 16
+    np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        run_suite("theorem1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * bundle_bytes
 
 
 def test_theorem1_times_each_report_on_its_own_calls(monkeypatch):
