@@ -111,10 +111,18 @@ class SpinorPoly:
     c1: TrigPoly
     c2: TrigPoly
 
-    def bundle(self, spec: LatticeSpec) -> SpinorBundle:
+    def bundle(self, spec: LatticeSpec, planes=None) -> SpinorBundle:
         """Values and analytic derivatives, filled slot by slot into
-        grid-minor arrays (the ``SpinorBundle`` layout contract)."""
+        grid-minor arrays (the ``SpinorBundle`` layout contract).
+
+        Given ``planes``, x0-plane indices of spec taken modulo its x0
+        extent, the bundle lives on those planes alone: at spec's own x0
+        coordinates, on a grid of len(planes) x0-planes and spec's spacing.
+        """
         coords = spec.meshgrid()
+        if planes is not None:
+            coords = (coords[0][np.asarray(planes) % spec.extents[0]],) + coords[1:]
+            spec = LatticeSpec((len(planes),) + spec.extents[1:], spec.spacing)
         vals = grid_minor(spec.extents + (2,), spec.dims)
         derivs = grid_minor(spec.extents + (spec.dims, 2), spec.dims)
         for k, c in enumerate((self.c1, self.c2)):

@@ -12,14 +12,22 @@ What each route holds besides its input:
   it reads, as float arrays.  Each contraction passes through one complex
   buffer of one component's size and one float pair sum, and rho is read
   after the products.  Next to a 3D bundle it holds Im z, the pair sum and
-  the buffer, then Im z, rho, t and one quotient temporary.
+  the buffer, then Im z, rho, t and the quotient's temporaries: one, or two
+  on arrays under 256 KiB, where numpy elides none.
 * The coframe route (``axial_torsion_coframe``) sums over the frame rows one
   at a time.  Row j's 2-form d theta^j is built from one component's
   gradient at a time (``CoframeBundle.row_differential``), so next to theta
-  it holds t, the running total, d theta^j and one component gradient.  On
-  a 4D grid the same three rows give the extended torsion T_ext^ax of the
-  Kaluza-Klein step: the appended row theta^3 = dx^3 is constant, so its
-  term vanishes and no extended coframe is built.
+  it holds the caller's t, the running total, d theta^j and one component
+  gradient; ``dual_axial_torsion_coframe`` then writes the scalar into one
+  more array.  On a 4D grid the same three rows give the extended torsion
+  T_ext^ax of the Kaluza-Klein step: the appended row theta^3 = dx^3 is
+  constant, so its term vanishes and no extended coframe is built.
+
+torsion-routes' refinement (``suites._routes_rms``) runs both routes on 8
+x0-planes at a time, with one halo plane on either side, so at 64^3 each
+array above spans 8 or 10 of the 64 planes: the refinement peaks near a
+quarter of the 64^3 spinor bundle, the block's bundle and the grid's
+difference included.
 """
 
 from __future__ import annotations
@@ -256,22 +264,22 @@ def axial_torsion_coframe(cb: CoframeBundle) -> LatticeField:
     return total
 
 
-def spinor_vs_coframe_residual(t_spinor: np.ndarray, cb: CoframeBundle,
-                               norm: str = "max") -> float:
-    """Mismatch between the two torsion routes (scalar *T^ax): t_spinor from
-    ``axial_torsion_spinor`` against the coframe route's *T^ax of cb; norm
-    is "max" or "rms" over the grid.
+def dual_axial_torsion_coframe(cb: CoframeBundle) -> np.ndarray:
+    """The coframe route's scalar *T^ax, the Hodge dual of
+    ``axial_torsion_coframe``; the spinor route's is ``axial_torsion_spinor``."""
+    return hodge_dual(axial_torsion_coframe(cb)).values
+
+
+def spinor_vs_coframe_residual(t_spinor: np.ndarray, cb: CoframeBundle) -> float:
+    """Largest mismatch over the grid between the two torsion routes (scalar
+    *T^ax): t_spinor from ``axial_torsion_spinor`` against
+    ``dual_axial_torsion_coframe`` of cb.
 
     The caller takes the spinor route first, so that the spinor bundle's
     derivative stack can be released before the coframe is built: the
     coframe route reads only theta and one component gradient at a time.
     """
-    require_choice("norm", norm, ("max", "rms"))
-    t_coframe = hodge_dual(axial_torsion_coframe(cb)).values
-    diff = t_spinor - t_coframe
-    if norm == "rms":
-        return float(np.sqrt(np.mean(diff ** 2)))
-    return float(np.max(np.abs(diff)))
+    return float(np.max(np.abs(t_spinor - dual_axial_torsion_coframe(cb))))
 
 
 # ---------------------------------------------------------------------------

@@ -344,8 +344,8 @@ _UNUSED_DEFAULTS = (
     ("grids.py", "    component_gradient: Callable[[int, int], np.ndarray]\n",
      "    component_gradient: Callable[[int, int], np.ndarray]\n    label: str = \"\"\n",
      unpassed_defaults, "grids.CoframeBundle(label)"),
-    ("suites.py", "        cb = coframe_bundle_from_spinor(values, spec)\n",
-     "        cb = coframe_bundle_from_spinor(values, spec, backend=\"stencil\")\n",
+    ("suites.py", "        cb = coframe_bundle_from_spinor(values, block)\n",
+     "        cb = coframe_bundle_from_spinor(values, block, backend=\"stencil\")\n",
      always_passed_defaults, "sampling.coframe_bundle_from_spinor(backend)"),
     # SpinorBundle.from_grid(spec, values) shares the method's simple name
     ("grids.py", "                  backend: str) -> \"CoframeBundle\":",
@@ -395,8 +395,8 @@ _CONTRACT = dict.fromkeys(
 # name: (roots of one route, roots of the other, allowed overlap with reasons)
 ROUTE_PAIRS = {
     "coframe-vs-spinor": (
-        (("torsion", "axial_torsion_coframe"), ("sampling", "coframe_bundle_from_spinor"),
-         ("torsion", "_coframe_chain_derivs")),
+        (("torsion", "axial_torsion_coframe"), ("torsion", "dual_axial_torsion_coframe"),
+         ("sampling", "coframe_bundle_from_spinor"), ("torsion", "_coframe_chain_derivs")),
         (("torsion", "axial_torsion_spinor"), ("torsion", "spinor_contractions")),
         {**_DERIVATIVES, **_GRID_MINOR}),
     "reduced-vs-4d-residual": (

@@ -1,4 +1,4 @@
-"""Option strings are checked where they enter: a misspelt backend, norm or
+"""Option strings are checked where they enter: a misspelt backend or
 derivative route raises instead of falling back to a default.  A wrong
 option, rank, format or grid from the caller raises a package error, and a
 configuration that cannot be honoured raises ConfigInvalid."""
@@ -29,12 +29,7 @@ from spinframe.sampling import (
     random_positive_spinor,
 )
 from spinframe.suites import SuiteConfig
-from spinframe.torsion import (
-    axial_torsion_spinor,
-    kk_decomposition_check,
-    spinor_contractions,
-    spinor_vs_coframe_residual,
-)
+from spinframe.torsion import kk_decomposition_check, spinor_contractions
 
 SPEC3 = periodic_spec(6, 2.0 * np.pi / 6, 3)
 SPEC4 = periodic_spec(6, 2.0 * np.pi / 6, 4)
@@ -83,13 +78,6 @@ def test_variational_derivative_rejects_unknown_density_kind(probes):
     with pytest.raises(UnknownOption, match="'bogus'"):
         discrete_variational_derivative("bogus", _bundle3().values, SPEC3,
                                         ModelParams(m=1.0), probes)
-
-
-def test_torsion_residual_rejects_unknown_norm():
-    b = _bundle3()
-    cb = coframe_bundle_from_spinor(b.values, SPEC3)
-    with pytest.raises(ValueError, match="'l2'"):
-        spinor_vs_coframe_residual(axial_torsion_spinor(b), cb, norm="l2")
 
 
 def test_kk_check_rejects_unknown_coframe_route():

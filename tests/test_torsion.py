@@ -10,7 +10,9 @@ from spinframe.errors import NonPositiveDensity, VanishingDensity
 from spinframe.grids import (
     CoframeBundle,
     LatticeField,
+    LatticeSpec,
     ModelParams,
+    SpinorBundle,
     derivatives,
     form_components,
     hodge_dual,
@@ -29,11 +31,12 @@ from spinframe.sampling import (
     random_covector_polys,
     random_positive_spinor,
 )
-from spinframe.suites import _refinement_rms, run_suite
+from spinframe.suites import _BLOCK_PLANES, _refinement_rms, _routes_rms, run_suite
 from spinframe.torsion import (
     _coframe_chain_derivs,
     axial_torsion_coframe,
     axial_torsion_spinor,
+    dual_axial_torsion_coframe,
     kk_decomposition_check,
     reduced_axial_torsion,
     spinor_contractions,
@@ -65,13 +68,36 @@ def test_two_routes_residual_shrinks_second_order():
     assert 3.7 <= ratio <= 4.3
 
 
-def test_torsion_routes_peaks_below_1_3_times_the_64_cubed_bundle():
+def _whole_grid_rms(sp, spec) -> float:
+    b = sp.bundle(spec)
+    cb = coframe_bundle_from_spinor(b.values, spec)
+    d = axial_torsion_spinor(b) - hodge_dual(axial_torsion_coframe(cb)).values
+    return float(np.sqrt(np.mean(d ** 2)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blockwise_refinement_equals_the_whole_grid_at_32_cubed(seed):
+    spec = periodic_spec(32, 2.0 * np.pi / 32, 3)
+    sp = random_positive_spinor(np.random.default_rng(seed), base_for(spec), max_mode=2)
+    assert _refinement_rms(seed)[0] == _whole_grid_rms(sp, spec)
+
+
+@pytest.mark.parametrize("n", (20, 6))
+def test_blockwise_rms_equals_the_whole_grid_off_the_block_size(n):
+    # 20 planes end in a part block; 6 are fewer than one block, so both
+    # halo indices wrap onto the block itself
+    assert n % _BLOCK_PLANES != 0
+    spec = periodic_spec(n, 2.0 * np.pi / n, 3)
+    sp = random_positive_spinor(np.random.default_rng(5), base_for(spec), max_mode=2)
+    assert _routes_rms(sp, spec) == _whole_grid_rms(sp, spec)
+
+
+def test_torsion_routes_peaks_below_0_3_times_the_64_cubed_bundle():
     # the 64^3 spinor bundle (values and three derivative slots, complex) is
-    # 33.5 MB.  Spinor route first, bundle dropped before theta is built,
-    # stencils without shifted copies, imaginary parts only on the spinor
-    # route and one component gradient at a time on the coframe route keep
-    # the suite near 1.25 of it; with the bundle alive through the coframe
-    # route it is near 2.7
+    # 33.5 MB.  The refinement samples 8 x0-planes and two halo planes at a
+    # time, so the peak is one block's bundle (5.2 MB), the spinor route's
+    # arrays on its interior planes and the 64^3 difference (2.1 MB): near
+    # 0.25 of it.  Run on the whole grid at once it was near 1.25
     bundle_bytes = 64 ** 3 * (2 + 3 * 2) * 16
     tracemalloc.start()
     try:
@@ -79,43 +105,44 @@ def test_torsion_routes_peaks_below_1_3_times_the_64_cubed_bundle():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * bundle_bytes
+    assert peak <= 0.3 * bundle_bytes
 
 
 def test_torsion_route_stages_hold_their_arrays_at_32_cubed():
-    # Peaks in grid-sized float arrays (32^3 float64), the stage's inputs
-    # included, each stage as _refinement_rms runs it.  The spinor stage
-    # holds the bundle (16: values and three derivative slots, complex),
-    # Im z, rho, t and one temporary of 4 Im z / (3 rho): 20 (while the
-    # products run: Im z, the pair sum and the complex buffer, also 20).
-    # The coframe stage holds theta (9), t, the running total, one row's
-    # d theta^j (3) and one component's gradient (3): 17.  Half an array
-    # covers the small objects.  The coframe stage's stencil slices along
-    # axes 1 and 2 are not contiguous, so numpy also allocates one iteration
-    # buffer for each operand of the subtraction: 3 x 8192 floats, three
-    # quarters of an array at 32^3.  With complex contractions and a
-    # (*n, 3, 3) row stack both stages read 23.
+    # Peaks of one block of the 32^3 refinement in block arrays (one float64
+    # over the block's 10 x0-planes, halos included), the stage's inputs
+    # included, each stage as _routes_rms runs it.  The spinor stage holds
+    # the block's bundle (16: values and three derivative slots, complex)
+    # and, on the 8 interior planes (0.8 of a block array each), at most
+    # five arrays: Im z, rho, t and the two temporaries of 4 Im z / (3 rho),
+    # which numpy does not elide below 256 KiB: 20.  The coframe stage
+    # holds theta (9), t (0.8), the running total, one row's d theta^j (3)
+    # and one component's gradient (3): 16.8.  Half an array covers the
+    # small objects.  The coframe stage's stencil slices along axes 1 and 2
+    # are not contiguous, so numpy also allocates one iteration buffer for
+    # each operand of the subtraction: 3 x 8192 floats.
     spec = periodic_spec(32, 2.0 * np.pi / 32, 3)
     sp = random_positive_spinor(np.random.default_rng(0), base_for(spec), max_mode=2)
-    array = 32 ** 3 * 8
+    array = (_BLOCK_PLANES + 2) * 32 ** 2 * 8
     iteration_buffers = 3 * np.getbufsize() * 8
+    inner = LatticeSpec((_BLOCK_PLANES,) + spec.extents[1:], spec.spacing)
     tracemalloc.start()
     try:
-        b = sp.bundle(spec)
+        b = sp.bundle(spec, np.arange(-1, _BLOCK_PLANES + 1))
         tracemalloc.reset_peak()
-        t = axial_torsion_spinor(b)
+        t = axial_torsion_spinor(SpinorBundle(inner, b.values[1:-1], b.derivs[1:-1]))
         spinor_peak = tracemalloc.get_traced_memory()[1]
-        values = b.values
+        block, values = b.spec, b.values
         del b
-        cb = coframe_bundle_from_spinor(values, spec)
+        cb = coframe_bundle_from_spinor(values, block)
         del values
         tracemalloc.reset_peak()
-        spinor_vs_coframe_residual(t, cb, norm="rms")
+        dual_axial_torsion_coframe(cb)
         coframe_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert spinor_peak <= 20.5 * array
-    assert coframe_peak <= 17.5 * array + iteration_buffers
+    assert coframe_peak <= 17.3 * array + iteration_buffers
 
 
 def test_wedge_route_equals_antisymmetrized_tensor():
